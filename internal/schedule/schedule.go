@@ -13,6 +13,7 @@ package schedule
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"haxconn/internal/nn"
@@ -189,19 +190,36 @@ func Uniform(pr *Profile, accel int) *Schedule {
 
 // Validate checks schedule shape and accelerator legality.
 func (s *Schedule) Validate(pr *Profile) error {
+	return s.validate(pr, allowedTable(pr))
+}
+
+// allowedTable marks, by accelerator index, the profile's allowed
+// accelerators.
+func allowedTable(pr *Profile) []bool {
+	var t []bool
+	for _, a := range pr.Allowed {
+		if a < 0 {
+			continue
+		}
+		if a >= len(t) {
+			t = append(t, make([]bool, a+1-len(t))...)
+		}
+		t[a] = true
+	}
+	return t
+}
+
+// validate is Validate against a precomputed allowedTable.
+func (s *Schedule) validate(pr *Profile, allowed []bool) error {
 	if len(s.Assign) != len(pr.Groups) {
 		return fmt.Errorf("schedule: %d assignment rows for %d items", len(s.Assign), len(pr.Groups))
-	}
-	allowed := map[int]bool{}
-	for _, a := range pr.Allowed {
-		allowed[a] = true
 	}
 	for i, row := range s.Assign {
 		if len(row) != len(pr.Groups[i]) {
 			return fmt.Errorf("schedule: item %d has %d assignments for %d groups", i, len(row), len(pr.Groups[i]))
 		}
 		for g, a := range row {
-			if !allowed[a] {
+			if a < 0 || a >= len(allowed) || !allowed[a] {
 				return fmt.Errorf("schedule: item %d group %d mapped to disallowed accelerator %d", i, g, a)
 			}
 		}
@@ -238,8 +256,20 @@ func (s *Schedule) Describe(pr *Profile) string {
 // every accelerator switch (Eq. 2's tau terms).
 func BuildSim(prob *Problem, pr *Profile, s *Schedule) sim.Workload {
 	var w sim.Workload
+	lower(prob, pr, s, &w, true)
+	return w
+}
+
+// lower writes BuildSim's workload for s into w, reusing w's stream,
+// dependency and task slices. Task labels, which only timelines read, are
+// built when labels is set.
+func lower(prob *Problem, pr *Profile, s *Schedule, w *sim.Workload, labels bool) {
+	w.Streams = slices.Grow(w.Streams[:0], len(prob.Items))[:len(prob.Items)]
 	for i, it := range prob.Items {
-		st := sim.Stream{Name: it.Net.Name, After: append([]int(nil), it.After...)}
+		st := &w.Streams[i]
+		st.Name = it.Net.Name
+		st.After = append(st.After[:0], it.After...)
+		st.Tasks = st.Tasks[:0]
 		row := s.Assign[i]
 		for iter := 0; iter < it.iterations(); iter++ {
 			for g := range pr.Groups[i] {
@@ -250,13 +280,13 @@ func BuildSim(prob *Problem, pr *Profile, s *Schedule) sim.Workload {
 					inMs := pr.TransInMs[i][g][a]
 					bytes := float64(pr.OutBytes[i][g-1])
 					st.Tasks = append(st.Tasks,
-						transTask(fmt.Sprintf("%s/it%d/out%d", it.Net.Name, iter, g), prev, outMs, bytes),
-						transTask(fmt.Sprintf("%s/it%d/in%d", it.Net.Name, iter, g), a, inMs, bytes),
+						transTask(taskLabel(labels, it.Net.Name, iter, "out", g), prev, outMs, bytes),
+						transTask(taskLabel(labels, it.Net.Name, iter, "in", g), a, inMs, bytes),
 					)
 				}
 				e := pr.Exec[i][g][a]
 				st.Tasks = append(st.Tasks, sim.Task{
-					Label:        fmt.Sprintf("%s/it%d/g%d", it.Net.Name, iter, g),
+					Label:        taskLabel(labels, it.Net.Name, iter, "g", g),
 					Accel:        a,
 					BaseMs:       e.LatencyMs,
 					DemandGBps:   e.DemandGBps,
@@ -264,9 +294,16 @@ func BuildSim(prob *Problem, pr *Profile, s *Schedule) sim.Workload {
 				})
 			}
 		}
-		w.Streams = append(w.Streams, st)
 	}
-	return w
+}
+
+// taskLabel names a lowered task, e.g. "VGG19/it0/g3" or "VGG19/it0/out3",
+// or returns "" when labels are off.
+func taskLabel(labels bool, net string, iter int, kind string, g int) string {
+	if !labels {
+		return ""
+	}
+	return fmt.Sprintf("%s/it%d/%s%d", net, iter, kind, g)
 }
 
 func transTask(label string, accel int, ms, bytes float64) sim.Task {
@@ -310,13 +347,57 @@ func Evaluate(prob *Problem, pr *Profile, s *Schedule, arb sim.Arbiter) (*Eval, 
 		ev.ItemLatencyMs = append(ev.ItemLatencyMs, res.StreamLatencyMs(i))
 	}
 	ev.FPS = res.FPS(prob.Frames())
-	switch prob.Objective {
-	case MaxThroughput:
-		ev.Cost = -ev.FPS
-	default:
-		ev.Cost = ev.MakespanMs
-	}
+	ev.Cost = prob.cost(res)
 	return ev, nil
+}
+
+// cost is the objective value to minimize for a simulated run: the
+// makespan (Eq. 11), or the negated FPS under MaxThroughput (Eq. 10).
+func (p *Problem) cost(res *sim.Result) float64 {
+	if p.Objective == MaxThroughput {
+		return -res.FPS(p.Frames())
+	}
+	return res.MakespanMs
+}
+
+// Evaluator computes the objective cost of schedules for one problem, the
+// inner loop of the solvers. It runs every check Evaluate runs but builds
+// no timeline: schedules are lowered into reused, unlabelled simulator
+// tasks and simulated on a reused sim.Engine, so a warmed Evaluator
+// allocates nothing per call. The profile's allowed accelerators are read
+// once, by NewEvaluator. An Evaluator must not be used by two goroutines
+// at once; give each its own.
+type Evaluator struct {
+	prob    *Problem
+	pr      *Profile
+	arb     sim.Arbiter
+	allowed []bool
+	w       sim.Workload
+	eng     sim.Engine
+}
+
+// NewEvaluator returns an Evaluator for the problem and profile under the
+// given arbiter.
+func NewEvaluator(prob *Problem, pr *Profile, arb sim.Arbiter) *Evaluator {
+	return &Evaluator{prob: prob, pr: pr, arb: arb, allowed: allowedTable(pr)}
+}
+
+// Cost returns the objective cost of s; it equals
+// Evaluate(prob, pr, s, arb).Cost bit for bit, and fails wherever
+// Evaluate fails.
+func (e *Evaluator) Cost(s *Schedule) (float64, error) {
+	if err := e.prob.Validate(); err != nil {
+		return 0, err
+	}
+	if err := s.validate(e.pr, e.allowed); err != nil {
+		return 0, err
+	}
+	lower(e.prob, e.pr, s, &e.w, false)
+	ms, err := e.eng.Makespan(e.prob.Platform, e.w, e.arb)
+	if err != nil {
+		return 0, err
+	}
+	return e.prob.cost(&sim.Result{MakespanMs: ms}), nil
 }
 
 // BaseLatencyMs returns the contention-free latency of item i under the

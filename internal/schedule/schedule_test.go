@@ -213,18 +213,64 @@ func TestFrameCountOverride(t *testing.T) {
 
 func TestValidateRejectsBadSchedules(t *testing.T) {
 	prob, pr := testProfile(t, "GoogleNet")
-	s := &Schedule{Assign: [][]int{{0}}} // wrong group count
-	if err := s.Validate(pr); err == nil {
-		t.Error("wrong shape should fail")
+	disallowed := func(a int) *Schedule {
+		s := Uniform(pr, 0)
+		s.Assign[0][0] = a
+		return s
 	}
-	s = Uniform(pr, 0)
-	s.Assign[0][0] = prob.Platform.AccelIndex("CPU")
-	if err := s.Validate(pr); err == nil {
-		t.Error("CPU assignment should fail")
+	ev := NewEvaluator(prob, pr, gtArb(prob.Platform))
+	for _, c := range []struct {
+		name string
+		s    *Schedule
+	}{
+		{"wrong group count", &Schedule{Assign: [][]int{{0}}}},
+		{"CPU assignment", disallowed(prob.Platform.AccelIndex("CPU"))},
+		{"negative accelerator", disallowed(-1)},
+		{"unknown accelerator", disallowed(len(prob.Platform.Accels))},
+		{"missing rows", &Schedule{Assign: nil}},
+	} {
+		// Validate, Evaluate and the solvers' Evaluator must all refuse it.
+		if err := c.s.Validate(pr); err == nil {
+			t.Errorf("%s: Validate accepted it", c.name)
+		}
+		if _, err := Evaluate(prob, pr, c.s, gtArb(prob.Platform)); err == nil {
+			t.Errorf("%s: Evaluate accepted it", c.name)
+		}
+		if _, err := ev.Cost(c.s); err == nil {
+			t.Errorf("%s: Evaluator.Cost accepted it", c.name)
+		}
 	}
-	s = &Schedule{Assign: nil}
-	if err := s.Validate(pr); err == nil {
-		t.Error("missing rows should fail")
+}
+
+// A warmed Evaluator allocates nothing per call, so no label, record or
+// interval can creep back into the solvers' inner loop unnoticed.
+func TestEvaluatorCostAllocatesNothing(t *testing.T) {
+	prob, pr := testProfile(t, "VGG19", "ResNet50", "GoogleNet")
+	prob.Items[1].Iterations = 3
+	prob.Items[2].After = []int{0}
+	m, err := contention.FitPCCS(prob.Platform.SatBW(), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Uniform(pr, 0)
+	for i, row := range s.Assign {
+		for g := len(row) / 2; g < len(row); g++ {
+			row[g] = 1 - i%2
+		}
+	}
+	for _, obj := range []Objective{MinMaxLatency, MaxThroughput} {
+		prob.Objective = obj
+		ev := NewEvaluator(prob, pr, sim.ModelArbiter{Model: m})
+		if _, err := ev.Cost(s); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, err := ev.Cost(s); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%v: warmed Evaluator.Cost allocates %v times per call, want 0", obj, allocs)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"haxconn/internal/contention"
 	"haxconn/internal/soc"
@@ -55,11 +56,14 @@ type Workload struct {
 
 // Arbiter converts the demands and memory intensities of concurrently
 // active tasks into per-task slowdowns for one contention interval.
-// Implementations: GroundTruth (max-min EMC arbitration, used for measured
-// results) and ModelArbiter (a contention.Model, used by the analytic
-// schedule evaluator).
+// Slowdowns writes the slowdown of task i into out[i]; out is supplied by
+// the caller, has the same length as demands, and is overwritten in full.
+// Implementations must not retain any of the three slices, which the
+// simulator reuses across intervals. Implementations: GroundTruth (max-min
+// EMC arbitration, used for measured results) and ModelArbiter (a
+// contention.Model, used by the analytic schedule evaluator).
 type Arbiter interface {
-	Slowdowns(demands, intensities []float64) []float64
+	Slowdowns(demands, intensities, out []float64)
 }
 
 // GroundTruth arbitrates with max-min fair sharing of the platform's
@@ -69,13 +73,11 @@ type GroundTruth struct {
 }
 
 // Slowdowns implements Arbiter.
-func (g GroundTruth) Slowdowns(demands, intensities []float64) []float64 {
+func (g GroundTruth) Slowdowns(demands, intensities, out []float64) {
 	alloc := contention.FairShare(demands, g.SatBW)
-	out := make([]float64, len(demands))
 	for i := range demands {
 		out[i] = contention.Slowdown(demands[i], intensities[i], alloc[i])
 	}
-	return out
 }
 
 // ModelArbiter predicts each task's slowdown with a processor-centric
@@ -85,16 +87,14 @@ type ModelArbiter struct {
 }
 
 // Slowdowns implements Arbiter.
-func (m ModelArbiter) Slowdowns(demands, intensities []float64) []float64 {
+func (m ModelArbiter) Slowdowns(demands, intensities, out []float64) {
 	var total float64
 	for _, d := range demands {
 		total += d
 	}
-	out := make([]float64, len(demands))
 	for i := range demands {
 		out[i] = m.Model.SlowdownFor(demands[i], intensities[i], total-demands[i])
 	}
-	return out
 }
 
 // TaskRecord reports one executed task.
@@ -144,134 +144,164 @@ const timeEps = 1e-9
 
 // Run simulates the workload on the platform with the given arbiter.
 func Run(p *soc.Platform, w Workload, arb Arbiter) (*Result, error) {
-	if err := validate(p, w); err != nil {
+	var e Engine
+	if err := e.run(p, w, arb, true); err != nil {
 		return nil, err
 	}
+	res := e.res
+	return &res, nil
+}
+
+// Engine runs simulations. Its working buffers — per-stream cursors,
+// per-accelerator FIFOs and running tasks, per-interval arbitration
+// scratch — persist across runs, so an Engine reused for many workloads
+// stops allocating once its buffers have grown to fit them. The zero value
+// is ready to use. An Engine must not be used by two goroutines at once.
+type Engine struct {
+	streams   []Stream // the workload being run
+	now       float64
+	completed int // streams done
+
+	next    []int    // next task index per stream
+	done    []bool   // stream completed
+	running []active // task running per accelerator
+	// waiting is each accelerator's FIFO of queued stream indices; a
+	// stream queues at most one task at a time, so queues stay short.
+	waiting [][]int
+
+	// Per-interval scratch: the accelerators with a running task, then the
+	// arbitration inputs and outputs (running tasks first, background
+	// demands after them).
+	accels      []int
+	demands     []float64
+	intensities []float64
+	slows       []float64
+
+	color []int8 // dependency-cycle search state per stream
+
+	// res accumulates the run's outcome. Records and Intervals are
+	// appended only by recording runs.
+	res Result
+}
+
+// Makespan simulates the workload exactly like Run and returns its
+// makespan, without building the per-task records and contention
+// intervals only timelines read.
+func (e *Engine) Makespan(p *soc.Platform, w Workload, arb Arbiter) (float64, error) {
+	if err := e.run(p, w, arb, false); err != nil {
+		return 0, err
+	}
+	return e.res.MakespanMs, nil
+}
+
+// active is the task running on an accelerator; remaining is measured in
+// standalone-ms units. The zero value is an idle accelerator.
+type active struct {
+	busy          bool
+	stream, index int
+	remaining     float64
+	startMs       float64
+}
+
+// resize returns s with n elements, reusing its backing array — and the
+// buffers held by elements beyond its length — when it is large enough.
+// Elements keep their previous contents; callers reset them.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// reset prepares the engine's buffers for a run of w on p.
+func (e *Engine) reset(p *soc.Platform, w Workload) {
+	ns, na := len(w.Streams), len(p.Accels)
+	e.streams, e.now, e.completed = w.Streams, 0, 0
+	e.next = resize(e.next, ns)
+	clear(e.next)
+	e.done = resize(e.done, ns)
+	clear(e.done)
+	e.running = resize(e.running, na)
+	clear(e.running)
+	e.waiting = resize(e.waiting, na)
+	for a := range e.waiting {
+		e.waiting[a] = e.waiting[a][:0]
+	}
+	e.res.MakespanMs = 0
+	e.res.StreamStartMs = resize(e.res.StreamStartMs, ns)
+	for i := range e.res.StreamStartMs {
+		e.res.StreamStartMs[i] = math.NaN()
+	}
+	e.res.StreamEndMs = resize(e.res.StreamEndMs, ns)
+	clear(e.res.StreamEndMs)
+	e.res.BusyMs = resize(e.res.BusyMs, na)
+	clear(e.res.BusyMs)
+	e.res.Records = e.res.Records[:0]
+	e.res.Intervals = e.res.Intervals[:0]
+}
+
+// run is the simulation loop behind Run and Makespan. record selects
+// whether Records and Intervals are appended.
+func (e *Engine) run(p *soc.Platform, w Workload, arb Arbiter, record bool) error {
+	if err := e.validate(p, w); err != nil {
+		return err
+	}
+	e.reset(p, w)
 	ns := len(w.Streams)
-	res := &Result{
-		StreamStartMs: make([]float64, ns),
-		StreamEndMs:   make([]float64, ns),
-		BusyMs:        make([]float64, len(p.Accels)),
-	}
-	for i := range res.StreamStartMs {
-		res.StreamStartMs[i] = math.NaN()
-	}
-
-	next := make([]int, ns)  // next task index per stream
-	done := make([]bool, ns) // stream completed
-	running := make([]*active, len(p.Accels))
-	waiting := make([][]int, len(p.Accels)) // stream indices queued per accel, FIFO
-
-	streamReady := func(s int) bool {
-		for _, dep := range w.Streams[s].After {
-			if !done[dep] {
-				return false
-			}
-		}
-		return true
-	}
-
-	now := 0.0
-	// enqueue puts stream s's next task on its accelerator queue, or marks
-	// the stream done.
-	var enqueue func(s int)
-	completedStreams := 0
-	enqueue = func(s int) {
-		if next[s] >= len(w.Streams[s].Tasks) {
-			done[s] = true
-			res.StreamEndMs[s] = now
-			completedStreams++
-			// Unblock dependents that were fully waiting on us.
-			for t := range w.Streams {
-				if !done[t] && next[t] == 0 && streamReady(t) && !queuedOrRunning(t, running, waiting) {
-					enqueue(t)
-				}
-			}
-			return
-		}
-		task := w.Streams[s].Tasks[next[s]]
-		waiting[task.Accel] = append(waiting[task.Accel], s)
-	}
 
 	// Seed: streams with no unmet dependencies.
-	for s := range w.Streams {
-		if streamReady(s) {
-			if len(w.Streams[s].Tasks) == 0 {
-				done[s] = true
-				res.StreamStartMs[s] = 0
-				res.StreamEndMs[s] = 0
-				completedStreams++
+	for s := range e.streams {
+		if e.ready(s) {
+			if len(e.streams[s].Tasks) == 0 {
+				e.done[s] = true
+				e.res.StreamStartMs[s] = 0
+				e.res.StreamEndMs[s] = 0
+				e.completed++
 				continue
 			}
-			enqueue(s)
+			e.enqueue(s)
 		}
 	}
 	// Re-check dependents of empty streams.
-	for s := range w.Streams {
-		if !done[s] && next[s] == 0 && streamReady(s) && !queuedOrRunning(s, running, waiting) {
-			enqueue(s)
+	for s := range e.streams {
+		if !e.done[s] && e.next[s] == 0 && e.ready(s) && !e.queuedOrRunning(s) {
+			e.enqueue(s)
 		}
 	}
-
-	dispatch := func() {
-		for a := range p.Accels {
-			if running[a] != nil || len(waiting[a]) == 0 {
-				continue
-			}
-			s := waiting[a][0]
-			waiting[a] = waiting[a][1:]
-			task := w.Streams[s].Tasks[next[s]]
-			if math.IsNaN(res.StreamStartMs[s]) {
-				res.StreamStartMs[s] = now
-			}
-			running[a] = &active{stream: s, index: next[s], remaining: task.BaseMs, startMs: now}
-			if task.BaseMs <= 0 {
-				running[a].remaining = 0
-			}
-		}
-	}
-	dispatch()
+	e.dispatch()
 
 	guard := 0
 	maxEvents := totalTasks(w)*4 + 64
-	for completedStreams < ns {
+	for e.completed < ns {
 		guard++
 		if guard > maxEvents {
-			return nil, fmt.Errorf("sim: no progress after %d events (dependency cycle?)", guard)
+			return fmt.Errorf("sim: no progress after %d events (dependency cycle?)", guard)
 		}
 		// Collect active tasks.
-		var (
-			idxs       []int
-			demands    []float64
-			intensitys []float64
-		)
-		for a, act := range running {
-			if act == nil {
+		e.accels, e.demands, e.intensities = e.accels[:0], e.demands[:0], e.intensities[:0]
+		for a := range e.running {
+			act := &e.running[a]
+			if !act.busy {
 				continue
 			}
-			task := w.Streams[act.stream].Tasks[act.index]
-			idxs = append(idxs, a)
-			demands = append(demands, task.DemandGBps)
-			intensitys = append(intensitys, task.MemIntensity)
+			task := &e.streams[act.stream].Tasks[act.index]
+			e.accels = append(e.accels, a)
+			e.demands = append(e.demands, task.DemandGBps)
+			e.intensities = append(e.intensities, task.MemIntensity)
 		}
-		if len(idxs) == 0 {
-			return nil, fmt.Errorf("sim: deadlock at %g ms: %d/%d streams done, none runnable", now, completedStreams, ns)
+		if len(e.accels) == 0 {
+			return fmt.Errorf("sim: deadlock at %g ms: %d/%d streams done, none runnable", e.now, e.completed, ns)
 		}
 		// Background demands participate in arbitration but have no
 		// completion; append them with intensity 1 and ignore their slowdown.
-		nReal := len(demands)
 		for _, b := range w.Background {
-			demands = append(demands, b.DemandGBps)
-			intensitys = append(intensitys, 1)
+			e.demands = append(e.demands, b.DemandGBps)
+			e.intensities = append(e.intensities, 1)
 		}
-		slows := arb.Slowdowns(demands, intensitys)
+		e.slows = resize(e.slows, len(e.demands))
+		arb.Slowdowns(e.demands, e.intensities, e.slows)
 
 		// Find earliest completion.
 		dt := math.Inf(1)
-		for k, a := range idxs {
-			speed := 1 / slows[k]
-			t := running[a].remaining / speed
-			if running[a].remaining <= 0 {
+		for k, a := range e.accels {
+			speed := 1 / e.slows[k]
+			t := e.running[a].remaining / speed
+			if e.running[a].remaining <= 0 {
 				t = 0
 			}
 			if t < dt {
@@ -282,69 +312,112 @@ func Run(p *soc.Platform, w Workload, arb Arbiter) (*Result, error) {
 			dt = 0
 		}
 		if math.IsInf(dt, 1) || math.IsNaN(dt) {
-			return nil, fmt.Errorf("sim: no task can make progress at %g ms (arbiter returned a non-finite slowdown)", now)
+			return fmt.Errorf("sim: no task can make progress at %g ms (arbiter returned a non-finite slowdown)", e.now)
 		}
-		// Record the interval.
-		if dt > 0 {
-			iv := Interval{StartMs: now, EndMs: now + dt}
-			for k, a := range idxs {
-				iv.Active = append(iv.Active, w.Streams[running[a].stream].Tasks[running[a].index].Label)
-				iv.TotalDemand += demands[k]
+		if record && dt > 0 {
+			iv := Interval{StartMs: e.now, EndMs: e.now + dt}
+			for k, a := range e.accels {
+				act := &e.running[a]
+				iv.Active = append(iv.Active, e.streams[act.stream].Tasks[act.index].Label)
+				iv.TotalDemand += e.demands[k]
 			}
 			for _, b := range w.Background {
 				iv.TotalDemand += b.DemandGBps
 			}
-			res.Intervals = append(res.Intervals, iv)
+			e.res.Intervals = append(e.res.Intervals, iv)
 		}
-		_ = nReal
 
 		// Advance.
-		now += dt
-		for k, a := range idxs {
-			speed := 1 / slows[k]
-			running[a].remaining -= dt * speed
-			res.BusyMs[a] += dt
+		e.now += dt
+		for k, a := range e.accels {
+			speed := 1 / e.slows[k]
+			e.running[a].remaining -= dt * speed
+			e.res.BusyMs[a] += dt
 		}
 		// Complete finished tasks.
-		for _, a := range idxs {
-			act := running[a]
+		for _, a := range e.accels {
+			act := e.running[a]
 			if act.remaining > timeEps {
 				continue
 			}
-			task := w.Streams[act.stream].Tasks[act.index]
-			slow := 1.0
-			if task.BaseMs > 0 {
-				slow = (now - act.startMs) / task.BaseMs
+			if record {
+				task := &e.streams[act.stream].Tasks[act.index]
+				slow := 1.0
+				if task.BaseMs > 0 {
+					slow = (e.now - act.startMs) / task.BaseMs
+				}
+				e.res.Records = append(e.res.Records, TaskRecord{
+					Stream: act.stream, Index: act.index, Label: task.Label,
+					Accel: a, StartMs: act.startMs, EndMs: e.now, Slowdown: slow,
+				})
 			}
-			res.Records = append(res.Records, TaskRecord{
-				Stream: act.stream, Index: act.index, Label: task.Label,
-				Accel: a, StartMs: act.startMs, EndMs: now, Slowdown: slow,
-			})
-			running[a] = nil
-			next[act.stream]++
-			enqueue(act.stream)
+			e.running[a] = active{}
+			e.next[act.stream]++
+			e.enqueue(act.stream)
 		}
-		dispatch()
+		e.dispatch()
 	}
-	res.MakespanMs = now
-	return res, nil
+	e.res.MakespanMs = e.now
+	return nil
 }
 
-// active tracks one task currently executing on an accelerator; remaining
-// is measured in standalone-ms units.
-type active struct {
-	stream, index int
-	remaining     float64
-	startMs       float64
+// ready reports whether every stream s depends on has completed.
+func (e *Engine) ready(s int) bool {
+	for _, dep := range e.streams[s].After {
+		if !e.done[dep] {
+			return false
+		}
+	}
+	return true
 }
 
-func queuedOrRunning(s int, running []*active, waiting [][]int) bool {
-	for _, act := range running {
-		if act != nil && act.stream == s {
+// enqueue puts stream s's next task on its accelerator queue, or marks the
+// stream done.
+func (e *Engine) enqueue(s int) {
+	tasks := e.streams[s].Tasks
+	if e.next[s] >= len(tasks) {
+		e.done[s] = true
+		e.res.StreamEndMs[s] = e.now
+		e.completed++
+		// Unblock dependents that were fully waiting on us.
+		for t := range e.streams {
+			if !e.done[t] && e.next[t] == 0 && e.ready(t) && !e.queuedOrRunning(t) {
+				e.enqueue(t)
+			}
+		}
+		return
+	}
+	a := tasks[e.next[s]].Accel
+	e.waiting[a] = append(e.waiting[a], s)
+}
+
+// dispatch starts the head of every idle accelerator's queue.
+func (e *Engine) dispatch() {
+	for a := range e.running {
+		q := e.waiting[a]
+		if e.running[a].busy || len(q) == 0 {
+			continue
+		}
+		s := q[0]
+		e.waiting[a] = append(q[:0], q[1:]...)
+		task := &e.streams[s].Tasks[e.next[s]]
+		if math.IsNaN(e.res.StreamStartMs[s]) {
+			e.res.StreamStartMs[s] = e.now
+		}
+		e.running[a] = active{busy: true, stream: s, index: e.next[s], remaining: task.BaseMs, startMs: e.now}
+		if task.BaseMs <= 0 {
+			e.running[a].remaining = 0
+		}
+	}
+}
+
+func (e *Engine) queuedOrRunning(s int) bool {
+	for a := range e.running {
+		if e.running[a].busy && e.running[a].stream == s {
 			return true
 		}
 	}
-	for _, q := range waiting {
+	for _, q := range e.waiting {
 		for _, t := range q {
 			if t == s {
 				return true
@@ -362,7 +435,10 @@ func totalTasks(w Workload) int {
 	return n
 }
 
-func validate(p *soc.Platform, w Workload) error {
+// finiteNonNeg reports whether x is a finite number >= 0; NaN is not.
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
+func (e *Engine) validate(p *soc.Platform, w Workload) error {
 	if len(w.Streams) == 0 {
 		return fmt.Errorf("sim: empty workload")
 	}
@@ -375,47 +451,56 @@ func validate(p *soc.Platform, w Workload) error {
 				return fmt.Errorf("sim: stream %d depends on itself", si)
 			}
 		}
-		for ti, t := range s.Tasks {
+		for ti := range s.Tasks {
+			t := &s.Tasks[ti]
 			if t.Accel < 0 || t.Accel >= len(p.Accels) {
 				return fmt.Errorf("sim: stream %d task %d: invalid accelerator %d", si, ti, t.Accel)
 			}
-			if t.BaseMs < 0 || t.DemandGBps < 0 || t.MemIntensity < 0 || t.MemIntensity > 1 {
+			if !finiteNonNeg(t.BaseMs) || !finiteNonNeg(t.DemandGBps) || !(t.MemIntensity >= 0 && t.MemIntensity <= 1) {
 				return fmt.Errorf("sim: stream %d task %d: invalid parameters", si, ti)
 			}
 		}
 	}
-	if cycle(w) {
+	for bi, b := range w.Background {
+		if !finiteNonNeg(b.DemandGBps) {
+			return fmt.Errorf("sim: background %d (%s): invalid parameters", bi, b.Label)
+		}
+	}
+	if e.cycle(w.Streams) {
 		return fmt.Errorf("sim: dependency cycle among streams")
 	}
 	return nil
 }
 
+// Dependency-cycle search colours.
+const (
+	white int8 = iota
+	grey
+	black
+)
+
 // cycle detects cycles in the stream dependency graph.
-func cycle(w Workload) bool {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make([]int, len(w.Streams))
-	var visit func(int) bool
-	visit = func(s int) bool {
-		color[s] = grey
-		for _, d := range w.Streams[s].After {
-			if color[d] == grey {
-				return true
-			}
-			if color[d] == white && visit(d) {
-				return true
-			}
-		}
-		color[s] = black
-		return false
-	}
-	for s := range w.Streams {
-		if color[s] == white && visit(s) {
+func (e *Engine) cycle(streams []Stream) bool {
+	e.color = resize(e.color, len(streams))
+	clear(e.color)
+	for s := range streams {
+		if e.color[s] == white && visit(streams, e.color, s) {
 			return true
 		}
 	}
+	return false
+}
+
+func visit(streams []Stream, color []int8, s int) bool {
+	color[s] = grey
+	for _, d := range streams[s].After {
+		if color[d] == grey {
+			return true
+		}
+		if color[d] == white && visit(streams, color, d) {
+			return true
+		}
+	}
+	color[s] = black
 	return false
 }

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -201,6 +204,108 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// Non-finite task parameters and negative or non-finite background demands
+// are invalid input, not arbiter failures, and must never run silently.
+func TestValidationRejectsNonFinite(t *testing.T) {
+	p := plat()
+	task := func(base, demand, mu float64) Workload {
+		return Workload{Streams: []Stream{{Name: "a", Tasks: []Task{
+			{Label: "a0", Accel: 0, BaseMs: base, DemandGBps: demand, MemIntensity: mu},
+		}}}}
+	}
+	background := func(demand float64) Workload {
+		w := task(2, 50, 0.5)
+		w.Background = []Background{{Label: "solver", DemandGBps: demand}}
+		return w
+	}
+	nan := math.NaN()
+	cases := map[string]Workload{
+		"NaN MemIntensity":      task(2, 50, nan),
+		"negative background":   background(-500),
+		"NaN background":        background(nan),
+		"NaN BaseMs":            task(nan, 50, 0.5),
+		"+Inf BaseMs":           task(math.Inf(1), 50, 0.5),
+		"NaN DemandGBps":        task(2, nan, 0.5),
+		"+Inf DemandGBps":       task(2, math.Inf(1), 0.5),
+		"+Inf background":       background(math.Inf(1)),
+		"negative MemIntensity": task(2, 50, -0.1),
+	}
+	for name, w := range cases {
+		_, err := Run(p, w, gt(p))
+		if err == nil || !strings.Contains(err.Error(), "invalid parameters") {
+			t.Errorf("%s: got error %v, want an invalid-parameters error", name, err)
+		}
+	}
+}
+
+// One Engine reused across workloads whose stream and accelerator counts
+// grow and shrink — including after a failed run — must reproduce Run's
+// makespan bit for bit every time.
+func TestEngineReuseMatchesRun(t *testing.T) {
+	platform := func(n int) *soc.Platform {
+		p := soc.Orin()
+		for len(p.Accels) < n {
+			p.Accels = append(p.Accels, p.Accels[len(p.Accels)%3])
+		}
+		p.Accels = p.Accels[:n]
+		return p
+	}
+	rng := rand.New(rand.NewSource(7))
+	workload := func(streams, accels int) Workload {
+		var w Workload
+		for s := 0; s < streams; s++ {
+			st := Stream{Name: fmt.Sprintf("s%d", s)}
+			if s > 0 && rng.Intn(3) == 0 {
+				st.After = []int{rng.Intn(s)}
+			}
+			for k := rng.Intn(6); k > 0; k-- {
+				st.Tasks = append(st.Tasks, Task{
+					Accel:        rng.Intn(accels),
+					BaseMs:       float64(rng.Intn(4)) * rng.Float64(),
+					DemandGBps:   150 * rng.Float64(),
+					MemIntensity: rng.Float64(),
+				})
+			}
+			w.Streams = append(w.Streams, st)
+		}
+		if rng.Intn(2) == 0 {
+			w.Background = []Background{{Label: "bg", DemandGBps: 40 * rng.Float64()}}
+		}
+		return w
+	}
+	pccs, err := contention.FitPCCS(plat().SatBW(), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e Engine
+	failed := 0
+	for round, shape := range [][2]int{{1, 3}, {4, 5}, {2, 2}, {7, 5}, {1, 1}, {3, 3}, {6, 2}, {2, 4}} {
+		p := platform(shape[1])
+		w := workload(shape[0], shape[1])
+		for _, arb := range []Arbiter{gt(p), ModelArbiter{Model: pccs}} {
+			want, err := Run(p, w, arb)
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			got, err := e.Makespan(p, w, arb)
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want.MakespanMs) {
+				t.Errorf("round %d (%d streams, %d accelerators): reused engine %v, Run %v", round, shape[0], shape[1], got, want.MakespanMs)
+			}
+		}
+		// A run that fails mid-simulation leaves state the next run must
+		// not see.
+		if _, err := e.Makespan(p, w, brokenArbiter{}); err != nil {
+			failed++
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no round failed mid-simulation; the reuse-after-error path went untested")
+	}
+}
+
 func TestZeroDurationTasks(t *testing.T) {
 	p := plat()
 	w := Workload{Streams: []Stream{{Name: "a", Tasks: []Task{
@@ -271,12 +376,10 @@ func near(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 // instead of spinning.
 type brokenArbiter struct{}
 
-func (brokenArbiter) Slowdowns(demands, _ []float64) []float64 {
-	out := make([]float64, len(demands))
+func (brokenArbiter) Slowdowns(_, _, out []float64) {
 	for i := range out {
 		out[i] = math.Inf(1)
 	}
-	return out
 }
 
 func TestBrokenArbiterFailsLoudly(t *testing.T) {

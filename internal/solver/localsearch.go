@@ -29,7 +29,7 @@ func OptimizeLocal(prob *schedule.Problem, pr *schedule.Profile, cfg Config, res
 	if restarts < 1 {
 		restarts = 1
 	}
-	arb := sim.ModelArbiter{Model: cfg.Model}
+	ev := schedule.NewEvaluator(prob, pr, sim.ModelArbiter{Model: cfg.Model})
 	nItems := len(prob.Items)
 	cands := make([][][]int, nItems)
 	for i := 0; i < nItems; i++ {
@@ -42,6 +42,7 @@ func OptimizeLocal(prob *schedule.Problem, pr *schedule.Profile, cfg Config, res
 		st       Stats
 		stopped  bool
 		lastSync int
+		s        = &schedule.Schedule{Assign: make([][]int, nItems)}
 	)
 	cost := func(chosen []int) (float64, error) {
 		if cfg.share != nil && st.Evals-lastSync >= portfolioSyncEvals {
@@ -55,35 +56,34 @@ func OptimizeLocal(prob *schedule.Problem, pr *schedule.Profile, cfg Config, res
 			}
 		}
 		st.Evals++
-		s := &schedule.Schedule{Assign: make([][]int, nItems)}
 		for i, c := range chosen {
 			s.Assign[i] = cands[i][c]
 		}
-		ev, err := schedule.Evaluate(prob, pr, s, arb)
+		val, err := ev.Cost(s)
 		if err != nil {
 			return 0, err
 		}
-		if ev.Cost < bestCost {
-			bestCost = ev.Cost
+		if val < bestCost {
+			bestCost = val
 			best = s.Clone()
 			if cfg.OnImprove != nil {
 				//detlint:allow walltime Incumbent.Elapsed is diagnostic; incumbent merge order rides the Evals counter, not wall time
 				cfg.OnImprove(Incumbent{Schedule: best, Cost: bestCost, Elapsed: time.Since(start), Nodes: st.Evals})
 			}
 		}
-		return ev.Cost, nil
+		return val, nil
 	}
 	for _, seedSched := range cfg.Seeds {
 		if err := seedSched.Validate(pr); err != nil {
 			return nil, 0, st, fmt.Errorf("solver: bad seed: %w", err)
 		}
-		ev, err := schedule.Evaluate(prob, pr, seedSched, arb)
+		val, err := ev.Cost(seedSched)
 		if err != nil {
 			return nil, 0, st, err
 		}
 		st.Evals++
-		if ev.Cost < bestCost {
-			bestCost = ev.Cost
+		if val < bestCost {
+			bestCost = val
 			best = seedSched.Clone()
 		}
 	}

@@ -114,7 +114,7 @@ func OptimizeSAT(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sch
 	if err != nil {
 		return nil, 0, Stats{}, err
 	}
-	arb := sim.ModelArbiter{Model: cfg.Model}
+	ev := schedule.NewEvaluator(prob, pr, sim.ModelArbiter{Model: cfg.Model})
 
 	var (
 		best     *schedule.Schedule
@@ -123,12 +123,12 @@ func OptimizeSAT(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sch
 	)
 	consider := func(s *schedule.Schedule) error {
 		st.Evals++
-		ev, err := schedule.Evaluate(prob, pr, s, arb)
+		cost, err := ev.Cost(s)
 		if err != nil {
 			return err
 		}
-		if ev.Cost < bestCost {
-			bestCost = ev.Cost
+		if cost < bestCost {
+			bestCost = cost
 			best = s.Clone()
 			if cfg.OnImprove != nil {
 				//detlint:allow walltime Incumbent.Elapsed is diagnostic; incumbent merge order rides the Nodes counter, not wall time

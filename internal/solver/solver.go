@@ -123,7 +123,7 @@ func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sche
 	if err := prob.Validate(); err != nil {
 		return nil, 0, Stats{}, err
 	}
-	arb := sim.ModelArbiter{Model: cfg.Model}
+	ev := schedule.NewEvaluator(prob, pr, sim.ModelArbiter{Model: cfg.Model})
 	nItems := len(prob.Items)
 
 	// Per-item candidates, sorted by contention-free latency so good
@@ -161,14 +161,16 @@ func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sche
 		bestCost = math.Inf(1)
 		st       Stats
 	)
+	// evaluate clones s when it becomes the incumbent, so callers may
+	// reuse s afterwards.
 	evaluate := func(s *schedule.Schedule) error {
 		st.Evals++
-		ev, err := schedule.Evaluate(prob, pr, s, arb)
+		cost, err := ev.Cost(s)
 		if err != nil {
 			return err
 		}
-		if ev.Cost < bestCost {
-			bestCost = ev.Cost
+		if cost < bestCost {
+			bestCost = cost
 			best = s.Clone()
 			if cfg.OnImprove != nil {
 				//detlint:allow walltime Incumbent.Elapsed is diagnostic; incumbent merge order rides the Nodes counter, not wall time
@@ -191,6 +193,7 @@ func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sche
 	// possible for undecided ones). Contention and same-accelerator
 	// queueing only add time, so this is admissible.
 	itemLB := make([]float64, nItems)
+	var paths pathMemo
 	lower := func(chosen []int, depth int) float64 {
 		for i := 0; i < nItems; i++ {
 			if i < depth {
@@ -199,7 +202,7 @@ func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sche
 				itemLB[i] = minBase[i]
 			}
 		}
-		return criticalPath(prob, itemLB)
+		return paths.criticalPath(prob, itemLB)
 	}
 	costLB := func(lb float64) float64 {
 		if prob.Objective == schedule.MaxThroughput {
@@ -212,6 +215,7 @@ func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sche
 	}
 
 	chosen := make([]int, nItems)
+	leaf := &schedule.Schedule{Assign: make([][]int, nItems)}
 	deadline := time.Time{}
 	if cfg.TimeBudget > 0 {
 		deadline = start.Add(cfg.TimeBudget)
@@ -244,11 +248,10 @@ func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sche
 		}
 		st.Nodes++
 		if depth == nItems {
-			s := &schedule.Schedule{Assign: make([][]int, nItems)}
 			for i := 0; i < nItems; i++ {
-				s.Assign[i] = cands[i][chosen[i]]
+				leaf.Assign[i] = cands[i][chosen[i]]
 			}
-			return evaluate(s)
+			return evaluate(leaf)
 		}
 		for c := range cands[depth] {
 			chosen[depth] = c
@@ -283,32 +286,42 @@ func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sche
 	return best, bestCost, st, nil
 }
 
+// pathMemo is criticalPath's scratch, kept across branch & bound's
+// lower-bound calls.
+type pathMemo struct {
+	finish []float64
+	done   []bool
+}
+
 // criticalPath returns the longest path through the item dependency DAG
 // where node weights are the per-item latencies.
-func criticalPath(prob *schedule.Problem, lat []float64) float64 {
+func (m *pathMemo) criticalPath(prob *schedule.Problem, lat []float64) float64 {
 	n := len(prob.Items)
-	memo := make([]float64, n)
-	done := make([]bool, n)
-	var finish func(i int) float64
-	finish = func(i int) float64 {
-		if done[i] {
-			return memo[i]
-		}
-		done[i] = true // safe: Validate rejects cycles at sim time; self-deps at problem time
-		startAt := 0.0
-		for _, d := range prob.Items[i].After {
-			if f := finish(d); f > startAt {
-				startAt = f
-			}
-		}
-		memo[i] = startAt + lat[i]
-		return memo[i]
+	if len(m.done) < n {
+		m.finish, m.done = make([]float64, n), make([]bool, n)
 	}
+	clear(m.done)
 	worst := 0.0
 	for i := 0; i < n; i++ {
-		if f := finish(i); f > worst {
+		if f := m.finishAt(prob, lat, i); f > worst {
 			worst = f
 		}
 	}
 	return worst
+}
+
+// finishAt returns item i's finish time on the longest path.
+func (m *pathMemo) finishAt(prob *schedule.Problem, lat []float64, i int) float64 {
+	if m.done[i] {
+		return m.finish[i]
+	}
+	m.done[i] = true // safe: Validate rejects cycles at sim time; self-deps at problem time
+	startAt := 0.0
+	for _, d := range prob.Items[i].After {
+		if f := m.finishAt(prob, lat, d); f > startAt {
+			startAt = f
+		}
+	}
+	m.finish[i] = startAt + lat[i]
+	return m.finish[i]
 }

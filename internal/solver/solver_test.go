@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -263,10 +264,16 @@ func TestCriticalPath(t *testing.T) {
 		{Net: nn.MustByName("GoogleNet"), After: []int{0}},
 		{Net: nn.MustByName("ResNet18")},
 	}}
+	var m pathMemo
 	lat := []float64{3, 4, 5}
 	// Chain 0->1 is 7; item 2 alone is 5.
-	if got := criticalPath(prob, lat); got != 7 {
+	if got := m.criticalPath(prob, lat); got != 7 {
 		t.Errorf("critical path = %g, want 7", got)
+	}
+	// The reused memo must not leak the previous call's finish times.
+	lat = []float64{1, 1, 9}
+	if got := m.criticalPath(prob, lat); got != 9 {
+		t.Errorf("critical path on reused memo = %g, want 9", got)
 	}
 }
 
@@ -317,5 +324,102 @@ func TestLocalSearchDeterministicForSeed(t *testing.T) {
 	}
 	if c1 != c2 {
 		t.Errorf("same seed gave costs %g and %g", c1, c2)
+	}
+}
+
+// The solvers cost candidates with schedule.Evaluator; its cost must equal
+// Evaluate's bit for bit on everything they can hand it, under the model
+// they optimize with and under ground truth, with one Evaluator per
+// arbiter reused across schedules in shuffled order.
+func TestEvaluatorMatchesEvaluate(t *testing.T) {
+	problem := func(platform string, obj schedule.Objective, frames int, items ...schedule.Item) (*schedule.Problem, *schedule.Profile) {
+		p, ok := soc.PlatformByName(platform)
+		if !ok {
+			t.Fatalf("unknown platform %s", platform)
+		}
+		prob := &schedule.Problem{Platform: p, Items: items, Objective: obj, FrameCount: frames}
+		pr, err := profiler.Characterize(prob, profiler.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prob, pr
+	}
+	item := func(name string, iterations int, after ...int) schedule.Item {
+		return schedule.Item{Net: nn.MustByName(name), Iterations: iterations, After: after}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, c := range []struct {
+		name   string
+		sample int // 0 costs every candidate combination
+		prob   func() (*schedule.Problem, *schedule.Profile)
+	}{
+		// A Table 8 Orin pair, frame-balanced as in Sec. 5.4.
+		{"t8-ResNet101+GoogleNet", 0, func() (*schedule.Problem, *schedule.Profile) {
+			return problem("Orin", schedule.MaxThroughput, 0, item("ResNet101", 1), item("GoogleNet", 3))
+		}},
+		// Table 6 experiment 1.
+		{"t6-exp1-Xavier", 0, func() (*schedule.Problem, *schedule.Profile) {
+			return problem("Xavier", schedule.MinMaxLatency, 0, item("VGG19", 1), item("ResNet152", 1))
+		}},
+		// Table 6 experiment 8's three-DNN pipeline, streamed.
+		{"t6-exp8-pipeline", 300, func() (*schedule.Problem, *schedule.Profile) {
+			return problem("Orin", schedule.MinMaxLatency, 1, item("ResNet101", 1), item("GoogleNet", 1, 0), item("Inception", 1))
+		}},
+	} {
+		prob, pr := c.prob()
+		cands := make([][][]int, len(prob.Items))
+		for i := range cands {
+			cands[i] = Candidates(pr, i, 1)
+		}
+		var scheds []*schedule.Schedule
+		pick := make([]int, len(cands))
+		add := func() {
+			s := &schedule.Schedule{Assign: make([][]int, len(cands))}
+			for i, k := range pick {
+				s.Assign[i] = cands[i][k]
+			}
+			scheds = append(scheds, s)
+		}
+		if c.sample > 0 {
+			for n := 0; n < c.sample; n++ {
+				for i := range pick {
+					pick[i] = rng.Intn(len(cands[i]))
+				}
+				add()
+			}
+		} else {
+			var all func(i int)
+			all = func(i int) {
+				if i == len(cands) {
+					add()
+					return
+				}
+				for k := range cands[i] {
+					pick[i] = k
+					all(i + 1)
+				}
+			}
+			all(0)
+		}
+		for _, arb := range []sim.Arbiter{
+			sim.ModelArbiter{Model: model(t, prob.Platform)},
+			sim.GroundTruth{SatBW: prob.Platform.SatBW()},
+		} {
+			ev := schedule.NewEvaluator(prob, pr, arb)
+			for _, k := range rng.Perm(len(scheds)) {
+				s := scheds[k]
+				want, err := schedule.Evaluate(prob, pr, s, arb)
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				got, err := ev.Cost(s)
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want.Cost) {
+					t.Fatalf("%s %T %v: Evaluator cost %v, Evaluate cost %v", c.name, arb, s.Assign, got, want.Cost)
+				}
+			}
+		}
 	}
 }
