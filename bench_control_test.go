@@ -59,15 +59,13 @@ func BenchmarkControlCompare(b *testing.B) {
 	reportAndRecordControl(b, "BenchmarkControlCompare", metrics)
 }
 
-// BenchmarkShardedControlWall is the sharded-control win condition: the
+// BenchmarkShardedControl is the sharded-control win condition: the
 // region-scale demo (48 Orins, 32 tenants, a fleet-wide burst and a hot
 // tenant) served on a K=4 shard plane and on one global controller over
-// the identical trace. The virtual-time metrics (SLO, violations, gossip
-// and ownership counters) are deterministic and gate at the strict
-// tolerance; the *_wall legs are wall-clock and gate at benchdiff's
-// -wall-tolerance — the win is speedup_x_wall > 1 with
-// sharded_slo_pct >= global_slo_pct and warm_hits > 0.
-func BenchmarkShardedControlWall(b *testing.B) {
+// the identical trace. Every metric is virtual-time deterministic and
+// gates at the strict tolerance; the win is sharded_slo_pct >=
+// global_slo_pct with warm_hits > 0.
+func BenchmarkShardedControl(b *testing.B) {
 	tr, err := shard.DemoRegionTrace(11)
 	if err != nil {
 		b.Fatal(err)
@@ -80,24 +78,21 @@ func BenchmarkShardedControlWall(b *testing.B) {
 		}
 	}
 	metrics := map[string]float64{
-		"sharded_req_per_sec_wall": res.ShardedReqPerSecWall,
-		"global_req_per_sec_wall":  res.GlobalReqPerSecWall,
-		"speedup_x_wall":           res.ShardedReqPerSecWall / res.GlobalReqPerSecWall,
-		"sharded_slo_pct":          res.Sharded.SLOAttainmentPct,
-		"global_slo_pct":           res.GlobalSLOAttainmentPct,
-		"sharded_violations":       float64(res.Sharded.Total.Violations),
-		"global_violations":        float64(res.Global.Fleet.Total.Violations),
-		"sharded_p99_ms":           res.Sharded.Total.P99Ms,
-		"global_p99_ms":            res.Global.Fleet.Total.P99Ms,
-		"offered":                  float64(res.Offered),
-		"warm_hits":                float64(res.Sharded.WarmHits),
-		"gossip_tx_entries":        float64(res.Sharded.GossipTxEntries),
-		"gossip_rx_entries":        float64(res.Sharded.GossipRxEntries),
-		"solve_assists":            float64(res.Sharded.SolveAssists),
-		"deferred":                 float64(res.Sharded.Deferred),
-		"handoffs":                 float64(len(res.Sharded.Handoffs)),
-		"rounds":                   float64(res.Sharded.Rounds),
-		"peak_devices":             float64(res.Sharded.PeakDevices),
+		"sharded_slo_pct":    res.Sharded.SLOAttainmentPct,
+		"global_slo_pct":     res.GlobalSLOAttainmentPct,
+		"sharded_violations": float64(res.Sharded.Total.Violations),
+		"global_violations":  float64(res.Global.Fleet.Total.Violations),
+		"sharded_p99_ms":     res.Sharded.Total.P99Ms,
+		"global_p99_ms":      res.Global.Fleet.Total.P99Ms,
+		"offered":            float64(res.Offered),
+		"warm_hits":          float64(res.Sharded.WarmHits),
+		"gossip_tx_entries":  float64(res.Sharded.GossipTxEntries),
+		"gossip_rx_entries":  float64(res.Sharded.GossipRxEntries),
+		"solve_assists":      float64(res.Sharded.SolveAssists),
+		"deferred":           float64(res.Sharded.Deferred),
+		"handoffs":           float64(len(res.Sharded.Handoffs)),
+		"rounds":             float64(res.Sharded.Rounds),
+		"peak_devices":       float64(res.Sharded.PeakDevices),
 	}
-	reportAndRecordControl(b, "BenchmarkShardedControlWall", metrics)
+	reportAndRecordControl(b, "BenchmarkShardedControl", metrics)
 }

@@ -37,7 +37,8 @@ func fleetBenchTrace(b *testing.B) serve.Trace {
 // BenchmarkFleetThroughput serves the demo trace across the three-device
 // Orin+Xavier+SD865 pool under affinity placement — the configuration the
 // acceptance test requires to beat single-SoC serving. Headline metrics:
-// fleet requests per second, total p99, and SLO attainment.
+// fleet requests per second, total p99, and SLO attainment; completed pins
+// the work behind the rate.
 func BenchmarkFleetThroughput(b *testing.B) {
 	tr := fleetBenchTrace(b)
 	var sum *fleet.Summary
@@ -59,6 +60,7 @@ func BenchmarkFleetThroughput(b *testing.B) {
 	}
 	metrics := map[string]float64{
 		"fleet_rps":          sum.Total.ThroughputRPS,
+		"completed":          float64(sum.Total.Completed),
 		"fleet_p99_ms":       sum.Total.P99Ms,
 		"slo_attainment_pct": sum.SLOAttainmentPct,
 		"violations":         float64(sum.Total.Violations),
@@ -135,39 +137,4 @@ type coreAnytime struct {
 	firstCost, bestCost     float64
 	incumbents              int
 	nodesToBest, nodesTotal int
-}
-
-// BenchmarkFleetServeWall measures real end-to-end fleet speed:
-// wall-clock requests per second pushing the demo trace through the
-// three-device affinity pool. The *_wall metric is gated by
-// cmd/benchdiff's -wall-tolerance; the deterministic completed count
-// pins the work behind the rate.
-func BenchmarkFleetServeWall(b *testing.B) {
-	tr := fleetBenchTrace(b)
-	var sum *fleet.Summary
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := fleet.New(fleet.Config{
-			Devices: []fleet.DeviceSpec{
-				{Platform: "Orin"}, {Platform: "Xavier"}, {Platform: "SD865"},
-			},
-			Placement:       fleet.Affinity(),
-			SolverTimeScale: 50,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sum, err = f.Serve(tr)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	elapsed := b.Elapsed().Seconds()
-	metrics := map[string]float64{
-		"completed": float64(sum.Total.Completed),
-	}
-	if elapsed > 0 {
-		metrics["req_per_sec_wall"] = float64(sum.Total.Completed*b.N) / elapsed
-	}
-	reportAndRecord(b, "BenchmarkFleetServeWall", metrics)
 }

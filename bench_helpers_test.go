@@ -24,9 +24,9 @@ const (
 )
 
 var benchNotes = map[string]string{
-	benchFleetJSON:   "regression baseline for solver incumbent quality and fleet throughput (incl. the wall-clock req_per_sec_wall leg, gated at benchdiff's -wall-tolerance); regenerate with: go test -bench 'Fleet|IncumbentQuality' -benchtime=1x .",
-	benchControlJSON: "regression baseline for the control plane: controlled-vs-static p99, violations and device-time on the bursty trace, plus the sharded-vs-global region-scale leg (K=4 shard plane vs one controller; its *_wall req/sec metrics gate at benchdiff's -wall-tolerance, everything else is virtual-time deterministic); regenerate with: go test -bench 'Control|Sharded' -benchtime=1x .",
-	benchServeJSON:   "regression baseline for the dispatch path: fifo vs demand-balance vs contention-aware mix forming on the mixed-demand trace, the wall-clock steps_per_sec_wall leg, and the solver-portfolio-vs-single-engine leg (its portfolio_cost/portfolio_incumbents gate strictly; all *_wall legs gate at benchdiff's -wall-tolerance); regenerate with: go test -bench 'ServeMix|ServeSteps|SolverPortfolio' -benchtime=1x .",
+	benchFleetJSON:   "regression baseline for solver incumbent quality and fleet throughput; regenerate with: go test -bench 'Fleet|IncumbentQuality' -benchtime=1x .",
+	benchControlJSON: "regression baseline for the control plane: controlled-vs-static p99, violations and device-time on the bursty trace, plus the sharded-vs-global region-scale leg (K=4 shard plane vs one controller); every metric is virtual-time deterministic; regenerate with: go test -bench 'Control|Sharded' -benchtime=1x .",
+	benchServeJSON:   "regression baseline for the dispatch path: fifo vs demand-balance vs contention-aware mix forming on the mixed-demand trace; regenerate with: go test -bench ServeMix -benchtime=1x .",
 }
 
 // reportAndRecord reports each metric on the benchmark result line and

@@ -14,14 +14,9 @@ package haxconn
 
 import (
 	"testing"
-	"time"
 
-	"haxconn/internal/baselines"
-	"haxconn/internal/core"
-	"haxconn/internal/schedule"
 	"haxconn/internal/serve"
 	"haxconn/internal/soc"
-	"haxconn/internal/solver"
 )
 
 // serveBenchTrace is the canonical mixed-memory-demand trace
@@ -42,7 +37,8 @@ func serveBenchTrace(b *testing.B) serve.Trace {
 // the acceptance test asserts — a shrinking p99_impr_pct means batch
 // formation stopped paying for itself — and the contention-aware leg's
 // p99 and violation win over fifo (its model-scored dispatch cost shows
-// up in the benchmark's own wall time).
+// up in the benchmark's own wall time). balance_rounds pins the number of
+// dispatch rounds the demand-balance leg runs.
 func BenchmarkServeMixFormers(b *testing.B) {
 	tr := serveBenchTrace(b)
 	var cmp *serve.MixComparison
@@ -62,6 +58,7 @@ func BenchmarkServeMixFormers(b *testing.B) {
 		"fifo_p99_ms":                   fifo.P99Ms,
 		"balance_rps":                   db.ThroughputRPS,
 		"balance_p99_ms":                db.P99Ms,
+		"balance_rounds":                float64(cmp.Results[1].Rounds),
 		"p99_impr_pct":                  cmp.P99ImprovementPct(1),
 		"violations_avoided":            float64(fifo.Violations - db.Violations),
 		"contention_rps":                ca.ThroughputRPS,
@@ -69,115 +66,4 @@ func BenchmarkServeMixFormers(b *testing.B) {
 		"contention_violations_avoided": float64(fifo.Violations - ca.Violations),
 	}
 	reportAndRecordServe(b, "BenchmarkServeMixFormers", metrics)
-}
-
-// BenchmarkServeStepsWall measures real dispatch-loop speed: wall-clock
-// Runtime.Step rounds per second serving the mixed-demand trace under
-// demand-balance forming. Unlike the virtual-time metrics above, this
-// leg moves with host load, so cmd/benchdiff gates all *_wall metrics
-// with its separate, generous -wall-tolerance; the deterministic rounds
-// count rides along at the strict tolerance to pin the amount of work
-// the wall number is normalized by.
-func BenchmarkServeStepsWall(b *testing.B) {
-	tr := serveBenchTrace(b)
-	var sum *serve.Summary
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rt, err := serve.New(serve.Config{
-			Platform:        soc.Orin(),
-			SolverTimeScale: 50,
-			MixPolicy:       serve.MixDemandBalance,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sum, err = rt.Serve(tr)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	elapsed := b.Elapsed().Seconds()
-	metrics := map[string]float64{
-		"rounds": float64(sum.Rounds),
-	}
-	if elapsed > 0 {
-		metrics["steps_per_sec_wall"] = float64(sum.Rounds*b.N) / elapsed
-	}
-	reportAndRecordServe(b, "BenchmarkServeStepsWall", metrics)
-}
-
-// BenchmarkSolverPortfolioWall races the parallel portfolio against each
-// complete engine standalone on the canonical four-network quartet (the
-// mixed-demand tenants' networks) and reports wall-clock to a proven
-// optimum. The deterministic legs — portfolio_cost equals the proven
-// optimum, and the merged incumbent count — gate at the strict tolerance:
-// the shared incumbent bound may change wall-clock only, never the
-// answer. The *_wall legs are host-dependent (the speedup over the best
-// single engine approaches the engine overlap on multicore hosts and
-// parity minus a few percent of barrier overhead when GOMAXPROCS=1) and
-// are gated by benchdiff's generous -wall-tolerance.
-func BenchmarkSolverPortfolioWall(b *testing.B) {
-	req := core.Request{
-		Platform:  soc.Orin(),
-		Networks:  []string{"SqueezeNet", "Inception", "ResNet152", "ResNet18"},
-		Objective: schedule.MinMaxLatency,
-		MaxGroups: 4, // keeps the SAT leg's full enumeration bench-sized
-	}
-	prob, pr, err := core.Prepare(req)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model, err := core.Model(req)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := solver.Config{
-		Model: model,
-		Seeds: []*schedule.Schedule{baselines.NaiveConcurrent(pr), baselines.GPUOnly(pr)},
-	}
-	var (
-		pfMs, bbMs, satMs float64
-		pf                *solver.Anytime
-	)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		pf, err = solver.OptimizePortfolio(prob, pr, cfg)
-		pfMs += time.Since(start).Seconds() * 1e3
-		if err != nil {
-			b.Fatal(err)
-		}
-		start = time.Now()
-		_, bbCost, _, err := solver.OptimizeBB(prob, pr, cfg)
-		bbMs += time.Since(start).Seconds() * 1e3
-		if err != nil {
-			b.Fatal(err)
-		}
-		start = time.Now()
-		_, _, _, err = solver.OptimizeSAT(prob, pr, cfg)
-		satMs += time.Since(start).Seconds() * 1e3
-		if err != nil {
-			b.Fatal(err)
-		}
-		if pf.Cost > bbCost+1e-9 || pf.Cost < bbCost-1e-9 {
-			b.Fatalf("portfolio cost %.6f != proven optimum %.6f", pf.Cost, bbCost)
-		}
-	}
-	n := float64(b.N)
-	bestSingle := bbMs
-	if satMs < bestSingle {
-		bestSingle = satMs
-	}
-	metrics := map[string]float64{
-		"portfolio_ms_wall":    pfMs / n,
-		"bb_ms_wall":           bbMs / n,
-		"sat_ms_wall":          satMs / n,
-		"best_single_ms_wall":  bestSingle / n,
-		"portfolio_cost":       pf.Cost,
-		"portfolio_incumbents": float64(len(pf.History)),
-	}
-	if pfMs > 0 {
-		metrics["portfolio_speedup_wall"] = bestSingle / pfMs
-	}
-	reportAndRecordServe(b, "BenchmarkSolverPortfolioWall", metrics)
 }

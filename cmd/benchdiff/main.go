@@ -2,15 +2,13 @@
 // BENCH_*.json format written by the repo's bench harness: a note plus
 // benchmark -> metric -> value) and exits non-zero when any shared metric
 // drifts beyond the relative tolerance. The serving, fleet and control
-// benchmarks derive most metrics from virtual time, so on the same code
+// benchmarks derive their metrics from virtual time, so on the same code
 // they reproduce exactly — any drift is a behavior change, and the
-// tolerance only absorbs intentional incremental tuning. Metrics whose
-// name ends in "_wall" are wall-clock rates that move with host load;
-// they are gated by the separate, generous -wall-tolerance instead.
+// tolerance only absorbs intentional incremental tuning.
 //
 // Usage:
 //
-//	benchdiff -baseline BENCH_fleet.json -current /tmp/BENCH_fleet.json [-tolerance 0.25] [-wall-tolerance 10]
+//	benchdiff -baseline BENCH_fleet.json -current /tmp/BENCH_fleet.json [-tolerance 0.25]
 //
 // Metrics present on only one side are reported but do not fail the
 // check (new benchmarks appear, old ones retire); value drifts do.
@@ -23,7 +21,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strings"
 )
 
 type artifact struct {
@@ -36,7 +33,6 @@ func main() {
 		baselinePath = flag.String("baseline", "", "committed baseline JSON (required)")
 		currentPath  = flag.String("current", "", "freshly generated JSON (required)")
 		tolerance    = flag.Float64("tolerance", 0.25, "maximum relative drift per metric")
-		wallTol      = flag.Float64("wall-tolerance", 10, "maximum relative drift for *_wall (wall-clock) metrics, which move with host load")
 	)
 	flag.Parse()
 	if *baselinePath == "" || *currentPath == "" {
@@ -67,11 +63,6 @@ func main() {
 		}
 	}
 	failures := 0
-	type wallDelta struct {
-		bench, metric string
-		base, cur     float64
-	}
-	var walls []wallDelta
 	for _, bench := range sortedKeys(base.Benchmarks) {
 		bm := base.Benchmarks[bench]
 		cm, ok := cur.Benchmarks[bench]
@@ -87,32 +78,13 @@ func main() {
 				continue
 			}
 			drift := relDrift(bv, cv)
-			tol := *tolerance
-			if strings.HasSuffix(metric, "_wall") {
-				tol = *wallTol
-				walls = append(walls, wallDelta{bench, metric, bv, cv})
-			}
 			status := "ok"
-			if drift > tol {
+			if drift > *tolerance {
 				status = "FAIL"
 				failures++
 			}
 			fmt.Printf("%-8s %s/%s: baseline %.4f, current %.4f (drift %.1f%%, tol %.0f%%)\n",
-				status, bench, metric, bv, cv, 100*drift, 100*tol)
-		}
-	}
-	// Wall-clock metrics move with host load and are gated generously
-	// above; a perf PR still wants the delta itself, so report it signed
-	// and in one place rather than buried in the gate lines.
-	if len(walls) > 0 {
-		fmt.Println("\nwall-clock deltas (signed; informational, gated only by -wall-tolerance):")
-		for _, w := range walls {
-			if w.base == 0 {
-				fmt.Printf("  %s/%s: baseline 0, current %.4f\n", w.bench, w.metric, w.cur)
-				continue
-			}
-			fmt.Printf("  %s/%s: %+.1f%% (baseline %.4f -> current %.4f)\n",
-				w.bench, w.metric, 100*(w.cur-w.base)/math.Abs(w.base), w.base, w.cur)
+				status, bench, metric, bv, cv, 100*drift, 100**tolerance)
 		}
 	}
 	if failures > 0 {

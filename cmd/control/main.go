@@ -94,7 +94,6 @@ func main() {
 		jsonOut   = flag.String("json", "", "write the full summary (or comparison) as JSON to this file")
 		adaptWait = flag.Bool("adaptivewait", false, "scale each device's max-wait bound by the oldest request's SLO slack")
 		list      = flag.Bool("list", false, "list available networks, platforms and placements, then exit")
-		portfolio = cliutil.PortfolioFlag(flag.CommandLine)
 	)
 	var obsf cliutil.ObsFlags
 	obsf.Register(flag.CommandLine)
@@ -134,7 +133,6 @@ func main() {
 			ScoreBeam:       *mixBeam,
 			MaxWaitRounds:   *maxWait,
 			SolverTimeScale: *scale,
-			Portfolio:       *portfolio,
 			AdaptiveMaxWait: *adaptWait,
 			SketchMetrics:   obsf.Sketch,
 			Tracer:          obsf.Tracer(),

@@ -68,7 +68,6 @@ func main() {
 		cacheLoad = flag.String("cache-load", "", "seed the per-platform schedule caches from a -cache-save file before serving")
 		adaptWait = flag.Bool("adaptivewait", false, "scale each device's max-wait bound by the oldest request's SLO slack")
 		list      = flag.Bool("list", false, "list available networks, platforms and placements, then exit")
-		portfolio = cliutil.PortfolioFlag(flag.CommandLine)
 	)
 	var obsf cliutil.ObsFlags
 	obsf.Register(flag.CommandLine)
@@ -108,7 +107,6 @@ func main() {
 		AdmitSLOFactor:  *admitSLO,
 		MaxWaitRounds:   *maxWait,
 		SolverTimeScale: *scale,
-		Portfolio:       *portfolio,
 		PrivateCaches:   *private,
 		AdaptiveMaxWait: *adaptWait,
 		SketchMetrics:   obsf.Sketch,

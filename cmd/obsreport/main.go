@@ -24,10 +24,8 @@
 //     calibration table obs.Audit computes online, so the table is
 //     available from the trace alone.
 //
-//   - Timelines and solver telemetry: per-device utilization over fixed
-//     windows (from dispatch spans), the control plane's reaction-lag
-//     windows, and per-engine portfolio totals (nodes, evaluations,
-//     merged incumbents, wins, optimality proofs) from "engine" events.
+//   - Timelines: per-device utilization over fixed windows (from
+//     dispatch spans) and the control plane's reaction-lag windows.
 //
 // Traces from a sharded plane (control -shards K > 1) additionally get a
 // shard section: per-shard gossip-round totals (exported/imported cache
@@ -101,18 +99,6 @@ type ScaleWindow struct {
 	LagTicks int     `json:"lag_ticks"`
 }
 
-// EngineRow aggregates one portfolio engine's effort across every solve
-// in the trace.
-type EngineRow struct {
-	Engine     string  `json:"engine"`
-	Solves     int     `json:"solves"`
-	Nodes      float64 `json:"nodes"`
-	Evals      float64 `json:"evals"`
-	Incumbents float64 `json:"incumbents"`
-	Wins       int     `json:"wins"`
-	Proofs     int     `json:"proofs"`
-}
-
 // ShardGossipRow aggregates one shard's barrier-round gossip activity
 // from its "gossip" events.
 type ShardGossipRow struct {
@@ -149,7 +135,6 @@ type Report struct {
 	Classes      map[string]int   `json:"classes"`
 	Rows         []ViolationRow   `json:"violation_rows"`
 	Calibration  []obs.AuditStat  `json:"calibration"`
-	Engines      []EngineRow      `json:"engines,omitempty"`
 	Shards       []ShardGossipRow `json:"shards,omitempty"`
 	Handoffs     []HandoffRow     `json:"handoffs,omitempty"`
 	ScaleWindows []ScaleWindow    `json:"scale_windows,omitempty"`
@@ -295,7 +280,6 @@ func Analyze(events []obs.Event, utilWindowMs float64) *Report {
 	audits := map[reqKey]obs.Event{}
 	forced := map[reqKey]bool{}
 	audit := obs.NewAudit()
-	engines := map[string]*EngineRow{}
 	shards := map[int]*ShardGossipRow{}
 	var windows []ScaleWindow
 	for _, e := range events {
@@ -324,27 +308,6 @@ func Analyze(events []obs.Event, utilWindowMs float64) *Report {
 			}
 		case obs.KindForce:
 			forced[reqKey{e.Device, e.Request}] = true
-		case obs.KindEngine:
-			// Detail is "<mix key>:<engine name>".
-			name := e.Detail
-			if i := strings.LastIndexByte(name, ':'); i >= 0 {
-				name = name[i+1:]
-			}
-			row := engines[name]
-			if row == nil {
-				row = &EngineRow{Engine: name}
-				engines[name] = row
-			}
-			row.Solves++
-			row.Nodes += e.Metrics["nodes"]
-			row.Evals += e.Metrics["evals"]
-			row.Incumbents += e.Metrics["incumbents"]
-			if e.Metrics["winner"] > 0 {
-				row.Wins++
-			}
-			if e.Metrics["proof"] > 0 {
-				row.Proofs++
-			}
 		case obs.KindGossip:
 			idx := int(e.Metrics["shard"])
 			row := shards[idx]
@@ -378,9 +341,6 @@ func Analyze(events []obs.Event, utilWindowMs float64) *Report {
 	}
 	rep.Calibration = audit.Snapshot()
 	rep.ScaleWindows = windows
-	for _, name := range sortedKeys(engines) {
-		rep.Engines = append(rep.Engines, *engines[name])
-	}
 
 	// Pass 2: classify every violation.
 	for _, e := range events {
@@ -535,18 +495,6 @@ func writeText(w io.Writer, rep *Report) error {
 		fmt.Fprintln(w)
 	}
 
-	if len(rep.Engines) > 0 {
-		fmt.Fprintln(w, "solver portfolio:")
-		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "engine\tsolves\twins\tproofs\tnodes\tevals\tincumbents")
-		for _, e := range rep.Engines {
-			fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%.0f\t%.0f\t%.0f\n",
-				e.Engine, e.Solves, e.Wins, e.Proofs, e.Nodes, e.Evals, e.Incumbents)
-		}
-		tw.Flush()
-		fmt.Fprintln(w)
-	}
-
 	if len(rep.Shards) > 0 {
 		fmt.Fprintln(w, "shard gossip (per-shard barrier-round totals):")
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -633,10 +581,6 @@ func writeCSV(w io.Writer, rep *Report) error {
 			i(s.Count), f(s.BiasMs), f(s.MAPEPct),
 			i(s.Buckets[0]), i(s.Buckets[1]), i(s.Buckets[2]),
 			i(s.Buckets[3]) + "+" + i(s.Buckets[4])}))
-	}
-	for _, e := range rep.Engines {
-		rows = append(rows, pad([]string{"engine", e.Engine, i(e.Solves), i(e.Wins),
-			i(e.Proofs), f(e.Nodes), f(e.Evals), f(e.Incumbents)}))
 	}
 	for _, s := range rep.Shards {
 		rows = append(rows, pad([]string{"shard-gossip", i(s.Shard), i(s.Rounds),

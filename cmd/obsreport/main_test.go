@@ -168,31 +168,3 @@ func TestUtilizationBuckets(t *testing.T) {
 		t.Errorf("device B has %d windows, want 3 (zero-filled from 0)", len(busy["B"]))
 	}
 }
-
-// TestEngineAggregation: engine events group by the engine suffix of
-// Detail across solves, counting wins and proofs.
-func TestEngineAggregation(t *testing.T) {
-	mk := func(key string, nodes, winner, proof float64) obs.Event {
-		return obs.Event{Kind: obs.KindEngine, Request: obs.NoRequest, Detail: key,
-			Metrics: map[string]float64{"nodes": nodes, "evals": nodes, "incumbents": 1,
-				"winner": winner, "proof": proof, "barrier_rounds": 2}}
-	}
-	events := []obs.Event{
-		mk("VGG19+ResNet152|MinLatency:bb", 100, 1, 1),
-		mk("VGG19+ResNet152|MinLatency:sat", 0, 0, 0),
-		mk("VGG19|MinLatency:bb", 50, 0, 1),
-		mk("VGG19|MinLatency:local", 10, 1, 0),
-	}
-	rep := Analyze(events, 0)
-	got := map[string]EngineRow{}
-	for _, e := range rep.Engines {
-		got[e.Engine] = e
-	}
-	bb := got["bb"]
-	if bb.Solves != 2 || bb.Nodes != 150 || bb.Wins != 1 || bb.Proofs != 2 {
-		t.Errorf("bb row = %+v", bb)
-	}
-	if got["local"].Wins != 1 || got["sat"].Solves != 1 {
-		t.Errorf("engine rows = %v", got)
-	}
-}

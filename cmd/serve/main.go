@@ -70,7 +70,6 @@ func main() {
 		cacheLoad = flag.String("cache-load", "", "seed the schedule cache from a -cache-save file before serving, skipping re-solves of known mixes")
 		adaptWait = flag.Bool("adaptivewait", false, "scale the max-wait bound by the oldest request's SLO slack (starved requests force sooner)")
 		list      = flag.Bool("list", false, "list available networks, platforms and mix policies, then exit")
-		portfolio = cliutil.PortfolioFlag(flag.CommandLine)
 	)
 	var obsf cliutil.ObsFlags
 	obsf.Register(flag.CommandLine)
@@ -111,7 +110,6 @@ func main() {
 		AdmitSLOFactor:  *admitSLO,
 		MaxWaitRounds:   *maxWait,
 		SolverTimeScale: *scale,
-		Portfolio:       *portfolio,
 		AdaptiveMaxWait: *adaptWait,
 		Tracer:          obsf.Tracer(),
 		SketchMetrics:   obsf.Sketch,

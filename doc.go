@@ -6,12 +6,9 @@
 // in internal/serve, whose pluggable mix-forming dispatch (fifo,
 // demand-balance, slo-aware, contention-aware — the last scoring a beam
 // of candidate batches with the analytic contention model) decides which
-// networks co-run each round; internal/solver's parallel portfolio
-// (solver.OptimizePortfolio, the -portfolio flag on every serving CLI)
-// runs the branch & bound, SAT-enumeration and local-search engines
-// concurrently with a shared incumbent bound exchanged at deterministic
-// barrier rounds, merging their incumbent streams on the virtual node
-// clock so schedule-cache upgrades stay byte-identical run to run;
+// networks co-run each round; every background solve is branch & bound's
+// anytime incumbent stream (solver.RunAnytime), replayed on the virtual
+// node clock so schedule-cache upgrades stay byte-identical run to run;
 // internal/fleet extends mix-awareness above
 // the device boundary with the mix-aware placement policy;
 // internal/shard scales the control plane itself — K shard controllers
@@ -19,9 +16,8 @@
 // deterministic barrier rounds that gossip solved schedule-cache
 // entries (one solver run per mix region-wide, via per-mix solve
 // ownership) and load summaries for cross-shard tenant handoff, beating
-// one global controller on wall-clock req/sec at better SLO attainment
-// on the region-scale demo while keeping merged summaries
-// byte-identical; internal/obs
+// one global controller's SLO attainment on the region-scale demo while
+// keeping merged summaries byte-identical; internal/obs
 // adds deterministic observability — request-lifecycle tracing exported
 // as Perfetto-loadable Chrome trace JSON, streaming-sketch percentiles,
 // and a counter registry — threaded through serve, fleet and control

@@ -94,16 +94,6 @@ func ParseDevices(s string) ([]fleet.DeviceSpec, error) {
 	return specs, nil
 }
 
-// PortfolioFlag registers the serving commands' shared -portfolio flag
-// on fs (pass flag.CommandLine for the default set). The returned value
-// feeds serve.Config.Portfolio / fleet.Config.Portfolio: background
-// solves run the parallel engine portfolio — branch & bound, SAT
-// enumeration and local search racing with a shared incumbent bound —
-// instead of branch & bound alone.
-func PortfolioFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("portfolio", false, "solve with the parallel engine portfolio (B&B + SAT + local search sharing incumbents) instead of B&B alone")
-}
-
 // ShardFlags bundles the sharded-control-plane flags (cmd/control's
 // shard-compare and sharded serve modes): shard count, gossip barrier
 // period, the ablation switches, handoff tuning, and the explicit

@@ -197,6 +197,29 @@ func TestFleetCacheSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadNullSnapshot: a cache file holding a null snapshot makes both
+// -cache-load paths return an error instead of dereferencing it.
+func TestLoadNullSnapshot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.json")
+	if err := os.WriteFile(path, []byte(`{"caches":[null]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cache, err := serve.NewCache(serve.CacheConfig{Platform: soc.Orin()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCache(path, cache); err == nil {
+		t.Error("LoadCache accepted a null snapshot")
+	}
+	f, err := fleet.New(fleet.Config{Devices: []fleet.DeviceSpec{{Platform: "Orin"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFleetCaches(path, f); err == nil {
+		t.Error("LoadFleetCaches accepted a null snapshot")
+	}
+}
+
 // TestParseTenantShards: the tenant-pinning spec round-trips, rejects
 // malformed entries, and treats empty input as "no pins".
 func TestParseTenantShards(t *testing.T) {

@@ -52,12 +52,6 @@ type Request struct {
 	MaxTransitions int
 	// UseSAT selects the SAT-enumeration engine instead of branch & bound.
 	UseSAT bool
-	// Portfolio runs the anytime paths (AnytimeFromProfile, PlanDynamic)
-	// on the parallel solver portfolio — B&B, SAT enumeration and local
-	// search racing across goroutines with a shared incumbent bound — in
-	// place of single-engine branch & bound. The merged incumbent stream
-	// stays deterministic on its node clock (see solver.OptimizePortfolio).
-	Portfolio bool
 	// ContentionModel overrides the fitted PCCS model (ablations).
 	ContentionModel contention.Model
 	// TimeBudget bounds solver time (0 = run to optimality).
@@ -298,16 +292,12 @@ func AnytimeFromProfileSeeded(req Request, prob *schedule.Problem, pr *schedule.
 			seeds = append(seeds, s)
 		}
 	}
-	cfg := solver.Config{
+	return solver.RunAnytime(prob, pr, solver.Config{
 		MaxTransitions: req.MaxTransitions,
 		Model:          model,
 		TimeBudget:     req.TimeBudget,
 		Seeds:          seeds,
-	}
-	if req.Portfolio {
-		return solver.OptimizePortfolio(prob, pr, cfg)
-	}
-	return solver.RunAnytime(prob, pr, cfg)
+	})
 }
 
 // PlanDynamic runs the D-HaX-CoNN flow: start from the best naive schedule

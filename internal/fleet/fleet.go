@@ -82,11 +82,6 @@ type Config struct {
 	SolverTimeScale float64
 	MaxWaitRounds   int
 	MaxGroups       int
-	// Portfolio runs every device's background solves on the parallel
-	// solver portfolio instead of single-engine branch & bound; see
-	// serve.Config.Portfolio. Applies fleet-wide so shared caches stay
-	// consistent with their devices.
-	Portfolio bool
 	// PrivateCaches gives every device its own schedule cache instead of
 	// sharing one per platform (for measuring what sharing is worth).
 	PrivateCaches bool
@@ -203,7 +198,6 @@ func (f *Fleet) addDevice(platform, mixPolicy string) (serve.Device, error) {
 				Solve:           f.cfg.Policy == serve.ContentionAware,
 				SolverTimeScale: f.cfg.SolverTimeScale,
 				MaxGroups:       f.cfg.MaxGroups,
-				Portfolio:       f.cfg.Portfolio,
 				SolveOwner:      f.cfg.CacheSolveOwner,
 				Chars:           f.cfg.CacheChars,
 			})
@@ -233,7 +227,6 @@ func (f *Fleet) addDevice(platform, mixPolicy string) (serve.Device, error) {
 		SolverTimeScale: f.cfg.SolverTimeScale,
 		MaxWaitRounds:   f.cfg.MaxWaitRounds,
 		MaxGroups:       f.cfg.MaxGroups,
-		Portfolio:       f.cfg.Portfolio,
 		SharedCache:     shared,
 		AdaptiveMaxWait: f.cfg.AdaptiveMaxWait,
 		Tracer:          f.cfg.Tracer,
@@ -589,7 +582,6 @@ func Compare(cfg Config, tr serve.Trace, placements ...Placer) (*Comparison, err
 		SolverTimeScale: cfg.SolverTimeScale,
 		MaxWaitRounds:   cfg.MaxWaitRounds,
 		MaxGroups:       cfg.MaxGroups,
-		Portfolio:       cfg.Portfolio,
 	})
 	if err != nil {
 		return nil, err

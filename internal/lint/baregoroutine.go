@@ -6,8 +6,8 @@ import (
 
 // BareGoroutine flags every `go` statement in non-test code. Replayable
 // concurrency in this repo is confined to a handful of blessed
-// barrier/pool primitives — the portfolio's engine barrier, ProbeAll's
-// solve pool, the beam scorer, the shard stepper — whose merge points
+// barrier/pool primitives — ProbeAll's solve pool, the beam scorer, the
+// shard stepper — whose merge points
 // are pinned to the virtual clock so results are byte-identical no
 // matter how the goroutines interleave. Each of those launch sites
 // carries a //detlint:allow baregoroutine annotation naming its

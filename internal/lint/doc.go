@@ -23,9 +23,8 @@
 //     per-tenant rand.New(rand.NewSource(seed ^ hash(tenant))).
 //
 //   - baregoroutine: no `go` statement outside the blessed barrier/
-//     pool primitives (portfolio engine barrier, ProbeAll solve pool,
-//     beam scorer, shard stepper), whose merge points are pinned to
-//     the virtual clock.
+//     pool primitives (ProbeAll solve pool, beam scorer, shard
+//     stepper), whose merge points are pinned to the virtual clock.
 //
 // # Suppressions
 //

@@ -126,8 +126,8 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			ce.Phase = "i"
 			ce.Scope = "t"
 		}
-		// Non-counter events carrying a Metrics map (audit pairs, engine
-		// stats) keep their samples as plain args.
+		// Non-counter events carrying a Metrics map (audit pairs, gossip
+		// rounds) keep their samples as plain args.
 		if ce.Phase != "C" && len(e.Metrics) > 0 {
 			//detlint:allow maprange map-to-map copy rendered by encoding/json, which sorts keys
 			for k, v := range e.Metrics {

@@ -62,10 +62,8 @@ const (
 
 	// Forensics (see Audit and cmd/obsreport): "audit" pairs a model
 	// prediction with its ground-truth actual (per dispatch round and per
-	// request, plus control's scale-lag windows); "engine" reports one
-	// portfolio engine's effort on one background solve.
-	KindAudit  = "audit"
-	KindEngine = "engine"
+	// request, plus control's scale-lag windows).
+	KindAudit = "audit"
 
 	// Sharded control plane (internal/shard): "gossip" is one shard's
 	// view of one barrier-round exchange (entries sent/received, load

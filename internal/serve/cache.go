@@ -45,12 +45,6 @@ type CacheConfig struct {
 	MaxGroups int
 	// TimeBudget bounds each background solve (0 = run to optimality).
 	TimeBudget time.Duration
-	// Portfolio solves misses and probes on the parallel solver portfolio
-	// (B&B + SAT + local search sharing an incumbent bound) instead of
-	// single-engine branch & bound. The merged incumbent stream replays on
-	// the same deterministic node clock, so upgrade timing stays
-	// byte-identical run to run.
-	Portfolio bool
 	// SolveOwner, when set, partitions the background-solving work across
 	// cooperating caches (the sharded control plane's deterministic solve
 	// ownership): a miss or probe on a mix this cache does not own is
@@ -109,11 +103,6 @@ type Cache struct {
 	// for this platform), lazily built for the forensics audit's
 	// model-arbiter evaluations (Entry.Predict).
 	model contention.Model
-	// engines accumulates per-engine portfolio telemetry over this cache's
-	// background solves (nil until the first portfolio solve commits);
-	// barrierRounds totals their bound-exchange rounds.
-	engines       map[string]*engineTotals
-	barrierRounds int
 
 	Hits     int
 	Misses   int
@@ -145,17 +134,6 @@ type Cache struct {
 // promotions, background solves) into a trace. Purely observational.
 func (c *Cache) AttachTracer(t *obs.Tracer) { c.tracer = t }
 
-// engineTotals accumulates one portfolio engine's telemetry across this
-// cache's background solves.
-type engineTotals struct {
-	Solves     int // solves the engine participated in
-	Wins       int // solves whose final incumbent this engine produced
-	Nodes      int // search nodes explored
-	Evals      int // full schedule evaluations
-	Incumbents int // incumbents contributed to the merged histories
-	Proofs     int // solves this engine ran to a completed (optimal) search
-}
-
 // contentionModel lazily fits the analytic contention model the background
 // solver optimizes with (core.Model's platform default) — the "predicted"
 // side of the forensics audit. Fitted once per cache; deterministic.
@@ -168,52 +146,6 @@ func (c *Cache) contentionModel() (contention.Model, error) {
 		c.model = m
 	}
 	return c.model, nil
-}
-
-// logSolve records one committed background solve's portfolio telemetry:
-// per-engine trace events (nodes, evals, incumbents contributed, proof,
-// winner attribution) and the cache's per-engine totals FillMetrics
-// exports. No-op for single-engine solves, which carry no EngineStats.
-// Called only on the serial commit paths, so totals and event order are
-// deterministic.
-func (c *Cache) logSolve(e *Entry, nowMs float64) {
-	if e.Any == nil || len(e.Any.Engines) == 0 {
-		return
-	}
-	if c.engines == nil {
-		c.engines = map[string]*engineTotals{}
-	}
-	c.barrierRounds += e.Any.BarrierRounds
-	for _, es := range e.Any.Engines {
-		t := c.engines[es.Engine]
-		if t == nil {
-			t = &engineTotals{}
-			c.engines[es.Engine] = t
-		}
-		t.Solves++
-		t.Nodes += es.Stats.Nodes
-		t.Evals += es.Stats.Evals
-		t.Incumbents += es.Incumbents
-		win, proof := 0.0, 0.0
-		if es.Winner {
-			t.Wins++
-			win = 1
-		}
-		if es.Stats.Complete {
-			t.Proofs++
-			proof = 1
-		}
-		c.trace(obs.Event{AtMs: nowMs, Kind: obs.KindEngine, Request: obs.NoRequest,
-			Detail: e.Key + ":" + es.Engine, Value: float64(es.Stats.Nodes),
-			Metrics: map[string]float64{
-				"nodes":          float64(es.Stats.Nodes),
-				"evals":          float64(es.Stats.Evals),
-				"incumbents":     float64(es.Incumbents),
-				"proof":          proof,
-				"winner":         win,
-				"barrier_rounds": float64(e.Any.BarrierRounds),
-			}})
-	}
 }
 
 // deviceLabel is the track a cache's events and metrics attribute to: the
@@ -363,7 +295,6 @@ func (c *Cache) EnsureSolved(networks []string, nowMs float64) (bool, error) {
 		c.Assists++
 		c.trace(obs.Event{AtMs: nowMs, Kind: obs.KindCacheSolve, Request: obs.NoRequest,
 			Detail: key, Value: float64(e.solverNodes())})
-		c.logSolve(e, nowMs)
 		return true, nil
 	}
 	if e, ok := c.probes[key]; ok {
@@ -384,7 +315,6 @@ func (c *Cache) EnsureSolved(networks []string, nowMs float64) (bool, error) {
 		}
 		c.trace(obs.Event{AtMs: nowMs, Kind: obs.KindCacheSolve, Request: obs.NoRequest,
 			Detail: key, Value: float64(e.solverNodes())})
-		c.logSolve(e, nowMs)
 	}
 	c.Assists++
 	c.entries[key] = e
@@ -422,7 +352,6 @@ func (c *Cache) Rewind() {
 	c.Probes, c.Promotions, c.WarmHits = 0, 0, 0
 	c.Deferred, c.Assists = 0, 0
 	c.wanted = map[string][]string{}
-	c.engines, c.barrierRounds = nil, 0
 }
 
 // mixKey canonicalizes a workload mix into a cache key.
@@ -476,7 +405,6 @@ func (c *Cache) Lookup(networks []string, nowMs float64) (*Entry, bool, error) {
 			}
 			c.trace(obs.Event{AtMs: nowMs, Kind: obs.KindCacheSolve, Request: obs.NoRequest,
 				Detail: key, Value: float64(e.solverNodes())})
-			c.logSolve(e, nowMs)
 		} else {
 			// Another shard owns this mix's solve: serve naive for now and
 			// ask for the owner's schedule at the next gossip barrier.
@@ -533,7 +461,6 @@ func (c *Cache) Probe(networks []string, nowMs float64) (*Entry, bool, error) {
 	c.Probes++
 	c.trace(obs.Event{AtMs: nowMs, Kind: obs.KindCacheProbe, Request: obs.NoRequest,
 		Detail: key, Value: float64(e.solverNodes())})
-	c.logSolve(e, nowMs)
 	c.probes[key] = e
 	return e, false, nil
 }
@@ -610,7 +537,6 @@ func (c *Cache) ProbeAll(mixes [][]string, nowMs float64) ([]*Entry, []error) {
 			c.Probes++
 			c.trace(obs.Event{AtMs: nowMs, Kind: obs.KindCacheProbe, Request: obs.NoRequest,
 				Detail: b.key, Value: float64(b.e.solverNodes())})
-			c.logSolve(b.e, nowMs)
 			c.probes[b.key] = b.e
 		}
 	}
@@ -637,7 +563,6 @@ func (c *Cache) request(canon []string) core.Request {
 		Objective:  c.cfg.Objective,
 		MaxGroups:  c.cfg.MaxGroups,
 		TimeBudget: c.cfg.TimeBudget,
-		Portfolio:  c.cfg.Portfolio,
 	}
 }
 
@@ -718,24 +643,6 @@ func (c *Cache) FillMetrics(reg *obs.Registry) {
 	reg.Set(p+"warm_hits", float64(c.WarmHits))
 	reg.Set(p+"deferred", float64(c.Deferred))
 	reg.Set(p+"assists", float64(c.Assists))
-	if len(c.engines) > 0 {
-		reg.Set(p+"barrier_rounds", float64(c.barrierRounds))
-		names := make([]string, 0, len(c.engines))
-		for name := range c.engines {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			t := c.engines[name]
-			ep := p + "engine." + name + "."
-			reg.Set(ep+"solves", float64(t.Solves))
-			reg.Set(ep+"wins", float64(t.Wins))
-			reg.Set(ep+"nodes", float64(t.Nodes))
-			reg.Set(ep+"evals", float64(t.Evals))
-			reg.Set(ep+"incumbents", float64(t.Incumbents))
-			reg.Set(ep+"proofs", float64(t.Proofs))
-		}
-	}
 }
 
 // Use returns the schedule deployed for this entry at virtual time nowMs:

@@ -7,6 +7,7 @@ package serve
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -39,8 +40,8 @@ func Generate(specs []TenantSpec, durationMs float64, seed int64) (Trace, error)
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("serve: no tenant specs")
 	}
-	if durationMs <= 0 {
-		return nil, fmt.Errorf("serve: non-positive duration %g", durationMs)
+	if !(durationMs > 0 && durationMs < math.Inf(1)) {
+		return nil, fmt.Errorf("serve: duration %g is not positive and finite", durationMs)
 	}
 	names := map[string]bool{}
 	var tr Trace
@@ -57,6 +58,13 @@ func Generate(specs []TenantSpec, durationMs float64, seed int64) (Trace, error)
 		names[sp.Name] = true
 		if _, err := nn.ByName(sp.Network); err != nil {
 			return nil, fmt.Errorf("serve: tenant %q: %w", sp.Name, err)
+		}
+		// An infinite rate never advances the arrival clock, and a NaN
+		// SLO never counts a violation.
+		for _, v := range []float64{sp.RateRPS, sp.PeriodMs, sp.PhaseMs, sp.SLOMs} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("serve: tenant %q has a non-finite rate, period, phase or SLO", sp.Name)
+			}
 		}
 		if (sp.RateRPS > 0) == (sp.PeriodMs > 0) {
 			return nil, fmt.Errorf("serve: tenant %q must set exactly one of RateRPS and PeriodMs", sp.Name)

@@ -294,5 +294,10 @@ func LoadSnapshots(r io.Reader) ([]*CacheSnapshot, error) {
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
 		return nil, fmt.Errorf("serve: parsing cache snapshot: %w", err)
 	}
+	for i, s := range f.Caches {
+		if s == nil {
+			return nil, fmt.Errorf("serve: cache snapshot %d is null", i)
+		}
+	}
 	return f.Caches, nil
 }

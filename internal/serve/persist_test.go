@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"haxconn/internal/schedule"
@@ -130,6 +131,15 @@ func TestImportValidation(t *testing.T) {
 		if _, err := rt.Cache().Import(tc.snap); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
+	}
+}
+
+// TestLoadSnapshotsRejectsNull: a cache file whose caches array holds a
+// null snapshot is an error, not a nil snapshot for the caller to
+// dereference.
+func TestLoadSnapshotsRejectsNull(t *testing.T) {
+	if _, err := LoadSnapshots(strings.NewReader(`{"caches":[null]}`)); err == nil {
+		t.Error("null snapshot accepted")
 	}
 }
 

@@ -143,13 +143,6 @@ type Config struct {
 	SolverTimeScale float64
 	// MaxGroups caps layer groups per network (0 = nn.DefaultMaxGroups).
 	MaxGroups int
-	// Portfolio solves schedule-cache misses and scoring probes on the
-	// parallel solver portfolio — B&B, SAT enumeration and local search
-	// racing across goroutines with a shared incumbent bound — instead of
-	// single-engine branch & bound. The merged incumbent stream replays on
-	// the same deterministic node clock, so summaries stay byte-identical
-	// run to run; only solve wall-clock changes.
-	Portfolio bool
 	// SharedCache, when set, is used instead of a private schedule cache:
 	// a fleet shares one cache among all devices of the same platform, so
 	// a mix solved on one Orin warms every Orin. Its platform, objective
@@ -285,9 +278,6 @@ func New(cfg Config) (*Runtime, error) {
 		if cc.MaxGroups != cfg.MaxGroups {
 			return nil, fmt.Errorf("serve: shared cache max groups %d != runtime %d", cc.MaxGroups, cfg.MaxGroups)
 		}
-		if cc.Portfolio != cfg.Portfolio {
-			return nil, fmt.Errorf("serve: shared cache portfolio mode %v != runtime %v", cc.Portfolio, cfg.Portfolio)
-		}
 	} else {
 		var err error
 		cache, err = NewCache(CacheConfig{
@@ -296,7 +286,6 @@ func New(cfg Config) (*Runtime, error) {
 			Solve:           cfg.Policy == ContentionAware,
 			SolverTimeScale: cfg.SolverTimeScale,
 			MaxGroups:       cfg.MaxGroups,
-			Portfolio:       cfg.Portfolio,
 		})
 		if err != nil {
 			return nil, err

@@ -124,6 +124,15 @@ func TestGenerateValidation(t *testing.T) {
 			{Name: "x", Network: "ResNet152", RateRPS: 10},
 		}, 100},
 		{"reserved tenant name", []TenantSpec{{Name: "TOTAL", Network: "VGG19", RateRPS: 10}}, 100},
+		{"infinite duration", twoTenants(), math.Inf(1)},
+		{"NaN duration", twoTenants(), math.NaN()},
+		{"infinite rate", []TenantSpec{{Name: "x", Network: "VGG19", RateRPS: math.Inf(1)}}, 100},
+		{"NaN rate", []TenantSpec{{Name: "x", Network: "VGG19", RateRPS: math.NaN(), PeriodMs: 10}}, 100},
+		{"infinite period", []TenantSpec{{Name: "x", Network: "VGG19", PeriodMs: math.Inf(1)}}, 100},
+		{"infinite phase", []TenantSpec{{Name: "x", Network: "VGG19", RateRPS: 10, PhaseMs: math.Inf(1)}}, 100},
+		{"NaN phase", []TenantSpec{{Name: "x", Network: "VGG19", RateRPS: 10, PhaseMs: math.NaN()}}, 100},
+		{"infinite SLO", []TenantSpec{{Name: "x", Network: "VGG19", RateRPS: 10, SLOMs: math.Inf(1)}}, 100},
+		{"NaN SLO", []TenantSpec{{Name: "x", Network: "VGG19", RateRPS: 10, SLOMs: math.NaN()}}, 100},
 	}
 	for _, tc := range cases {
 		if _, err := Generate(tc.specs, tc.durMs, 1); err == nil {

@@ -1,8 +1,7 @@
 // The gossip hub: the deterministic barrier the K shard goroutines
-// synchronize at. Structurally this is solver.OptimizePortfolio's
-// condvar bound-exchange grown up: every shard advances to the same
-// virtual barrier time, submits its report and parks; the last arrival
-// commits the round — merges the exported cache entries in shard order,
+// synchronize at. It is a mutex and condition variable: every shard
+// advances to the same virtual barrier time, submits its report and
+// parks; the last arrival commits the round — merges the exported cache entries in shard order,
 // decides tenant handoffs against the load reports, mutates the parked
 // peers' drivers directly (safe: every peer is blocked in cond.Wait, so
 // the mutex hand-off orders the committer's writes before their reads) —

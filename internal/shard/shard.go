@@ -35,9 +35,9 @@
 //     tenant's future arrivals to the least-loaded shard, so a whole
 //     shard under SLO pressure sheds load instead of growing alone.
 //
-// The barrier reuses the condvar pattern of solver.OptimizePortfolio's
-// bound exchange: every shard submits its report and blocks; the last
-// arrival merges and commits the round under the mutex (every peer is
+// The barrier is a mutex and condition variable: every shard submits its
+// report and blocks in cond.Wait; the last arrival merges and commits
+// the round under the mutex (every peer is
 // parked in cond.Wait, so the committer may touch their drivers — the
 // mutex hand-off establishes the happens-before edges) and broadcasts.
 // Because barriers fire at fixed virtual times and everything exchanged

@@ -178,12 +178,10 @@ func TestShardedHandoff(t *testing.T) {
 }
 
 // TestShardedRegionCompare runs the canonical region-scale comparison
-// (the BenchmarkShardedControlWall configuration) and checks everything
-// about the win condition that is deterministic: the sharded leg's SLO
-// attainment is equal or better, solves are partitioned (deferrals and
-// assists both happened), the gossip channel warmed caches, and both
-// legs served the whole trace. The wall-clock half of the win is gated
-// in BENCH_control.json via benchdiff's -wall-tolerance, not here.
+// (the BenchmarkShardedControl configuration) and checks the win
+// condition: the sharded leg's SLO attainment is equal or better, solves
+// are partitioned (deferrals and assists both happened), the gossip
+// channel warmed caches, and both legs served the whole trace.
 func TestShardedRegionCompare(t *testing.T) {
 	tr, err := DemoRegionTrace(11)
 	if err != nil {

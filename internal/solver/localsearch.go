@@ -40,21 +40,9 @@ func OptimizeLocal(prob *schedule.Problem, pr *schedule.Profile, cfg Config, res
 		best     *schedule.Schedule
 		bestCost = math.Inf(1)
 		st       Stats
-		stopped  bool
-		lastSync int
 		s        = &schedule.Schedule{Assign: make([][]int, nItems)}
 	)
 	cost := func(chosen []int) (float64, error) {
-		if cfg.share != nil && st.Evals-lastSync >= portfolioSyncEvals {
-			lastSync = st.Evals
-			g, stop := cfg.share.sync(bestCost)
-			if g < bestCost {
-				bestCost = g
-			}
-			if stop {
-				stopped = true
-			}
-		}
 		st.Evals++
 		for i, c := range chosen {
 			s.Assign[i] = cands[i][c]
@@ -67,7 +55,7 @@ func OptimizeLocal(prob *schedule.Problem, pr *schedule.Profile, cfg Config, res
 			bestCost = val
 			best = s.Clone()
 			if cfg.OnImprove != nil {
-				//detlint:allow walltime Incumbent.Elapsed is diagnostic; incumbent merge order rides the Evals counter, not wall time
+				//detlint:allow walltime Incumbent.Elapsed is diagnostic; virtual-time replays ride the Evals counter, not wall time
 				cfg.OnImprove(Incumbent{Schedule: best, Cost: bestCost, Elapsed: time.Since(start), Nodes: st.Evals})
 			}
 		}
@@ -89,11 +77,10 @@ func OptimizeLocal(prob *schedule.Problem, pr *schedule.Profile, cfg Config, res
 	}
 
 	chosen := make([]int, nItems)
-	for r := 0; r < restarts && !stopped; r++ {
+	for r := 0; r < restarts; r++ {
 		// Each restart draws its starting point from an independent
-		// source (seed + restart index): results are identical whether
-		// the restarts run serially here or spread across portfolio
-		// goroutines, and never depend on restart interleaving.
+		// source (seed + restart index), so a restart's trajectory does
+		// not depend on how many restarts ran before it.
 		rng := rand.New(rand.NewSource(seed + int64(r)))
 		for i := range chosen {
 			chosen[i] = rng.Intn(len(cands[i]))
@@ -102,10 +89,10 @@ func OptimizeLocal(prob *schedule.Problem, pr *schedule.Profile, cfg Config, res
 		if err != nil {
 			return nil, 0, st, err
 		}
-		for improved := true; improved && !stopped; {
+		for improved := true; improved; {
 			improved = false
 			st.Nodes++
-			for i := 0; i < nItems && !stopped; i++ {
+			for i := 0; i < nItems; i++ {
 				orig := chosen[i]
 				for c := range cands[i] {
 					if c == orig {
@@ -126,12 +113,9 @@ func OptimizeLocal(prob *schedule.Problem, pr *schedule.Profile, cfg Config, res
 			}
 		}
 	}
-	st.Complete = !stopped
+	st.Complete = true
 	st.Elapsed = time.Since(start) //detlint:allow walltime Stats.Elapsed is diagnostic wall time, excluded from byte-compared summaries
 	if best == nil {
-		if cfg.share != nil {
-			return nil, bestCost, st, nil
-		}
 		return nil, 0, st, fmt.Errorf("solver: local search produced no schedule")
 	}
 	return best, bestCost, st, nil

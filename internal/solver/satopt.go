@@ -131,7 +131,7 @@ func OptimizeSAT(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sch
 			bestCost = cost
 			best = s.Clone()
 			if cfg.OnImprove != nil {
-				//detlint:allow walltime Incumbent.Elapsed is diagnostic; incumbent merge order rides the Nodes counter, not wall time
+				//detlint:allow walltime Incumbent.Elapsed is diagnostic; virtual-time replays ride the Nodes counter, not wall time
 				cfg.OnImprove(Incumbent{Schedule: best, Cost: bestCost, Elapsed: time.Since(start), Nodes: st.Nodes})
 			}
 		}
@@ -160,20 +160,6 @@ func OptimizeSAT(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sch
 			st.Complete = false
 			break
 		}
-		if cfg.share != nil {
-			stopped := false
-			for k := 0; k < portfolioSATStride && !stopped; k++ {
-				g, stop := cfg.share.sync(bestCost)
-				if g < bestCost {
-					bestCost = g
-				}
-				stopped = stop
-			}
-			if stopped {
-				st.Complete = false
-				break
-			}
-		}
 		if enc.s.Solve() != sat.Sat {
 			break
 		}
@@ -188,9 +174,6 @@ func OptimizeSAT(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sch
 	}
 	st.Elapsed = time.Since(start) //detlint:allow walltime Stats.Elapsed is diagnostic wall time, excluded from byte-compared summaries
 	if best == nil {
-		if cfg.share != nil {
-			return nil, bestCost, st, nil
-		}
 		return nil, 0, st, fmt.Errorf("solver: SAT search produced no schedule")
 	}
 	return best, bestCost, st, nil
@@ -208,11 +191,6 @@ type Anytime struct {
 	// Seed is the configured initial schedule (cfg.Seeds[0]), the fallback
 	// ScheduleAt/ScheduleAtNodes deploy before any incumbent has landed.
 	Seed *schedule.Schedule
-	// Engines reports per-engine effort for portfolio runs (nil otherwise).
-	Engines []EngineStats
-	// BarrierRounds counts the deterministic bound-exchange rounds a
-	// portfolio solve committed (0 for single-engine runs).
-	BarrierRounds int
 }
 
 // RunAnytime runs the branch & bound engine, capturing every incumbent.

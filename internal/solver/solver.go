@@ -43,13 +43,6 @@ type Config struct {
 	// Seeds are schedules evaluated before the search starts (e.g. the
 	// naive baselines), establishing the paper's never-worse guarantee.
 	Seeds []*schedule.Schedule
-
-	// share couples the engine into a portfolio run (OptimizePortfolio):
-	// the engine trades incumbent bounds with its peers at barrier rounds
-	// pinned to its own deterministic work counters, and may finish with
-	// no schedule of its own when a peer's bound dominates everything it
-	// evaluated.
-	share *share
 }
 
 func (c Config) maxTransitions() int {
@@ -173,7 +166,7 @@ func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sche
 			bestCost = cost
 			best = s.Clone()
 			if cfg.OnImprove != nil {
-				//detlint:allow walltime Incumbent.Elapsed is diagnostic; incumbent merge order rides the Nodes counter, not wall time
+				//detlint:allow walltime Incumbent.Elapsed is diagnostic; virtual-time replays ride the Nodes counter, not wall time
 				cfg.OnImprove(Incumbent{Schedule: best, Cost: bestCost, Elapsed: time.Since(start), Nodes: st.Nodes})
 			}
 		}
@@ -221,30 +214,15 @@ func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sche
 		deadline = start.Add(cfg.TimeBudget)
 	}
 	expired := false
-	cancelled := false
-	lastSyncEvals, lastSyncNodes := st.Evals, 0
 	var dfs func(depth int) error
 	dfs = func(depth int) error {
-		if expired || cancelled {
+		if expired {
 			return nil
 		}
 		//detlint:allow walltime solver deadline caps real CPU spend; expiry truncates search and is reported honestly in Stats.Complete
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			expired = true
 			return nil
-		}
-		// Portfolio bound exchange, pinned to the engine's own eval/node
-		// counters (never wall time) so the trajectory reproduces exactly.
-		if cfg.share != nil && (st.Evals-lastSyncEvals >= portfolioSyncEvals || st.Nodes-lastSyncNodes >= portfolioSyncNodes) {
-			lastSyncEvals, lastSyncNodes = st.Evals, st.Nodes
-			g, stop := cfg.share.sync(bestCost)
-			if g < bestCost {
-				bestCost = g
-			}
-			if stop {
-				cancelled = true
-				return nil
-			}
 		}
 		st.Nodes++
 		if depth == nItems {
@@ -273,14 +251,9 @@ func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sche
 	if err := dfs(0); err != nil {
 		return nil, 0, st, err
 	}
-	st.Complete = !expired && !cancelled
+	st.Complete = !expired
 	st.Elapsed = time.Since(start) //detlint:allow walltime Stats.Elapsed is diagnostic wall time, excluded from byte-compared summaries
 	if best == nil {
-		// In a portfolio run a peer's bound can dominate everything this
-		// engine evaluated; the merged history supplies the schedule.
-		if cfg.share != nil {
-			return nil, bestCost, st, nil
-		}
 		return nil, 0, st, fmt.Errorf("solver: search produced no schedule")
 	}
 	return best, bestCost, st, nil
