@@ -346,7 +346,10 @@ func BenchmarkSimEvaluate(b *testing.B) {
 	}
 }
 
-// BenchmarkCharacterize measures the offline profiling step.
+// BenchmarkCharacterize measures the offline profiling step on a warm
+// memo: after the first iteration every call assembles its Profile from
+// the profiler's memoized tables. BenchmarkCharacterizeCold in
+// internal/profiler measures the cold cost.
 func BenchmarkCharacterize(b *testing.B) {
 	p := soc.Orin()
 	prob := &schedule.Problem{Platform: p, Items: []schedule.Item{

@@ -110,14 +110,14 @@ func (o Oracle) Name() string { return "oracle" }
 // of own-demand levels it stores slowdown as a piecewise-linear function of
 // external demand, fitted from co-run samples; queries bilinearly
 // interpolate. Memory intensity is folded in analytically (the processor-
-// centric model predicts the stretch of the memory-bound fraction).
+// centric model predicts the stretch of the memory-bound fraction). A
+// fitted model is immutable, so goroutines may share one.
 type PCCS struct {
-	satBW     float64
-	ownGrid   []float64   // own-demand knots, ascending
-	extGrid   []float64   // external-demand knots, ascending
-	stretch   [][]float64 // stretch[i][j]: memory-portion stretch at ownGrid[i], extGrid[j]
-	fitted    bool
-	fitErrMax float64
+	satBW   float64
+	ownGrid []float64   // own-demand knots, ascending
+	extGrid []float64   // external-demand knots, ascending
+	stretch [][]float64 // stretch[i][j]: memory-portion stretch at ownGrid[i], extGrid[j]
+	fitted  bool
 }
 
 // FitPCCS builds a PCCS model for a platform saturation bandwidth by
@@ -126,8 +126,8 @@ type PCCS struct {
 // controls grid resolution (the paper's profiling-budget knob); 8 already
 // yields <2% error against the arbitration ground truth.
 func FitPCCS(satBW float64, samplesPerAxis int) (*PCCS, error) {
-	if satBW <= 0 {
-		return nil, fmt.Errorf("contention: non-positive saturation bandwidth %g", satBW)
+	if !(satBW > 0) || math.IsInf(satBW, 1) {
+		return nil, fmt.Errorf("contention: saturation bandwidth %g is not positive and finite", satBW)
 	}
 	if samplesPerAxis < 2 {
 		return nil, fmt.Errorf("contention: need at least 2 samples per axis, got %d", samplesPerAxis)
@@ -214,6 +214,5 @@ func (m *PCCS) ValidationError(points int) float64 {
 			}
 		}
 	}
-	m.fitErrMax = worst
 	return worst
 }

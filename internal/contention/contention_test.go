@@ -126,6 +126,37 @@ func TestFitPCCSErrors(t *testing.T) {
 	if _, err := FitPCCS(100, 1); err == nil {
 		t.Error("single sample should fail")
 	}
+	// NaN used to fit without error and then panic in bracket on the first
+	// query; +Inf fitted a model whose slowdowns were NaN.
+	for _, bw := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := FitPCCS(bw, 16); err == nil {
+			t.Errorf("FitPCCS(%g) should fail", bw)
+		}
+	}
+}
+
+// FuzzFitPCCS: for any saturation bandwidth, FitPCCS either fails or fits
+// a model whose slowdown is finite and at least 1 for every finite,
+// non-negative demand pair and memory intensity in [0, 1].
+func FuzzFitPCCS(f *testing.F) {
+	f.Add(100.0, 50.0, 0.5, 80.0)
+	f.Add(math.NaN(), 1.0, 1.0, 1.0)
+	f.Add(math.Inf(1), 1.0, 1.0, 1.0)
+	f.Add(5e-324, 5e-324, 1.0, 1e308)
+	f.Add(math.MaxFloat64, math.MaxFloat64, 1.0, math.MaxFloat64)
+	f.Fuzz(func(t *testing.T, satBW, demand, mu, external float64) {
+		m, err := FitPCCS(satBW, 16)
+		if err != nil {
+			return
+		}
+		finiteNonNeg := func(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+		if !finiteNonNeg(demand) || !finiteNonNeg(external) || !(mu >= 0 && mu <= 1) {
+			return
+		}
+		if s := m.SlowdownFor(demand, mu, external); math.IsNaN(s) || math.IsInf(s, 0) || s < 1 {
+			t.Fatalf("FitPCCS(%g).SlowdownFor(%g, %g, %g) = %g, want finite and >= 1", satBW, demand, mu, external, s)
+		}
+	})
 }
 
 func TestPCCSAccuracy(t *testing.T) {

@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"haxconn/internal/baselines"
@@ -106,22 +107,31 @@ func buildProblem(req Request) (*schedule.Problem, error) {
 }
 
 // Model returns the contention model for a request: the configured one, or
-// a PCCS model fitted to the platform (Sec. 3.3).
+// a PCCS model fitted to the platform (Sec. 3.3). Like the paper, which fits
+// PCCS once per SoC, every request on one saturation bandwidth shares a fit.
 func Model(req Request) (contention.Model, error) {
 	if req.ContentionModel != nil {
 		return req.ContentionModel, nil
 	}
-	return contention.FitPCCS(req.Platform.SatBW(), 16)
+	satBW := req.Platform.SatBW()
+	if m, ok := fits.Load(satBW); ok {
+		return m.(contention.Model), nil
+	}
+	m, err := contention.FitPCCS(satBW, 16)
+	if err != nil {
+		return nil, err
+	}
+	shared, _ := fits.LoadOrStore(satBW, m)
+	return shared.(contention.Model), nil
 }
+
+// fits maps a saturation bandwidth to Model's shared *contention.PCCS fit.
+var fits sync.Map
 
 // Plan runs the full HaX-CoNN pipeline: characterize, formulate, solve,
 // and measure the optimal schedule on the ground-truth simulator.
 func Plan(req Request) (*Result, error) {
-	prob, err := buildProblem(req)
-	if err != nil {
-		return nil, err
-	}
-	pr, err := profiler.Characterize(prob, profiler.Options{MaxGroups: req.MaxGroups})
+	prob, pr, err := Prepare(req)
 	if err != nil {
 		return nil, err
 	}
@@ -250,9 +260,8 @@ func Compare(req Request) (*Comparison, error) {
 }
 
 // Prepare resolves and characterizes a request without solving it: the
-// problem statement plus the offline profiling tables. Callers that cache
-// characterizations across repeated workload mixes (internal/serve) use
-// this to pay the profiling cost once per mix.
+// problem statement plus the offline profiling tables, which the profiler
+// computes once per platform and network and shares between calls.
 func Prepare(req Request) (*schedule.Problem, *schedule.Profile, error) {
 	prob, err := buildProblem(req)
 	if err != nil {

@@ -8,9 +8,10 @@
 //
 // Devices of the same platform share one schedule cache: a workload mix
 // solved on one Orin warms every Orin in the pool, so the fleet pays each
-// mix's characterization and solver cost once per platform rather than
-// once per device — the semi-isolated-instances-with-a-shared-solution-
-// medium structure, applied to schedules instead of populations.
+// mix's solver cost once per platform rather than once per device — the
+// semi-isolated-instances-with-a-shared-solution-medium structure, applied
+// to schedules instead of populations. (Characterization is shared wider
+// still: the profiler memoizes it process-wide.)
 //
 // Placement policies (see Placer): round-robin spreads blindly,
 // least-loaded tracks queue depth and device availability in virtual time,
@@ -91,11 +92,6 @@ type Config struct {
 	// solved locally; see serve.CacheConfig.SolveOwner. Applied to every
 	// platform cache. Nil solves everything locally.
 	CacheSolveOwner func(mixKey string) bool
-	// CacheChars shares one characterization memo across cooperating
-	// fleets' platform caches (see serve.CacheConfig.Chars): the sharded
-	// plane characterizes each distinct mix once region-wide. Nil
-	// characterizes per cache.
-	CacheChars *serve.CharMemo
 	// AdaptiveMaxWait passes the slack-scaled starvation bound to every
 	// device; see serve.Config.AdaptiveMaxWait.
 	AdaptiveMaxWait bool
@@ -199,7 +195,6 @@ func (f *Fleet) addDevice(platform, mixPolicy string) (serve.Device, error) {
 				SolverTimeScale: f.cfg.SolverTimeScale,
 				MaxGroups:       f.cfg.MaxGroups,
 				SolveOwner:      f.cfg.CacheSolveOwner,
-				Chars:           f.cfg.CacheChars,
 			})
 			if err != nil {
 				return nil, err

@@ -1,6 +1,9 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Group is a contiguous run of layers scheduled as one atomic unit
 // (Sec. 3.1: the smallest layer entity assignable to an accelerator).
@@ -75,20 +78,28 @@ func Groups(n *Network, maxGroups int) []Group {
 		// defensive tail group for hand-built networks.
 		groups = append(groups, Group{Net: n, Start: start, End: len(n.Layers) - 1})
 	}
+	// flops[i] is groups[i].FLOPs(), summed afresh only for a merged group,
+	// so every score uses the same bits as summing each group every round.
+	flops := make([]float64, len(groups))
+	for i, g := range groups {
+		flops[i] = g.FLOPs()
+	}
 	for len(groups) > maxGroups {
 		// Remove the worst cut: the one with the largest crossing tensor per
 		// unit of separated work.
 		worst, worstScore := -1, -1.0
 		for i := 0; i < len(groups)-1; i++ {
 			cross := float64(groups[i].OutputBytes())
-			work := groups[i].FLOPs() + groups[i+1].FLOPs()
+			work := flops[i] + flops[i+1]
 			score := cross / (1 + work)
 			if score > worstScore {
 				worst, worstScore = i, score
 			}
 		}
-		merged := Group{Net: n, Start: groups[worst].Start, End: groups[worst+1].End}
-		groups = append(groups[:worst], append([]Group{merged}, groups[worst+2:]...)...)
+		groups[worst].End = groups[worst+1].End
+		groups = slices.Delete(groups, worst+1, worst+2)
+		flops[worst] = groups[worst].FLOPs()
+		flops = slices.Delete(flops, worst+1, worst+2)
 	}
 	for i := range groups {
 		groups[i].Index = i

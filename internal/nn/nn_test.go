@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -232,5 +233,54 @@ func TestLayerTypeString(t *testing.T) {
 	}
 	if LayerType(999).String() == "" {
 		t.Error("unknown layer type should still render")
+	}
+}
+
+// quadraticGroups is the greedy merge of Groups re-summing every group's
+// FLOPs on every round: the oracle TestGroupsMatchQuadraticMerge checks
+// Groups against.
+func quadraticGroups(n *Network, maxGroups int) []Group {
+	var groups []Group
+	start := 0
+	for i, l := range n.Layers {
+		if l.TransitionSafe {
+			groups = append(groups, Group{Net: n, Start: start, End: i})
+			start = i + 1
+		}
+	}
+	if start < len(n.Layers) {
+		groups = append(groups, Group{Net: n, Start: start, End: len(n.Layers) - 1})
+	}
+	for len(groups) > maxGroups {
+		worst, worstScore := -1, -1.0
+		for i := 0; i < len(groups)-1; i++ {
+			cross := float64(groups[i].OutputBytes())
+			work := groups[i].FLOPs() + groups[i+1].FLOPs()
+			score := cross / (1 + work)
+			if score > worstScore {
+				worst, worstScore = i, score
+			}
+		}
+		merged := Group{Net: n, Start: groups[worst].Start, End: groups[worst+1].End}
+		groups = append(groups[:worst], append([]Group{merged}, groups[worst+2:]...)...)
+	}
+	for i := range groups {
+		groups[i].Index = i
+	}
+	return groups
+}
+
+// TestGroupsMatchQuadraticMerge: keeping each group's FLOPs across merge
+// rounds cuts every zoo network exactly where re-summing every round does,
+// at every cap from 1 to one past the initial group count.
+func TestGroupsMatchQuadraticMerge(t *testing.T) {
+	for _, name := range Names() {
+		n := MustByName(name)
+		initial := len(quadraticGroups(n, len(n.Layers)))
+		for limit := 1; limit <= initial+1; limit++ {
+			if got, want := Groups(n, limit), quadraticGroups(n, limit); !slices.Equal(got, want) {
+				t.Errorf("%s cap %d: Groups = %v, want %v", name, limit, got, want)
+			}
+		}
 	}
 }

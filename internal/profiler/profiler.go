@@ -11,10 +11,21 @@
 // and the DSA, and a group's DSA demand is its GPU demand divided by that
 // ratio. The estimation error this introduces is deliberate — it is what
 // the epsilon slack of Eq. 9 absorbs on real systems.
+//
+// Like the paper, which profiles each DNN offline once per platform, the
+// package keeps one process-wide memo of per-network tables and per-platform
+// demand ratios. A network's tables are keyed by the platform's accelerators
+// (element by element) and EMC bandwidth, the *nn.Network pointer (stable
+// for nn.ByName's shared zoo), the resolved group cap and ExactDSADemand, so
+// the memo is bounded by the zoo × the platforms × the group caps in use.
+// Every Profile built from one key shares that key's tables: callers must
+// never write to a returned Profile.
 package profiler
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"haxconn/internal/nn"
 	"haxconn/internal/perf"
@@ -39,12 +50,18 @@ func (o Options) maxGroups() int {
 }
 
 // Characterize profiles every network of the problem on every non-CPU
-// accelerator of the platform and assembles the schedule.Profile.
+// accelerator of the platform and assembles the schedule.Profile, taking
+// each network's tables from the memo when present.
 func Characterize(prob *schedule.Problem, opts Options) (*schedule.Profile, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}
 	p := prob.Platform
+	// A NaN parameter never compares equal to itself, so it would add a
+	// memo entry on every call.
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	pr := &schedule.Profile{Platform: p}
 	for ai, a := range p.Accels {
 		if a.Kind != soc.CPU {
@@ -54,50 +71,102 @@ func Characterize(prob *schedule.Problem, opts Options) (*schedule.Profile, erro
 	if len(pr.Allowed) < 2 {
 		return nil, fmt.Errorf("profiler: platform %s has %d schedulable accelerators, need >= 2", p.Name, len(pr.Allowed))
 	}
-	ratios := demandRatios(p)
+	// Held across a miss, so concurrent callers compute each table once.
+	memo.Lock()
+	defer memo.Unlock()
+	pt := memoPlatform(p)
 	for _, it := range prob.Items {
-		groups := nn.Groups(it.Net, opts.maxGroups())
-		pr.Groups = append(pr.Groups, groups)
-		exec := make([][]schedule.GroupExec, len(groups))
-		tout := make([][]float64, len(groups))
-		tin := make([][]float64, len(groups))
-		outBytes := make([]int64, len(groups))
-		for gi, g := range groups {
-			exec[gi] = make([]schedule.GroupExec, len(p.Accels))
-			tout[gi] = make([]float64, len(p.Accels))
-			tin[gi] = make([]float64, len(p.Accels))
-			outBytes[gi] = g.OutputBytes()
-			gpuProf := perf.Group(p.GPU(), g)
-			for ai, a := range p.Accels {
-				gp := perf.Group(a, g)
-				e := schedule.GroupExec{
-					LatencyMs:    gp.LatencyMs,
-					DemandGBps:   gp.DemandGBps,
-					MemIntensity: gp.MemIntensity,
-				}
-				if !opts.ExactDSADemand && (a.Kind == soc.DLA || a.Kind == soc.DSP) {
-					// Four-step black-box estimation: GPU demand scaled by
-					// the microbenchmark EMC ratio; memory intensity taken
-					// from the GPU profile of the same layers.
-					if r := ratios[ai]; r > 0 {
-						e.DemandGBps = gpuProf.DemandGBps / r
-						if e.DemandGBps > a.MaxBW {
-							e.DemandGBps = a.MaxBW
-						}
-					}
-					e.MemIntensity = gpuProf.MemIntensity
-				}
-				exec[gi][ai] = e
-				tout[gi][ai] = perf.TransitionOutMs(a, g.OutputBytes())
-				tin[gi][ai] = perf.TransitionInMs(a, g.InputBytes())
-			}
+		k := netKey{net: it.Net, maxGroups: opts.maxGroups(), exact: opts.ExactDSADemand}
+		t, ok := pt.nets[k]
+		if !ok {
+			t = characterizeNet(p, pt.ratios, k)
+			pt.nets[k] = t
 		}
-		pr.Exec = append(pr.Exec, exec)
-		pr.TransOutMs = append(pr.TransOutMs, tout)
-		pr.TransInMs = append(pr.TransInMs, tin)
-		pr.OutBytes = append(pr.OutBytes, outBytes)
+		pr.Groups = append(pr.Groups, t.Groups...)
+		pr.Exec = append(pr.Exec, t.Exec...)
+		pr.TransOutMs = append(pr.TransOutMs, t.TransOutMs...)
+		pr.TransInMs = append(pr.TransInMs, t.TransInMs...)
+		pr.OutBytes = append(pr.OutBytes, t.OutBytes...)
 	}
 	return pr, nil
+}
+
+// memo is the process-wide characterization memo; see the package doc.
+var memo struct {
+	sync.Mutex
+	platforms []*platformTables
+}
+
+// platformTables holds one platform's demand ratios and, per netKey, a
+// one-item Profile of the network's tables. accels and emcBW, copies of
+// every platform input the tables read, identify the platform.
+type platformTables struct {
+	accels []soc.Accelerator
+	emcBW  float64
+	ratios map[int]float64
+	nets   map[netKey]*schedule.Profile
+}
+
+type netKey struct {
+	net       *nn.Network
+	maxGroups int
+	exact     bool
+}
+
+// memoPlatform returns p's memo entry, adding it on first sight. The
+// caller holds the memo's lock.
+func memoPlatform(p *soc.Platform) *platformTables {
+	for _, pt := range memo.platforms {
+		if pt.emcBW == p.EMCBandwidth && slices.Equal(pt.accels, p.Accels) {
+			return pt
+		}
+	}
+	pt := &platformTables{accels: slices.Clone(p.Accels), emcBW: p.EMCBandwidth,
+		ratios: demandRatios(p), nets: map[netKey]*schedule.Profile{}}
+	memo.platforms = append(memo.platforms, pt)
+	return pt
+}
+
+// characterizeNet computes one network's tables on p as a one-item
+// Profile without Platform or Allowed.
+func characterizeNet(p *soc.Platform, ratios map[int]float64, k netKey) *schedule.Profile {
+	groups := nn.Groups(k.net, k.maxGroups)
+	exec := make([][]schedule.GroupExec, len(groups))
+	tout := make([][]float64, len(groups))
+	tin := make([][]float64, len(groups))
+	outBytes := make([]int64, len(groups))
+	for gi, g := range groups {
+		exec[gi] = make([]schedule.GroupExec, len(p.Accels))
+		tout[gi] = make([]float64, len(p.Accels))
+		tin[gi] = make([]float64, len(p.Accels))
+		outBytes[gi] = g.OutputBytes()
+		gpuProf := perf.Group(p.GPU(), g)
+		for ai, a := range p.Accels {
+			gp := perf.Group(a, g)
+			e := schedule.GroupExec{
+				LatencyMs:    gp.LatencyMs,
+				DemandGBps:   gp.DemandGBps,
+				MemIntensity: gp.MemIntensity,
+			}
+			if !k.exact && (a.Kind == soc.DLA || a.Kind == soc.DSP) {
+				// Four-step black-box estimation: GPU demand scaled by
+				// the microbenchmark EMC ratio; memory intensity taken
+				// from the GPU profile of the same layers.
+				if r := ratios[ai]; r > 0 {
+					e.DemandGBps = gpuProf.DemandGBps / r
+					if e.DemandGBps > a.MaxBW {
+						e.DemandGBps = a.MaxBW
+					}
+				}
+				e.MemIntensity = gpuProf.MemIntensity
+			}
+			exec[gi][ai] = e
+			tout[gi][ai] = perf.TransitionOutMs(a, g.OutputBytes())
+			tin[gi][ai] = perf.TransitionInMs(a, g.InputBytes())
+		}
+	}
+	return &schedule.Profile{Groups: [][]nn.Group{groups}, Exec: [][][]schedule.GroupExec{exec},
+		TransOutMs: [][][]float64{tout}, TransInMs: [][][]float64{tin}, OutBytes: [][]int64{outBytes}}
 }
 
 // MicrobenchGrid returns the conv microbenchmark layers of Fig. 3: input

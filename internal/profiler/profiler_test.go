@@ -107,6 +107,26 @@ func TestCharacterizeErrors(t *testing.T) {
 	if _, err := Characterize(prob, Options{}); err == nil {
 		t.Error("single-accelerator platform should fail")
 	}
+	// Non-finite parameters are errors, and must not reach the memo: NaN
+	// never equals itself, so every call would add an entry.
+	resetMemo()
+	for name, set := range map[string]func(p *soc.Platform){
+		"EMCBandwidth": func(p *soc.Platform) { p.EMCBandwidth = math.NaN() },
+		"SatFrac":      func(p *soc.Platform) { p.SatFrac = math.NaN() },
+		"PeakGFLOPS":   func(p *soc.Platform) { p.Accels[1].PeakGFLOPS = math.NaN() },
+		"FlushGBps":    func(p *soc.Platform) { p.Accels[0].FlushGBps = math.Inf(1) },
+	} {
+		p := soc.Orin()
+		set(p)
+		for i := 0; i < 2; i++ {
+			if _, err := Characterize(oneNet(p, "GoogleNet"), Options{}); err == nil {
+				t.Errorf("%s: non-finite platform characterized", name)
+			}
+		}
+	}
+	if n := len(memo.platforms); n != 0 {
+		t.Errorf("rejected platforms made %d memo entries", n)
+	}
 }
 
 func TestMaxGroupsOption(t *testing.T) {

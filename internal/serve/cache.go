@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"haxconn/internal/baselines"
-	"haxconn/internal/contention"
 	"haxconn/internal/core"
 	"haxconn/internal/obs"
 	"haxconn/internal/schedule"
@@ -54,12 +53,6 @@ type CacheConfig struct {
 	// deferred entry in place (GossipSeed). Nil means the cache owns every
 	// mix.
 	SolveOwner func(mixKey string) bool
-	// Chars, when set, shares characterization tables across caches of the
-	// identical configuration (same platform, objective, group cap): the
-	// sharded plane gives all K shards one memo, so each distinct mix is
-	// characterized once region-wide instead of once per shard. Nil
-	// characterizes locally.
-	Chars *CharMemo
 }
 
 // defaultSolverNodesPerMs approximates the measured B&B node rate on the
@@ -99,10 +92,6 @@ type Cache struct {
 	probeErr map[string]error
 	tracer   *obs.Tracer
 	name     string
-	// model is the fitted analytic contention model (core.Model's default
-	// for this platform), lazily built for the forensics audit's
-	// model-arbiter evaluations (Entry.Predict).
-	model contention.Model
 
 	Hits     int
 	Misses   int
@@ -133,20 +122,6 @@ type Cache struct {
 // AttachTracer wires cache-internal events (probe builds, probe
 // promotions, background solves) into a trace. Purely observational.
 func (c *Cache) AttachTracer(t *obs.Tracer) { c.tracer = t }
-
-// contentionModel lazily fits the analytic contention model the background
-// solver optimizes with (core.Model's platform default) — the "predicted"
-// side of the forensics audit. Fitted once per cache; deterministic.
-func (c *Cache) contentionModel() (contention.Model, error) {
-	if c.model == nil {
-		m, err := core.Model(c.request(nil))
-		if err != nil {
-			return nil, err
-		}
-		c.model = m
-	}
-	return c.model, nil
-}
 
 // deviceLabel is the track a cache's events and metrics attribute to: the
 // owning runtime's (possibly per-comparison-leg) name for a private
@@ -571,20 +546,7 @@ func (c *Cache) request(canon []string) core.Request {
 // effectiveness counters — Lookup, SeedFromSchedule and Import each finish
 // it their own way.
 func (c *Cache) build(key string, canon []string, nowMs float64) (*Entry, error) {
-	var (
-		prob  *schedule.Problem
-		pr    *schedule.Profile
-		naive *schedule.Schedule
-		err   error
-	)
-	if c.cfg.Chars != nil {
-		prob, pr, naive, err = c.cfg.Chars.characterize(c, key, canon)
-	} else {
-		prob, pr, err = core.Prepare(c.request(canon))
-		if err == nil {
-			naive = baselines.GPUOnly(pr)
-		}
-	}
+	prob, pr, err := core.Prepare(c.request(canon))
 	if err != nil {
 		return nil, err
 	}
@@ -593,7 +555,7 @@ func (c *Cache) build(key string, canon []string, nowMs float64) (*Entry, error)
 		Networks:  canon,
 		Prob:      prob,
 		Profile:   pr,
-		Naive:     naive,
+		Naive:     baselines.GPUOnly(pr),
 		CreatedMs: nowMs,
 		cache:     c,
 		evals:     map[string]*schedule.Eval{},
@@ -726,7 +688,7 @@ func (e *Entry) Predict(s *schedule.Schedule) (*schedule.Eval, error) {
 	if ev, ok := e.predEvals[key]; ok {
 		return ev, nil
 	}
-	m, err := e.cache.contentionModel()
+	m, err := core.Model(e.cache.request(nil))
 	if err != nil {
 		return nil, err
 	}

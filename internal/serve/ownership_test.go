@@ -5,18 +5,17 @@
 package serve
 
 import (
-	"bytes"
 	"testing"
 
 	"haxconn/internal/schedule"
 	"haxconn/internal/soc"
 )
 
-func ownershipCache(t *testing.T, owner func(string) bool, chars *CharMemo) *Cache {
+func ownershipCache(t *testing.T, owner func(string) bool) *Cache {
 	t.Helper()
 	p, _ := soc.PlatformByName("Orin")
 	c, err := NewCache(CacheConfig{Platform: p, Objective: schedule.MinMaxLatency,
-		Solve: true, SolverTimeScale: 50, SolveOwner: owner, Chars: chars})
+		Solve: true, SolverTimeScale: 50, SolveOwner: owner})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +28,7 @@ func ownershipCache(t *testing.T, owner func(string) bool, chars *CharMemo) *Cac
 // place, at which point the first hit counts as a warm hit.
 func TestSolveOwnershipDeferral(t *testing.T) {
 	mix := []string{"ResNet152", "VGG19"}
-	follower := ownershipCache(t, func(string) bool { return false }, nil)
+	follower := ownershipCache(t, func(string) bool { return false })
 
 	e, hit, err := follower.Lookup(mix, 0)
 	if err != nil || hit {
@@ -51,7 +50,7 @@ func TestSolveOwnershipDeferral(t *testing.T) {
 	}
 
 	// The owner solves the want on its own cache and exports it.
-	owner := ownershipCache(t, nil, nil)
+	owner := ownershipCache(t, nil)
 	ran, err := owner.EnsureSolved(wants[0].Networks, 20)
 	if err != nil || !ran {
 		t.Fatalf("EnsureSolved: ran=%v err=%v", ran, err)
@@ -106,7 +105,7 @@ func TestSolveOwnershipDeferral(t *testing.T) {
 // TestSolveOwnershipProbeDeferral: scoring probes on non-owned mixes are
 // characterized but not solved, and report wanted like misses.
 func TestSolveOwnershipProbeDeferral(t *testing.T) {
-	follower := ownershipCache(t, func(string) bool { return false }, nil)
+	follower := ownershipCache(t, func(string) bool { return false })
 	e, live, err := follower.Probe([]string{"VGG19"}, 0)
 	if err != nil || live {
 		t.Fatalf("probe: live=%v err=%v", live, err)
@@ -116,41 +115,5 @@ func TestSolveOwnershipProbeDeferral(t *testing.T) {
 	}
 	if follower.Deferred != 1 || len(follower.Wanted()) != 1 {
 		t.Fatalf("Deferred=%d Wanted=%d, want 1/1", follower.Deferred, len(follower.Wanted()))
-	}
-}
-
-// TestCharMemoSharing: caches sharing a characterization memo produce
-// byte-identical exports to a cache characterizing alone — the memo is
-// purely an evaluation-sharing device — and each distinct mix is
-// characterized once across the sharing caches.
-func TestCharMemoSharing(t *testing.T) {
-	mix := []string{"ResNet152", "VGG19"}
-	memo := NewCharMemo()
-	a := ownershipCache(t, nil, memo)
-	b := ownershipCache(t, nil, memo)
-	solo := ownershipCache(t, nil, nil)
-
-	for _, c := range []*Cache{a, b, solo} {
-		if _, _, err := c.Lookup(mix, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(memo.m) != 1 {
-		t.Fatalf("memo holds %d characterizations, want 1", len(memo.m))
-	}
-	// The second sharer adopted the first's tables.
-	ka, _ := a.mixKey(mix)
-	if a.entries[ka].Profile != b.entries[ka].Profile {
-		t.Error("sharing caches hold distinct profiles for the same mix")
-	}
-	var bufA, bufSolo bytes.Buffer
-	if err := SaveCaches(&bufA, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveCaches(&bufSolo, solo); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bufA.Bytes(), bufSolo.Bytes()) {
-		t.Error("memoized cache exports differently from a solo cache")
 	}
 }

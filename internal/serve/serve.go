@@ -441,11 +441,12 @@ func (r *Runtime) record(c Completion) {
 }
 
 // characterize fills the per-network estimate memos (standalone service
-// time and memory demand) with one core.Prepare, negative-caching the
-// failure: a network whose characterization fails once is never
-// re-prepared — the hot dispatch path (demand ranking, spread probes,
-// admission and backlog estimates) must not repeat a failing prepare
-// every round.
+// time and memory demand) with one core.Prepare, whose tables come from the
+// profiler's process-wide memo once any runtime on the same platform has
+// characterized the network. It negative-caches the failure: a network
+// whose characterization fails once is never re-prepared — the hot
+// dispatch path (demand ranking, spread probes, admission and backlog
+// estimates) must not repeat a failing prepare every round.
 func (r *Runtime) characterize(network string) error {
 	if _, ok := r.standalone[network]; ok {
 		return nil
@@ -484,10 +485,10 @@ func (r *Runtime) characterize(network string) error {
 	return nil
 }
 
-// PrepareCalls reports how many core.Prepare characterizations the
-// runtime's estimators have issued — the regression signal that the
-// memoization (positive and negative) actually short-circuits the hot
-// path.
+// PrepareCalls reports how many core.Prepare calls the runtime's
+// estimators have issued, at most one per network — the regression signal
+// that the estimate memos (positive and negative) short-circuit the hot
+// path. A call whose tables the profiler already holds computes none.
 func (r *Runtime) PrepareCalls() int { return r.prepares }
 
 // StandaloneMs estimates a network's contention-free service time on this

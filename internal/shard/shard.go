@@ -418,19 +418,10 @@ func (p *Plane) Serve(tr serve.Trace) (*Summary, error) {
 		parts[s] = append(parts[s], q)
 	}
 
-	// One characterization memo for the whole run: the shards' platform
-	// caches share tables, so each distinct mix is characterized once
-	// region-wide — a K=1 plane keeps the global controller's exact code
-	// path (the memo changes no value, only who computes it first).
-	var chars *serve.CharMemo
-	if k > 1 {
-		chars = serve.NewCharMemo()
-	}
 	states := make([]*shardState, k)
 	for s := 0; s < k; s++ {
 		st := &shardState{idx: s, exported: map[string]map[string]bool{}}
 		pc := p.parts[s]
-		pc.Fleet.CacheChars = chars
 		if p.cfg.Tracer != nil {
 			st.tracer = obs.NewTracer()
 			pc.Fleet.Tracer = st.tracer

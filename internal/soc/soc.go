@@ -8,7 +8,10 @@
 // runtimes land in the regime of the paper's Table 5.
 package soc
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Kind classifies a processing unit.
 type Kind int
@@ -128,15 +131,20 @@ func (p *Platform) GPU() Accelerator {
 	return a
 }
 
-// Validate checks that the platform parameters are physically sensible.
+// Validate checks that the platform parameters are finite and physically
+// sensible.
 func (p *Platform) Validate() error {
-	if p.EMCBandwidth <= 0 || p.SatFrac <= 0 || p.SatFrac > 1 {
+	if !finite(p.EMCBandwidth, p.SatFrac) || p.EMCBandwidth <= 0 || p.SatFrac <= 0 || p.SatFrac > 1 {
 		return fmt.Errorf("soc: %s: bad EMC parameters (bw=%g sat=%g)", p.Name, p.EMCBandwidth, p.SatFrac)
 	}
 	if len(p.Accels) == 0 {
 		return fmt.Errorf("soc: %s: no accelerators", p.Name)
 	}
 	for _, a := range p.Accels {
+		if !finite(a.PeakGFLOPS, a.EffMin, a.EffMax, a.EffHalfFLOPs, a.FCFactor, a.DWFactor,
+			a.MaxBW, a.WeightStream, a.TrafficAmp, a.TransitionFixedMs, a.FlushGBps, a.ReformatGBps) {
+			return fmt.Errorf("soc: %s/%s: non-finite parameter", p.Name, a.Name)
+		}
 		if a.PeakGFLOPS <= 0 || a.MaxBW <= 0 {
 			return fmt.Errorf("soc: %s/%s: bad peak/bandwidth", p.Name, a.Name)
 		}
@@ -151,4 +159,14 @@ func (p *Platform) Validate() error {
 		}
 	}
 	return nil
+}
+
+// finite reports whether every value is neither NaN nor infinite.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,9 @@
 package soc
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestPlatformsValidate(t *testing.T) {
 	for _, p := range Platforms() {
@@ -91,5 +94,32 @@ func TestValidateRejectsBadPlatforms(t *testing.T) {
 	p.Accels[0].EffMax = p.Accels[0].EffMin // degenerate curve
 	if err := p.Validate(); err == nil {
 		t.Error("degenerate efficiency curve should fail")
+	}
+	// NaN fails every "<= 0" check, so NaN EMC, saturation and accelerator
+	// parameters used to pass.
+	fields := map[string]func(p *Platform, x float64){
+		"EMCBandwidth":      func(p *Platform, x float64) { p.EMCBandwidth = x },
+		"SatFrac":           func(p *Platform, x float64) { p.SatFrac = x },
+		"PeakGFLOPS":        func(p *Platform, x float64) { p.Accels[1].PeakGFLOPS = x },
+		"EffMin":            func(p *Platform, x float64) { p.Accels[1].EffMin = x },
+		"EffMax":            func(p *Platform, x float64) { p.Accels[1].EffMax = x },
+		"EffHalfFLOPs":      func(p *Platform, x float64) { p.Accels[1].EffHalfFLOPs = x },
+		"FCFactor":          func(p *Platform, x float64) { p.Accels[1].FCFactor = x },
+		"DWFactor":          func(p *Platform, x float64) { p.Accels[1].DWFactor = x },
+		"MaxBW":             func(p *Platform, x float64) { p.Accels[1].MaxBW = x },
+		"WeightStream":      func(p *Platform, x float64) { p.Accels[1].WeightStream = x },
+		"TrafficAmp":        func(p *Platform, x float64) { p.Accels[1].TrafficAmp = x },
+		"TransitionFixedMs": func(p *Platform, x float64) { p.Accels[1].TransitionFixedMs = x },
+		"FlushGBps":         func(p *Platform, x float64) { p.Accels[1].FlushGBps = x },
+		"ReformatGBps":      func(p *Platform, x float64) { p.Accels[1].ReformatGBps = x },
+	}
+	for name, set := range fields {
+		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := Orin()
+			set(p, x)
+			if err := p.Validate(); err == nil {
+				t.Errorf("%s = %g should fail", name, x)
+			}
+		}
 	}
 }
