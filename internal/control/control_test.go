@@ -3,6 +3,7 @@ package control
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"haxconn/internal/fleet"
@@ -508,6 +509,28 @@ func TestAdaptiveMixNeverDowngradesContentionAware(t *testing.T) {
 	for _, e := range r.events {
 		if e.Action == "mix" {
 			t.Errorf("unexpected mix event on a contention-aware-configured device: %+v", e)
+		}
+	}
+}
+
+// TestServeRejectsNonFiniteArrivals: a NaN or +Inf arrival time is an
+// error at Start, so Serve and the incremental driver both reject it.
+// Unchecked, the event loop never terminated.
+func TestServeRejectsNonFiniteArrivals(t *testing.T) {
+	c, err := New(demoConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []float64{math.NaN(), math.Inf(1)} {
+		tr := serve.Trace{
+			{ID: 0, Tenant: "cam-a", Network: "VGG19", ArrivalMs: 0, SLOMs: 10},
+			{ID: 1, Tenant: "cam-a", Network: "VGG19", ArrivalMs: at, SLOMs: 10},
+		}
+		if _, err := c.Start(tr); err == nil {
+			t.Errorf("arrival %g: Controller.Start accepted the trace", at)
+		}
+		if _, err := c.Serve(tr); err == nil {
+			t.Errorf("arrival %g: Controller.Serve accepted the trace", at)
 		}
 	}
 }

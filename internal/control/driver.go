@@ -34,8 +34,13 @@ type Driver struct {
 // Start builds the run state for one trace and returns a driver positioned
 // at virtual time zero. Unlike Serve, an empty trace is accepted: a shard
 // may own no tenants yet still participate in gossip (and receive handed-
-// off tenants later via Inject).
+// off tenants later via Inject). A request with a non-finite arrival time
+// or SLO is rejected (serve.Trace.Validate), for Serve and the driver
+// alike.
 func (c *Controller) Start(tr serve.Trace) (*Driver, error) {
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
 	r, err := newRun(c.cfg)
 	if err != nil {
 		return nil, err

@@ -511,6 +511,9 @@ func (f *Fleet) Serve(tr serve.Trace) (*Summary, error) {
 	if len(tr) == 0 {
 		return nil, fmt.Errorf("fleet: empty trace")
 	}
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
 	f.Rewind()
 
 	reqs := append(serve.Trace(nil), tr...)

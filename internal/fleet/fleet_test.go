@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"haxconn/internal/serve"
@@ -505,4 +506,23 @@ func mustJSON(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestServeRejectsNonFiniteArrivals: a NaN or +Inf arrival time is an
+// error. Unchecked, Fleet.Serve returned a summary that offered one
+// request of two: the second never reached a terminal state.
+func TestServeRejectsNonFiniteArrivals(t *testing.T) {
+	f, err := New(threeDeviceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []float64{math.NaN(), math.Inf(1)} {
+		tr := serve.Trace{
+			{ID: 0, Tenant: "alice", Network: "VGG19", ArrivalMs: 0, SLOMs: 10},
+			{ID: 1, Tenant: "alice", Network: "VGG19", ArrivalMs: at, SLOMs: 10},
+		}
+		if sum, err := f.Serve(tr); err == nil {
+			t.Errorf("arrival %g: Fleet.Serve accepted the trace (offered %d)", at, sum.Total.Offered)
+		}
+	}
 }

@@ -152,14 +152,21 @@ func (s *Schedule) Clone() *Schedule {
 // Key returns a compact fingerprint of the assignment, usable as a map
 // key for memoizing per-schedule work (frame latencies, evaluations).
 func (s *Schedule) Key() string {
-	b := make([]byte, 0, 64)
+	var buf [64]byte
+	return string(s.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the assignment's fingerprint (the bytes of Key) to b
+// and returns the extended buffer. A memo lookup through a caller's stack
+// buffer, m[string(s.AppendKey(buf[:0]))], allocates nothing.
+func (s *Schedule) AppendKey(b []byte) []byte {
 	for _, row := range s.Assign {
 		for _, a := range row {
 			b = append(b, byte('0'+a))
 		}
 		b = append(b, '|')
 	}
-	return string(b)
+	return b
 }
 
 // Transitions returns the number of inter-accelerator transitions in item i

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -202,5 +203,41 @@ func TestServeSurvivesMalformedRequests(t *testing.T) {
 		if strings.HasPrefix(key, "good/") {
 			t.Errorf("well-formed request rejected with %q", reason)
 		}
+	}
+}
+
+// TestServeRejectsNonFiniteTimes: a request whose arrival time or SLO is
+// NaN or infinite is rejected before serving starts, with an error naming
+// the request and the field. Unchecked, a NaN or +Inf arrival made Serve
+// spin forever: NaN <= x is false, and with nothing pending NextStartMs
+// is +Inf.
+func TestServeRejectsNonFiniteTimes(t *testing.T) {
+	for _, tc := range []struct {
+		name, field  string
+		arrival, slo float64
+	}{
+		{"NaN arrival", "ArrivalMs", math.NaN(), 10},
+		{"+Inf arrival", "ArrivalMs", math.Inf(1), 10},
+		{"NaN SLO", "SLOMs", 1, math.NaN()},
+		{"+Inf SLO", "SLOMs", 1, math.Inf(1)},
+	} {
+		tr := Trace{
+			{ID: 0, Tenant: "alice", Network: "VGG19", ArrivalMs: 0, SLOMs: 10},
+			{ID: 1, Tenant: "alice", Network: "VGG19", ArrivalMs: tc.arrival, SLOMs: tc.slo},
+		}
+		err := tr.Validate()
+		if err == nil || !strings.Contains(err.Error(), "request 1") || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Validate = %v, want an error naming request 1 and %s", tc.name, err, tc.field)
+		}
+		rt, err := New(Config{Platform: soc.Orin()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Serve(tr); err == nil {
+			t.Errorf("%s: Runtime.Serve accepted the trace", tc.name)
+		}
+	}
+	if err := (Trace{{ID: 0, Tenant: "alice", Network: "VGG19", ArrivalMs: 3}}).Validate(); err != nil {
+		t.Errorf("finite trace rejected: %v", err)
 	}
 }

@@ -9,8 +9,8 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -329,11 +329,48 @@ func (c *Cache) Rewind() {
 	c.wanted = map[string][]string{}
 }
 
-// mixKey canonicalizes a workload mix into a cache key.
+// mixKey canonicalizes a workload mix into a cache key and its own sorted
+// copy of the networks — what an entry keeps when a mix is built.
 func (c *Cache) mixKey(networks []string) (string, []string) {
+	canon := canonical(networks)
+	return string(c.appendMixKey(nil, canon)), canon
+}
+
+// canonical returns a sorted copy of a workload mix.
+func canonical(networks []string) []string {
 	canon := append([]string(nil), networks...)
-	sort.Strings(canon)
-	return strings.Join(canon, "+") + "|" + c.cfg.Objective.String(), canon
+	slices.Sort(canon)
+	return canon
+}
+
+// keyBufLen sizes the stack buffers cache keys are built in; a longer key
+// spills to the heap, which costs an allocation but not correctness.
+const keyBufLen = 128
+
+// lookupKey appends the cache key of networks to b. A canonical (sorted)
+// mix — what the dispatcher and the mix scorer pass — is keyed in place,
+// so indexing a map with string(c.lookupKey(buf[:0], mix)) over a stack
+// buffer allocates nothing; any other order is canonicalized on a copy
+// first.
+func (c *Cache) lookupKey(b []byte, networks []string) []byte {
+	if !slices.IsSorted(networks) {
+		networks = canonical(networks)
+	}
+	return c.appendMixKey(b, networks)
+}
+
+// appendMixKey appends the key of a canonical mix to b: the networks
+// joined by "+", then "|" and the objective. Export persists this format
+// and gossip ships it.
+func (c *Cache) appendMixKey(b []byte, canon []string) []byte {
+	for i, n := range canon {
+		if i > 0 {
+			b = append(b, '+')
+		}
+		b = append(b, n...)
+	}
+	b = append(b, '|')
+	return append(b, c.cfg.Objective.String()...)
 }
 
 // Lookup returns the entry for a workload mix, solving it on a miss. The
@@ -343,8 +380,8 @@ func (c *Cache) Lookup(networks []string, nowMs float64) (*Entry, bool, error) {
 	if len(networks) == 0 {
 		return nil, false, fmt.Errorf("serve: empty workload mix")
 	}
-	key, canon := c.mixKey(networks)
-	if e, ok := c.entries[key]; ok {
+	var buf [keyBufLen]byte
+	if e, ok := c.entries[string(c.lookupKey(buf[:0], networks))]; ok {
 		c.Hits++
 		if e.gossiped {
 			e.gossiped = false
@@ -353,6 +390,7 @@ func (c *Cache) Lookup(networks []string, nowMs float64) (*Entry, bool, error) {
 		return e, true, nil
 	}
 	c.Misses++
+	key, canon := c.mixKey(networks)
 	// A scoring probe already characterized (and solved) this mix: promote
 	// it instead of re-preparing. The probe keeps its CreatedMs — its
 	// background solve genuinely started when the mix-forming scorer first
@@ -407,16 +445,11 @@ func (c *Cache) Probe(networks []string, nowMs float64) (*Entry, bool, error) {
 	if len(networks) == 0 {
 		return nil, false, fmt.Errorf("serve: empty workload mix")
 	}
+	var buf [keyBufLen]byte
+	if e, live, seen, err := c.probed(c.lookupKey(buf[:0], networks)); seen {
+		return e, live, err
+	}
 	key, canon := c.mixKey(networks)
-	if e, ok := c.entries[key]; ok {
-		return e, true, nil
-	}
-	if e, ok := c.probes[key]; ok {
-		return e, false, nil
-	}
-	if err, ok := c.probeErr[key]; ok {
-		return nil, false, err
-	}
 	e, err := c.build(key, canon, nowMs)
 	if err != nil {
 		c.probeErr[key] = err
@@ -440,6 +473,21 @@ func (c *Cache) Probe(networks []string, nowMs float64) (*Entry, bool, error) {
 	return e, false, nil
 }
 
+// probed resolves a mix key Probe has already seen: a live entry, a
+// scoring probe or a memoized failure. seen is false for an unseen mix.
+func (c *Cache) probed(key []byte) (e *Entry, live, seen bool, err error) {
+	if e, ok := c.entries[string(key)]; ok {
+		return e, true, true, nil
+	}
+	if e, ok := c.probes[string(key)]; ok {
+		return e, false, true, nil
+	}
+	if err, ok := c.probeErr[string(key)]; ok {
+		return nil, false, true, err
+	}
+	return nil, false, false, nil
+}
+
 // ProbeAll is Probe over a whole set of candidate mixes at once: the
 // contention-aware mix former scores its entire beam (plus lookahead
 // complements) per round, so the unseen mixes' characterizations and
@@ -453,80 +501,86 @@ func (c *Cache) Probe(networks []string, nowMs float64) (*Entry, bool, error) {
 func (c *Cache) ProbeAll(mixes [][]string, nowMs float64) ([]*Entry, []error) {
 	entries := make([]*Entry, len(mixes))
 	errs := make([]error, len(mixes))
+	c.probeAll(mixes, nowMs, entries, errs)
+	return entries, errs
+}
+
+// probeAll is ProbeAll writing into caller-provided, zeroed result slots
+// (each len(mixes) long). Each mix is keyed once, in a stack buffer; only
+// an unseen mix allocates its key and canonical copy.
+func (c *Cache) probeAll(mixes [][]string, nowMs float64, entries []*Entry, errs []error) {
 	type build struct {
 		key   string
 		canon []string
+		slots []int
 		e     *Entry
 		err   error
 	}
-	var builds []*build
-	byKey := map[string]*build{}
+	var (
+		builds []*build
+		byKey  map[string]*build
+	)
 	for i, mix := range mixes {
 		if len(mix) == 0 {
 			errs[i] = fmt.Errorf("serve: empty workload mix")
 			continue
 		}
-		key, canon := c.mixKey(mix)
-		if e, ok := c.entries[key]; ok {
-			entries[i] = e
+		var buf [keyBufLen]byte
+		kb := c.lookupKey(buf[:0], mix)
+		if e, _, seen, err := c.probed(kb); seen {
+			entries[i], errs[i] = e, err
 			continue
 		}
-		if e, ok := c.probes[key]; ok {
-			entries[i] = e
-			continue
-		}
-		if err, ok := c.probeErr[key]; ok {
-			errs[i] = err
-			continue
-		}
-		if _, ok := byKey[key]; ok {
-			continue // duplicate of an earlier unseen mix; resolved below
-		}
-		b := &build{key: key, canon: canon}
-		byKey[key] = b
-		builds = append(builds, b)
-	}
-	if len(builds) > 0 {
-		var wg sync.WaitGroup
-		for _, b := range builds {
-			wg.Add(1)
-			//detlint:allow baregoroutine ProbeAll solve pool: serial dedupe before, wg.Wait barrier after, results committed in first-appearance order
-			go func(b *build) {
-				defer wg.Done()
-				e, err := c.build(b.key, b.canon, nowMs)
-				if err == nil && c.cfg.Solve && c.owned(b.key) {
-					e.Any, err = core.AnytimeFromProfile(c.request(b.canon), e.Prob, e.Profile)
-				}
-				b.e, b.err = e, err
-			}(b)
-		}
-		wg.Wait()
-		for _, b := range builds {
-			if b.err != nil {
-				c.probeErr[b.key] = b.err
-				continue
+		// An unseen mix; a duplicate of an earlier one shares its build.
+		b := byKey[string(kb)]
+		if b == nil {
+			b = &build{key: string(kb), canon: canonical(mix)}
+			if byKey == nil {
+				byKey = map[string]*build{}
 			}
-			if c.cfg.Solve && !c.owned(b.key) {
-				c.deferSolve(b.key, b.canon)
-			}
-			c.Probes++
-			c.trace(obs.Event{AtMs: nowMs, Kind: obs.KindCacheProbe, Request: obs.NoRequest,
-				Detail: b.key, Value: float64(b.e.solverNodes())})
-			c.probes[b.key] = b.e
+			byKey[b.key] = b
+			builds = append(builds, b)
 		}
+		b.slots = append(b.slots, i)
 	}
-	for i, mix := range mixes {
-		if entries[i] != nil || errs[i] != nil {
+	if len(builds) == 0 {
+		return
+	}
+	var wg sync.WaitGroup
+	for _, b := range builds {
+		wg.Add(1)
+		//detlint:allow baregoroutine ProbeAll solve pool: serial dedupe before, wg.Wait barrier after, results committed in first-appearance order
+		go func(b *build) {
+			defer wg.Done()
+			e, err := c.build(b.key, b.canon, nowMs)
+			if err == nil && c.cfg.Solve && c.owned(b.key) {
+				e.Any, err = core.AnytimeFromProfile(c.request(b.canon), e.Prob, e.Profile)
+			}
+			b.e, b.err = e, err
+		}(b)
+	}
+	wg.Wait()
+	for _, b := range builds {
+		if b.err != nil {
+			// A failed solve leaves a built entry behind; like Probe, the
+			// slots get the memoized error and no entry.
+			c.probeErr[b.key] = b.err
+			for _, i := range b.slots {
+				errs[i] = b.err
+			}
 			continue
 		}
-		key, _ := c.mixKey(mix)
-		if e, ok := c.probes[key]; ok {
-			entries[i] = e
-		} else {
-			errs[i] = c.probeErr[key]
+		if c.cfg.Solve && !c.owned(b.key) {
+			c.deferSolve(b.key, b.canon)
+		}
+		c.Probes++
+		c.trace(obs.Event{AtMs: nowMs, Kind: obs.KindCacheProbe, Request: obs.NoRequest,
+			Detail: b.key, Value: float64(b.e.solverNodes())})
+		c.probes[b.key] = b.e
+		for _, i := range b.slots {
+			entries[i] = b.e
 		}
 	}
-	return entries, errs
 }
 
 // request is the core request resolving a canonical mix on this cache's
@@ -663,8 +717,7 @@ func (e *Entry) Best() *schedule.Schedule {
 // memoizing per schedule — repeated rounds of a cached mix cost a map
 // lookup, not a simulation.
 func (e *Entry) Evaluate(s *schedule.Schedule) (*schedule.Eval, error) {
-	key := s.Key()
-	if ev, ok := e.evals[key]; ok {
+	if ev, ok := e.evaluated(s); ok {
 		return ev, nil
 	}
 	gt := sim.GroundTruth{SatBW: e.Prob.Platform.SatBW()}
@@ -672,8 +725,16 @@ func (e *Entry) Evaluate(s *schedule.Schedule) (*schedule.Eval, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.evals[key] = ev
+	e.evals[s.Key()] = ev
 	return ev, nil
+}
+
+// evaluated returns Evaluate's memoized result for s, if any, without
+// allocating: the schedule's key is built in a stack buffer.
+func (e *Entry) evaluated(s *schedule.Schedule) (*schedule.Eval, bool) {
+	var buf [keyBufLen]byte
+	ev, ok := e.evals[string(s.AppendKey(buf[:0]))]
+	return ev, ok
 }
 
 // Predict evaluates a schedule for this mix under the analytic contention
@@ -684,8 +745,8 @@ func (e *Entry) Evaluate(s *schedule.Schedule) (*schedule.Eval, error) {
 // per schedule like Evaluate; called only on the single-threaded dispatch
 // path.
 func (e *Entry) Predict(s *schedule.Schedule) (*schedule.Eval, error) {
-	key := s.Key()
-	if ev, ok := e.predEvals[key]; ok {
+	var buf [keyBufLen]byte
+	if ev, ok := e.predEvals[string(s.AppendKey(buf[:0]))]; ok {
 		return ev, nil
 	}
 	m, err := core.Model(e.cache.request(nil))
@@ -699,6 +760,6 @@ func (e *Entry) Predict(s *schedule.Schedule) (*schedule.Eval, error) {
 	if e.predEvals == nil {
 		e.predEvals = map[string]*schedule.Eval{}
 	}
-	e.predEvals[key] = ev
+	e.predEvals[s.Key()] = ev
 	return ev, nil
 }

@@ -91,79 +91,32 @@ type Summary struct {
 
 // Summarize folds completions into a Summary (cache counters are filled by
 // the runtime). It is exported so SLO-accounting can be tested on
-// hand-built completion sets.
+// hand-built completion sets. One pass folds each tenant's counters and
+// latencies (and the TOTAL row's) in completion order; the percentile
+// columns come from the sorted latencies.
 func Summarize(completions []Completion, policy Policy, platform string, obj schedule.Objective) *Summary {
-	sum := &Summary{Policy: policy.String(), Platform: platform, Objective: obj.String()}
-	byTenant := map[string][]Completion{}
+	acc := newStreamStats(false)
+	acc.total.lats = make([]float64, 0, len(completions))
 	for _, c := range completions {
-		byTenant[c.Tenant] = append(byTenant[c.Tenant], c)
-		if c.EndMs > sum.DurationMs {
-			sum.DurationMs = c.EndMs
-		}
+		acc.observe(c)
 	}
-	names := make([]string, 0, len(byTenant))
-	for name := range byTenant {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		sum.Tenants = append(sum.Tenants, tenantStats(name, byTenant[name], sum.DurationMs))
-	}
-	sum.Total = tenantStats(totalName, completions, sum.DurationMs)
-	return sum
+	return acc.summarize(policy, platform, obj)
 }
 
-func tenantStats(name string, cs []Completion, durationMs float64) TenantStats {
-	st := TenantStats{Tenant: name, Offered: len(cs)}
-	var lats []float64
-	var sumMs float64
-	for _, c := range cs {
-		if st.Network == "" {
-			st.Network = c.Network
-		} else if st.Network != c.Network {
-			st.Network = "mixed"
-		}
-		if c.Rejected {
-			st.Rejected++
-			continue
-		}
-		st.Completed++
-		lats = append(lats, c.LatencyMs)
-		sumMs += c.LatencyMs
-		if c.Violated {
-			st.Violations++
-		}
-	}
-	if len(lats) == 0 {
-		return st
-	}
-	sort.Float64s(lats)
-	st.MeanMs = sumMs / float64(len(lats))
-	st.P50Ms = schedule.Percentile(lats, 0.50)
-	st.P95Ms = schedule.Percentile(lats, 0.95)
-	st.P99Ms = schedule.Percentile(lats, 0.99)
-	st.MaxMs = lats[len(lats)-1]
-	st.ViolationRate = float64(st.Violations) / float64(st.Completed)
-	if durationMs > 0 {
-		st.ThroughputRPS = 1000 * float64(st.Completed) / durationMs
-	}
-	return st
-}
-
-// tenantAcc is the streaming counterpart of tenantStats: one tenant's
-// outcomes folded into counters plus a fixed-size latency sketch, so
-// per-tenant metric memory is constant in the number of requests. Its
-// semantics mirror tenantStats observation-for-observation (network
-// labeling from the first completion, "mixed" on a differing one, mean
-// and max exact) — only the percentile columns carry the sketch's
+// tenantAcc folds one tenant's outcomes into counters plus its latencies:
+// every sample, sorted once when the stats are read (the exact path), or
+// a fixed-size sketch, so per-tenant metric memory is constant in the
+// number of requests (sketch mode). Networks are labeled from the first
+// completion, "mixed" on a differing one. In sketch mode mean and max
+// stay exact and only the percentile columns carry the sketch's
 // relative-error bound.
 type tenantAcc struct {
 	network                                  string
 	offered, rejected, completed, violations int
-	sketch                                   *obs.Sketch
+	sumMs                                    float64
+	lats                                     []float64   // exact path
+	sketch                                   *obs.Sketch // sketch mode
 }
-
-func newTenantAcc() *tenantAcc { return &tenantAcc{sketch: obs.NewSketch()} }
 
 func (a *tenantAcc) observe(c Completion) {
 	a.offered++
@@ -177,12 +130,19 @@ func (a *tenantAcc) observe(c Completion) {
 		return
 	}
 	a.completed++
-	a.sketch.Add(c.LatencyMs)
+	if a.sketch != nil {
+		a.sketch.Add(c.LatencyMs)
+	} else {
+		a.lats = append(a.lats, c.LatencyMs)
+		a.sumMs += c.LatencyMs
+	}
 	if c.Violated {
 		a.violations++
 	}
 }
 
+// stats reads the tenant's row. On the exact path it sorts the stored
+// latencies in place, so it is called once per accumulator.
 func (a *tenantAcc) stats(name string, durationMs float64) TenantStats {
 	st := TenantStats{Tenant: name, Network: a.network,
 		Offered: a.offered, Rejected: a.rejected, Completed: a.completed,
@@ -190,11 +150,20 @@ func (a *tenantAcc) stats(name string, durationMs float64) TenantStats {
 	if a.completed == 0 {
 		return st
 	}
-	st.MeanMs = a.sketch.Mean()
-	st.P50Ms = a.sketch.Quantile(0.50)
-	st.P95Ms = a.sketch.Quantile(0.95)
-	st.P99Ms = a.sketch.Quantile(0.99)
-	st.MaxMs = a.sketch.Max()
+	if a.sketch != nil {
+		st.MeanMs = a.sketch.Mean()
+		st.P50Ms = a.sketch.Quantile(0.50)
+		st.P95Ms = a.sketch.Quantile(0.95)
+		st.P99Ms = a.sketch.Quantile(0.99)
+		st.MaxMs = a.sketch.Max()
+	} else {
+		sort.Float64s(a.lats)
+		st.MeanMs = a.sumMs / float64(len(a.lats))
+		st.P50Ms = schedule.Percentile(a.lats, 0.50)
+		st.P95Ms = schedule.Percentile(a.lats, 0.95)
+		st.P99Ms = schedule.Percentile(a.lats, 0.99)
+		st.MaxMs = a.lats[len(a.lats)-1]
+	}
 	st.ViolationRate = float64(a.violations) / float64(a.completed)
 	if durationMs > 0 {
 		st.ThroughputRPS = 1000 * float64(a.completed) / durationMs
@@ -203,22 +172,31 @@ func (a *tenantAcc) stats(name string, durationMs float64) TenantStats {
 }
 
 // streamStats accumulates a whole run's completions one at a time: one
-// tenantAcc per tenant plus the TOTAL row's, fed in processing order so
-// the streaming summary labels networks exactly as the batch path does.
+// tenantAcc per tenant plus the TOTAL row's, fed in processing order.
 type streamStats struct {
+	sketch     bool
 	tenants    map[string]*tenantAcc
 	total      *tenantAcc
 	durationMs float64
 }
 
-func newStreamStats() *streamStats {
-	return &streamStats{tenants: map[string]*tenantAcc{}, total: newTenantAcc()}
+func newStreamStats(sketch bool) *streamStats {
+	s := &streamStats{sketch: sketch, tenants: map[string]*tenantAcc{}}
+	s.total = s.newAcc()
+	return s
+}
+
+func (s *streamStats) newAcc() *tenantAcc {
+	if s.sketch {
+		return &tenantAcc{sketch: obs.NewSketch()}
+	}
+	return &tenantAcc{}
 }
 
 func (s *streamStats) observe(c Completion) {
 	a, ok := s.tenants[c.Tenant]
 	if !ok {
-		a = newTenantAcc()
+		a = s.newAcc()
 		s.tenants[c.Tenant] = a
 	}
 	a.observe(c)
@@ -249,7 +227,7 @@ func (s *streamStats) summarize(policy Policy, platform string, obj schedule.Obj
 // what a Runtime with Config.SketchMetrics produces, exported so the
 // sketch-vs-exact tolerance can be tested on arbitrary completion sets.
 func SummarizeSketch(completions []Completion, policy Policy, platform string, obj schedule.Objective) *Summary {
-	acc := newStreamStats()
+	acc := newStreamStats(true)
 	for _, c := range completions {
 		acc.observe(c)
 	}

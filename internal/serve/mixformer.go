@@ -34,8 +34,10 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -91,6 +93,8 @@ type BatchScore struct {
 	// EndMs[i] is the predicted completion offset (from the round start)
 	// of the i-th candidate of the scored selection in ascending queue
 	// order — the per-request signal deadline-sensitive scoring needs.
+	// The runtime's scorers carve it from a per-round arena, so it is
+	// valid until Form returns (a MixFormer keeps no state across rounds).
 	EndMs []float64
 }
 
@@ -107,7 +111,9 @@ type BatchScorer func(sel []int) (BatchScore, bool)
 // solves) for all unseen mixes concurrently instead of serially per
 // candidate. Results align with sels; a nil sel scores false. The outcome
 // per sel must be identical to calling a BatchScorer serially — bulk
-// scoring changes wall-clock, never a score.
+// scoring changes wall-clock, never a score. The returned slices and every
+// score's EndMs stay valid until Form returns, across later calls in the
+// same round.
 type BatchScorerMany func(sels [][]int) ([]BatchScore, []bool)
 
 // FormInput is one dispatch round's context.
@@ -187,12 +193,12 @@ func (demandBalance) Form(in FormInput) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		da, db := in.Eligible[order[a]].DemandGBps, in.Eligible[order[b]].DemandGBps
+	slices.SortStableFunc(order, func(a, b int) int {
+		da, db := in.Eligible[a].DemandGBps, in.Eligible[b].DemandGBps
 		if da != db {
-			return da > db
+			return before(da > db)
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 	sel := make([]int, 0, n)
 	for lo, hi, heavy := 0, len(order)-1, true; len(sel) < n && lo <= hi; heavy = !heavy {
@@ -230,14 +236,25 @@ func (sloAware) Form(in FormInput) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		sa, sb := in.Eligible[order[a]].SlackMs(in.StartMs), in.Eligible[order[b]].SlackMs(in.StartMs)
+	slices.SortStableFunc(order, func(a, b int) int {
+		sa, sb := in.Eligible[a].SlackMs(in.StartMs), in.Eligible[b].SlackMs(in.StartMs)
 		if sa != sb {
-			return sa < sb
+			return before(sa < sb)
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 	return order[:n]
+}
+
+// before turns a strict "a sorts first" test into a comparator result. A
+// stable sort only ever asks whether cmp(a, b) < 0, so a comparator built
+// on it orders exactly as the boolean less function it replaces, NaNs
+// included.
+func before(less bool) int {
+	if less {
+		return -1
+	}
+	return 1
 }
 
 // scoreAware is the capability a mix policy declares to receive a
@@ -290,7 +307,8 @@ func (p contentionAware) Form(in FormInput) []int {
 	// exact (single-round) leftovers are scored; deeper queues fall back
 	// to in-batch scoring, keeping the per-round cost at two model
 	// evaluations per candidate.
-	lookahead := len(in.Eligible) > n && len(in.Eligible) <= 2*n
+	m := len(in.Eligible)
+	lookahead := m > n && m <= 2*n
 	candidates := p.candidates(in, n, fallback)
 	// Two scoring waves — the whole beam, then the scoreable candidates'
 	// leftovers — so a bulk scorer probes each wave's unseen mixes
@@ -305,9 +323,12 @@ func (p contentionAware) Form(in FormInput) []int {
 	)
 	if lookahead {
 		rests = make([][]int, len(candidates))
+		slab := make([]int, 0, len(candidates)*(m-n))
 		for ci, sel := range candidates {
 			if oks[ci] {
-				rests[ci] = complement(sel, len(in.Eligible))
+				start := len(slab)
+				slab = appendComplement(slab, sel, m)
+				rests[ci] = slab[start:len(slab):len(slab)]
 			}
 		}
 		rscores, roks = scoreBatches(in, rests)
@@ -351,52 +372,59 @@ func scoreBatches(in FormInput, sels [][]int) ([]BatchScore, []bool) {
 	return scores, oks
 }
 
-// complement returns the ascending indices of [0, m) not in sel (sel is
-// ascending).
-func complement(sel []int, m int) []int {
-	rest := make([]int, 0, m-len(sel))
+// appendComplement appends the ascending indices of [0, m) not in sel
+// (sel is ascending) to dst.
+func appendComplement(dst, sel []int, m int) []int {
 	si := 0
 	for i := 0; i < m; i++ {
 		if si < len(sel) && sel[si] == i {
 			si++
 			continue
 		}
-		rest = append(rest, i)
+		dst = append(dst, i)
 	}
-	return rest
+	return dst
 }
 
-// candidates builds the beam: heuristic seeds first (deduplicated on the
-// selected set), then lexicographic n-subsets of the eligible indices
-// until the beam is full. Every candidate is in ascending queue order.
+// candidates builds the beam: heuristic seeds first (the fifo prefix, the
+// demand-balance pairing and the slo-aware ordering, canonicalized and
+// deduplicated among themselves), then lexicographic n-subsets of the
+// eligible indices until the beam is full. Lexicographic subsets are
+// distinct by construction, so each is checked only against the seeds,
+// which keeps the work linear in the beam width. Every candidate is in
+// ascending queue order, carved from one slab.
 func (p contentionAware) candidates(in FormInput, n int, fallback []int) [][]int {
-	var beam [][]int
-	seen := map[string]bool{}
-	add := func(sel []int) {
-		if len(sel) != n || len(beam) >= p.beam {
-			return
-		}
-		canon := append([]int(nil), sel...)
-		sort.Ints(canon)
-		key := fmt.Sprint(canon)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		beam = append(beam, canon)
-	}
-	add(FIFO().Form(in))
-	add(fallback)
-	add(SLOAware().Form(in))
+	width := beamWidth(p.beam, len(in.Eligible), n)
+	slab := make([]int, 0, width*n)
+	beam := make([][]int, 0, width)
 	// Lexicographic n-subsets of [0, len(eligible)): the oldest requests
 	// lead, so widening the beam explores pairings without abandoning the
-	// queue head.
+	// queue head. The first subset is the fifo prefix.
 	comb := make([]int, n)
 	for i := range comb {
 		comb[i] = i
 	}
+	for _, sel := range [...][]int{comb, fallback, SLOAware().Form(in)} {
+		if len(sel) != n || len(beam) >= p.beam {
+			continue
+		}
+		start := len(slab)
+		slab = append(slab, sel...)
+		canon := slab[start:len(slab):len(slab)]
+		slices.Sort(canon)
+		if slices.ContainsFunc(beam, func(b []int) bool { return slices.Equal(b, canon) }) {
+			slab = slab[:start]
+			continue
+		}
+		beam = append(beam, canon)
+	}
+	seeds := beam
 	for len(beam) < p.beam {
-		add(comb)
+		if !slices.ContainsFunc(seeds, func(b []int) bool { return slices.Equal(b, comb) }) {
+			start := len(slab)
+			slab = append(slab, comb...)
+			beam = append(beam, slab[start:len(slab):len(slab)])
+		}
 		// Advance to the next combination; stop when exhausted.
 		i := n - 1
 		for i >= 0 && comb[i] == len(in.Eligible)-n+i {
@@ -411,6 +439,17 @@ func (p contentionAware) candidates(in FormInput, n int, fallback []int) [][]int
 		}
 	}
 	return beam
+}
+
+// beamWidth bounds the beam's size: at most beam candidates, and no more
+// than the three seeds plus the C(m, n) subsets of m eligible requests
+// (the count saturates once it reaches beam).
+func beamWidth(beam, m, n int) int {
+	subsets := 1
+	for i := 0; i < n && subsets < beam; i++ {
+		subsets = subsets * (m - i) / (i + 1)
+	}
+	return min(beam, 3+subsets)
 }
 
 // predictedViolations counts the candidates of sel whose predicted

@@ -40,6 +40,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -91,6 +92,25 @@ type Request struct {
 
 // Trace is a request sequence, ordered by arrival time.
 type Trace []Request
+
+// Validate rejects a request whose arrival time or SLO is NaN or
+// infinite, naming the request and the field — the checks Generate
+// applies to its tenant specs. Every serving entry point validates its
+// trace first: a NaN arrival compares false against every round start and
+// an infinite one never arrives, so either would stall the event loop or
+// leave the request without a terminal state. Everything else about a
+// request is judged per request by admission control.
+func (tr Trace) Validate() error {
+	for _, q := range tr {
+		if math.IsNaN(q.ArrivalMs) || math.IsInf(q.ArrivalMs, 0) {
+			return fmt.Errorf("serve: request %d has a non-finite ArrivalMs (%g)", q.ID, q.ArrivalMs)
+		}
+		if math.IsNaN(q.SLOMs) || math.IsInf(q.SLOMs, 0) {
+			return fmt.Errorf("serve: request %d has a non-finite SLOMs (%g)", q.ID, q.SLOMs)
+		}
+	}
+	return nil
+}
 
 // Config controls a serving runtime.
 type Config struct {
@@ -222,6 +242,57 @@ type Runtime struct {
 	candScratch  []Candidate
 	mixScratch   []string
 	batchScratch []Request
+
+	// score is the contention-aware scorer's per-round state, and
+	// scoreFn/scoreManyFn are its BatchScorer and BatchScorerMany, bound
+	// once so wiring them into a round allocates nothing.
+	score       scoreArena
+	scoreFn     BatchScorer
+	scoreManyFn BatchScorerMany
+}
+
+// scoreArena is the mix scorer's view of one dispatch round: the eligible
+// candidates and the round start, plus an arena per element type that
+// every scoring wave carves its buffers from. Step resets it at the start
+// of each round, and nothing carved from it is reused within the round,
+// so a first wave's scores stay valid while the lookahead wave runs and
+// BatchScore.EndMs lives until Form returns. Once the arenas have grown
+// to a round's demand, scoring allocates nothing.
+type scoreArena struct {
+	cands   []Candidate
+	startMs float64
+
+	ints    []int
+	perms   [][]int
+	names   []string
+	mixes   [][]string
+	floats  []float64
+	scores  []BatchScore
+	oks     []bool
+	entries []*Entry
+	errs    []error
+	evals   []*schedule.Eval
+}
+
+// reset starts a round: the arenas are emptied, keeping their capacity.
+func (a *scoreArena) reset(cands []Candidate, startMs float64) {
+	a.cands, a.startMs = cands, startMs
+	a.ints, a.perms, a.names, a.mixes = a.ints[:0], a.perms[:0], a.names[:0], a.mixes[:0]
+	a.floats, a.scores, a.oks = a.floats[:0], a.scores[:0], a.oks[:0]
+	a.entries, a.errs, a.evals = a.entries[:0], a.errs[:0], a.evals[:0]
+}
+
+// carve returns n zeroed elements from the arena *a. A full arena moves to
+// a fresh backing array of twice the size, so earlier carves stay intact.
+func carve[T any](a *[]T, n int) []T {
+	if cap(*a)-len(*a) < n {
+		*a = make([]T, 0, max(2*cap(*a), n))
+	}
+	l := len(*a)
+	*a = (*a)[:l+n]
+	s := (*a)[l : l+n : l+n]
+	clear(s)
+	return s
 }
 
 // New validates the configuration and builds a runtime with an empty
@@ -310,8 +381,9 @@ func New(cfg Config) (*Runtime, error) {
 		queued:     map[string]int{},
 		lastSched:  map[string]*schedule.Schedule{},
 	}
+	rt.scoreFn, rt.scoreManyFn = rt.scoreOne, rt.scoreMany
 	if cfg.SketchMetrics {
-		rt.acc = newStreamStats()
+		rt.acc = newStreamStats(true)
 	}
 	return rt, nil
 }
@@ -399,7 +471,7 @@ func (r *Runtime) Reset() {
 	r.peakQueue = 0
 	r.forced = 0
 	if r.cfg.SketchMetrics {
-		r.acc = newStreamStats()
+		r.acc = newStreamStats(true)
 	}
 	if r.cfg.SharedCache == nil {
 		r.cache.Rewind()
@@ -520,138 +592,148 @@ func (r *Runtime) DemandGBps(network string) (float64, error) {
 	return r.demand[network], nil
 }
 
-// batchScorer builds the round's BatchScorer: the analytic contention
-// model applied to the schedule the runtime would actually deploy for a
+// scoreOne is the round's BatchScorer: the analytic contention model
+// applied to the schedule the runtime would actually deploy for a
 // candidate batch's mix right now — Deployable on the mix-keyed cache
 // entry, whether live (dispatched before) or a scoring probe. Probes
 // solve speculatively with their replay anchored at first-probe time, so
 // a candidate the policy keeps weighing keeps improving — and is already
 // warm if it eventually wins. Scoring never touches the cache's
 // hit/miss/upgrade accounting, so a scored-but-not-dispatched mix leaves
-// no trace in the summary.
-func (r *Runtime) batchScorer(cands []Candidate, startMs float64) BatchScorer {
-	return func(sel []int) (BatchScore, bool) {
+// no trace in the summary. It is scoreMany on a single selection.
+func (r *Runtime) scoreOne(sel []int) (BatchScore, bool) {
+	scores, oks := r.scoreMany([][]int{sel})
+	return scores[0], oks[0]
+}
+
+// scoreMany is the round's BatchScorerMany: scoreOne over a whole
+// candidate set at once. Each selection is canonicalized on the round's
+// arena (ascending queue order, then stable-sorted by network name as
+// dispatch orders the batch), the unseen mixes' characterizations and
+// speculative solves run concurrently (Cache.ProbeAll), and evaluations
+// the entries have not memoized run on the evaluation pool
+// (evaluateAll). Scores, cache counters and the cache-probe and
+// mix-score event streams are identical to scoring each sel serially —
+// results are assembled and events emitted in sel order after the
+// concurrent work joins. Only the interleaving of the two kinds differs:
+// a wave commits its probes before it emits its scores.
+func (r *Runtime) scoreMany(sels [][]int) ([]BatchScore, []bool) {
+	sc := &r.score
+	cands := sc.cands
+	scores, oks := carve(&sc.scores, len(sels)), carve(&sc.oks, len(sels))
+	perms := carve(&sc.perms, len(sels))
+	mixes := carve(&sc.mixes, len(sels))[:0]
+	pos := carve(&sc.ints, len(sels))[:0]
+	for i, sel := range sels {
 		if len(sel) == 0 {
-			return BatchScore{}, false
+			continue
 		}
-		idx := append([]int(nil), sel...)
-		sort.Ints(idx)
+		idx := carve(&sc.ints, len(sel))
+		copy(idx, sel)
+		slices.Sort(idx)
 		// Canonical mix order mirrors dispatch: stable-sorted by network
 		// name, queue order among equals, so StreamEndMs maps 1:1.
-		perm := make([]int, len(idx))
-		for i := range perm {
-			perm[i] = i
+		perm := carve(&sc.ints, len(sel))
+		for k := range perm {
+			perm[k] = k
 		}
-		sort.SliceStable(perm, func(a, b int) bool {
-			return cands[idx[perm[a]]].Network < cands[idx[perm[b]]].Network
+		slices.SortStableFunc(perm, func(a, b int) int {
+			return strings.Compare(cands[idx[a]].Network, cands[idx[b]].Network)
 		})
-		mix := make([]string, len(idx))
+		mix := carve(&sc.names, len(sel))
 		for k, pi := range perm {
 			mix[k] = cands[idx[pi]].Network
 		}
-		ev, err := r.scoreMix(mix, startMs)
-		if err != nil {
-			return BatchScore{}, false
+		perms[i] = perm
+		mixes = append(mixes, mix)
+		pos = append(pos, i)
+	}
+	entries, errs := carve(&sc.entries, len(mixes)), carve(&sc.errs, len(mixes))
+	r.cache.probeAll(mixes, sc.startMs, entries, errs)
+	evs := carve(&sc.evals, len(mixes))
+	r.evaluateAll(entries, evs, sc.startMs)
+	for k, i := range pos {
+		ev := evs[k]
+		if ev == nil {
+			continue
 		}
-		r.trace(obs.Event{AtMs: startMs, Kind: obs.KindMixScore, Request: obs.NoRequest,
-			Detail: strings.Join(mix, "+"), Value: ev.MakespanMs})
-		ends := make([]float64, len(idx))
-		for k, pi := range perm {
-			ends[pi] = ev.Result.StreamEndMs[k]
+		if r.cfg.Tracer != nil {
+			r.trace(obs.Event{AtMs: sc.startMs, Kind: obs.KindMixScore, Request: obs.NoRequest,
+				Detail: strings.Join(mixes[k], "+"), Value: ev.MakespanMs})
 		}
-		return BatchScore{MakespanMs: ev.MakespanMs, EndMs: ends}, true
+		ends := carve(&sc.floats, len(perms[i]))
+		for j, pi := range perms[i] {
+			ends[pi] = ev.Result.StreamEndMs[j]
+		}
+		scores[i], oks[i] = BatchScore{MakespanMs: ev.MakespanMs, EndMs: ends}, true
+	}
+	return scores, oks
+}
+
+// evaluateAll sets evs[k] to the ground-truth evaluation of the schedule
+// this runtime would deploy for entries[k] at atMs, leaving it nil where
+// the entry is nil or its evaluation fails. A memoized evaluation — every
+// one on a warm cache — is read inline. The rest run on the evaluation
+// pool, one goroutine per distinct entry; every memo is checked before any
+// goroutine starts, so no entry's memo is touched by two goroutines.
+func (r *Runtime) evaluateAll(entries []*Entry, evs []*schedule.Eval, atMs float64) {
+	type job struct {
+		e   *Entry
+		s   *schedule.Schedule
+		ev  *schedule.Eval
+		err error
+	}
+	var jobs []*job
+	find := func(e *Entry) *job {
+		for _, j := range jobs {
+			if j.e == e {
+				return j
+			}
+		}
+		return nil
+	}
+	for k, e := range entries {
+		if e == nil {
+			continue
+		}
+		s := r.deployable(e, atMs)
+		if ev, ok := e.evaluated(s); ok {
+			evs[k] = ev
+		} else if find(e) == nil {
+			jobs = append(jobs, &job{e: e, s: s})
+		}
+	}
+	if len(jobs) == 0 {
+		return
+	}
+	var wg sync.WaitGroup
+	for _, j := range jobs {
+		wg.Add(1)
+		//detlint:allow baregoroutine beam scorer pool: one goroutine per distinct unmemoized entry, memos checked serially before launch, wg.Wait barrier, scores consumed in deterministic beam order
+		go func(j *job) {
+			defer wg.Done()
+			j.ev, j.err = j.e.Evaluate(j.s)
+		}(j)
+	}
+	wg.Wait()
+	for k, e := range entries {
+		if e == nil || evs[k] != nil {
+			continue
+		}
+		if j := find(e); j.err == nil {
+			evs[k] = j.ev
+		}
 	}
 }
 
-// batchScorerMany is batchScorer over a whole candidate set at once: the
-// unseen mixes' characterizations and speculative solves run concurrently
-// (Cache.ProbeAll), and each distinct entry's deployable schedule is
-// evaluated on its own goroutine (Entry.Evaluate memoizes per entry, and
-// ProbeAll dedupes candidate mixes onto one entry, so no entry is touched
-// by two goroutines). Scores, cache counters and trace events are
-// identical to scoring each sel serially — results are assembled and
-// events emitted in sel order after the concurrent work joins.
-func (r *Runtime) batchScorerMany(cands []Candidate, startMs float64) BatchScorerMany {
-	return func(sels [][]int) ([]BatchScore, []bool) {
-		scores := make([]BatchScore, len(sels))
-		oks := make([]bool, len(sels))
-		idxs := make([][]int, len(sels))
-		perms := make([][]int, len(sels))
-		mixes := make([][]string, len(sels))
-		for i, sel := range sels {
-			if len(sel) == 0 {
-				continue
-			}
-			idx := append([]int(nil), sel...)
-			sort.Ints(idx)
-			perm := make([]int, len(idx))
-			for k := range perm {
-				perm[k] = k
-			}
-			sort.SliceStable(perm, func(a, b int) bool {
-				return cands[idx[perm[a]]].Network < cands[idx[perm[b]]].Network
-			})
-			mix := make([]string, len(idx))
-			for k, pi := range perm {
-				mix[k] = cands[idx[pi]].Network
-			}
-			idxs[i], perms[i], mixes[i] = idx, perm, mix
-		}
-		probeIn := make([][]string, 0, len(sels))
-		probePos := make([]int, 0, len(sels))
-		for i, mix := range mixes {
-			if mix != nil {
-				probeIn = append(probeIn, mix)
-				probePos = append(probePos, i)
-			}
-		}
-		entries, _ := r.cache.ProbeAll(probeIn, startMs)
-		type evalRes struct {
-			ev  *schedule.Eval
-			err error
-		}
-		evalFor := map[*Entry]*evalRes{}
-		var order []*Entry
-		for _, e := range entries {
-			if e != nil && evalFor[e] == nil {
-				evalFor[e] = &evalRes{}
-				order = append(order, e)
-			}
-		}
-		var wg sync.WaitGroup
-		for _, e := range order {
-			wg.Add(1)
-			//detlint:allow baregoroutine beam scorer pool: disjoint evalRes slots per entry, wg.Wait barrier, scores consumed in deterministic beam order
-			go func(e *Entry, res *evalRes) {
-				defer wg.Done()
-				s := e.Naive
-				if r.cfg.Policy == ContentionAware {
-					s = e.Deployable(startMs)
-				}
-				res.ev, res.err = e.Evaluate(s)
-			}(e, evalFor[e])
-		}
-		wg.Wait()
-		for k, i := range probePos {
-			e := entries[k]
-			if e == nil {
-				continue
-			}
-			res := evalFor[e]
-			if res.err != nil {
-				continue
-			}
-			ev := res.ev
-			r.trace(obs.Event{AtMs: startMs, Kind: obs.KindMixScore, Request: obs.NoRequest,
-				Detail: strings.Join(mixes[i], "+"), Value: ev.MakespanMs})
-			ends := make([]float64, len(idxs[i]))
-			for k, pi := range perms[i] {
-				ends[pi] = ev.Result.StreamEndMs[k]
-			}
-			scores[i], oks[i] = BatchScore{MakespanMs: ev.MakespanMs, EndMs: ends}, true
-		}
-		return scores, oks
+// deployable is the schedule this runtime would deploy for the entry at
+// atMs: the entry's current incumbent under the contention-aware policy,
+// the naive schedule under the naive one.
+func (r *Runtime) deployable(e *Entry, atMs float64) *schedule.Schedule {
+	if r.cfg.Policy == ContentionAware {
+		return e.Deployable(atMs)
 	}
+	return e.Naive
 }
 
 // scoreMix is the one scoring primitive both mix-aware layers share: the
@@ -667,11 +749,7 @@ func (r *Runtime) scoreMix(mix []string, atMs float64) (*schedule.Eval, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := entry.Naive
-	if r.cfg.Policy == ContentionAware {
-		s = entry.Deployable(atMs)
-	}
-	return entry.Evaluate(s)
+	return entry.Evaluate(r.deployable(entry, atMs))
 }
 
 // MixFitMs predicts how well a network would co-run with this device's
@@ -864,8 +942,8 @@ func (r *Runtime) Step() error {
 	}
 	in := FormInput{StartMs: start, MaxBatch: r.cfg.MaxBatch, Eligible: cands}
 	if sa, ok := r.former.(scoreAware); ok && sa.ScoreAware() {
-		in.Score = r.batchScorer(cands, start)
-		in.ScoreMany = r.batchScorerMany(cands, start)
+		r.score.reset(cands, start)
+		in.Score, in.ScoreMany = r.scoreFn, r.scoreManyFn
 	}
 	sel := r.former.Form(in)
 	bound := r.maxWait()
@@ -913,7 +991,7 @@ func (r *Runtime) Step() error {
 	}
 	// Canonical mix order: by network name, FIFO among equals, so the
 	// batch maps 1:1 onto the cached problem's items.
-	sort.SliceStable(batch, func(i, j int) bool { return batch[i].Network < batch[j].Network })
+	slices.SortStableFunc(batch, func(a, b Request) int { return strings.Compare(a.Network, b.Network) })
 	mix := r.mixScratch[:0]
 	for _, b := range batch {
 		mix = append(mix, b.Network)
@@ -1069,7 +1147,13 @@ func (r *Runtime) Serve(tr Trace) (*Summary, error) {
 	if len(tr) == 0 {
 		return nil, fmt.Errorf("serve: empty trace")
 	}
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
 	r.Reset()
+	// Every offered request ends in exactly one completion, so the log is
+	// sized once.
+	r.completions = make([]Completion, 0, len(tr))
 	reqs := append(Trace(nil), tr...)
 	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].ArrivalMs < reqs[j].ArrivalMs })
 

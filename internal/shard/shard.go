@@ -407,6 +407,9 @@ func (p *Plane) Serve(tr serve.Trace) (*Summary, error) {
 	if len(tr) == 0 {
 		return nil, fmt.Errorf("shard: empty trace")
 	}
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
 	k := p.cfg.shards()
 	assign, err := p.PartitionTenants(tr)
 	if err != nil {

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"haxconn/internal/control"
@@ -258,5 +259,24 @@ func TestPartitionPinning(t *testing.T) {
 	}
 	if len(assign) != 8 {
 		t.Errorf("partition covers %d tenants, want 8", len(assign))
+	}
+}
+
+// TestServeRejectsNonFiniteArrivals: a NaN or +Inf arrival time is an
+// error before the trace is partitioned. Unchecked, the shard holding the
+// request never finished its run.
+func TestServeRejectsNonFiniteArrivals(t *testing.T) {
+	p, err := New(Config{Control: demoControl(), Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []float64{math.NaN(), math.Inf(1)} {
+		tr := serve.Trace{
+			{ID: 0, Tenant: "cam-a", Network: "VGG19", ArrivalMs: 0, SLOMs: 10},
+			{ID: 1, Tenant: "cam-b", Network: "VGG19", ArrivalMs: at, SLOMs: 10},
+		}
+		if _, err := p.Serve(tr); err == nil {
+			t.Errorf("arrival %g: Plane.Serve accepted the trace", at)
+		}
 	}
 }
