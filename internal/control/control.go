@@ -202,10 +202,29 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// validate rejects inconsistent configurations.
+// validate rejects inconsistent configurations. It runs after
+// withDefaults, so a zero or negative knob has already become its default;
+// a NaN or +Inf one survives defaulting and is rejected here by name.
 func (c Config) validate() error {
 	if len(c.Fleet.Devices) == 0 {
 		return fmt.Errorf("control: no initial device specs")
+	}
+	for _, k := range []struct {
+		name string
+		v    float64
+	}{
+		{"TickMs", c.TickMs},
+		{"HighWatermarkMs", c.HighWatermarkMs},
+		{"LowWatermarkMs", c.LowWatermarkMs},
+		{"GrowUtilizationPct", c.GrowUtilizationPct},
+		{"ShrinkUtilizationPct", c.ShrinkUtilizationPct},
+		{"PressureP99Factor", c.PressureP99Factor},
+		{"PressureViolationRate", c.PressureViolationRate},
+		{"MixSpreadGBps", c.MixSpreadGBps},
+	} {
+		if math.IsNaN(k.v) || math.IsInf(k.v, 0) {
+			return fmt.Errorf("control: %s is %g, want a finite value", k.name, k.v)
+		}
 	}
 	if c.LowWatermarkMs >= c.HighWatermarkMs {
 		return fmt.Errorf("control: low watermark %.1f >= high watermark %.1f", c.LowWatermarkMs, c.HighWatermarkMs)
@@ -823,7 +842,7 @@ func (r *run) migrate(nowMs float64) {
 		if w.len() < r.cfg.MinWindow || w.lastSLOMs <= 0 {
 			continue
 		}
-		if _, ok := r.table.assigned(name); !ok {
+		if _, ok := r.table.Assigned(name); !ok {
 			continue
 		}
 		ratio := w.p99() / (r.cfg.PressureP99Factor * w.lastSLOMs)
@@ -838,7 +857,7 @@ func (r *run) migrate(nowMs float64) {
 		return
 	}
 	w := r.tenants[worst]
-	cur, _ := r.table.assigned(worst)
+	cur, _ := r.table.Assigned(worst)
 	target := r.bestDevice(worst, w.lastNetwork, nowMs, -1)
 	if target < 0 || target == cur {
 		return

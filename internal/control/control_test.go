@@ -3,7 +3,9 @@ package control
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"haxconn/internal/fleet"
@@ -43,24 +45,59 @@ func mustJSON(t *testing.T, v any) []byte {
 }
 
 func TestConfigValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"no devices", Config{}},
+	type configCase struct {
+		name  string
+		cfg   Config
+		field string // when set, the error must name it
+	}
+	cases := []configCase{
+		{"no devices", Config{}, ""},
 		{"inverted watermarks", Config{
 			Fleet:           fleet.Config{Devices: []fleet.DeviceSpec{{Platform: "Orin"}}},
 			HighWatermarkMs: 2, LowWatermarkMs: 10,
-		}},
+		}, ""},
 		{"min above max", Config{
 			Fleet:      fleet.Config{Devices: []fleet.DeviceSpec{{Platform: "Orin"}}},
 			MinDevices: 5, MaxDevices: 2,
-		}},
+		}, ""},
+	}
+	// Every float knob rejects NaN and +Inf by name. Defaulting replaces
+	// only values <= 0, so both survive it and must be caught afterwards.
+	floats := []struct {
+		field string
+		set   func(*Config, float64)
+	}{
+		{"TickMs", func(c *Config, v float64) { c.TickMs = v }},
+		{"HighWatermarkMs", func(c *Config, v float64) { c.HighWatermarkMs = v }},
+		{"LowWatermarkMs", func(c *Config, v float64) { c.LowWatermarkMs = v }},
+		{"GrowUtilizationPct", func(c *Config, v float64) { c.GrowUtilizationPct = v }},
+		{"ShrinkUtilizationPct", func(c *Config, v float64) { c.ShrinkUtilizationPct = v }},
+		{"PressureP99Factor", func(c *Config, v float64) { c.PressureP99Factor = v }},
+		{"PressureViolationRate", func(c *Config, v float64) { c.PressureViolationRate = v }},
+		{"MixSpreadGBps", func(c *Config, v float64) { c.MixSpreadGBps = v }},
+	}
+	for _, f := range floats {
+		for _, v := range []float64{math.NaN(), math.Inf(1)} {
+			cfg := demoConfig()
+			f.set(&cfg, v)
+			cases = append(cases, configCase{fmt.Sprintf("%s %g", f.field, v), cfg, f.field})
+		}
 	}
 	for _, tc := range cases {
-		if _, err := New(tc.cfg); err == nil {
+		_, err := New(tc.cfg)
+		if err == nil {
 			t.Errorf("%s: expected error", tc.name)
+		} else if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.field)
 		}
+	}
+	// A negative knob still means "use the default".
+	neg := demoConfig()
+	neg.TickMs, neg.HighWatermarkMs, neg.MixSpreadGBps = -1, -1, -1
+	if c, err := New(neg); err != nil {
+		t.Errorf("negative knobs rejected: %v", err)
+	} else if got := c.Config(); got.TickMs != DefaultTickMs || got.HighWatermarkMs != DefaultHighWatermarkMs || got.MixSpreadGBps != DefaultMixSpreadGBps {
+		t.Errorf("negative knobs not defaulted: %+v", got)
 	}
 	// Defaults resolve.
 	c, err := New(demoConfig())

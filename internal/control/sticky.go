@@ -29,26 +29,23 @@ func (t *stickyTable) Name() string    { return "sticky" }
 func (t *stickyTable) LoadAware() bool { return true }
 func (t *stickyTable) Reset()          { t.byTenant = map[string]int{} }
 
-// Place returns the tenant's assigned device, assigning on first sight
-// with the affinity score (fleet.Affinity is the first-sight policy; the
-// stickiness and the migration manager are what this table adds). An
-// assignment pointing at a device missing from the views (drained between
-// reassignment passes) is repaired in place.
+// Place assigns the tenant with the affinity score (fleet.Affinity is the
+// first-sight policy; the stickiness and the migration manager are what
+// this table adds). The fleet calls Place only for a tenant with no
+// assignment on a placeable device: a first sighting, or an assignment to
+// a device drained between reassignment passes, which this repairs. While
+// the assigned device takes placements, the fleet routes the tenant
+// through Assigned and builds no views.
 func (t *stickyTable) Place(req serve.Request, devices []fleet.DeviceView) int {
-	if di, ok := t.byTenant[req.Tenant]; ok {
-		for _, v := range devices {
-			if v.Index == di {
-				return di
-			}
-		}
-	}
 	best := fleet.Affinity().Place(req, devices)
 	t.byTenant[req.Tenant] = best
 	return best
 }
 
-// assigned returns the tenant's current device, if any.
-func (t *stickyTable) assigned(tenant string) (int, bool) {
+// Assigned returns the tenant's current device, if any. It is the fleet's
+// standing-assignment capability: an arrival of an assigned tenant skips
+// the per-arrival pool snapshot.
+func (t *stickyTable) Assigned(tenant string) (int, bool) {
 	di, ok := t.byTenant[tenant]
 	return di, ok
 }
@@ -84,6 +81,7 @@ type tenantWindow struct {
 	lastSLOMs   float64
 	lastNetwork string
 	cooldown    int
+	sorted      []float64 // p99's sort buffer, reused across calls
 }
 
 func newTenantWindow(size int) *tenantWindow {
@@ -124,9 +122,9 @@ func (w *tenantWindow) p99() float64 {
 	if n == 0 {
 		return 0
 	}
-	lats := append([]float64(nil), w.latencies[:n]...)
-	sort.Float64s(lats)
-	return schedule.Percentile(lats, 0.99)
+	w.sorted = append(w.sorted[:0], w.latencies[:n]...)
+	sort.Float64s(w.sorted)
+	return schedule.Percentile(w.sorted, 0.99)
 }
 
 // violationRate is the fraction of windowed completions that missed SLO.

@@ -361,16 +361,23 @@ func (f *Fleet) views(req serve.Request) ([]DeviceView, error) {
 
 // Offer places one arriving request: the placement policy chooses among
 // the placeable devices and the chosen device's admission controller judges
-// the request. Requests must be offered in nondecreasing arrival order.
-// Returns the chosen device index and whether the device rejected it.
+// the request. When the placer holds a standing assignment for the tenant
+// on a placeable device, the arrival goes there and no views are built;
+// otherwise Place decides from a fresh snapshot of the placeable pool.
+// Requests must be offered in nondecreasing arrival order. Returns the
+// chosen device index and whether the device rejected it.
 func (f *Fleet) Offer(req serve.Request) (int, bool, error) {
-	views, err := f.views(req)
-	if err != nil {
-		return -1, false, err
-	}
-	j := f.placer.Place(req, views)
-	if j < 0 || j >= len(f.devices) || !f.placeable(j) {
-		return -1, false, fmt.Errorf("fleet: placement %s chose device %d of %d", f.placer.Name(), j, len(f.devices))
+	j, assigned := f.assigned(req.Tenant)
+	var views []DeviceView
+	if !assigned {
+		var err error
+		if views, err = f.views(req); err != nil {
+			return -1, false, err
+		}
+		j = f.placer.Place(req, views)
+		if j < 0 || j >= len(f.devices) || !f.placeable(j) {
+			return -1, false, fmt.Errorf("fleet: placement %s chose device %d of %d", f.placer.Name(), j, len(f.devices))
+		}
 	}
 	if f.cfg.Tracer != nil {
 		f.cfg.Tracer.Emit(obs.Event{AtMs: req.ArrivalMs, Kind: obs.KindPlace,
@@ -397,6 +404,20 @@ func (f *Fleet) Offer(req serve.Request) (int, bool, error) {
 	}
 	f.placed[j]++
 	return j, rejected, nil
+}
+
+// assigned returns the placer's standing assignment for the tenant when
+// the placer keeps one and the device still takes placements.
+func (f *Fleet) assigned(tenant string) (int, bool) {
+	a, ok := f.placer.(assignedCapable)
+	if !ok {
+		return -1, false
+	}
+	j, ok := a.Assigned(tenant)
+	if !ok || j < 0 || j >= len(f.devices) || !f.placeable(j) {
+		return -1, false
+	}
+	return j, true
 }
 
 // NextRound returns the device whose next dispatch round starts earliest

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"sort"
 	"testing"
 
+	"haxconn/internal/obs"
 	"haxconn/internal/serve"
 	"haxconn/internal/soc"
 )
@@ -525,4 +527,149 @@ func TestServeRejectsNonFiniteArrivals(t *testing.T) {
 			t.Errorf("arrival %g: Fleet.Serve accepted the trace (offered %d)", at, sum.Total.Offered)
 		}
 	}
+}
+
+// stickyPlacer is a test placer shaped like the control plane's sticky
+// table: a tenant's first request is placed by the affinity score and
+// every later one follows it, and an assignment to a device missing from
+// the views is repaired. calls counts Place invocations.
+type stickyPlacer struct {
+	byTenant map[string]int
+	calls    int
+}
+
+func (p *stickyPlacer) Name() string    { return "sticky" }
+func (p *stickyPlacer) LoadAware() bool { return true }
+func (p *stickyPlacer) Reset()          { p.byTenant = map[string]int{} }
+func (p *stickyPlacer) Place(req serve.Request, devices []DeviceView) int {
+	p.calls++
+	if di, ok := p.byTenant[req.Tenant]; ok {
+		for _, v := range devices {
+			if v.Index == di {
+				return di
+			}
+		}
+	}
+	best := Affinity().Place(req, devices)
+	p.byTenant[req.Tenant] = best
+	return best
+}
+func (p *stickyPlacer) Assigned(tenant string) (int, bool) {
+	di, ok := p.byTenant[tenant]
+	return di, ok
+}
+
+// placerOnly hides every capability of the wrapped placer but Placer
+// itself, so the fleet builds views for every arrival.
+type placerOnly struct{ Placer }
+
+// TestAssignedFastPathMatchesViews: routing an assigned tenant's arrival
+// without building views changes nothing observable. One trace is served
+// through a sticky placer that exposes Assigned and through the same
+// placer with the capability hidden; midway, the device holding alice is
+// drained, so its tenants are repaired through views; a tenant sending an
+// unknown network is placed and rejected on both paths. Every tenant's
+// first request arrives while the whole pool is placeable, so both paths
+// characterize every network on every device and even the per-device
+// prepare counters agree.
+func TestAssignedFastPathMatchesViews(t *testing.T) {
+	tr, err := serve.Generate([]serve.TenantSpec{
+		{Name: "alice", Network: "VGG19", RateRPS: 140, SLOMs: 10},
+		{Name: "bob", Network: "ResNet152", RateRPS: 140, SLOMs: 12},
+		{Name: "carol", Network: "ResNet50", RateRPS: 100, SLOMs: 15},
+		{Name: "dave", Network: "MobileNet", RateRPS: 100, SLOMs: 8},
+	}, 1000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, at := range []float64{5, 700} {
+		tr = append(tr, serve.Request{ID: len(tr) + i, Tenant: "ghost", Network: "NoSuchNet", ArrivalMs: at, SLOMs: 10})
+	}
+	sort.SliceStable(tr, func(i, j int) bool { return tr[i].ArrivalMs < tr[j].ArrivalMs })
+	const drainAtMs = 500
+
+	run := func(expose bool) (sticky *stickyPlacer, sum, completions, events, metrics []byte) {
+		t.Helper()
+		sticky = &stickyPlacer{byTenant: map[string]int{}}
+		var pl Placer = sticky
+		if !expose {
+			pl = placerOnly{sticky}
+		}
+		tracer := obs.NewTracer()
+		f, err := New(Config{
+			Devices:         []DeviceSpec{{Platform: "Orin", Count: 2}, {Platform: "Xavier"}},
+			Placement:       pl,
+			SolverTimeScale: 50,
+			Tracer:          tracer,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, drained := 0, false
+		for {
+			di, tDev := f.NextRound()
+			if next < len(tr) && tr[next].ArrivalMs <= tDev {
+				if !drained && tr[next].ArrivalMs >= drainAtMs {
+					victim, ok := sticky.Assigned("alice")
+					if !ok {
+						t.Fatal("alice unassigned at the drain")
+					}
+					if err := f.Drain(victim); err != nil {
+						t.Fatal(err)
+					}
+					drained = true
+				}
+				if _, _, err := f.Offer(tr[next]); err != nil {
+					t.Fatal(err)
+				}
+				next++
+				continue
+			}
+			if di < 0 || f.Devices()[di].QueueDepth() == 0 {
+				break
+			}
+			if err := f.Step(di); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var devCompletions [][]serve.Completion
+		for _, d := range f.Devices() {
+			devCompletions = append(devCompletions, d.Completions())
+		}
+		reg := obs.NewRegistry()
+		f.FillMetrics(reg)
+		var ev bytes.Buffer
+		if err := tracer.WriteJSONL(&ev); err != nil {
+			t.Fatal(err)
+		}
+		return sticky, mustJSON(t, f.Summarize()), mustJSON(t, devCompletions), ev.Bytes(), mustJSON(t, reg.Snapshot())
+	}
+	fast, sum1, comp1, ev1, met1 := run(true)
+	full, sum2, comp2, ev2, met2 := run(false)
+	if !bytes.Equal(sum1, sum2) {
+		t.Errorf("summaries differ:\nfast %s\nfull %s", sum1, sum2)
+	}
+	if !bytes.Equal(comp1, comp2) {
+		t.Error("device completions differ")
+	}
+	if !bytes.Equal(ev1, ev2) {
+		t.Error("trace events differ")
+	}
+	if !bytes.Equal(met1, met2) {
+		t.Errorf("metrics differ:\nfast %s\nfull %s", met1, met2)
+	}
+	// The hidden run consults Place for every arrival; the fast run only
+	// for the five first sightings and the drained device's repairs.
+	if full.calls != len(tr) {
+		t.Errorf("views path placed %d of %d arrivals", full.calls, len(tr))
+	}
+	if fast.calls <= 5 || fast.calls >= full.calls {
+		t.Errorf("fast path placed %d arrivals through views, want more than 5 (repairs) and fewer than %d", fast.calls, full.calls)
+	}
+	for _, e := range bytes.Split(ev1, []byte("\n")) {
+		if bytes.Contains(e, []byte(`"tenant":"ghost"`)) && bytes.Contains(e, []byte("unknown-network")) {
+			return
+		}
+	}
+	t.Error("the unknown-network request was never rejected")
 }

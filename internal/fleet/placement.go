@@ -48,7 +48,10 @@ func (v DeviceView) StartMs(arrivalMs float64) float64 {
 	return math.Max(v.FreeAtMs, arrivalMs) + v.BacklogMs
 }
 
-// Placer chooses a device for each arriving request.
+// Placer chooses a device for each arriving request. The fleet builds
+// views only for arrivals a placer must still decide: a placer that holds
+// a standing assignment for the arriving tenant (see assignedCapable) is
+// not consulted while the assigned device takes placements.
 type Placer interface {
 	// Name identifies the policy ("round-robin", "least-loaded", "affinity").
 	Name() string
@@ -132,6 +135,21 @@ func (affinity) Place(req serve.Request, devices []DeviceView) int {
 type mixAwareCapable interface {
 	// MixAware reports whether Place reads DeviceView.MixFitMs.
 	MixAware() bool
+}
+
+// assignedCapable is the capability a placer declares when it holds a
+// standing tenant-to-device assignment (the control plane's sticky table).
+// While a tenant's assigned device takes placements, Fleet.Offer routes
+// the tenant's arrivals straight to it and builds no views: the backlog
+// and standalone estimates cost an O(queue) scan per device per arrival,
+// and a standing assignment would ignore them. Views are built, and Place
+// decides, only when no standing assignment applies: Place is called only
+// for a tenant with no assignment on a placeable device — a first
+// sighting, or an assignment to a draining or removed device, which Place
+// repairs.
+type assignedCapable interface {
+	// Assigned returns the tenant's assigned device, if it has one.
+	Assigned(tenant string) (int, bool)
 }
 
 // mixAware extends mix-awareness above the device boundary: where the

@@ -77,7 +77,11 @@ func (f *Fleet) Summarize() *Summary {
 		MixPolicy: serve.MixPolicyName(f.cfg.MixPolicy),
 		Pool:      f.Pool(),
 	}
-	var all []serve.Completion
+	n := 0
+	for _, d := range f.devices {
+		n += len(d.Completions())
+	}
+	all := make([]serve.Completion, 0, n)
 	byPlatform := map[string]*CacheStats{}
 	for i, d := range f.devices {
 		all = append(all, d.Completions()...)

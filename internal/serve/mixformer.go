@@ -539,8 +539,8 @@ func NewMixFormer(name string) (MixFormer, error) {
 // unfilled: the round always dispatches min(maxBatch, len(eligible))
 // requests, so no policy can stall the queue. Returns an error on an
 // out-of-range or duplicate index — a broken policy fails loudly, not
-// silently.
-func composeBatch(sel []int, eligible []Candidate, maxBatch, maxWait int) ([]int, error) {
+// silently. The picks are carved from s and stay valid until its next use.
+func composeBatch(sel []int, eligible []Candidate, maxBatch, maxWait int, s *composeScratch) ([]int, error) {
 	n := maxBatch
 	if n > len(eligible) {
 		n = len(eligible)
@@ -548,8 +548,7 @@ func composeBatch(sel []int, eligible []Candidate, maxBatch, maxWait int) ([]int
 	if n <= 0 {
 		return nil, nil
 	}
-	taken := make([]bool, len(eligible))
-	picks := make([]int, 0, n)
+	taken, seen, picks := s.reset(len(eligible), n)
 	add := func(i int) {
 		if len(picks) < n && !taken[i] {
 			taken[i] = true
@@ -559,7 +558,6 @@ func composeBatch(sel []int, eligible []Candidate, maxBatch, maxWait int) ([]int
 	if len(eligible) > 0 && eligible[0].WaitedRounds >= maxWait {
 		add(0)
 	}
-	seen := make([]bool, len(eligible))
 	for _, i := range sel {
 		if i < 0 || i >= len(eligible) {
 			return nil, fmt.Errorf("selection index %d out of range [0,%d)", i, len(eligible))
@@ -575,4 +573,27 @@ func composeBatch(sel []int, eligible []Candidate, maxBatch, maxWait int) ([]int
 	}
 	sort.Ints(picks)
 	return picks, nil
+}
+
+// composeScratch is composeBatch's reusable state: the per-candidate taken
+// and seen marks and the pick list. A Runtime keeps one, so composing a
+// warm round's batch allocates nothing.
+type composeScratch struct {
+	taken, seen []bool
+	picks       []int
+}
+
+// reset returns cleared taken and seen marks for m candidates and an empty
+// pick list with room for n picks, growing the buffers when they are short.
+func (s *composeScratch) reset(m, n int) (taken, seen []bool, picks []int) {
+	if cap(s.taken) < m {
+		s.taken, s.seen = make([]bool, m), make([]bool, m)
+	}
+	if cap(s.picks) < n {
+		s.picks = make([]int, 0, n)
+	}
+	taken, seen = s.taken[:m], s.seen[:m]
+	clear(taken)
+	clear(seen)
+	return taken, seen, s.picks[:0]
 }

@@ -226,21 +226,42 @@ func TestSLOAwareDoesNotStarveSlackless(t *testing.T) {
 }
 
 func TestComposeBatchValidation(t *testing.T) {
+	// One scratch serves every call, as a Runtime's serves every round:
+	// marks and picks left by one call must not leak into the next.
+	var s composeScratch
 	eligible := []Candidate{cand(0, "A", 0, 0, 0), cand(1, "B", 0, 0, 0)}
-	if _, err := composeBatch([]int{2}, eligible, 2, 4); err == nil {
+	if _, err := composeBatch([]int{2}, eligible, 2, 4, &s); err == nil {
 		t.Error("out-of-range index accepted")
 	}
-	if _, err := composeBatch([]int{0, 0}, eligible, 2, 4); err == nil {
+	if _, err := composeBatch([]int{0, 0}, eligible, 2, 4, &s); err == nil {
 		t.Error("duplicate index accepted")
 	}
 	// A short selection is topped up in queue order, never shrunk.
-	picks, err := composeBatch(nil, eligible, 2, 4)
+	picks, err := composeBatch(nil, eligible, 2, 4, &s)
 	if err != nil || !reflect.DeepEqual(picks, []int{0, 1}) {
 		t.Errorf("empty selection topped up to %v (%v), want [0 1]", picks, err)
 	}
 	// MaxBatch 0 dispatches nothing.
-	if picks, _ := composeBatch(nil, eligible, 0, 4); len(picks) != 0 {
+	if picks, _ := composeBatch(nil, eligible, 0, 4, &s); len(picks) != 0 {
 		t.Errorf("MaxBatch 0 picked %v", picks)
+	}
+	// A starved head claims the first slot and the ranking fills the rest.
+	wide := []Candidate{cand(0, "A", 0, 0, 0), cand(1, "B", 0, 0, 0), cand(2, "C", 0, 0, 0), cand(3, "D", 0, 0, 0)}
+	wide[0].WaitedRounds = 4
+	if picks, err := composeBatch([]int{3, 2}, wide, 2, 4, &s); err != nil || !reflect.DeepEqual(picks, []int{0, 3}) {
+		t.Errorf("starved head with ranking [3 2] picked %v (%v), want [0 3]", picks, err)
+	}
+	// A narrower round after it sees none of the wider round's marks.
+	if picks, err := composeBatch([]int{1}, eligible, 2, 4, &s); err != nil || !reflect.DeepEqual(picks, []int{0, 1}) {
+		t.Errorf("selection [1] after a wider round picked %v (%v), want [0 1]", picks, err)
+	}
+	// On warm scratch, composing a round allocates nothing.
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := composeBatch([]int{3, 2}, wide, 3, 4, &s); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("composeBatch on warm scratch: %.1f allocations per call, want 0", allocs)
 	}
 }
 

@@ -238,10 +238,11 @@ type Runtime struct {
 	// Per-round scratch buffers reused across Step calls. Step runs on one
 	// goroutine and nothing retains these slices past the round (cache keys
 	// and entries copy what they keep), so pooling them removes the
-	// dispatcher's three steady-state allocations per round.
-	candScratch  []Candidate
-	mixScratch   []string
-	batchScratch []Request
+	// dispatcher's steady-state allocations per round.
+	candScratch    []Candidate
+	mixScratch     []string
+	batchScratch   []Request
+	composeScratch composeScratch
 
 	// score is the contention-aware scorer's per-round state, and
 	// scoreFn/scoreManyFn are its BatchScorer and BatchScorerMany, bound
@@ -958,7 +959,7 @@ func (r *Runtime) Step() error {
 			Tenant: cands[0].Tenant, Network: cands[0].Network, Request: cands[0].ID,
 			Detail: r.former.Name(), Value: float64(cands[0].WaitedRounds)})
 	}
-	picks, err := composeBatch(sel, cands, r.cfg.MaxBatch, bound)
+	picks, err := composeBatch(sel, cands, r.cfg.MaxBatch, bound, &r.composeScratch)
 	if err != nil {
 		return fmt.Errorf("serve: mix policy %s: %v", r.former.Name(), err)
 	}

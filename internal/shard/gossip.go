@@ -48,9 +48,8 @@ type wantExport struct {
 type report struct {
 	exports   []entryExport
 	wants     []wantExport
-	backlogMs float64        // mean queued backlog per active device
-	future    map[string]int // tenant -> arrivals after the barrier
-	done      bool           // no future arrivals, nothing in flight
+	backlogMs float64 // mean queued backlog per active device
+	done      bool    // no future arrivals, nothing in flight
 }
 
 // roundResult is what every shard takes home from a committed round.
@@ -192,8 +191,10 @@ func (h *hub) commitLocked() {
 // future tenant (most arrivals after the barrier, ties to the
 // lexicographically first name) to the least-loaded unpressured shard;
 // each shard gives and takes at most one tenant per round, and a moved
-// tenant rests for the cooldown. Extraction and injection run here, on
-// the parked peers' drivers.
+// tenant rests for the cooldown. Counting future arrivals, extraction and
+// injection all run here, on the parked peers' drivers. Only pressured
+// shards are counted, and a pressured shard is never a recipient, so each
+// count sees the shard's arrivals exactly as it reached the barrier.
 func (h *hub) handoffsLocked(barrier float64) []Handoff {
 	if h.plane.cfg.NoHandoff || len(h.shards) < 2 {
 		return nil
@@ -207,7 +208,7 @@ func (h *hub) handoffsLocked(barrier float64) []Handoff {
 			continue
 		}
 		tenant, best := "", 0
-		for t, n := range rep.future {
+		for t, n := range h.shards[from].drv.FutureArrivals(barrier) {
 			if n == 0 {
 				continue
 			}

@@ -50,6 +50,7 @@ package shard
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -309,6 +310,9 @@ func New(cfg Config) (*Plane, error) {
 	if cfg.HandoffBacklogMs <= 0 {
 		cfg.HandoffBacklogMs = DefaultHandoffFactor * global.HighWatermarkMs
 	}
+	if math.IsNaN(cfg.HandoffBacklogMs) || math.IsInf(cfg.HandoffBacklogMs, 0) {
+		return nil, fmt.Errorf("shard: HandoffBacklogMs is %g, want a finite value", cfg.HandoffBacklogMs)
+	}
 	if cfg.HandoffCooldownRounds <= 0 {
 		cfg.HandoffCooldownRounds = DefaultHandoffCooldownRounds
 	}
@@ -490,7 +494,7 @@ func (p *Plane) runShard(h *hub, st *shardState) {
 			h.fail(err)
 			return
 		}
-		rep, repErr := p.buildReport(st, barrier, remaining)
+		rep, repErr := p.buildReport(st, remaining)
 		if repErr != nil {
 			st.err = repErr
 			h.fail(repErr)
@@ -528,16 +532,16 @@ func (p *Plane) runShard(h *hub, st *shardState) {
 }
 
 // buildReport snapshots what this shard pushes into the barrier: the
-// cache entries solved since the last barrier, the autoscaling pressure
-// signal, and the tenants with future arrivals (handoff candidates).
-func (p *Plane) buildReport(st *shardState, barrier float64, remaining bool) (*report, error) {
+// cache entries solved since the last barrier and the autoscaling
+// pressure signal. A pressured shard's handoff candidates are counted by
+// the committer (hub.handoffsLocked), not here.
+func (p *Plane) buildReport(st *shardState, remaining bool) (*report, error) {
 	rep := &report{done: !remaining}
 	backlog, err := st.drv.PressureMs()
 	if err != nil {
 		return nil, err
 	}
 	rep.backlogMs = backlog
-	rep.future = st.drv.FutureArrivals(barrier)
 	if !p.cfg.NoGossip {
 		f := st.drv.Fleet()
 		for _, platform := range f.CachePlatforms() {
@@ -700,7 +704,13 @@ func (p *Plane) merge(states []*shardState, h *hub) *Summary {
 		GossipEveryMs: p.periodMs(),
 		Handoffs:      h.log,
 	}
-	var all []serve.Completion
+	n := 0
+	for _, st := range states {
+		for _, d := range st.drv.Fleet().Devices() {
+			n += len(d.Completions())
+		}
+	}
+	all := make([]serve.Completion, 0, n)
 	var pools []string
 	for _, st := range states {
 		ss := ShardSummary{

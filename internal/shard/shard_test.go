@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"haxconn/internal/control"
@@ -210,26 +211,39 @@ func TestShardedRegionCompare(t *testing.T) {
 }
 
 // TestPartitionValidation: the plane rejects configurations the shards
-// cannot be built from.
+// cannot be built from, and non-finite thresholds by name. Unchecked, a
+// NaN HandoffBacklogMs made every shard at K=4 both pressured and a
+// recipient, and a NaN TickMs stalled a K=2 run.
 func TestPartitionValidation(t *testing.T) {
 	base := demoControl()
+	nanTick := demoControl()
+	nanTick.TickMs = math.NaN()
 	cases := []struct {
-		name string
-		cfg  Config
+		name  string
+		cfg   Config
+		field string // when set, the error must name it
 	}{
-		{"more shards than devices", Config{Control: base, Shards: 5}},
+		{"more shards than devices", Config{Control: base, Shards: 5}, ""},
 		{"device pinned out of range", Config{Control: base, Shards: 2,
-			DeviceShard: map[int]int{9: 0}}},
+			DeviceShard: map[int]int{9: 0}}, ""},
 		{"device pinned to bad shard", Config{Control: base, Shards: 2,
-			DeviceShard: map[int]int{0: 7}}},
+			DeviceShard: map[int]int{0: 7}}, ""},
 		{"all devices pinned to one shard", Config{Control: base, Shards: 2,
-			DeviceShard: map[int]int{0: 0, 1: 0, 2: 0, 3: 0}}},
+			DeviceShard: map[int]int{0: 0, 1: 0, 2: 0, 3: 0}}, ""},
 		{"tenant pinned to bad shard", Config{Control: base, Shards: 2,
-			TenantShard: map[string]int{"cam-a": 5}}},
+			TenantShard: map[string]int{"cam-a": 5}}, ""},
+		{"NaN handoff backlog", Config{Control: base, Shards: 4,
+			HandoffBacklogMs: math.NaN()}, "HandoffBacklogMs"},
+		{"infinite handoff backlog", Config{Control: base, Shards: 4,
+			HandoffBacklogMs: math.Inf(1)}, "HandoffBacklogMs"},
+		{"NaN control tick", Config{Control: nanTick, Shards: 2}, "TickMs"},
 	}
 	for _, tc := range cases {
-		if _, err := New(tc.cfg); err == nil {
+		_, err := New(tc.cfg)
+		if err == nil {
 			t.Errorf("%s: config accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.field)
 		}
 	}
 	// A pinned tenant missing from the trace fails at Serve.
