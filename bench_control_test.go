@@ -17,6 +17,7 @@ import (
 
 	"haxconn/internal/control"
 	"haxconn/internal/fleet"
+	"haxconn/internal/serve"
 	"haxconn/internal/shard"
 )
 
@@ -33,8 +34,8 @@ func BenchmarkControlCompare(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cmp, err = control.Compare(control.Config{
 			Fleet: fleet.Config{
-				Devices:         []fleet.DeviceSpec{{Platform: "Orin"}},
-				SolverTimeScale: 50,
+				Devices: []fleet.DeviceSpec{{Platform: "Orin"}},
+				Device:  serve.Config{SolverTimeScale: 50},
 			},
 			MaxDevices:    3,
 			GrowPlatforms: []string{"Xavier", "SD865"},

@@ -47,8 +47,8 @@ func BenchmarkFleetThroughput(b *testing.B) {
 			Devices: []fleet.DeviceSpec{
 				{Platform: "Orin"}, {Platform: "Xavier"}, {Platform: "SD865"},
 			},
-			Placement:       fleet.Affinity(),
-			SolverTimeScale: 50,
+			Placement: fleet.Affinity(),
+			Device:    serve.Config{SolverTimeScale: 50},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -81,7 +81,7 @@ func BenchmarkFleetPlacementGap(b *testing.B) {
 			Devices: []fleet.DeviceSpec{
 				{Platform: "Orin"}, {Platform: "Xavier"}, {Platform: "SD865"},
 			},
-			SolverTimeScale: 50,
+			Device: serve.Config{SolverTimeScale: 50},
 		}, tr)
 		if err != nil {
 			b.Fatal(err)

@@ -62,25 +62,26 @@ import (
 )
 
 func main() {
+	var cfg control.Config
+	cliutil.ServingFlags(flag.CommandLine, &cfg.Fleet.Device, false)
+	flag.IntVar(&cfg.MinDevices, "min", 0, "minimum active devices (default: initial pool size)")
+	flag.IntVar(&cfg.MaxDevices, "max", 3, "maximum active devices")
+	flag.Float64Var(&cfg.TickMs, "tick", control.DefaultTickMs, "control tick period in virtual ms")
+	flag.Float64Var(&cfg.HighWatermarkMs, "high", control.DefaultHighWatermarkMs, "grow when mean backlog/device exceeds this for -hysteresis ticks")
+	flag.Float64Var(&cfg.LowWatermarkMs, "low", control.DefaultLowWatermarkMs, "shrink when mean backlog/device is below this (and utilization low)")
+	flag.IntVar(&cfg.HysteresisTicks, "hysteresis", control.DefaultHysteresisTicks, "consecutive ticks beyond a watermark before acting")
+	flag.IntVar(&cfg.CooldownTicks, "cooldown", control.DefaultCooldownTicks, "ticks to wait after a scaling action")
+	flag.IntVar(&cfg.SLOWindow, "window", control.DefaultSLOWindow, "per-tenant rolling completion window for migration decisions")
+	flag.Float64Var(&cfg.PressureP99Factor, "pressure", control.DefaultPressureP99Factor, "migrate when rolling p99 exceeds this factor x SLO")
+	flag.BoolVar(&cfg.NoCacheSeeding, "noseed", false, "disable cross-platform cache seeding on grow")
+	flag.BoolVar(&cfg.AdaptiveMix, "adaptivemix", false, "let the controller switch devices to demand-balance (contention-aware when -mixbeam > 0) when their pending demand spread exceeds -mixspread")
+	flag.Float64Var(&cfg.MixSpreadGBps, "mixspread", control.DefaultMixSpreadGBps, "pending demand-spread threshold (GB/s) for -adaptivemix")
+	flag.BoolVar(&cfg.NoMigration, "nomigrate", false, "disable SLO-pressure migration (tenants stay on first assignment)")
+	var scfg shard.Config
+	cliutil.ShardFlags(flag.CommandLine, &scfg)
 	var (
 		devices   = flag.String("devices", "Orin", "initial device pool as platform[:count], comma-separated")
 		grow      = flag.String("grow", "Xavier,SD865", "platforms the autoscaler adds, cycled, comma-separated")
-		minDev    = flag.Int("min", 0, "minimum active devices (default: initial pool size)")
-		maxDev    = flag.Int("max", 3, "maximum active devices")
-		tick      = flag.Float64("tick", control.DefaultTickMs, "control tick period in virtual ms")
-		high      = flag.Float64("high", control.DefaultHighWatermarkMs, "grow when mean backlog/device exceeds this for -hysteresis ticks")
-		low       = flag.Float64("low", control.DefaultLowWatermarkMs, "shrink when mean backlog/device is below this (and utilization low)")
-		hyst      = flag.Int("hysteresis", control.DefaultHysteresisTicks, "consecutive ticks beyond a watermark before acting")
-		cool      = flag.Int("cooldown", control.DefaultCooldownTicks, "ticks to wait after a scaling action")
-		window    = flag.Int("window", control.DefaultSLOWindow, "per-tenant rolling completion window for migration decisions")
-		pressure  = flag.Float64("pressure", control.DefaultPressureP99Factor, "migrate when rolling p99 exceeds this factor x SLO")
-		noseed    = flag.Bool("noseed", false, "disable cross-platform cache seeding on grow")
-		mix       = flag.String("mix", "fifo", "per-device mix-forming policy: "+strings.Join(serve.MixPolicies(), ", "))
-		maxWait   = flag.Int("maxwait", 0, "rounds a request may be passed over by a non-FIFO mix policy before being forced (0 = default)")
-		adaptive  = flag.Bool("adaptivemix", false, "let the controller switch devices to demand-balance when their pending demand spread exceeds -mixspread")
-		mixSpread = flag.Float64("mixspread", control.DefaultMixSpreadGBps, "pending demand-spread threshold (GB/s) for -adaptivemix")
-		mixBeam   = flag.Int("mixbeam", 0, "scoring budget for -adaptivemix: when > 0, spread-triggered switches escalate to contention-aware with this beam width")
-		nomigrate = flag.Bool("nomigrate", false, "disable SLO-pressure migration (tenants stay on first assignment)")
 		tenants   = flag.String("tenants", "cam-a:VGG19:20:10,cam-b:VGG19:20:10,scorer-a:ResNet152:20:12,scorer-b:ResNet152:20:12", "tenant specs as name:network:rate:slo, comma-separated")
 		duration  = flag.Float64("duration", 2000, "trace duration in virtual ms")
 		burst     = flag.String("burst", "600:500:7.5", "burst window as start:dur:xN (rate multiplier), empty to disable")
@@ -88,17 +89,12 @@ func main() {
 		mode      = flag.String("mode", "compare", "control mode: serve, compare or shard-compare")
 		region    = flag.Bool("region", false, "shard-compare: use the canonical region-scale demo (48 Orins, 32 tenants) instead of the flag-built pool and trace")
 		placement = flag.String("placement", "least-loaded", "static fleet's placement policy in compare mode")
-		objective = flag.String("objective", "latency", "per-mix scheduling objective: latency or fps")
-		scale     = flag.Float64("scale", 50, "solver-time stretch onto the virtual timeline (see cmd/serve)")
 		csvOut    = flag.String("csv", "", "write the control summary (or comparison) as CSV to this file")
 		jsonOut   = flag.String("json", "", "write the full summary (or comparison) as JSON to this file")
-		adaptWait = flag.Bool("adaptivewait", false, "scale each device's max-wait bound by the oldest request's SLO slack")
 		list      = flag.Bool("list", false, "list available networks, platforms and placements, then exit")
 	)
 	var obsf cliutil.ObsFlags
 	obsf.Register(flag.CommandLine)
-	var shardf cliutil.ShardFlags
-	shardf.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -111,9 +107,6 @@ func main() {
 		fmt.Println("placements:", strings.Join(fleet.Placements(), ", "))
 		return
 	}
-	if _, err := serve.NewMixFormer(*mix); err != nil {
-		fatalf("%v", err)
-	}
 	specs, err := cliutil.ParseTenants(*tenants, "poisson")
 	if err != nil {
 		fatalf("%v", err)
@@ -122,42 +115,11 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	pool, err := cliutil.ParseDevices(*devices)
-	if err != nil {
+	if cfg.Fleet.Devices, err = cliutil.ParseDevices(*devices); err != nil {
 		fatalf("%v", err)
 	}
-	cfg := control.Config{
-		Fleet: fleet.Config{
-			Devices:         pool,
-			MixPolicy:       *mix,
-			ScoreBeam:       *mixBeam,
-			MaxWaitRounds:   *maxWait,
-			SolverTimeScale: *scale,
-			AdaptiveMaxWait: *adaptWait,
-			SketchMetrics:   obsf.Sketch,
-			Tracer:          obsf.Tracer(),
-			Audit:           obsf.Audit(),
-		},
-		Metrics:           obsf.Metrics(),
-		TickMs:            *tick,
-		HighWatermarkMs:   *high,
-		LowWatermarkMs:    *low,
-		HysteresisTicks:   *hyst,
-		CooldownTicks:     *cool,
-		MinDevices:        *minDev,
-		MaxDevices:        *maxDev,
-		GrowPlatforms:     cliutil.SplitList(*grow),
-		NoCacheSeeding:    *noseed,
-		SLOWindow:         *window,
-		PressureP99Factor: *pressure,
-		NoMigration:       *nomigrate,
-		AdaptiveMix:       *adaptive,
-		MixSpreadGBps:     *mixSpread,
-		MixScoreBeam:      *mixBeam,
-	}
-	if cfg.Fleet.Objective, err = cliutil.ParseObjective(*objective); err != nil {
-		fatalf("%v", err)
-	}
+	cfg.GrowPlatforms = cliutil.SplitList(*grow)
+	obsf.Apply(&cfg.Fleet.Device)
 
 	if *region {
 		if *mode != "shard-compare" {
@@ -170,16 +132,16 @@ func main() {
 		fmt.Printf("dispatching %d requests from the region demo (48 Orins, 32 tenants, fleet-wide burst)\n\n", len(tr))
 	} else {
 		fmt.Printf("dispatching %d requests from %d tenants (burst %q) | pool %s, grow %s, max %d\n\n",
-			len(tr), len(specs), *burst, *devices, *grow, *maxDev)
+			len(tr), len(specs), *burst, *devices, *grow, cfg.MaxDevices)
 	}
+	// The plane ignores the template's sinks and merges its shards' own
+	// into these.
+	scfg.Control = cfg
+	scfg.Tracer, scfg.Metrics, scfg.Audit = obsf.Tracer(), obsf.Metrics(), obsf.Audit()
 
 	switch *mode {
 	case "serve":
-		if shardf.Shards > 1 {
-			scfg, err := shardConfig(cfg, &shardf, &obsf)
-			if err != nil {
-				fatalf("%v", err)
-			}
+		if scfg.Shards > 1 {
 			plane, err := shard.New(scfg)
 			if err != nil {
 				fatalf("%v", err)
@@ -224,10 +186,6 @@ func main() {
 			fatalf("%v", err)
 		}
 	case "shard-compare":
-		scfg, err := shardConfig(cfg, &shardf, &obsf)
-		if err != nil {
-			fatalf("%v", err)
-		}
 		res, err := shard.Compare(scfg, tr)
 		if err != nil {
 			fatalf("%v", err)
@@ -243,35 +201,6 @@ func main() {
 	if err := obsf.WriteArtifacts(); err != nil {
 		fatalf("%v", err)
 	}
-}
-
-// shardConfig lifts the global control configuration plus the shard and
-// observability flags into the plane configuration. The fleet-level
-// sinks in cfg are ignored by the plane; the merged streams come from
-// the plane-level sinks.
-func shardConfig(cfg control.Config, shardf *cliutil.ShardFlags, obsf *cliutil.ObsFlags) (shard.Config, error) {
-	tenantPins, err := shardf.TenantShards()
-	if err != nil {
-		return shard.Config{}, err
-	}
-	devicePins, err := shardf.DeviceShards()
-	if err != nil {
-		return shard.Config{}, err
-	}
-	return shard.Config{
-		Control:               cfg,
-		Shards:                shardf.Shards,
-		GossipEveryTicks:      shardf.GossipEvery,
-		NoGossip:              shardf.NoGossip,
-		NoHandoff:             shardf.NoHandoff,
-		HandoffBacklogMs:      shardf.HandoffMs,
-		HandoffCooldownRounds: shardf.HandoffCooldown,
-		TenantShard:           tenantPins,
-		DeviceShard:           devicePins,
-		Tracer:                obsf.Tracer(),
-		Metrics:               obsf.Metrics(),
-		Audit:                 obsf.Audit(),
-	}, nil
 }
 
 func printShardSummary(sum *shard.Summary) {

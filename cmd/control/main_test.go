@@ -7,6 +7,7 @@ import (
 	"haxconn/internal/cliutil"
 	"haxconn/internal/control"
 	"haxconn/internal/fleet"
+	"haxconn/internal/serve"
 )
 
 // TestBuildTraceMatchesDemoBurst pins the CLI defaults to the library's
@@ -56,8 +57,8 @@ func TestCompareModeDefaults(t *testing.T) {
 	}
 	cmp, err := control.Compare(control.Config{
 		Fleet: fleet.Config{
-			Devices:         []fleet.DeviceSpec{{Platform: "Orin"}},
-			SolverTimeScale: 50,
+			Devices: []fleet.DeviceSpec{{Platform: "Orin"}},
+			Device:  serve.Config{SolverTimeScale: 50},
 		},
 		MaxDevices:    3,
 		GrowPlatforms: []string{"Xavier", "SD865"},

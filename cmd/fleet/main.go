@@ -44,6 +44,9 @@ import (
 )
 
 func main() {
+	var cfg fleet.Config
+	cliutil.ServingFlags(flag.CommandLine, &cfg.Device, true)
+	flag.BoolVar(&cfg.PrivateCaches, "privatecaches", false, "give each device its own schedule cache instead of sharing per platform")
 	var (
 		devices   = flag.String("devices", "Orin,Xavier,SD865", "device pool as platform[:count], comma-separated")
 		placement = flag.String("placement", "least-loaded", "placement policy: "+strings.Join(fleet.Placements(), ", "))
@@ -52,21 +55,11 @@ func main() {
 		duration  = flag.Float64("duration", 1000, "trace duration in virtual ms")
 		seed      = flag.Int64("seed", 1, "load-generator seed")
 		mode      = flag.String("mode", "compare", "fleet mode: serve or compare")
-		objective = flag.String("objective", "latency", "per-mix scheduling objective: latency or fps")
 		policy    = flag.String("policy", "aware", "per-device serving policy: aware or naive")
-		mix       = flag.String("mix", "fifo", "per-device mix-forming policy: "+strings.Join(serve.MixPolicies(), ", "))
-		mixBeam   = flag.Int("mixbeam", 0, "candidate batches the contention-aware mix policy scores per round (0 = default)")
-		maxBatch  = flag.Int("maxbatch", 0, "max concurrent requests per device dispatch round (default: #accelerators)")
-		maxQueue  = flag.Int("maxqueue", 0, "per-tenant pending-queue cap per device; 0 = unlimited")
-		admitSLO  = flag.Float64("admitslo", 0, "reject requests whose estimated latency exceeds this factor x SLO; 0 = admit all")
-		maxWait   = flag.Int("maxwait", 0, "rounds a request may be passed over by a non-FIFO mix policy before being forced (0 = default)")
-		scale     = flag.Float64("scale", 50, "solver-time stretch onto the virtual timeline (see cmd/serve)")
-		private   = flag.Bool("privatecaches", false, "give each device its own schedule cache instead of sharing per platform")
 		csvOut    = flag.String("csv", "", "write the fleet summary (or comparison) as CSV to this file")
 		jsonOut   = flag.String("json", "", "write the full summary (or comparison) as JSON to this file")
 		cacheSave = flag.String("cache-save", "", "write the per-platform schedule caches as JSON to this file after serving (-mode serve)")
 		cacheLoad = flag.String("cache-load", "", "seed the per-platform schedule caches from a -cache-save file before serving")
-		adaptWait = flag.Bool("adaptivewait", false, "scale each device's max-wait bound by the oldest request's SLO slack")
 		list      = flag.Bool("list", false, "list available networks, platforms and placements, then exit")
 	)
 	var obsf cliutil.ObsFlags
@@ -83,9 +76,6 @@ func main() {
 		fmt.Println("placements:", strings.Join(fleet.Placements(), ", "))
 		return
 	}
-	if _, err := serve.NewMixFormer(*mix); err != nil {
-		fatalf("%v", err)
-	}
 	specs, err := cliutil.ParseTenants(*tenants, *arrivals)
 	if err != nil {
 		fatalf("%v", err)
@@ -98,27 +88,13 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	cfg := fleet.Config{
-		Devices:         pool,
-		MixPolicy:       *mix,
-		ScoreBeam:       *mixBeam,
-		MaxBatch:        *maxBatch,
-		MaxQueue:        *maxQueue,
-		AdmitSLOFactor:  *admitSLO,
-		MaxWaitRounds:   *maxWait,
-		SolverTimeScale: *scale,
-		PrivateCaches:   *private,
-		AdaptiveMaxWait: *adaptWait,
-		SketchMetrics:   obsf.Sketch,
-	}
-	if cfg.Objective, err = cliutil.ParseObjective(*objective); err != nil {
-		fatalf("%v", err)
-	}
+	cfg.Devices = pool
+	obsf.Apply(&cfg.Device)
 	switch *policy {
 	case "aware":
-		cfg.Policy = serve.ContentionAware
+		cfg.Device.Policy = serve.ContentionAware
 	case "naive":
-		cfg.Policy = serve.NaiveGPUOnly
+		cfg.Device.Policy = serve.NaiveGPUOnly
 	default:
 		fatalf("unknown policy %q", *policy)
 	}
@@ -141,8 +117,6 @@ func main() {
 			fatalf("%v", err)
 		}
 		cfg.Placement = pl
-		cfg.Tracer = obsf.Tracer()
-		cfg.Audit = obsf.Audit()
 		f, err := fleet.New(cfg)
 		if err != nil {
 			fatalf("%v", err)
@@ -157,9 +131,6 @@ func main() {
 		sum, err := f.Serve(tr)
 		if err != nil {
 			fatalf("%v", err)
-		}
-		if reg := obsf.Metrics(); reg != nil {
-			f.FillMetrics(reg)
 		}
 		printFleet(sum)
 		if *cacheSave != "" {

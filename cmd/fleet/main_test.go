@@ -25,7 +25,7 @@ func TestCompareModeDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := fleet.Compare(fleet.Config{Devices: pool, SolverTimeScale: 50}, tr)
+	cmp, err := fleet.Compare(fleet.Config{Devices: pool, Device: serve.Config{SolverTimeScale: 50}}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,15 +50,15 @@ func TestCompareModeDefaults(t *testing.T) {
 }
 
 // TestMixFlagThreadsToDevices: the -mix flag value must reach every
-// device of the pool (fleet.Config.MixPolicy -> serve.Config.MixPolicy),
-// and a per-spec override must beat the fleet default.
+// device of the pool (the template's MixPolicy), and a per-spec override
+// must beat the template's.
 func TestMixFlagThreadsToDevices(t *testing.T) {
 	pool, err := cliutil.ParseDevices("Orin,Xavier")
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool[1].MixPolicy = serve.MixSLOAware
-	f, err := fleet.New(fleet.Config{Devices: pool, MixPolicy: serve.MixDemandBalance})
+	f, err := fleet.New(fleet.Config{Devices: pool, Device: serve.Config{MixPolicy: serve.MixDemandBalance}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestMixFlagThreadsToDevices(t *testing.T) {
 	if got := devs[1].MixPolicy(); got != serve.MixSLOAware {
 		t.Errorf("device 1 mix policy = %q, want per-spec override %q", got, serve.MixSLOAware)
 	}
-	if _, err := fleet.New(fleet.Config{Devices: pool[:1], MixPolicy: "lifo"}); err == nil {
+	if _, err := fleet.New(fleet.Config{Devices: pool[:1], Device: serve.Config{MixPolicy: "lifo"}}); err == nil {
 		t.Error("unknown fleet mix policy accepted")
 	}
 }

@@ -48,6 +48,8 @@ import (
 )
 
 func main() {
+	cfg := serve.Config{Policy: serve.ContentionAware}
+	cliutil.ServingFlags(flag.CommandLine, &cfg, true)
 	var (
 		platform  = flag.String("platform", "Orin", "target SoC: Orin, Xavier or SD865")
 		tenants   = flag.String("tenants", "alice:VGG19:140:10,bob:ResNet152:140:12", "tenant specs as name:network:rate:slo, comma-separated")
@@ -55,20 +57,11 @@ func main() {
 		duration  = flag.Float64("duration", 1000, "trace duration in virtual ms")
 		seed      = flag.Int64("seed", 1, "load-generator seed")
 		mode      = flag.String("mode", "compare", "serving mode: aware, naive or compare")
-		objective = flag.String("objective", "latency", "per-mix scheduling objective: latency or fps")
-		mix       = flag.String("mix", "fifo", "mix-forming policy: "+strings.Join(serve.MixPolicies(), ", "))
-		mixBeam   = flag.Int("mixbeam", 0, "candidate batches the contention-aware mix policy scores per round (0 = default)")
-		maxBatch  = flag.Int("maxbatch", 0, "max concurrent requests per dispatch round (default: #accelerators)")
-		maxQueue  = flag.Int("maxqueue", 0, "per-tenant pending-queue cap; 0 = unlimited")
-		admitSLO  = flag.Float64("admitslo", 0, "reject requests whose estimated latency exceeds this factor x SLO; 0 = admit all")
-		maxWait   = flag.Int("maxwait", 0, "rounds a request may be passed over by a non-FIFO mix policy before being forced (0 = default)")
-		scale     = flag.Float64("scale", 50, "solver-time stretch onto the virtual timeline (see autoloop)")
 		csvOut    = flag.String("csv", "", "write per-tenant statistics as CSV to this file")
 		mixCSVOut = flag.String("mixcsv", "", "write the mix-forming comparison as CSV to this file (-mode compare)")
 		jsonOut   = flag.String("json", "", "write the full summary as JSON to this file")
 		cacheSave = flag.String("cache-save", "", "write the solved schedule cache as JSON to this file after serving (modes aware/naive)")
 		cacheLoad = flag.String("cache-load", "", "seed the schedule cache from a -cache-save file before serving, skipping re-solves of known mixes")
-		adaptWait = flag.Bool("adaptivewait", false, "scale the max-wait bound by the oldest request's SLO slack (starved requests force sooner)")
 		list      = flag.Bool("list", false, "list available networks, platforms and mix policies, then exit")
 	)
 	var obsf cliutil.ObsFlags
@@ -89,9 +82,6 @@ func main() {
 	if !ok {
 		fatalf("unknown platform %q", *platform)
 	}
-	if _, err := serve.NewMixFormer(*mix); err != nil {
-		fatalf("%v", err)
-	}
 	specs, err := cliutil.ParseTenants(*tenants, *arrivals)
 	if err != nil {
 		fatalf("%v", err)
@@ -100,28 +90,11 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	cfg := serve.Config{
-		Platform:        p,
-		Policy:          serve.ContentionAware,
-		MixPolicy:       *mix,
-		ScoreBeam:       *mixBeam,
-		MaxBatch:        *maxBatch,
-		MaxQueue:        *maxQueue,
-		AdmitSLOFactor:  *admitSLO,
-		MaxWaitRounds:   *maxWait,
-		SolverTimeScale: *scale,
-		AdaptiveMaxWait: *adaptWait,
-		Tracer:          obsf.Tracer(),
-		SketchMetrics:   obsf.Sketch,
-		Metrics:         obsf.Metrics(),
-		Audit:           obsf.Audit(),
-	}
-	if cfg.Objective, err = cliutil.ParseObjective(*objective); err != nil {
-		fatalf("%v", err)
-	}
+	cfg.Platform = p
+	obsf.Apply(&cfg)
 
 	fmt.Printf("serving %d requests from %d tenants on %s (%s arrivals, %.0f ms, %s mix forming)\n\n",
-		len(tr), len(specs), p.Name, *arrivals, *duration, serve.MixPolicyName(*mix))
+		len(tr), len(specs), p.Name, *arrivals, *duration, serve.MixPolicyName(cfg.MixPolicy))
 
 	switch *mode {
 	case "aware", "naive":
@@ -171,7 +144,7 @@ func main() {
 			cmp.Naive.Total.P99Ms, cmp.Aware.Total.P99Ms, cmp.P99ImprovementPct())
 		fmt.Printf("SLO violations: naive %d -> aware %d (%d avoided)\n\n",
 			cmp.Naive.Total.Violations, cmp.Aware.Total.Violations, cmp.ViolationsAvoided())
-		mixCmp, err := compareMixesFrom(cfg, tr, cmp.Aware)
+		mixCmp, err := serve.CompareMixes(cfg, tr)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -212,43 +185,6 @@ func printSummary(w io.Writer, sum *serve.Summary) {
 	tw.Flush()
 	fmt.Fprintf(w, "rounds=%d  cache: %d misses, %d hits (%.1f%% hit rate), %d upgrades\n\n",
 		sum.Rounds, sum.CacheMisses, sum.CacheHits, 100*sum.CacheHitRate, sum.CacheUpgrades)
-}
-
-// compareMixesFrom builds the fifo-vs-demand-balance-vs-contention-aware
-// comparison, reusing the already-served aware summary as the fifo leg
-// when the configured policy is fifo (the default) — the runs are
-// byte-identical by the repo's determinism guarantee, so re-serving would
-// be pure waste.
-func compareMixesFrom(cfg serve.Config, tr serve.Trace, aware *serve.Summary) (*serve.MixComparison, error) {
-	if serve.MixPolicyName(cfg.MixPolicy) != serve.MixFIFO || cfg.Mix != nil {
-		return serve.CompareMixes(cfg, tr)
-	}
-	// With observability on, skip the fifo-reuse shortcut: CompareMixes
-	// renames each leg so its events land on distinct trace tracks and its
-	// counters under distinct metric prefixes, which the hand-built legs
-	// below would not (and an attached audit should see every leg's pairs).
-	if cfg.Tracer != nil || cfg.Metrics != nil || cfg.Audit != nil {
-		return serve.CompareMixes(cfg, tr)
-	}
-	out := &serve.MixComparison{
-		Policies: []string{serve.MixFIFO},
-		Results:  []*serve.Summary{aware},
-	}
-	for _, pol := range []string{serve.MixDemandBalance, serve.MixContentionAware} {
-		c := cfg
-		c.MixPolicy = pol
-		rt, err := serve.New(c)
-		if err != nil {
-			return nil, err
-		}
-		sum, err := rt.Serve(tr)
-		if err != nil {
-			return nil, err
-		}
-		out.Policies = append(out.Policies, pol)
-		out.Results = append(out.Results, sum)
-	}
-	return out, nil
 }
 
 // printMixComparison renders the mix-forming comparison (compare mode):

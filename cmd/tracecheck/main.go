@@ -2,9 +2,9 @@
 // commands emit: a Chrome trace-event JSON file (-trace), a trace JSONL
 // file (-jsonl), and a metrics file (-metrics). It parses each, counts
 // events per lifecycle stage, and exits non-zero unless every stage in
-// -stages has at least one event — CI's trace-smoke job runs it against
-// the two-tenant demo so a refactor that silently drops an event kind
-// fails the build instead of shipping a blind spot.
+// -stages has at least one event — CI's observability job runs it against
+// the serve, fleet, control and sharded demos so a refactor that silently
+// drops an event kind fails the build instead of shipping a blind spot.
 //
 // Example:
 //

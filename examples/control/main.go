@@ -37,6 +37,7 @@ import (
 
 	"haxconn/internal/control"
 	"haxconn/internal/fleet"
+	"haxconn/internal/serve"
 )
 
 func main() {
@@ -54,8 +55,8 @@ func main() {
 	// on its default watermarks.
 	cfg := control.Config{
 		Fleet: fleet.Config{
-			Devices:         []fleet.DeviceSpec{{Platform: "Orin"}},
-			SolverTimeScale: 50,
+			Devices: []fleet.DeviceSpec{{Platform: "Orin"}},
+			Device:  serve.Config{SolverTimeScale: 50},
 		},
 		MaxDevices:    3,
 		GrowPlatforms: []string{"Xavier", "SD865"},

@@ -45,14 +45,15 @@ func main() {
 	}
 	fmt.Printf("trace: %d requests over 1000 ms\n\n", len(trace))
 
-	// 2. A heterogeneous pool: one device of each evaluated platform.
-	// Compare serves the trace on a single Orin first, then on the fleet
-	// under every placement policy — identical traffic throughout.
+	// 2. A heterogeneous pool: one device of each evaluated platform, all
+	// built from one device template. Compare serves the trace on a single
+	// Orin built from the same template first, then on the fleet under
+	// every placement policy — identical traffic throughout.
 	cfg := fleet.Config{
 		Devices: []fleet.DeviceSpec{
 			{Platform: "Orin"}, {Platform: "Xavier"}, {Platform: "SD865"},
 		},
-		SolverTimeScale: 50,
+		Device: serve.Config{SolverTimeScale: 50},
 	}
 	cmp, err := fleet.Compare(cfg, trace)
 	if err != nil {

@@ -1,9 +1,11 @@
 // Package cliutil holds the flag-parsing and artifact-output helpers the
-// serving commands (cmd/serve, cmd/fleet, cmd/control) share: tenant and
-// device-pool spec parsing, CSV/JSON output writing, and schedule-cache
-// save/load. Each command used to carry its own copy of these; keeping
-// one here means a spec-format or persistence change lands everywhere at
-// once.
+// serving commands (cmd/serve, cmd/fleet, cmd/control) share: the shared
+// serving flags, declared once and bound straight into the serve.Config
+// device template each command builds; the sharded-plane flags, bound
+// into a shard.Config; the observability flags; tenant and device-pool
+// spec parsing; CSV/JSON output writing; and schedule-cache save/load.
+// Keeping one copy here means a flag, spec-format or persistence change
+// lands in every command at once.
 package cliutil
 
 import (
@@ -19,20 +21,74 @@ import (
 	"haxconn/internal/report"
 	"haxconn/internal/schedule"
 	"haxconn/internal/serve"
+	"haxconn/internal/shard"
 	"haxconn/internal/soc"
 )
 
-// ParseObjective maps the serving commands' -objective flag value to the
-// per-mix scheduling objective: "latency" (MinMaxLatency, Eq. 11) or
-// "fps" (MaxThroughput, Eq. 10).
-func ParseObjective(name string) (schedule.Objective, error) {
+// ServingFlags declares the serving flags the three commands share on fs,
+// each bound to the field of the device template cfg it sets: -objective,
+// -mix, -mixbeam, -maxwait, -scale and -adaptivewait, plus the admission
+// flags -maxbatch, -maxqueue and -admitslo when admission is true.
+// -objective and -mix are checked as they parse, so an unknown name is a
+// flag error.
+func ServingFlags(fs *flag.FlagSet, cfg *serve.Config, admission bool) {
+	cfg.Objective, cfg.MixPolicy = schedule.MinMaxLatency, serve.MixFIFO
+	fs.Var(objectiveFlag{&cfg.Objective}, "objective", "per-mix scheduling `objective`: latency or fps")
+	fs.Var(mixFlag{&cfg.MixPolicy}, "mix", "mix-forming `policy`: "+strings.Join(serve.MixPolicies(), ", "))
+	fs.IntVar(&cfg.ScoreBeam, "mixbeam", 0, "candidate batches the contention-aware mix policy scores per round (0 = default)")
+	fs.IntVar(&cfg.MaxWaitRounds, "maxwait", 0, "rounds a request may be passed over by a non-FIFO mix policy before being forced (0 = default)")
+	fs.Float64Var(&cfg.SolverTimeScale, "scale", 50, "solver-time stretch onto the virtual timeline (see autoloop)")
+	fs.BoolVar(&cfg.AdaptiveMaxWait, "adaptivewait", false, "scale the max-wait bound by the oldest request's SLO slack (starved requests force sooner)")
+	if admission {
+		fs.IntVar(&cfg.MaxBatch, "maxbatch", 0, "max concurrent requests per dispatch round (default: #accelerators)")
+		fs.IntVar(&cfg.MaxQueue, "maxqueue", 0, "per-tenant pending-queue cap per device; 0 = unlimited")
+		fs.Float64Var(&cfg.AdmitSLOFactor, "admitslo", 0, "reject requests whose estimated latency exceeds this factor x SLO; 0 = admit all")
+	}
+}
+
+// objectiveFlag binds -objective to the per-mix scheduling objective by
+// name: "latency" (MinMaxLatency, Eq. 11) or "fps" (MaxThroughput,
+// Eq. 10).
+type objectiveFlag struct{ p *schedule.Objective }
+
+func (f objectiveFlag) String() string {
+	switch {
+	case f.p == nil:
+		return ""
+	case *f.p == schedule.MaxThroughput:
+		return "fps"
+	}
+	return "latency"
+}
+
+func (f objectiveFlag) Set(name string) error {
 	switch name {
 	case "latency":
-		return schedule.MinMaxLatency, nil
+		*f.p = schedule.MinMaxLatency
 	case "fps":
-		return schedule.MaxThroughput, nil
+		*f.p = schedule.MaxThroughput
+	default:
+		return fmt.Errorf("unknown objective %q (want latency or fps)", name)
 	}
-	return 0, fmt.Errorf("unknown objective %q (want latency or fps)", name)
+	return nil
+}
+
+// mixFlag binds -mix to a mix-policy name, accepting only built-in ones.
+type mixFlag struct{ p *string }
+
+func (f mixFlag) String() string {
+	if f.p == nil {
+		return ""
+	}
+	return *f.p
+}
+
+func (f mixFlag) Set(name string) error {
+	if _, err := serve.NewMixFormer(name); err != nil {
+		return err
+	}
+	*f.p = name
+	return nil
 }
 
 // ParseTenants parses comma-separated name:network:rate:slo tenant specs.
@@ -94,44 +150,26 @@ func ParseDevices(s string) ([]fleet.DeviceSpec, error) {
 	return specs, nil
 }
 
-// ShardFlags bundles the sharded-control-plane flags (cmd/control's
-// shard-compare and sharded serve modes): shard count, gossip barrier
-// period, the ablation switches, handoff tuning, and the explicit
-// tenant/device pinning specs.
-type ShardFlags struct {
-	Shards          int
-	GossipEvery     int
-	NoGossip        bool
-	NoHandoff       bool
-	HandoffMs       float64
-	HandoffCooldown int
-	TenantSpec      string
-	DeviceSpec      string
-}
-
-// Register installs the shard flags on fs (pass flag.CommandLine for the
-// default set).
-func (s *ShardFlags) Register(fs *flag.FlagSet) {
-	fs.IntVar(&s.Shards, "shards", 1, "partition the control plane into this many shards stepped concurrently (1 = the plain global controller)")
-	fs.IntVar(&s.GossipEvery, "gossip-every", 0, "gossip barrier period in control ticks (0 = shard default)")
-	fs.BoolVar(&s.NoGossip, "no-gossip", false, "disable schedule-cache gossip between shards (barriers still run for handoff)")
-	fs.BoolVar(&s.NoHandoff, "no-handoff", false, "disable cross-shard tenant handoff")
-	fs.Float64Var(&s.HandoffMs, "handoff-backlog", 0, "mean backlog ms per device above which a shard hands a tenant off (0 = shard default)")
-	fs.IntVar(&s.HandoffCooldown, "handoff-cooldown", 0, "barrier rounds a moved tenant rests before moving again (0 = shard default)")
-	fs.StringVar(&s.TenantSpec, "tenant-shards", "", "pin tenants to shards as name=shard, comma-separated (unpinned tenants deal round-robin)")
-	fs.StringVar(&s.DeviceSpec, "device-shards", "", "pin initial devices to shards as poolIndex=shard, comma-separated")
-}
-
-// TenantShards parses the -tenant-shards spec into the plane's pinning
-// map.
-func (s *ShardFlags) TenantShards() (map[string]int, error) {
-	return ParseTenantShards(s.TenantSpec)
-}
-
-// DeviceShards parses the -device-shards spec into the plane's pinning
-// map.
-func (s *ShardFlags) DeviceShards() (map[int]int, error) {
-	return ParseDeviceShards(s.DeviceSpec)
+// ShardFlags declares the sharded-control-plane flags (cmd/control's
+// shard-compare and sharded serve modes) on fs, each bound to the field
+// of cfg it sets: shard count, gossip barrier period, the ablation
+// switches, handoff tuning, and the tenant and device pinning specs,
+// which parse as they are read, so a malformed spec is a flag error.
+func ShardFlags(fs *flag.FlagSet, cfg *shard.Config) {
+	fs.IntVar(&cfg.Shards, "shards", 1, "partition the control plane into this many shards stepped concurrently (1 = the plain global controller)")
+	fs.IntVar(&cfg.GossipEveryTicks, "gossip-every", 0, "gossip barrier period in control ticks (0 = shard default)")
+	fs.BoolVar(&cfg.NoGossip, "no-gossip", false, "disable schedule-cache gossip between shards (barriers still run for handoff)")
+	fs.BoolVar(&cfg.NoHandoff, "no-handoff", false, "disable cross-shard tenant handoff")
+	fs.Float64Var(&cfg.HandoffBacklogMs, "handoff-backlog", 0, "mean backlog ms per device above which a shard hands a tenant off (0 = shard default)")
+	fs.IntVar(&cfg.HandoffCooldownRounds, "handoff-cooldown", 0, "barrier rounds a moved tenant rests before moving again (0 = shard default)")
+	fs.Func("tenant-shards", "pin tenants to shards as `name=shard`, comma-separated (unpinned tenants deal round-robin)", func(spec string) (err error) {
+		cfg.TenantShard, err = ParseTenantShards(spec)
+		return err
+	})
+	fs.Func("device-shards", "pin initial devices to shards as `poolIndex=shard`, comma-separated", func(spec string) (err error) {
+		cfg.DeviceShard, err = ParseDeviceShards(spec)
+		return err
+	})
 }
 
 // ParseTenantShards parses a tenant-pinning spec ("cam-a=0,scorer-b=2")
@@ -300,9 +338,10 @@ func SaveFleetCaches(path string, f *fleet.Fleet) error {
 // events as JSON Lines), -metrics-out (the counter registry, JSONL or
 // CSV by extension), -audit-out (the predicted-vs-actual audit table as
 // CSV) and -sketch (streaming-quantile summaries). Register installs them
-// on a FlagSet; Tracer/Metrics/Audit return the sinks to wire into a
-// Config (nil when the matching flag is off, so untraced runs pay
-// nothing); WriteArtifacts writes whichever outputs were requested.
+// on a FlagSet; Tracer/Metrics/Audit return the sinks (nil when the
+// matching flag is off, so untraced runs pay nothing) and Apply wires
+// them into a device template; WriteArtifacts writes whichever outputs
+// were requested.
 type ObsFlags struct {
 	TracePath   string
 	JSONLPath   string
@@ -361,6 +400,14 @@ func (o *ObsFlags) Audit() *obs.Audit {
 		o.audit = obs.NewAudit()
 	}
 	return o.audit
+}
+
+// Apply points the template's sinks at the requested outputs (nil where
+// none was requested) and turns on sketch summaries under -sketch. Call
+// it after the flags are parsed.
+func (o *ObsFlags) Apply(cfg *serve.Config) {
+	cfg.Tracer, cfg.Metrics, cfg.Audit = o.Tracer(), o.Metrics(), o.Audit()
+	cfg.SketchMetrics = o.Sketch
 }
 
 // WriteArtifacts writes the requested observability outputs, reporting

@@ -3,6 +3,7 @@ package cliutil
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"haxconn/internal/report"
 	"haxconn/internal/schedule"
 	"haxconn/internal/serve"
+	"haxconn/internal/shard"
 	"haxconn/internal/soc"
 )
 
@@ -161,8 +163,8 @@ func TestCacheSaveLoadRoundTrip(t *testing.T) {
 // snapshots for platforms absent from the fleet are skipped.
 func TestFleetCacheSaveLoadRoundTrip(t *testing.T) {
 	f, err := fleet.New(fleet.Config{
-		Devices:         []fleet.DeviceSpec{{Platform: "Orin"}, {Platform: "Xavier"}},
-		SolverTimeScale: 50,
+		Devices: []fleet.DeviceSpec{{Platform: "Orin"}, {Platform: "Xavier"}},
+		Device:  serve.Config{SolverTimeScale: 50},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -259,6 +261,106 @@ func TestParseDeviceShards(t *testing.T) {
 	for _, bad := range []string{"0", "a=0", "0=b", "-1=0", "0=-2", "0=0,0=1"} {
 		if _, err := ParseDeviceShards(bad); err == nil {
 			t.Errorf("%q accepted", bad)
+		}
+	}
+}
+
+// parseFlags registers flags on a fresh FlagSet and parses args.
+func parseFlags(register func(*flag.FlagSet), args ...string) error {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	register(fs)
+	return fs.Parse(args)
+}
+
+// TestServingFlags: with no arguments the shared serving flags yield the
+// template every serving command builds by default; each flag set to a
+// non-default value lands in its own serve.Config field; the admission
+// flags exist only when asked for; and an unknown objective or mix
+// policy is a parse error.
+func TestServingFlags(t *testing.T) {
+	want := serve.Config{Objective: schedule.MinMaxLatency, MixPolicy: serve.MixFIFO, SolverTimeScale: 50}
+	for _, admission := range []bool{true, false} {
+		var cfg serve.Config
+		if err := parseFlags(func(fs *flag.FlagSet) { ServingFlags(fs, &cfg, admission) }); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cfg, want) {
+			t.Errorf("admission %v: default template %+v, want %+v", admission, cfg, want)
+		}
+	}
+
+	var cfg serve.Config
+	err := parseFlags(func(fs *flag.FlagSet) { ServingFlags(fs, &cfg, true) },
+		"-objective", "fps", "-mix", "contention-aware", "-mixbeam", "8", "-maxwait", "6",
+		"-scale", "2.5", "-adaptivewait", "-maxbatch", "3", "-maxqueue", "7", "-admitslo", "1.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = serve.Config{
+		Objective:       schedule.MaxThroughput,
+		MixPolicy:       serve.MixContentionAware,
+		ScoreBeam:       8,
+		MaxWaitRounds:   6,
+		SolverTimeScale: 2.5,
+		AdaptiveMaxWait: true,
+		MaxBatch:        3,
+		MaxQueue:        7,
+		AdmitSLOFactor:  1.5,
+	}
+	if !reflect.DeepEqual(cfg, want) {
+		t.Errorf("bound template %+v, want %+v", cfg, want)
+	}
+
+	for _, args := range [][]string{
+		{"-maxbatch", "3"}, // admission flags not registered
+		{"-objective", "throughput"},
+		{"-mix", "lifo"},
+	} {
+		var cfg serve.Config
+		if err := parseFlags(func(fs *flag.FlagSet) { ServingFlags(fs, &cfg, false) }, args...); err == nil {
+			t.Errorf("%v parsed", args)
+		}
+	}
+}
+
+// TestShardFlags: the shard flags default to a one-shard plane, land in
+// their shard.Config fields — pinning specs parsed into maps — and a
+// malformed pinning spec is a parse error.
+func TestShardFlags(t *testing.T) {
+	var cfg shard.Config
+	if err := parseFlags(func(fs *flag.FlagSet) { ShardFlags(fs, &cfg) }); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cfg, shard.Config{Shards: 1}) {
+		t.Errorf("default plane %+v, want one shard and nothing else", cfg)
+	}
+
+	cfg = shard.Config{}
+	err := parseFlags(func(fs *flag.FlagSet) { ShardFlags(fs, &cfg) },
+		"-shards", "4", "-gossip-every", "2", "-no-gossip", "-no-handoff", "-handoff-backlog", "10",
+		"-handoff-cooldown", "3", "-tenant-shards", "cam-a=0,scorer-b=2", "-device-shards", "0=1,3=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := shard.Config{
+		Shards:                4,
+		GossipEveryTicks:      2,
+		NoGossip:              true,
+		NoHandoff:             true,
+		HandoffBacklogMs:      10,
+		HandoffCooldownRounds: 3,
+		TenantShard:           map[string]int{"cam-a": 0, "scorer-b": 2},
+		DeviceShard:           map[int]int{0: 1, 3: 0},
+	}
+	if !reflect.DeepEqual(cfg, want) {
+		t.Errorf("bound plane %+v, want %+v", cfg, want)
+	}
+
+	for _, args := range [][]string{{"-tenant-shards", "cam-a"}, {"-device-shards", "x=1"}} {
+		var cfg shard.Config
+		if err := parseFlags(func(fs *flag.FlagSet) { ShardFlags(fs, &cfg) }, args...); err == nil {
+			t.Errorf("%v parsed", args)
 		}
 	}
 }

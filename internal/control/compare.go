@@ -68,11 +68,10 @@ func Compare(cfg Config, tr serve.Trace, staticPlacement fleet.Placer) (*Compare
 	sc := ctrl.Config().Fleet
 	sc.Devices = MaxPool(ctrl.Config())
 	sc.Placement = staticPlacement
-	// Only the controlled leg is traced and audited: the static baseline
-	// rebuilds identically-named devices, and two legs in one trace (or
-	// one audit's per-device aggregates) would overlap.
-	sc.Tracer = nil
-	sc.Audit = nil
+	// Only the controlled leg is observed: the static baseline rebuilds
+	// identically-named devices, and two legs in one trace (or one audit's
+	// per-device aggregates, or one registry) would overlap.
+	sc.Device.Tracer, sc.Device.Audit, sc.Device.Metrics = nil, nil, nil
 	sf, err := fleet.New(sc)
 	if err != nil {
 		return nil, err

@@ -45,16 +45,15 @@ import (
 // Devices field is the initial pool and its Placement is ignored — the
 // controller always places through its sticky assignment table.
 type Config struct {
-	// Fleet is the initial pool and the per-device serving knobs. Its
-	// Tracer also records the control plane's own decisions (scale,
-	// migration and mix events plus per-tick pool samples) alongside the
-	// fleet's placement and device lifecycle events.
-	Fleet fleet.Config
-
-	// Metrics, when set, receives the run's counters at end of serve: the
-	// fleet's per-device metrics plus the control plane's own (ticks,
+	// Fleet is the initial pool and the device template. The template's
+	// sinks observe the control plane too: Fleet.Device.Tracer records its
+	// decisions (scale, migration and mix events plus per-tick pool
+	// samples) alongside the fleet's placement and device lifecycle
+	// events, Fleet.Device.Audit its reaction-lag pairs, and
+	// Fleet.Device.Metrics receives the run's counters at end of serve —
+	// the fleet's per-device metrics plus the control plane's own (ticks,
 	// scale events, migrations, device-ms). Observational only.
-	Metrics *obs.Registry
+	Fleet fleet.Config
 
 	// TickMs is the control-loop period in virtual ms (default 25).
 	TickMs float64
@@ -107,21 +106,19 @@ type Config struct {
 	// AdaptiveMix lets the controller choose each device's mix-forming
 	// policy from offered-mix pressure: when the spread between the
 	// heaviest and lightest estimated memory demand in a device's pending
-	// queue exceeds MixSpreadGBps, the device switches to demand-balance
-	// (or contention-aware, when MixScoreBeam grants a scoring budget);
+	// queue exceeds MixSpreadGBps, the device switches to demand-balance;
 	// once the spread falls back below — or the device starts draining —
-	// it returns to the policy the device was configured with (the fleet
-	// default or its spec's override). Every switch is logged as a "mix"
-	// scale event.
+	// it returns to the policy the device was configured with (the
+	// template's or its spec's override). Every switch is logged as a
+	// "mix" scale event. Escalation follows the template's ScoreBeam: when
+	// Fleet.Device.ScoreBeam is positive, a spread-triggered switch goes to
+	// the contention-aware mix policy with that beam width
+	// (predicted-makespan batch scoring) instead of demand-balance. Zero
+	// keeps the scalar heuristic — scoring costs model evaluations per
+	// dispatch round, so it is opt-in.
 	AdaptiveMix bool
 	// MixSpreadGBps is the demand-spread threshold (default 10).
 	MixSpreadGBps float64
-	// MixScoreBeam is the adaptive hook's scoring budget: when positive, a
-	// spread-triggered switch escalates to the contention-aware mix policy
-	// with this beam width (predicted-makespan batch scoring) instead of
-	// demand-balance. Zero keeps the scalar heuristic — scoring costs
-	// model evaluations per dispatch round, so it is opt-in.
-	MixScoreBeam int
 }
 
 // Defaults.
@@ -401,7 +398,7 @@ type run struct {
 // logScale records one scale event and mirrors it into the trace.
 func (r *run) logScale(e ScaleEvent) {
 	r.events = append(r.events, e)
-	if t := r.cfg.Fleet.Tracer; t != nil {
+	if t := r.cfg.Fleet.Device.Tracer; t != nil {
 		detail := e.Action
 		if e.Mix != "" {
 			detail += ":" + e.Mix
@@ -414,7 +411,7 @@ func (r *run) logScale(e ScaleEvent) {
 // logMigration records one migration and mirrors it into the trace.
 func (r *run) logMigration(m Migration) {
 	r.migrations = append(r.migrations, m)
-	if t := r.cfg.Fleet.Tracer; t != nil {
+	if t := r.cfg.Fleet.Device.Tracer; t != nil {
 		t.Emit(obs.Event{AtMs: m.AtMs, Kind: obs.KindMigrate, Tenant: m.Tenant,
 			Request: obs.NoRequest, Detail: m.From + "->" + m.To + " (" + m.Reason + ")",
 			Value: m.RollingP99Ms})
@@ -470,7 +467,7 @@ func (r *run) tick(nowMs float64) error {
 // reads every placeable device's offered-mix pressure — the spread
 // between the heaviest and lightest estimated memory demand in its
 // pending queue — and switches the device to demand-balance (or to
-// contention-aware when MixScoreBeam grants a scoring budget) while the
+// contention-aware when the template's ScoreBeam is positive) while the
 // spread exceeds the threshold, back to the device's own configured
 // policy (recorded the first time the hook sees it, so per-spec
 // overrides survive) once it subsides. A switched device that starts
@@ -490,10 +487,7 @@ func (r *run) adaptMix(nowMs float64) error {
 		}
 		if r.fleet.Draining(i) {
 			if d.MixPolicy() != r.mixBase[i] {
-				// Restores rebuild the configured policy, so a device
-				// configured contention-aware gets its fleet-configured
-				// beam back, not the adaptive hook's budget.
-				if err := r.switchMix(d, r.mixBase[i], nowMs, 0, r.cfg.Fleet.ScoreBeam); err != nil {
+				if err := r.switchMix(d, r.mixBase[i], nowMs, 0); err != nil {
 					return err
 				}
 			}
@@ -503,22 +497,20 @@ func (r *run) adaptMix(nowMs float64) error {
 		if err != nil {
 			return err
 		}
-		want, beam := r.mixBase[i], r.cfg.Fleet.ScoreBeam
+		want := r.mixBase[i]
 		if spread > r.cfg.MixSpreadGBps {
 			want = serve.MixDemandBalance
 			// A scoring budget escalates the switch to contention-aware —
 			// as does a device already configured contention-aware, which
 			// pressure must never downgrade to the scalar heuristic.
-			if r.cfg.MixScoreBeam > 0 {
-				want, beam = serve.MixContentionAware, r.cfg.MixScoreBeam
-			} else if r.mixBase[i] == serve.MixContentionAware {
+			if r.cfg.Fleet.Device.ScoreBeam > 0 || r.mixBase[i] == serve.MixContentionAware {
 				want = serve.MixContentionAware
 			}
 		}
 		if d.MixPolicy() == want {
 			continue
 		}
-		if err := r.switchMix(d, want, nowMs, spread, beam); err != nil {
+		if err := r.switchMix(d, want, nowMs, spread); err != nil {
 			return err
 		}
 	}
@@ -526,12 +518,12 @@ func (r *run) adaptMix(nowMs float64) error {
 }
 
 // switchMix swaps one device's mix-forming policy and logs the "mix"
-// scale event (spread is the decision signal; 0 for drain restores; beam
-// sizes a contention-aware former's scoring beam).
-func (r *run) switchMix(d serve.Device, want string, nowMs, spread float64, beam int) error {
+// scale event (spread is the decision signal; 0 for drain restores). A
+// contention-aware former scores with the template's beam.
+func (r *run) switchMix(d serve.Device, want string, nowMs, spread float64) error {
 	var m serve.MixFormer
 	if want == serve.MixContentionAware {
-		m = serve.ContentionAwareMix(beam)
+		m = serve.ContentionAwareMix(r.cfg.Fleet.Device.ScoreBeam)
 	} else {
 		var err error
 		m, err = serve.NewMixFormer(want)
@@ -654,7 +646,7 @@ func (r *run) sample(nowMs float64) {
 	r.lastTickMs = nowMs
 	r.lastUtilPct = s.UtilizationPct
 	r.timeline = append(r.timeline, s)
-	if t := r.cfg.Fleet.Tracer; t != nil {
+	if t := r.cfg.Fleet.Device.Tracer; t != nil {
 		t.Emit(obs.Event{AtMs: nowMs, Kind: obs.KindPool, Request: obs.NoRequest,
 			Metrics: map[string]float64{
 				"active":          float64(s.Active),
@@ -722,8 +714,8 @@ func (r *run) closeWindow(nowMs float64) {
 	r.windowOpen = false
 	r.lagTotal += lag
 	r.lagWindows++
-	r.cfg.Fleet.Audit.Observe("control", "scale", "reaction-lag", r.windowTripMs, nowMs)
-	if t := r.cfg.Fleet.Tracer; t != nil {
+	r.cfg.Fleet.Device.Audit.Observe("control", "scale", "reaction-lag", r.windowTripMs, nowMs)
+	if t := r.cfg.Fleet.Device.Tracer; t != nil {
 		t.Emit(obs.Event{AtMs: nowMs, Kind: obs.KindAudit, Request: obs.NoRequest,
 			Detail: "scale-lag", Value: float64(lag),
 			Metrics: map[string]float64{
@@ -986,7 +978,7 @@ func (r *run) summarize() *Summary {
 		}
 		r.lagOpen = r.lagOpen[:0]
 		r.windowOpen = false
-		if t := r.cfg.Fleet.Tracer; t != nil {
+		if t := r.cfg.Fleet.Device.Tracer; t != nil {
 			t.Emit(obs.Event{AtMs: endMs, Kind: obs.KindAudit, Request: obs.NoRequest,
 				Detail: "scale-lag", Value: -1,
 				Metrics: map[string]float64{
@@ -1015,7 +1007,7 @@ func (r *run) summarize() *Summary {
 			sum.DeviceMs += span
 		}
 	}
-	if reg := r.cfg.Metrics; reg != nil {
+	if reg := r.cfg.Fleet.Device.Metrics; reg != nil {
 		r.fleet.FillMetrics(reg)
 		reg.Set("control.ticks", float64(len(r.timeline)))
 		reg.Set("control.scale_events", float64(len(r.events)))

@@ -18,8 +18,8 @@ import (
 func demoConfig() Config {
 	return Config{
 		Fleet: fleet.Config{
-			Devices:         []fleet.DeviceSpec{{Platform: "Orin"}},
-			SolverTimeScale: 50,
+			Devices: []fleet.DeviceSpec{{Platform: "Orin"}},
+			Device:  serve.Config{SolverTimeScale: 50},
 		},
 		MaxDevices:    3,
 		GrowPlatforms: []string{"Xavier", "SD865"},
@@ -403,8 +403,8 @@ func TestAdaptiveMixSwitches(t *testing.T) {
 func TestAdaptMixRestoresOnDrain(t *testing.T) {
 	cfg := Config{
 		Fleet: fleet.Config{
-			Devices:         []fleet.DeviceSpec{{Platform: "Orin", Count: 2}},
-			SolverTimeScale: 50,
+			Devices: []fleet.DeviceSpec{{Platform: "Orin", Count: 2}},
+			Device:  serve.Config{SolverTimeScale: 50},
 		},
 		AdaptiveMix: true,
 	}.withDefaults()
@@ -461,18 +461,17 @@ func TestAdaptMixRestoresOnDrain(t *testing.T) {
 	}
 }
 
-// TestAdaptiveMixEscalatesToContentionAware: with a scoring budget
-// (MixScoreBeam > 0) the spread-triggered switch must pick the
+// TestAdaptiveMixEscalatesToContentionAware: with a scoring budget (the
+// template's ScoreBeam > 0) the spread-triggered switch must pick the
 // contention-aware policy instead of demand-balance, and restore the base
 // policy once the spread subsides.
 func TestAdaptiveMixEscalatesToContentionAware(t *testing.T) {
 	cfg := Config{
 		Fleet: fleet.Config{
-			Devices:         []fleet.DeviceSpec{{Platform: "Orin", Count: 2}},
-			SolverTimeScale: 50,
+			Devices: []fleet.DeviceSpec{{Platform: "Orin", Count: 2}},
+			Device:  serve.Config{ScoreBeam: 4, SolverTimeScale: 50},
 		},
-		AdaptiveMix:  true,
-		MixScoreBeam: 4,
+		AdaptiveMix: true,
 	}.withDefaults()
 	r, err := newRun(cfg)
 	if err != nil {
@@ -513,39 +512,40 @@ func TestAdaptiveMixEscalatesToContentionAware(t *testing.T) {
 
 // TestAdaptiveMixNeverDowngradesContentionAware: a device configured with
 // the contention-aware policy must not be switched to the scalar
-// demand-balance heuristic by spread pressure, even without an adaptive
-// scoring budget (MixScoreBeam 0).
+// demand-balance heuristic by spread pressure, with a scoring budget (the
+// template's ScoreBeam 16) or without one (ScoreBeam 0).
 func TestAdaptiveMixNeverDowngradesContentionAware(t *testing.T) {
-	cfg := Config{
-		Fleet: fleet.Config{
-			Devices:         []fleet.DeviceSpec{{Platform: "Orin", Count: 2, MixPolicy: serve.MixContentionAware}},
-			ScoreBeam:       16,
-			SolverTimeScale: 50,
-		},
-		AdaptiveMix: true,
-	}.withDefaults()
-	r, err := newRun(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.adaptMix(0); err != nil {
-		t.Fatal(err)
-	}
-	d0 := r.fleet.Devices()[0]
-	for i, net := range []string{"VGG19", "SqueezeNet"} {
-		if _, err := d0.Offer(serve.Request{ID: i, Tenant: "t", Network: net}); err != nil {
+	for _, beam := range []int{16, 0} {
+		cfg := Config{
+			Fleet: fleet.Config{
+				Devices: []fleet.DeviceSpec{{Platform: "Orin", Count: 2, MixPolicy: serve.MixContentionAware}},
+				Device:  serve.Config{ScoreBeam: beam, SolverTimeScale: 50},
+			},
+			AdaptiveMix: true,
+		}.withDefaults()
+		r, err := newRun(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := r.adaptMix(25); err != nil {
-		t.Fatal(err)
-	}
-	if got := d0.MixPolicy(); got != serve.MixContentionAware {
-		t.Errorf("pressure downgraded a contention-aware device to %q", got)
-	}
-	for _, e := range r.events {
-		if e.Action == "mix" {
-			t.Errorf("unexpected mix event on a contention-aware-configured device: %+v", e)
+		if err := r.adaptMix(0); err != nil {
+			t.Fatal(err)
+		}
+		d0 := r.fleet.Devices()[0]
+		for i, net := range []string{"VGG19", "SqueezeNet"} {
+			if _, err := d0.Offer(serve.Request{ID: i, Tenant: "t", Network: net}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.adaptMix(25); err != nil {
+			t.Fatal(err)
+		}
+		if got := d0.MixPolicy(); got != serve.MixContentionAware {
+			t.Errorf("beam %d: pressure downgraded a contention-aware device to %q", beam, got)
+		}
+		for _, e := range r.events {
+			if e.Action == "mix" {
+				t.Errorf("beam %d: unexpected mix event on a contention-aware-configured device: %+v", beam, e)
+			}
 		}
 	}
 }

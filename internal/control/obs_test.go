@@ -2,6 +2,7 @@ package control
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"haxconn/internal/obs"
@@ -16,7 +17,7 @@ func TestControlTracingNoPerturbation(t *testing.T) {
 	run := func(tracer *obs.Tracer) (*Summary, []byte) {
 		t.Helper()
 		cfg := demoConfig()
-		cfg.Fleet.Tracer = tracer
+		cfg.Fleet.Device.Tracer = tracer
 		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -60,7 +61,7 @@ func TestControlAuditNoPerturbation(t *testing.T) {
 	run := func(audit *obs.Audit) []byte {
 		t.Helper()
 		cfg := demoConfig()
-		cfg.Fleet.Audit = audit
+		cfg.Fleet.Device.Audit = audit
 		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -89,8 +90,8 @@ func TestControlAuditNoPerturbation(t *testing.T) {
 func TestControlReactionTicks(t *testing.T) {
 	tr := burstTrace(t, 1)
 	cfg := demoConfig()
-	cfg.Fleet.Audit = obs.NewAudit()
-	cfg.Fleet.Tracer = obs.NewTracer()
+	cfg.Fleet.Device.Audit = obs.NewAudit()
+	cfg.Fleet.Device.Tracer = obs.NewTracer()
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +121,7 @@ func TestControlReactionTicks(t *testing.T) {
 	}
 
 	windows := 0
-	for _, e := range cfg.Fleet.Tracer.Events() {
+	for _, e := range cfg.Fleet.Device.Tracer.Events() {
 		if e.Kind != obs.KindAudit || e.Detail != "scale-lag" {
 			continue
 		}
@@ -137,7 +138,7 @@ func TestControlReactionTicks(t *testing.T) {
 	if windows == 0 {
 		t.Fatal("no scale-lag events for a demo that grew")
 	}
-	for _, s := range cfg.Fleet.Audit.Snapshot() {
+	for _, s := range cfg.Fleet.Device.Audit.Snapshot() {
 		if s.Layer != "control" {
 			continue
 		}
@@ -156,22 +157,35 @@ func TestControlReactionTicks(t *testing.T) {
 }
 
 // TestControlCompareTracesControlledLegOnly: in compare mode only the
-// controlled leg may write to the trace — the static baseline rebuilds
-// identically named devices, which would overlap on the same tracks.
+// controlled leg may write to the trace or the registry — the static
+// baseline rebuilds identically named devices, which would overlap on the
+// same tracks and metric names.
 func TestControlCompareTracesControlledLegOnly(t *testing.T) {
 	tr := burstTrace(t, 1)
 	tracer := obs.NewTracer()
+	reg := obs.NewRegistry()
 	cfg := demoConfig()
-	cfg.Fleet.Tracer = tracer
+	cfg.Fleet.Device.Tracer = tracer
+	cfg.Fleet.Device.Metrics = reg
 	cmp, err := Compare(cfg, tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts := tracer.CountByKind()
 	// Both legs saw every request; a double-traced run would show twice
-	// as many arrivals as the trace has requests.
+	// as many arrivals as the trace has requests, and a double-filled
+	// registry twice as many placements.
 	if got, want := counts[obs.KindArrive], len(tr); got != want {
 		t.Errorf("arrive events = %d, want %d (controlled leg only)", got, want)
+	}
+	placed := 0.0
+	for _, m := range reg.Snapshot() {
+		if strings.HasPrefix(m.Name, "fleet.") && strings.HasSuffix(m.Name, ".placed") {
+			placed += m.Value
+		}
+	}
+	if want := float64(len(tr)); placed != want {
+		t.Errorf("placements in the registry = %v, want %v (controlled leg only)", placed, want)
 	}
 	if cmp.Static == nil {
 		t.Fatal("static leg missing")
@@ -184,7 +198,7 @@ func TestControlFillMetrics(t *testing.T) {
 	tr := burstTrace(t, 1)
 	reg := obs.NewRegistry()
 	cfg := demoConfig()
-	cfg.Metrics = reg
+	cfg.Fleet.Device.Metrics = reg
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

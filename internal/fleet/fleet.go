@@ -39,7 +39,6 @@ import (
 	"strings"
 
 	"haxconn/internal/obs"
-	"haxconn/internal/schedule"
 	"haxconn/internal/serve"
 	"haxconn/internal/soc"
 )
@@ -50,9 +49,9 @@ type DeviceSpec struct {
 	Platform string
 	// Count is the number of devices of this platform (default 1).
 	Count int
-	// MixPolicy overrides the fleet-wide Config.MixPolicy for these
-	// devices ("" inherits the fleet default) — a heterogeneous pool can
-	// run demand-balance on its big devices and fifo on the small ones.
+	// MixPolicy overrides the template's Config.Device.MixPolicy for these
+	// devices ("" inherits it) — a heterogeneous pool can run
+	// demand-balance on its big devices and fifo on the small ones.
 	MixPolicy string
 }
 
@@ -62,27 +61,22 @@ type Config struct {
 	Devices []DeviceSpec
 	// Placement chooses a device for each arrival (default RoundRobin).
 	Placement Placer
-	// Policy is the per-device serving policy (contention-aware or naive).
-	Policy serve.Policy
-	// Objective is the per-mix scheduling objective (default MinMaxLatency).
-	Objective schedule.Objective
-	// MixPolicy names the per-device mix-forming policy (see
-	// serve.MixPolicies); "" means fifo. DeviceSpec.MixPolicy overrides it
-	// per spec, and the control plane may override it per device at
-	// runtime through serve.Device.SetMix.
-	MixPolicy string
-	// ScoreBeam bounds the contention-aware mix policy's per-round scoring
-	// beam on every device (0 = serve.DefaultScoreBeam); see
-	// serve.Config.ScoreBeam.
-	ScoreBeam int
-	// MaxBatch, MaxQueue, AdmitSLOFactor, SolverTimeScale, MaxWaitRounds
-	// and MaxGroups are passed through to every device; see serve.Config.
-	MaxBatch        int
-	MaxQueue        int
-	AdmitSLOFactor  float64
-	SolverTimeScale float64
-	MaxWaitRounds   int
-	MaxGroups       int
+	// Device is the template every device is built from: its serving
+	// policy, objective, mix policy and knobs, and its sinks. The fleet
+	// sets Platform, Name and SharedCache per device, and a spec's
+	// MixPolicy overrides the template's; the control plane may override
+	// a device's mix policy at runtime through serve.Device.SetMix. New
+	// rejects a template that sets Platform, Name, SharedCache or Mix
+	// (one MixFormer instance cannot be stepped by several devices).
+	//
+	// The sinks are fleet-wide: Tracer records placement decisions plus
+	// every device's lifecycle events into one trace; Audit streams every
+	// device's predicted-vs-actual pairs plus the fleet's own placement
+	// audit — the mix-aware placer's predicted fit (MixFitMs) against the
+	// realized makespan of the round that served the request; Serve fills
+	// Metrics at the end of the run. All are strictly observational, and
+	// Compare clears them.
+	Device serve.Config
 	// PrivateCaches gives every device its own schedule cache instead of
 	// sharing one per platform (for measuring what sharing is worth).
 	PrivateCaches bool
@@ -92,24 +86,15 @@ type Config struct {
 	// solved locally; see serve.CacheConfig.SolveOwner. Applied to every
 	// platform cache. Nil solves everything locally.
 	CacheSolveOwner func(mixKey string) bool
-	// AdaptiveMaxWait passes the slack-scaled starvation bound to every
-	// device; see serve.Config.AdaptiveMaxWait.
-	AdaptiveMaxWait bool
-	// Tracer, when set, records placement decisions plus every device's
-	// lifecycle events into one trace (see serve.Config.Tracer). Strictly
-	// observational; Compare clears it on its comparison legs, whose
-	// identically-named devices would otherwise overlap in one trace.
-	Tracer *obs.Tracer
-	// SketchMetrics summarizes per-device and fleet latencies with the
-	// streaming quantile sketch; see serve.Config.SketchMetrics.
-	SketchMetrics bool
-	// Audit, when set, streams predicted-vs-actual pairs: every device's
-	// dispatch-round and per-request predictions (see serve.Config.Audit)
-	// plus the fleet's own placement-decision audit — the mix-aware
-	// placer's predicted fit (MixFitMs) against the realized makespan of
-	// the dispatch round that served the request. Strictly observational;
-	// Compare clears it on its comparison legs alongside the tracer.
-	Audit *obs.Audit
+}
+
+// checkTemplate rejects a device template that sets what the fleet sets
+// per device.
+func checkTemplate(d serve.Config) error {
+	if d.Platform != nil || d.Name != "" || d.SharedCache != nil || d.Mix != nil {
+		return fmt.Errorf("fleet: the device template sets Platform, Name, SharedCache or Mix; the fleet sets the first three per device, and one Mix instance cannot serve several devices")
+	}
+	return nil
 }
 
 // Fleet is the dispatcher: a device pool, a placement policy, and the
@@ -139,6 +124,9 @@ type Fleet struct {
 func New(cfg Config) (*Fleet, error) {
 	if len(cfg.Devices) == 0 {
 		return nil, fmt.Errorf("fleet: no device specs")
+	}
+	if err := checkTemplate(cfg.Device); err != nil {
+		return nil, err
 	}
 	if cfg.Placement == nil {
 		cfg.Placement = RoundRobin()
@@ -170,64 +158,39 @@ func New(cfg Config) (*Fleet, error) {
 // it with the platform's shared schedule cache (created on first use, so a
 // device of an unseen platform brings its cache into existence — the hook
 // internal/control seeds transferred entries through). The device joins
-// with a fresh virtual timeline, the fleet's default mix policy, and is
+// with a fresh virtual timeline, the template's mix policy, and is
 // immediately placeable. Returns the new device.
 func (f *Fleet) AddDevice(platform string) (serve.Device, error) {
 	return f.addDevice(platform, "")
 }
 
 // addDevice is AddDevice with a per-device mix-policy override ("" uses
-// the fleet default).
+// the template's).
 func (f *Fleet) addDevice(platform, mixPolicy string) (serve.Device, error) {
 	p, ok := soc.PlatformByName(platform)
 	if !ok {
 		return nil, fmt.Errorf("fleet: unknown platform %q", platform)
 	}
-	var shared *serve.Cache
+	dc := f.cfg.Device
+	dc.Platform = p
+	dc.Name = fmt.Sprintf("%s/%d", p.Name, f.perPlatform[p.Name])
+	if mixPolicy != "" {
+		dc.MixPolicy = mixPolicy
+	}
 	if !f.cfg.PrivateCaches {
-		if c, ok := f.caches[p.Name]; ok {
-			shared = c
-		} else {
-			c, err := serve.NewCache(serve.CacheConfig{
-				Platform:        p,
-				Objective:       f.cfg.Objective,
-				Solve:           f.cfg.Policy == serve.ContentionAware,
-				SolverTimeScale: f.cfg.SolverTimeScale,
-				MaxGroups:       f.cfg.MaxGroups,
-				SolveOwner:      f.cfg.CacheSolveOwner,
-			})
-			if err != nil {
+		c, ok := f.caches[p.Name]
+		if !ok {
+			cc := dc.CacheConfig()
+			cc.SolveOwner = f.cfg.CacheSolveOwner
+			var err error
+			if c, err = serve.NewCache(cc); err != nil {
 				return nil, err
 			}
-			if f.cfg.Tracer != nil {
-				c.AttachTracer(f.cfg.Tracer)
-			}
 			f.caches[p.Name] = c
-			shared = c
 		}
+		dc.SharedCache = c
 	}
-	if mixPolicy == "" {
-		mixPolicy = f.cfg.MixPolicy
-	}
-	rt, err := serve.New(serve.Config{
-		Platform:        p,
-		Name:            fmt.Sprintf("%s/%d", p.Name, f.perPlatform[p.Name]),
-		Objective:       f.cfg.Objective,
-		Policy:          f.cfg.Policy,
-		MixPolicy:       mixPolicy,
-		ScoreBeam:       f.cfg.ScoreBeam,
-		MaxBatch:        f.cfg.MaxBatch,
-		MaxQueue:        f.cfg.MaxQueue,
-		AdmitSLOFactor:  f.cfg.AdmitSLOFactor,
-		SolverTimeScale: f.cfg.SolverTimeScale,
-		MaxWaitRounds:   f.cfg.MaxWaitRounds,
-		MaxGroups:       f.cfg.MaxGroups,
-		SharedCache:     shared,
-		AdaptiveMaxWait: f.cfg.AdaptiveMaxWait,
-		Tracer:          f.cfg.Tracer,
-		SketchMetrics:   f.cfg.SketchMetrics,
-		Audit:           f.cfg.Audit,
-	})
+	rt, err := serve.New(dc)
 	if err != nil {
 		return nil, err
 	}
@@ -379,12 +342,12 @@ func (f *Fleet) Offer(req serve.Request) (int, bool, error) {
 			return -1, false, fmt.Errorf("fleet: placement %s chose device %d of %d", f.placer.Name(), j, len(f.devices))
 		}
 	}
-	if f.cfg.Tracer != nil {
-		f.cfg.Tracer.Emit(obs.Event{AtMs: req.ArrivalMs, Kind: obs.KindPlace,
+	if t := f.cfg.Device.Tracer; t != nil {
+		t.Emit(obs.Event{AtMs: req.ArrivalMs, Kind: obs.KindPlace,
 			Device: f.devices[j].Name(), Tenant: req.Tenant, Network: req.Network,
 			Request: req.ID, Detail: f.placer.Name()})
 	}
-	if f.cfg.Audit != nil || f.cfg.Tracer != nil {
+	if f.cfg.Device.Audit != nil || f.cfg.Device.Tracer != nil {
 		// Decision audit: remember the mix-aware placer's predicted fit for
 		// the chosen device so Summarize can pair it with the realized
 		// makespan of the round that eventually serves this request.
@@ -482,7 +445,8 @@ func (f *Fleet) Rewind() {
 // once. Strictly observational: summaries are assembled from the same
 // completions whether or not an audit or tracer is attached.
 func (f *Fleet) auditPlacements() {
-	if (f.cfg.Audit == nil && f.cfg.Tracer == nil) || len(f.mixFitPred) == 0 {
+	audit, tracer := f.cfg.Device.Audit, f.cfg.Device.Tracer
+	if (audit == nil && tracer == nil) || len(f.mixFitPred) == 0 {
 		return
 	}
 	for i, d := range f.devices {
@@ -492,9 +456,9 @@ func (f *Fleet) auditPlacements() {
 			if !ok || c.RoundMakespanMs <= 0 {
 				continue
 			}
-			f.cfg.Audit.Observe("fleet", "device", d.Name(), pred, c.RoundMakespanMs)
-			if f.cfg.Tracer != nil {
-				f.cfg.Tracer.Emit(obs.Event{AtMs: c.EndMs, Kind: obs.KindAudit,
+			audit.Observe("fleet", "device", d.Name(), pred, c.RoundMakespanMs)
+			if tracer != nil {
+				tracer.Emit(obs.Event{AtMs: c.EndMs, Kind: obs.KindAudit,
 					Device: d.Name(), Tenant: c.Tenant, Network: c.Network,
 					Request: c.ID, Detail: "place-fit", Value: pred - c.RoundMakespanMs,
 					Metrics: map[string]float64{
@@ -527,7 +491,8 @@ func (f *Fleet) FillMetrics(reg *obs.Registry) {
 // arrivals are placed on a device (and judged by its admission controller)
 // the moment they arrive, and whichever device can start a round earliest
 // steps next. The trace may be unsorted. Serve rewinds every device first,
-// so repeated calls serve independent runs over warm schedule caches.
+// so repeated calls serve independent runs over warm schedule caches, and
+// fills the template's Metrics at the end.
 func (f *Fleet) Serve(tr serve.Trace) (*Summary, error) {
 	if len(tr) == 0 {
 		return nil, fmt.Errorf("fleet: empty trace")
@@ -559,14 +524,16 @@ func (f *Fleet) Serve(tr serve.Trace) (*Summary, error) {
 			return nil, err
 		}
 	}
-	return f.Summarize(), nil
+	sum := f.Summarize()
+	f.FillMetrics(f.cfg.Device.Metrics)
+	return sum, nil
 }
 
 // Comparison holds one trace served on a single SoC and on the fleet under
 // several placement policies.
 type Comparison struct {
 	// Single is the single-SoC baseline: the whole trace on one device of
-	// SinglePlatform under the same serving policy and knobs.
+	// SinglePlatform, built from the same device template as the fleets.
 	Single         *serve.Summary
 	SinglePlatform string
 	// Fleets holds one fleet summary per placement policy, in the order
@@ -577,7 +544,10 @@ type Comparison struct {
 // Compare serves the same trace on a single SoC of the pool's first
 // platform and on the fleet under each placement policy. It quantifies
 // both the scale-out win (fleet vs. one SoC) and policy-vs-policy
-// differences on identical traffic.
+// differences on identical traffic. Every leg is built from cfg.Device
+// and runs unobserved: the legs build identically-named devices, which
+// one shared tracer would interleave indistinguishably (and one shared
+// audit or registry would merge). Observe a single fleet run instead.
 func Compare(cfg Config, tr serve.Trace, placements ...Placer) (*Comparison, error) {
 	if len(placements) == 0 {
 		placements = []Placer{RoundRobin(), LeastLoaded(), Affinity(), MixAware()}
@@ -585,23 +555,17 @@ func Compare(cfg Config, tr serve.Trace, placements ...Placer) (*Comparison, err
 	if len(cfg.Devices) == 0 {
 		return nil, fmt.Errorf("fleet: no device specs")
 	}
+	if err := checkTemplate(cfg.Device); err != nil {
+		return nil, err
+	}
 	p, ok := soc.PlatformByName(cfg.Devices[0].Platform)
 	if !ok {
 		return nil, fmt.Errorf("fleet: unknown platform %q", cfg.Devices[0].Platform)
 	}
-	single, err := serve.New(serve.Config{
-		Platform:        p,
-		Objective:       cfg.Objective,
-		Policy:          cfg.Policy,
-		MixPolicy:       cfg.MixPolicy,
-		ScoreBeam:       cfg.ScoreBeam,
-		MaxBatch:        cfg.MaxBatch,
-		MaxQueue:        cfg.MaxQueue,
-		AdmitSLOFactor:  cfg.AdmitSLOFactor,
-		SolverTimeScale: cfg.SolverTimeScale,
-		MaxWaitRounds:   cfg.MaxWaitRounds,
-		MaxGroups:       cfg.MaxGroups,
-	})
+	cfg.Device.Tracer, cfg.Device.Audit, cfg.Device.Metrics = nil, nil, nil
+	sc := cfg.Device
+	sc.Platform = p
+	single, err := serve.New(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -613,12 +577,6 @@ func Compare(cfg Config, tr serve.Trace, placements ...Placer) (*Comparison, err
 	for _, pl := range placements {
 		c := cfg
 		c.Placement = pl
-		// Each leg builds identically-named devices; one shared tracer
-		// would interleave their tracks indistinguishably (and one shared
-		// audit would merge their per-device aggregates). Trace or audit a
-		// single fleet run instead of a comparison.
-		c.Tracer = nil
-		c.Audit = nil
 		fl, err := New(c)
 		if err != nil {
 			return nil, err

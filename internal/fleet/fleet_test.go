@@ -31,7 +31,7 @@ func threeDeviceConfig() Config {
 		Devices: []DeviceSpec{
 			{Platform: "Orin"}, {Platform: "Xavier"}, {Platform: "SD865"},
 		},
-		SolverTimeScale: 50,
+		Device: serve.Config{SolverTimeScale: 50},
 	}
 }
 
@@ -43,6 +43,11 @@ func TestNewValidation(t *testing.T) {
 		{"no devices", Config{}},
 		{"unknown platform", Config{Devices: []DeviceSpec{{Platform: "Exynos"}}}},
 		{"negative count", Config{Devices: []DeviceSpec{{Platform: "Orin", Count: -1}}}},
+		{"template platform", Config{Devices: []DeviceSpec{{Platform: "Orin"}}, Device: serve.Config{Platform: soc.Orin()}}},
+		{"template name", Config{Devices: []DeviceSpec{{Platform: "Orin"}}, Device: serve.Config{Name: "edge"}}},
+		{"template shared cache", Config{Devices: []DeviceSpec{{Platform: "Orin"}}, Device: serve.Config{SharedCache: &serve.Cache{}}}},
+		{"template mix", Config{Devices: []DeviceSpec{{Platform: "Orin"}}, Device: serve.Config{Mix: serve.FIFO()}}},
+		{"template NaN scale", Config{Devices: []DeviceSpec{{Platform: "Orin"}}, Device: serve.Config{SolverTimeScale: math.NaN()}}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.cfg); err == nil {
@@ -116,6 +121,46 @@ func TestFleetBeatsSingleSoC(t *testing.T) {
 	}
 }
 
+// TestCompareSingleLegUsesTemplate: Compare's single-SoC baseline is built
+// from the same device template as the fleets, so it serves exactly what a
+// runtime built from that template on the first platform serves — every
+// knob included, AdaptiveMaxWait and SketchMetrics among them.
+func TestCompareSingleLegUsesTemplate(t *testing.T) {
+	tr, err := serve.Generate([]serve.TenantSpec{
+		{Name: "alice", Network: "VGG19", RateRPS: 300, SLOMs: 10},
+		{Name: "bob", Network: "ResNet152", RateRPS: 300, SLOMs: 12},
+		{Name: "carol", Network: "GoogleNet", RateRPS: 300, SLOMs: 8},
+		{Name: "dave", Network: "DenseNet", RateRPS: 300, SLOMs: 15},
+	}, 200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := serve.Config{
+		MixPolicy:       serve.MixDemandBalance,
+		MaxWaitRounds:   8,
+		SolverTimeScale: 50,
+		AdaptiveMaxWait: true,
+		SketchMetrics:   true,
+	}
+	cmp, err := Compare(Config{Devices: []DeviceSpec{{Platform: "Orin"}}, Device: tmpl}, tr, RoundRobin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := tmpl
+	rc.Platform = mustPlatform(t, "Orin")
+	rt, err := serve.New(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rt.Serve(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mustJSON(t, cmp.Single), mustJSON(t, want); !bytes.Equal(got, want) {
+		t.Errorf("single leg diverged from a runtime built from the template:\nsingle:  %s\nruntime: %s", got, want)
+	}
+}
+
 // TestSingleDeviceFleetMatchesRuntime pins the fleet event loop to the
 // single-device serving semantics: a one-device fleet under round-robin
 // must reproduce serve.Runtime.Serve exactly.
@@ -129,7 +174,7 @@ func TestSingleDeviceFleetMatchesRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(Config{Devices: []DeviceSpec{{Platform: "Orin"}}, SolverTimeScale: 50})
+	f, err := New(Config{Devices: []DeviceSpec{{Platform: "Orin"}}, Device: serve.Config{SolverTimeScale: 50}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +202,9 @@ func TestPlacementSpreadsLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		f, err := New(Config{
-			Devices:         []DeviceSpec{{Platform: "Orin", Count: 2}},
-			Placement:       pl,
-			SolverTimeScale: 50,
+			Devices:   []DeviceSpec{{Platform: "Orin", Count: 2}},
+			Placement: pl,
+			Device:    serve.Config{SolverTimeScale: 50},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -198,10 +243,10 @@ func TestSharedCacheWarmsPlatformGroup(t *testing.T) {
 	tr := defaultTrace(t)
 	run := func(private bool) *Summary {
 		f, err := New(Config{
-			Devices:         []DeviceSpec{{Platform: "Orin", Count: 2}},
-			Placement:       RoundRobin(),
-			SolverTimeScale: 50,
-			PrivateCaches:   private,
+			Devices:       []DeviceSpec{{Platform: "Orin", Count: 2}},
+			Placement:     RoundRobin(),
+			Device:        serve.Config{SolverTimeScale: 50},
+			PrivateCaches: private,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -332,9 +377,9 @@ func TestEqualLoadPoolDeterminism(t *testing.T) {
 		run := func() *Summary {
 			pl, _ := NewPlacer(name)
 			f, err := New(Config{
-				Devices:         []DeviceSpec{{Platform: "Orin", Count: 3}},
-				Placement:       pl,
-				SolverTimeScale: 50,
+				Devices:   []DeviceSpec{{Platform: "Orin", Count: 3}},
+				Placement: pl,
+				Device:    serve.Config{SolverTimeScale: 50},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -383,9 +428,9 @@ func TestMixAwarePlacement(t *testing.T) {
 	}
 
 	f, err := New(Config{
-		Devices:         []DeviceSpec{{Platform: "Orin", Count: 2}},
-		Placement:       MixAware(),
-		SolverTimeScale: 50,
+		Devices:   []DeviceSpec{{Platform: "Orin", Count: 2}},
+		Placement: MixAware(),
+		Device:    serve.Config{SolverTimeScale: 50},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -416,7 +461,7 @@ func TestMixAwarePlacement(t *testing.T) {
 // while it finishes queued work, and Remove requiring a drained-dry
 // device.
 func TestDynamicMembership(t *testing.T) {
-	f, err := New(Config{Devices: []DeviceSpec{{Platform: "Orin"}}, SolverTimeScale: 50})
+	f, err := New(Config{Devices: []DeviceSpec{{Platform: "Orin"}}, Device: serve.Config{SolverTimeScale: 50}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,10 +642,9 @@ func TestAssignedFastPathMatchesViews(t *testing.T) {
 		}
 		tracer := obs.NewTracer()
 		f, err := New(Config{
-			Devices:         []DeviceSpec{{Platform: "Orin", Count: 2}, {Platform: "Xavier"}},
-			Placement:       pl,
-			SolverTimeScale: 50,
-			Tracer:          tracer,
+			Devices:   []DeviceSpec{{Platform: "Orin", Count: 2}, {Platform: "Xavier"}},
+			Placement: pl,
+			Device:    serve.Config{SolverTimeScale: 50, Tracer: tracer},
 		})
 		if err != nil {
 			t.Fatal(err)

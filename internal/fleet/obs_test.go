@@ -17,7 +17,7 @@ func TestFleetTracingNoPerturbation(t *testing.T) {
 	run := func(tracer *obs.Tracer) []byte {
 		t.Helper()
 		cfg := threeDeviceConfig()
-		cfg.Tracer = tracer
+		cfg.Device.Tracer = tracer
 		f, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -70,8 +70,8 @@ func TestFleetAuditNoPerturbation(t *testing.T) {
 		t.Helper()
 		cfg := threeDeviceConfig()
 		cfg.Placement = MixAware()
-		cfg.MixPolicy = serve.MixContentionAware
-		cfg.Audit = audit
+		cfg.Device.MixPolicy = serve.MixContentionAware
+		cfg.Device.Audit = audit
 		f, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -105,9 +105,9 @@ func TestFleetPlaceFitAudit(t *testing.T) {
 	tr := defaultTrace(t)
 	cfg := threeDeviceConfig()
 	cfg.Placement = MixAware()
-	cfg.MixPolicy = serve.MixContentionAware
-	cfg.Audit = obs.NewAudit()
-	cfg.Tracer = obs.NewTracer()
+	cfg.Device.MixPolicy = serve.MixContentionAware
+	cfg.Device.Audit = obs.NewAudit()
+	cfg.Device.Tracer = obs.NewTracer()
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestFleetPlaceFitAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 	placeFit := 0
-	for _, e := range cfg.Tracer.Events() {
+	for _, e := range cfg.Device.Tracer.Events() {
 		if e.Kind != obs.KindAudit || e.Detail != "place-fit" {
 			continue
 		}
@@ -136,7 +136,7 @@ func TestFleetPlaceFitAudit(t *testing.T) {
 		t.Errorf("place-fit events = %d, more than %d completions", placeFit, sum.Total.Completed)
 	}
 	total := 0
-	for _, s := range cfg.Audit.Snapshot() {
+	for _, s := range cfg.Device.Audit.Snapshot() {
 		if s.Layer == "fleet" && s.Scope == "device" {
 			total += s.Count
 		}
@@ -148,7 +148,7 @@ func TestFleetPlaceFitAudit(t *testing.T) {
 	// must observe nothing new.
 	f.Summarize()
 	again := 0
-	for _, s := range cfg.Audit.Snapshot() {
+	for _, s := range cfg.Device.Audit.Snapshot() {
 		if s.Layer == "fleet" && s.Scope == "device" {
 			again += s.Count
 		}
@@ -159,20 +159,24 @@ func TestFleetPlaceFitAudit(t *testing.T) {
 }
 
 // TestFleetCompareClearsSinks: fleet.Compare rebuilds identically named
-// devices per leg, so it must strip both the tracer and the audit from
-// every leg rather than interleave them.
+// devices per leg, so it must strip the tracer, the audit and the
+// registry from every leg rather than interleave them.
 func TestFleetCompareClearsSinks(t *testing.T) {
 	tr := defaultTrace(t)
 	cfg := threeDeviceConfig()
-	cfg.Tracer = obs.NewTracer()
-	cfg.Audit = obs.NewAudit()
+	cfg.Device.Tracer = obs.NewTracer()
+	cfg.Device.Audit = obs.NewAudit()
+	cfg.Device.Metrics = obs.NewRegistry()
 	if _, err := Compare(cfg, tr, RoundRobin(), LeastLoaded()); err != nil {
 		t.Fatal(err)
 	}
-	if n := cfg.Tracer.Len(); n != 0 {
+	if n := cfg.Device.Metrics.Len(); n != 0 {
+		t.Errorf("Compare leaked %d metrics into the shared registry", n)
+	}
+	if n := cfg.Device.Tracer.Len(); n != 0 {
 		t.Errorf("Compare leaked %d events into the shared tracer", n)
 	}
-	if n := cfg.Audit.Len(); n != 0 {
+	if n := cfg.Device.Audit.Len(); n != 0 {
 		t.Errorf("Compare leaked %d aggregates into the shared audit", n)
 	}
 }
@@ -184,7 +188,7 @@ func TestFleetSketchSummaryCounts(t *testing.T) {
 	run := func(sketch bool) *Summary {
 		t.Helper()
 		cfg := threeDeviceConfig()
-		cfg.SketchMetrics = sketch
+		cfg.Device.SketchMetrics = sketch
 		f, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -206,10 +210,13 @@ func TestFleetSketchSummaryCounts(t *testing.T) {
 	}
 }
 
-// TestFleetFillMetrics: the registry view must agree with the summary.
+// TestFleetFillMetrics: the registry view must agree with the summary,
+// and Serve must fill the template's registry with the same view.
 func TestFleetFillMetrics(t *testing.T) {
 	tr := defaultTrace(t)
-	f, err := New(threeDeviceConfig())
+	cfg := threeDeviceConfig()
+	cfg.Device.Metrics = obs.NewRegistry()
+	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +226,9 @@ func TestFleetFillMetrics(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	f.FillMetrics(reg)
+	if got, want := mustJSON(t, cfg.Device.Metrics.Snapshot()), mustJSON(t, reg.Snapshot()); !bytes.Equal(got, want) {
+		t.Errorf("Serve filled the template registry with\n%s\nwant\n%s", got, want)
+	}
 	if got := reg.Get("fleet.devices"); got != 3 {
 		t.Errorf("fleet.devices = %v, want 3", got)
 	}

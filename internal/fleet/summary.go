@@ -73,8 +73,8 @@ func (f *Fleet) Summarize() *Summary {
 	f.auditPlacements()
 	sum := &Summary{
 		Placement: f.placer.Name(),
-		Policy:    f.cfg.Policy.String(),
-		MixPolicy: serve.MixPolicyName(f.cfg.MixPolicy),
+		Policy:    f.cfg.Device.Policy.String(),
+		MixPolicy: serve.MixPolicyName(f.cfg.Device.MixPolicy),
 		Pool:      f.Pool(),
 	}
 	n := 0
@@ -128,10 +128,10 @@ func (f *Fleet) Summarize() *Summary {
 	}
 
 	summarize := serve.Summarize
-	if f.cfg.SketchMetrics {
+	if f.cfg.Device.SketchMetrics {
 		summarize = serve.SummarizeSketch
 	}
-	agg := summarize(all, f.cfg.Policy, sum.Pool, f.cfg.Objective)
+	agg := summarize(all, f.cfg.Device.Policy, sum.Pool, f.cfg.Device.Objective)
 	sum.DurationMs = agg.DurationMs
 	sum.Tenants = agg.Tenants
 	sum.Total = agg.Total

@@ -213,8 +213,8 @@ func sampleFleet(t *testing.T) (*fleet.Summary, *fleet.Comparison) {
 		t.Fatal(err)
 	}
 	cfg := fleet.Config{
-		Devices:         []fleet.DeviceSpec{{Platform: "Orin"}, {Platform: "Xavier"}},
-		SolverTimeScale: 50,
+		Devices: []fleet.DeviceSpec{{Platform: "Orin"}, {Platform: "Xavier"}},
+		Device:  serve.Config{SolverTimeScale: 50},
 	}
 	cmp, err := fleet.Compare(cfg, tr, fleet.LeastLoaded())
 	if err != nil {
@@ -272,8 +272,8 @@ func sampleControl(t *testing.T) *control.CompareResult {
 	}
 	cmp, err := control.Compare(control.Config{
 		Fleet: fleet.Config{
-			Devices:         []fleet.DeviceSpec{{Platform: "Orin"}},
-			SolverTimeScale: 50,
+			Devices: []fleet.DeviceSpec{{Platform: "Orin"}},
+			Device:  serve.Config{SolverTimeScale: 50},
 		},
 		MaxDevices:    3,
 		GrowPlatforms: []string{"Xavier", "SD865"},

@@ -55,6 +55,21 @@ type CacheConfig struct {
 	SolveOwner func(mixKey string) bool
 }
 
+// solveKnobs is the part of a CacheConfig that a runtime's Config
+// derives (Config.CacheConfig): a runtime binds a shared cache only when
+// the two agree on all of it.
+type solveKnobs struct {
+	Platform        string
+	Objective       schedule.Objective
+	Solve           bool
+	SolverTimeScale float64
+	MaxGroups       int
+}
+
+func (c CacheConfig) solving() solveKnobs {
+	return solveKnobs{c.Platform.Name, c.Objective, c.Solve, c.SolverTimeScale, c.MaxGroups}
+}
+
 // defaultSolverNodesPerMs approximates the measured B&B node rate on the
 // two-network evaluation problems (~30 nodes per millisecond of solve).
 const defaultSolverNodesPerMs = 32

@@ -159,14 +159,15 @@ type Config struct {
 	// SolverTimeScale stretches the background solver's virtual solve time
 	// when mapping its incumbent stream onto the serving timeline, so
 	// upgrade dynamics at Z3-like solve times can be studied (see
-	// autoloop.Config.SolverTimeScale). 1 means unscaled.
+	// autoloop.Config.SolverTimeScale). 1, zero or a negative value means
+	// unscaled.
 	SolverTimeScale float64
 	// MaxGroups caps layer groups per network (0 = nn.DefaultMaxGroups).
 	MaxGroups int
 	// SharedCache, when set, is used instead of a private schedule cache:
 	// a fleet shares one cache among all devices of the same platform, so
-	// a mix solved on one Orin warms every Orin. Its platform, objective
-	// and solve mode must match this runtime's configuration.
+	// a mix solved on one Orin warms every Orin. Its configuration must
+	// match the one this configuration derives (see CacheConfig).
 	SharedCache *Cache
 	// AdaptiveMaxWait scales the starvation bound by the oldest eligible
 	// request's SLO slack: a request close to its deadline is forced into
@@ -201,6 +202,47 @@ type Config struct {
 	// violations with). Strictly observational: summaries are
 	// byte-identical with an audit attached or not.
 	Audit *obs.Audit
+}
+
+// validate rejects a negative count, beam or factor and a non-finite
+// float, naming the field. A zero or negative SolverTimeScale means
+// unscaled.
+func (c Config) validate() error {
+	if c.Platform == nil {
+		return fmt.Errorf("serve: nil platform")
+	}
+	for _, k := range []struct {
+		name string
+		v    float64
+	}{
+		{"MaxBatch", float64(c.MaxBatch)},
+		{"MaxQueue", float64(c.MaxQueue)},
+		{"MaxWaitRounds", float64(c.MaxWaitRounds)},
+		{"ScoreBeam", float64(c.ScoreBeam)},
+		{"AdmitSLOFactor", c.AdmitSLOFactor},
+	} {
+		if k.v < 0 || math.IsNaN(k.v) || math.IsInf(k.v, 0) {
+			return fmt.Errorf("serve: %s is %g, want a finite value >= 0", k.name, k.v)
+		}
+	}
+	if math.IsNaN(c.SolverTimeScale) || math.IsInf(c.SolverTimeScale, 0) {
+		return fmt.Errorf("serve: SolverTimeScale is %g, want a finite value", c.SolverTimeScale)
+	}
+	return nil
+}
+
+// CacheConfig derives the schedule-cache configuration a runtime with
+// this configuration solves under. New builds a private cache from it and
+// requires a shared cache to match it; a fleet builds each platform's
+// shared cache from it, adding the solve-ownership partition.
+func (c Config) CacheConfig() CacheConfig {
+	return CacheConfig{
+		Platform:        c.Platform,
+		Objective:       c.Objective,
+		Solve:           c.Policy == ContentionAware,
+		SolverTimeScale: c.SolverTimeScale,
+		MaxGroups:       c.MaxGroups,
+	}
 }
 
 // Runtime is the serving executor: admission controller, dispatcher and
@@ -299,11 +341,8 @@ func carve[T any](a *[]T, n int) []T {
 // New validates the configuration and builds a runtime with an empty
 // schedule cache (or bound to cfg.SharedCache).
 func New(cfg Config) (*Runtime, error) {
-	if cfg.Platform == nil {
-		return nil, fmt.Errorf("serve: nil platform")
-	}
-	if cfg.MaxBatch < 0 || cfg.MaxQueue < 0 || cfg.AdmitSLOFactor < 0 || cfg.MaxWaitRounds < 0 || cfg.ScoreBeam < 0 {
-		return nil, fmt.Errorf("serve: negative config value")
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	former := cfg.Mix
 	if former == nil {
@@ -332,34 +371,14 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	cache := cfg.SharedCache
 	if cache != nil {
-		cc := cache.cfg
-		if cc.Platform.Name != cfg.Platform.Name {
-			return nil, fmt.Errorf("serve: shared cache is for %s, runtime for %s", cc.Platform.Name, cfg.Platform.Name)
-		}
-		if cc.Objective != cfg.Objective {
-			return nil, fmt.Errorf("serve: shared cache objective %s != runtime objective %s", cc.Objective, cfg.Objective)
-		}
-		if cc.Solve != (cfg.Policy == ContentionAware) {
-			return nil, fmt.Errorf("serve: shared cache solve mode does not match policy %s", cfg.Policy)
-		}
 		// Once a cache is shared, its config governs solving — a silently
 		// differing runtime knob would be dropped, so fail fast instead.
-		if cc.SolverTimeScale != cfg.SolverTimeScale {
-			return nil, fmt.Errorf("serve: shared cache solver time scale %g != runtime %g", cc.SolverTimeScale, cfg.SolverTimeScale)
-		}
-		if cc.MaxGroups != cfg.MaxGroups {
-			return nil, fmt.Errorf("serve: shared cache max groups %d != runtime %d", cc.MaxGroups, cfg.MaxGroups)
+		if have, want := cache.cfg.solving(), cfg.CacheConfig().solving(); have != want {
+			return nil, fmt.Errorf("serve: shared cache solves %+v, runtime config derives %+v", have, want)
 		}
 	} else {
 		var err error
-		cache, err = NewCache(CacheConfig{
-			Platform:        cfg.Platform,
-			Objective:       cfg.Objective,
-			Solve:           cfg.Policy == ContentionAware,
-			SolverTimeScale: cfg.SolverTimeScale,
-			MaxGroups:       cfg.MaxGroups,
-		})
-		if err != nil {
+		if cache, err = NewCache(cfg.CacheConfig()); err != nil {
 			return nil, err
 		}
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"haxconn/internal/schedule"
@@ -137,6 +138,73 @@ func TestGenerateValidation(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := Generate(tc.specs, tc.durMs, 1); err == nil {
 			t.Errorf("%s: expected error", tc.name)
+		}
+	}
+}
+
+// TestNewValidation: New names the field behind every rejected value — a
+// negative count, beam or factor, or a non-finite float — and rejects a
+// shared cache whose configuration differs from the one the runtime's
+// configuration derives, in any of the five derived knobs.
+func TestNewValidation(t *testing.T) {
+	base := Config{Platform: soc.Orin(), SolverTimeScale: 50}
+	with := func(edit func(*Config)) Config {
+		c := base
+		edit(&c)
+		return c
+	}
+	for i, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"MaxBatch", with(func(c *Config) { c.MaxBatch = -1 })},
+		{"MaxQueue", with(func(c *Config) { c.MaxQueue = -1 })},
+		{"MaxWaitRounds", with(func(c *Config) { c.MaxWaitRounds = -1 })},
+		{"ScoreBeam", with(func(c *Config) { c.ScoreBeam = -1 })},
+		{"AdmitSLOFactor", with(func(c *Config) { c.AdmitSLOFactor = -1 })},
+		{"AdmitSLOFactor", with(func(c *Config) { c.AdmitSLOFactor = math.NaN() })},
+		{"AdmitSLOFactor", with(func(c *Config) { c.AdmitSLOFactor = math.Inf(1) })},
+		{"AdmitSLOFactor", with(func(c *Config) { c.AdmitSLOFactor = math.Inf(-1) })},
+		{"SolverTimeScale", with(func(c *Config) { c.SolverTimeScale = math.NaN() })},
+		{"SolverTimeScale", with(func(c *Config) { c.SolverTimeScale = math.Inf(1) })},
+		{"SolverTimeScale", with(func(c *Config) { c.SolverTimeScale = math.Inf(-1) })},
+	} {
+		_, err := New(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("case %d: New returned %v, want an error naming %s", i, err, tc.field)
+		}
+	}
+	// A zero or negative time scale still means unscaled.
+	for _, scale := range []float64{0, -1} {
+		if _, err := New(with(func(c *Config) { c.SolverTimeScale = scale })); err != nil {
+			t.Errorf("SolverTimeScale %g rejected: %v", scale, err)
+		}
+	}
+
+	shared := func(edit func(*CacheConfig)) *Cache {
+		cc := base.CacheConfig()
+		edit(&cc)
+		c, err := NewCache(cc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	if _, err := New(with(func(c *Config) { c.SharedCache = shared(func(*CacheConfig) {}) })); err != nil {
+		t.Errorf("matching shared cache rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		knob string
+		edit func(*CacheConfig)
+	}{
+		{"platform", func(cc *CacheConfig) { cc.Platform = soc.Xavier() }},
+		{"objective", func(cc *CacheConfig) { cc.Objective = schedule.MaxThroughput }},
+		{"solve mode", func(cc *CacheConfig) { cc.Solve = false }},
+		{"solver time scale", func(cc *CacheConfig) { cc.SolverTimeScale = 1 }},
+		{"group cap", func(cc *CacheConfig) { cc.MaxGroups = 6 }},
+	} {
+		if _, err := New(with(func(c *Config) { c.SharedCache = shared(tc.edit) })); err == nil {
+			t.Errorf("shared cache with a different %s accepted", tc.knob)
 		}
 	}
 }

@@ -56,9 +56,7 @@ func Compare(cfg Config, tr serve.Trace) (*CompareResult, error) {
 	}
 	shardedWall := time.Since(start).Seconds() //detlint:allow walltime wall benchmark leg, reported as ShardedWallSec only
 
-	gc := plane.Global()
-	gc.Fleet.Tracer, gc.Fleet.Audit, gc.Metrics = nil, nil, nil
-	global, err := control.New(gc)
+	global, err := control.New(plane.Global())
 	if err != nil {
 		return nil, err
 	}
@@ -143,8 +141,8 @@ var regionSuffixes = []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", 
 func DemoRegionControl() control.Config {
 	return control.Config{
 		Fleet: fleet.Config{
-			Devices:         []fleet.DeviceSpec{{Platform: "Orin", Count: 48}},
-			SolverTimeScale: 50,
+			Devices: []fleet.DeviceSpec{{Platform: "Orin", Count: 48}},
+			Device:  serve.Config{SolverTimeScale: 50},
 		},
 		MaxDevices:    56,
 		GrowPlatforms: []string{"Orin"},

@@ -84,9 +84,11 @@ type Config struct {
 	// Control is the global control-plane configuration to partition. Its
 	// Fleet.Devices is the full initial pool; MinDevices/MaxDevices bound
 	// the global pool and are split across shards (earlier shards take
-	// the remainder). Its observability sinks (Fleet.Tracer, Fleet.Audit,
-	// Metrics) are ignored — set the plane-level Tracer/Audit/Metrics
-	// instead, which receive the deterministically merged streams.
+	// the remainder). The sinks in its device template
+	// (Control.Fleet.Device's Tracer, Audit and Metrics) are ignored — the
+	// plane gives each shard its own — so set the plane-level
+	// Tracer/Audit/Metrics instead, which receive the deterministically
+	// merged streams.
 	Control control.Config
 
 	// Shards is K, the number of shards (default 1). Each shard needs at
@@ -236,7 +238,7 @@ func New(cfg Config) (*Plane, error) {
 	// per-shard split inherits its resolved defaults, and a configuration
 	// the global controller rejects is rejected here identically.
 	probe := cfg.Control
-	probe.Fleet.Tracer, probe.Fleet.Audit, probe.Metrics = nil, nil, nil
+	probe.Fleet.Device.Tracer, probe.Fleet.Device.Audit, probe.Fleet.Device.Metrics = nil, nil, nil
 	gc, err := control.New(probe)
 	if err != nil {
 		return nil, err
@@ -351,7 +353,8 @@ func boolInt(b bool) int {
 }
 
 // Global returns the resolved global-equivalent configuration — the
-// single-controller baseline a sharded run compares against.
+// single-controller baseline a sharded run compares against. Its device
+// template carries no sinks: New drops Control's.
 func (p *Plane) Global() control.Config { return p.global }
 
 // PartitionTenants assigns the trace's tenants to shards: pinned tenants
@@ -431,15 +434,15 @@ func (p *Plane) Serve(tr serve.Trace) (*Summary, error) {
 		pc := p.parts[s]
 		if p.cfg.Tracer != nil {
 			st.tracer = obs.NewTracer()
-			pc.Fleet.Tracer = st.tracer
+			pc.Fleet.Device.Tracer = st.tracer
 		}
 		if p.cfg.Audit != nil {
 			st.audit = obs.NewAudit()
-			pc.Fleet.Audit = st.audit
+			pc.Fleet.Device.Audit = st.audit
 		}
 		if p.cfg.Metrics != nil {
 			st.reg = obs.NewRegistry()
-			pc.Metrics = st.reg
+			pc.Fleet.Device.Metrics = st.reg
 		}
 		ctrl, err := control.New(pc)
 		if err != nil {
@@ -744,8 +747,8 @@ func (p *Plane) merge(states []*shardState, h *hub) *Summary {
 		sum.PeakDevices += st.sum.PeakDevices
 		sum.PerShard = append(sum.PerShard, ss)
 	}
-	gf := p.global.Fleet
-	merged := serve.Summarize(all, gf.Policy, strings.Join(pools, "|"), gf.Objective)
+	dt := p.global.Fleet.Device
+	merged := serve.Summarize(all, dt.Policy, strings.Join(pools, "|"), dt.Objective)
 	sum.Tenants = merged.Tenants
 	sum.Total = merged.Total
 	sum.SLOAttainmentPct = merged.Total.SLOAttainmentPct()

@@ -19,8 +19,8 @@ import (
 func demoControl() control.Config {
 	return control.Config{
 		Fleet: fleet.Config{
-			Devices:         []fleet.DeviceSpec{{Platform: "Orin", Count: 4}},
-			SolverTimeScale: 50,
+			Devices: []fleet.DeviceSpec{{Platform: "Orin", Count: 4}},
+			Device:  serve.Config{SolverTimeScale: 50},
 		},
 		MaxDevices:    8,
 		GrowPlatforms: []string{"Orin"},
