@@ -90,7 +90,8 @@ type Config struct {
 
 	// SLOWindow is the per-tenant rolling completion window the migration
 	// manager judges (default 24); MinWindow is the fill level below which
-	// no judgment is made (default 8).
+	// no judgment is made (default 8, or SLOWindow when that is smaller).
+	// A MinWindow above SLOWindow is rejected: the window never fills to it.
 	SLOWindow int
 	MinWindow int
 	// PressureP99Factor triggers migration when a tenant's rolling p99
@@ -182,7 +183,7 @@ func (c Config) withDefaults() Config {
 		c.SLOWindow = DefaultSLOWindow
 	}
 	if c.MinWindow <= 0 {
-		c.MinWindow = DefaultMinWindow
+		c.MinWindow = min(DefaultMinWindow, c.SLOWindow)
 	}
 	if c.PressureP99Factor <= 0 {
 		c.PressureP99Factor = DefaultPressureP99Factor
@@ -228,6 +229,9 @@ func (c Config) validate() error {
 	}
 	if c.MinDevices > c.MaxDevices {
 		return fmt.Errorf("control: min devices %d > max devices %d", c.MinDevices, c.MaxDevices)
+	}
+	if c.MinWindow > c.SLOWindow {
+		return fmt.Errorf("control: MinWindow %d > SLOWindow %d: the rolling window never fills to it", c.MinWindow, c.SLOWindow)
 	}
 	return nil
 }
@@ -355,16 +359,17 @@ func (c *Controller) Serve(tr serve.Trace) (*Summary, error) {
 }
 
 // run is the per-Serve state: the fleet, the sticky table, and the
-// controller's bookkeeping.
+// controller's bookkeeping. The fleet's completion stream
+// (Fleet.OnComplete) fills the per-device served buffers between ticks.
 type run struct {
 	cfg   Config
 	fleet *fleet.Fleet
 	table *stickyTable
 
-	joinMs   []float64 // per device index
-	leaveMs  []float64 // -1 until removed
-	cursors  []int     // per-device completion read position
-	prevBusy []float64 // BusyMs at the previous tick (utilization windowing)
+	joinMs   []float64            // per device index
+	leaveMs  []float64            // -1 until removed
+	served   [][]serve.Completion // per device: served since the last tick, in completion order
+	prevBusy []float64            // BusyMs at the previous tick (utilization windowing)
 
 	tenants map[string]*tenantWindow
 	mixBase []string // per device: the configured mix policy adaptMix restores
@@ -427,6 +432,7 @@ func newRun(cfg Config) (*run, error) {
 		return nil, err
 	}
 	r.fleet = f
+	f.OnComplete(r.completed)
 	n := len(f.Devices())
 	if n > cfg.MaxDevices {
 		return nil, fmt.Errorf("control: initial pool %d exceeds max devices %d", n, cfg.MaxDevices)
@@ -436,10 +442,18 @@ func newRun(cfg Config) (*run, error) {
 	for i := range r.leaveMs {
 		r.leaveMs[i] = -1
 	}
-	r.cursors = make([]int, n)
+	r.served = make([][]serve.Completion, n)
 	r.prevBusy = make([]float64, n)
 	r.peak = n
 	return r, nil
+}
+
+// completed is the fleet's completion stream: device i's served
+// completions wait in its buffer until the next tick ingests them.
+func (r *run) completed(i int, c serve.Completion) {
+	if !c.Rejected {
+		r.served[i] = append(r.served[i], c)
+	}
 }
 
 // tick runs one control period: ingest completions into the tenant
@@ -539,15 +553,13 @@ func (r *run) switchMix(d serve.Device, want string, nowMs, spread float64) erro
 	return nil
 }
 
-// ingest folds completions recorded since the last tick into the tenants'
-// rolling windows.
+// ingest folds the completions served since the last tick into the
+// tenants' rolling windows, device by device in pool order and each
+// device's in completion order, then empties the buffers for reuse. The
+// order is the windows' contents, so migration decisions depend on it.
 func (r *run) ingest() {
-	for i, d := range r.fleet.Devices() {
-		cs := d.Completions()
-		for _, c := range cs[r.cursors[i]:] {
-			if c.Rejected {
-				continue
-			}
+	for i, cs := range r.served {
+		for _, c := range cs {
 			w := r.tenants[c.Tenant]
 			if w == nil {
 				w = newTenantWindow(r.cfg.SLOWindow)
@@ -555,7 +567,7 @@ func (r *run) ingest() {
 			}
 			w.add(c)
 		}
-		r.cursors[i] = len(cs)
+		r.served[i] = cs[:0]
 	}
 }
 
@@ -747,7 +759,7 @@ func (r *run) grow(nowMs, pressureMs float64) error {
 	}
 	r.joinMs = append(r.joinMs, nowMs)
 	r.leaveMs = append(r.leaveMs, -1)
-	r.cursors = append(r.cursors, 0)
+	r.served = append(r.served, nil)
 	r.prevBusy = append(r.prevBusy, 0)
 	r.hiStreak, r.cooldown = 0, r.cfg.CooldownTicks
 	r.seeded += seeded

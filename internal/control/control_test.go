@@ -105,8 +105,25 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := c.Config()
-	if got.TickMs != DefaultTickMs || got.MinDevices != 1 || got.SLOWindow != DefaultSLOWindow {
+	if got.TickMs != DefaultTickMs || got.MinDevices != 1 || got.SLOWindow != DefaultSLOWindow || got.MinWindow != DefaultMinWindow {
 		t.Errorf("defaults not applied: %+v", got)
+	}
+	// A window smaller than the default fill level defaults the fill level
+	// down to it: a window of 4 must still be judged once it holds 4.
+	small := demoConfig()
+	small.SLOWindow = 4
+	if c, err := New(small); err != nil {
+		t.Errorf("SLOWindow 4 rejected: %v", err)
+	} else if got := c.Config().MinWindow; got != 4 {
+		t.Errorf("SLOWindow 4 resolved MinWindow %d, want 4", got)
+	}
+	// An explicit fill level the window can never reach is an error that
+	// names both fields.
+	small.MinWindow = 8
+	if _, err := New(small); err == nil {
+		t.Error("MinWindow 8 over SLOWindow 4 accepted")
+	} else if !strings.Contains(err.Error(), "MinWindow") || !strings.Contains(err.Error(), "SLOWindow") {
+		t.Errorf("error %q does not name MinWindow and SLOWindow", err)
 	}
 }
 

@@ -36,7 +36,9 @@ type Driver struct {
 // may own no tenants yet still participate in gossip (and receive handed-
 // off tenants later via Inject). A request with a non-finite arrival time
 // or SLO is rejected (serve.Trace.Validate), for Serve and the driver
-// alike.
+// alike. A trace already in arrival order is used as is, with no copy:
+// the driver never writes its requests in place — ExtractFuture and
+// Inject build new slices — so the caller's trace is never modified.
 func (c *Controller) Start(tr serve.Trace) (*Driver, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -45,9 +47,7 @@ func (c *Controller) Start(tr serve.Trace) (*Driver, error) {
 	if err != nil {
 		return nil, err
 	}
-	reqs := append(serve.Trace(nil), tr...)
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].ArrivalMs < reqs[j].ArrivalMs })
-	return &Driver{r: r, reqs: reqs, nextTick: c.cfg.TickMs}, nil
+	return &Driver{r: r, reqs: tr.InArrivalOrder(), nextTick: c.cfg.TickMs}, nil
 }
 
 // Advance processes every event — arrival, control tick, device round —

@@ -6,6 +6,8 @@
 package control
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"haxconn/internal/fleet"
@@ -70,27 +72,45 @@ func (t *stickyTable) tenantsOn(device int) []string {
 }
 
 // tenantWindow is a tenant's rolling completion window: the last N served
-// latencies with their violation flags, plus the most recent SLO and
-// network (migration needs both to score candidate devices).
+// latencies with their violation flags, in completion order (a ring), the
+// same latencies kept in ascending order so p99 is an index lookup, plus
+// the most recent SLO and network (migration needs both to score
+// candidate devices).
 type tenantWindow struct {
 	cap         int
-	latencies   []float64
+	latencies   []float64 // ring, completion order
 	violations  []bool
 	next        int
 	full        bool
+	sorted      []float64 // the window's latencies, ascending
+	violated    int       // violations in the window
 	lastSLOMs   float64
 	lastNetwork string
 	cooldown    int
-	sorted      []float64 // p99's sort buffer, reused across calls
 }
 
 func newTenantWindow(size int) *tenantWindow {
-	return &tenantWindow{cap: size, latencies: make([]float64, size), violations: make([]bool, size)}
+	return &tenantWindow{cap: size, latencies: make([]float64, size), violations: make([]bool, size),
+		sorted: make([]float64, 0, size)}
 }
 
+// add slides the window one completion: the oldest entry leaves the
+// sorted view once the ring is full, and the new latency is inserted in
+// order, each in O(window).
 func (w *tenantWindow) add(c serve.Completion) {
+	if w.full {
+		w.evict(w.latencies[w.next])
+		if w.violations[w.next] {
+			w.violated--
+		}
+	}
+	at := sort.SearchFloat64s(w.sorted, c.LatencyMs)
+	w.sorted = slices.Insert(w.sorted, at, c.LatencyMs)
 	w.latencies[w.next] = c.LatencyMs
 	w.violations[w.next] = c.Violated
+	if c.Violated {
+		w.violated++
+	}
 	w.next++
 	if w.next == w.cap {
 		w.next = 0
@@ -102,42 +122,35 @@ func (w *tenantWindow) add(c serve.Completion) {
 	w.lastNetwork = c.Network
 }
 
-func (w *tenantWindow) len() int {
-	if w.full {
-		return w.cap
+// evict removes one latency with v's bits from the sorted view.
+func (w *tenantWindow) evict(v float64) {
+	for i, s := range w.sorted {
+		if math.Float64bits(s) == math.Float64bits(v) {
+			w.sorted = slices.Delete(w.sorted, i, i+1)
+			return
+		}
 	}
-	return w.next
 }
+
+func (w *tenantWindow) len() int { return len(w.sorted) }
 
 // reset empties the window (after a migration, so the tenant is judged on
 // post-move completions only) but keeps the SLO and network hints.
 func (w *tenantWindow) reset() {
 	w.next = 0
 	w.full = false
+	w.sorted = w.sorted[:0]
+	w.violated = 0
 }
 
-// p99 is the rolling window's 99th-percentile latency.
-func (w *tenantWindow) p99() float64 {
-	n := w.len()
-	if n == 0 {
-		return 0
-	}
-	w.sorted = append(w.sorted[:0], w.latencies[:n]...)
-	sort.Float64s(w.sorted)
-	return schedule.Percentile(w.sorted, 0.99)
-}
+// p99 is the rolling window's 99th-percentile latency: an index into the
+// sorted view.
+func (w *tenantWindow) p99() float64 { return schedule.Percentile(w.sorted, 0.99) }
 
 // violationRate is the fraction of windowed completions that missed SLO.
 func (w *tenantWindow) violationRate() float64 {
-	n := w.len()
-	if n == 0 {
+	if len(w.sorted) == 0 {
 		return 0
 	}
-	v := 0
-	for _, violated := range w.violations[:n] {
-		if violated {
-			v++
-		}
-	}
-	return float64(v) / float64(n)
+	return float64(w.violated) / float64(len(w.sorted))
 }

@@ -112,11 +112,23 @@ type Fleet struct {
 	perPlatform map[string]int          // per-platform naming counter
 
 	// Placement-decision audit state (only populated when Audit or Tracer
-	// is set): the mix-aware placer's predicted fit per request ID, and a
-	// per-device cursor over Completions so repeated Summarize calls
-	// observe each realized round exactly once.
-	mixFitPred  map[int]float64
-	auditCursor []int
+	// is set): the mix-aware placer's predicted fit per in-flight request
+	// ID, and per device the (prediction, realized round) pairs of the
+	// completions that carried one, buffered in completion order until
+	// Summarize flushes them.
+	mixFitPred map[int]float64
+	placeFits  [][]placeFit
+
+	// onComplete receives every device's completion stream, tagged with
+	// the device index (see OnComplete).
+	onComplete func(device int, c serve.Completion)
+}
+
+// placeFit pairs the mix-aware placer's predicted fit for a request with
+// the realized makespan of the round that served it.
+type placeFit struct {
+	predMs float64
+	c      serve.Completion
 }
 
 // New validates the configuration and builds the pool. Devices are named
@@ -194,13 +206,37 @@ func (f *Fleet) addDevice(platform, mixPolicy string) (serve.Device, error) {
 	if err != nil {
 		return nil, err
 	}
+	i := len(f.devices)
+	rt.Subscribe(func(c serve.Completion) { f.completed(i, c) })
 	f.perPlatform[p.Name]++
 	f.devices = append(f.devices, rt)
 	f.placed = append(f.placed, 0)
 	f.draining = append(f.draining, false)
 	f.removed = append(f.removed, false)
-	f.auditCursor = append(f.auditCursor, 0)
+	f.placeFits = append(f.placeFits, nil)
 	return rt, nil
+}
+
+// OnComplete wires fn into every device's completion stream, present and
+// future: each completion a device records is handed to fn once, with the
+// device's pool index, as it is recorded. The fleet's devices keep no
+// completion logs, so a control plane reads outcomes here.
+func (f *Fleet) OnComplete(fn func(device int, c serve.Completion)) { f.onComplete = fn }
+
+// completed is device i's subscriber. A completion that carries the
+// mix-aware placer's prediction joins the device's placement-audit buffer
+// (the prediction is consumed: each request completes once); then the
+// completion goes on to the OnComplete hook.
+func (f *Fleet) completed(i int, c serve.Completion) {
+	if pred, ok := f.mixFitPred[c.ID]; ok {
+		delete(f.mixFitPred, c.ID)
+		if c.RoundMakespanMs > 0 {
+			f.placeFits[i] = append(f.placeFits[i], placeFit{predMs: pred, c: c})
+		}
+	}
+	if f.onComplete != nil {
+		f.onComplete(i, c)
+	}
 }
 
 // Drain marks a device as draining: it takes no new placements but keeps
@@ -433,41 +469,35 @@ func (f *Fleet) Rewind() {
 	}
 	f.placer.Reset()
 	f.mixFitPred = nil
-	for i := range f.auditCursor {
-		f.auditCursor[i] = 0
+	for i := range f.placeFits {
+		f.placeFits[i] = f.placeFits[i][:0]
 	}
 }
 
-// auditPlacements pairs each newly recorded completion's realized round
-// makespan with the mix-aware placer's predicted fit captured at Offer,
-// streaming the pairs into the audit and the trace. Per-device cursors make
-// the scan incremental, so repeated Summarize calls observe each completion
-// once. Strictly observational: summaries are assembled from the same
-// completions whether or not an audit or tracer is attached.
+// auditPlacements flushes the buffered placement-audit pairs — each the
+// mix-aware placer's predicted fit captured at Offer against the realized
+// makespan of the round that served the request — into the audit and the
+// trace, device by device in completion order, and empties the buffers,
+// so repeated Summarize calls observe each completion once. Strictly
+// observational: summaries are the same whether or not an audit or
+// tracer is attached.
 func (f *Fleet) auditPlacements() {
 	audit, tracer := f.cfg.Device.Audit, f.cfg.Device.Tracer
-	if (audit == nil && tracer == nil) || len(f.mixFitPred) == 0 {
-		return
-	}
 	for i, d := range f.devices {
-		cs := d.Completions()
-		for _, c := range cs[f.auditCursor[i]:] {
-			pred, ok := f.mixFitPred[c.ID]
-			if !ok || c.RoundMakespanMs <= 0 {
-				continue
-			}
-			audit.Observe("fleet", "device", d.Name(), pred, c.RoundMakespanMs)
+		for _, pf := range f.placeFits[i] {
+			c := pf.c
+			audit.Observe("fleet", "device", d.Name(), pf.predMs, c.RoundMakespanMs)
 			if tracer != nil {
 				tracer.Emit(obs.Event{AtMs: c.EndMs, Kind: obs.KindAudit,
 					Device: d.Name(), Tenant: c.Tenant, Network: c.Network,
-					Request: c.ID, Detail: "place-fit", Value: pred - c.RoundMakespanMs,
+					Request: c.ID, Detail: "place-fit", Value: pf.predMs - c.RoundMakespanMs,
 					Metrics: map[string]float64{
-						"predicted_ms": pred,
+						"predicted_ms": pf.predMs,
 						"actual_ms":    c.RoundMakespanMs,
 					}})
 			}
 		}
-		f.auditCursor[i] = len(cs)
+		f.placeFits[i] = f.placeFits[i][:0]
 	}
 }
 
@@ -490,8 +520,9 @@ func (f *Fleet) FillMetrics(reg *obs.Registry) {
 // and returns the fleet summary. Events are processed in time order:
 // arrivals are placed on a device (and judged by its admission controller)
 // the moment they arrive, and whichever device can start a round earliest
-// steps next. The trace may be unsorted. Serve rewinds every device first,
-// so repeated calls serve independent runs over warm schedule caches, and
+// steps next. The trace may be unsorted; only an unsorted one is copied
+// (serve.Trace.InArrivalOrder). Serve rewinds every device first, so
+// repeated calls serve independent runs over warm schedule caches, and
 // fills the template's Metrics at the end.
 func (f *Fleet) Serve(tr serve.Trace) (*Summary, error) {
 	if len(tr) == 0 {
@@ -502,8 +533,7 @@ func (f *Fleet) Serve(tr serve.Trace) (*Summary, error) {
 	}
 	f.Rewind()
 
-	reqs := append(serve.Trace(nil), tr...)
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].ArrivalMs < reqs[j].ArrivalMs })
+	reqs := tr.InArrivalOrder()
 
 	next := 0
 	for {

@@ -192,6 +192,53 @@ func TestSingleDeviceFleetMatchesRuntime(t *testing.T) {
 	}
 }
 
+// TestFleetDevicesKeepNoLog: a fleet's devices log nothing — their
+// completions reach the fleet once each, through the stream OnComplete
+// taps — and the fleet summary, merged from the device tallies, equals
+// one Summarize over the streamed completions in device order.
+func TestFleetDevicesKeepNoLog(t *testing.T) {
+	tr := defaultTrace(t)
+	cfg := threeDeviceConfig()
+	cfg.Device.MaxQueue = 3
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perDevice := make([][]serve.Completion, len(f.Devices()))
+	f.OnComplete(func(i int, c serve.Completion) { perDevice[i] = append(perDevice[i], c) })
+	sum, err := f.Serve(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Total.Rejected == 0 {
+		t.Fatal("no rejection: the stream would not cover one")
+	}
+	var all []serve.Completion
+	seen := map[int]bool{}
+	for i, d := range f.Devices() {
+		if cs := d.(*serve.Runtime).Completions(); cs != nil {
+			t.Errorf("device %s logged %d completions", d.Name(), len(cs))
+		}
+		for _, c := range perDevice[i] {
+			if seen[c.ID] {
+				t.Fatalf("request %d streamed twice", c.ID)
+			}
+			seen[c.ID] = true
+		}
+		all = append(all, perDevice[i]...)
+	}
+	if len(all) != len(tr) {
+		t.Fatalf("streamed %d completions for %d requests", len(all), len(tr))
+	}
+	want := serve.Summarize(all, cfg.Device.Policy, sum.Pool, cfg.Device.Objective)
+	if got, w := mustJSON(t, sum.Tenants), mustJSON(t, want.Tenants); !bytes.Equal(got, w) {
+		t.Errorf("merged tenant rows differ from one fold:\nmerged %s\nfolded %s", got, w)
+	}
+	if got, w := mustJSON(t, sum.Total), mustJSON(t, want.Total); !bytes.Equal(got, w) {
+		t.Errorf("merged TOTAL differs from one fold:\nmerged %s\nfolded %s", got, w)
+	}
+}
+
 // TestPlacementSpreadsLoad checks that every placement policy uses the
 // whole pool and that least-loaded balances an Orin-only pool evenly.
 func TestPlacementSpreadsLoad(t *testing.T) {
@@ -649,6 +696,14 @@ func TestAssignedFastPathMatchesViews(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The devices keep no logs: capture each one's completion sequence
+		// through a subscriber.
+		devCompletions := make([][]serve.Completion, len(f.Devices()))
+		for i, d := range f.Devices() {
+			d.(*serve.Runtime).Subscribe(func(c serve.Completion) {
+				devCompletions[i] = append(devCompletions[i], c)
+			})
+		}
 		next, drained := 0, false
 		for {
 			di, tDev := f.NextRound()
@@ -675,10 +730,6 @@ func TestAssignedFastPathMatchesViews(t *testing.T) {
 			if err := f.Step(di); err != nil {
 				t.Fatal(err)
 			}
-		}
-		var devCompletions [][]serve.Completion
-		for _, d := range f.Devices() {
-			devCompletions = append(devCompletions, d.Completions())
 		}
 		reg := obs.NewRegistry()
 		f.FillMetrics(reg)

@@ -144,7 +144,7 @@ func TestFleetPlaceFitAudit(t *testing.T) {
 	if total != placeFit {
 		t.Errorf("fleet/device aggregate pairs = %d, want %d (one per place-fit event)", total, placeFit)
 	}
-	// Summarize is incremental over device completions: calling it again
+	// Summarize flushes the buffered placement pairs: calling it again
 	// must observe nothing new.
 	f.Summarize()
 	again := 0

@@ -53,7 +53,8 @@ type Summary struct {
 	Rounds     int
 
 	// Tenants and Total aggregate every device's completions, exactly as
-	// a single-SoC summary would (Total.Tenant = "TOTAL").
+	// a single-SoC summary over them would (Total.Tenant = "TOTAL"); see
+	// serve.SummarizeTallies.
 	Tenants []serve.TenantStats
 	Total   serve.TenantStats
 
@@ -67,8 +68,10 @@ type Summary struct {
 }
 
 // Summarize assembles the fleet summary from the devices' recorded state
-// so far. Serve calls it at end of trace; a control plane may also call it
-// after driving the fleet through the stepping primitives itself.
+// so far: the pool rows merge the devices' tallies in pool order, with no
+// completion re-folded. Serve calls it at end of trace; a control plane
+// may also call it after driving the fleet through the stepping
+// primitives itself, and calling it again is harmless.
 func (f *Fleet) Summarize() *Summary {
 	f.auditPlacements()
 	sum := &Summary{
@@ -77,14 +80,10 @@ func (f *Fleet) Summarize() *Summary {
 		MixPolicy: serve.MixPolicyName(f.cfg.Device.MixPolicy),
 		Pool:      f.Pool(),
 	}
-	n := 0
-	for _, d := range f.devices {
-		n += len(d.Completions())
-	}
-	all := make([]serve.Completion, 0, n)
+	tallies := make([]*serve.Tally, len(f.devices))
 	byPlatform := map[string]*CacheStats{}
 	for i, d := range f.devices {
-		all = append(all, d.Completions()...)
+		tallies[i] = d.Tally()
 		sum.Rounds += d.Rounds()
 		sum.Devices = append(sum.Devices, DeviceSummary{
 			Device:   d.Name(),
@@ -127,11 +126,7 @@ func (f *Fleet) Summarize() *Summary {
 		sum.Caches = append(sum.Caches, *cs)
 	}
 
-	summarize := serve.Summarize
-	if f.cfg.Device.SketchMetrics {
-		summarize = serve.SummarizeSketch
-	}
-	agg := summarize(all, f.cfg.Device.Policy, sum.Pool, f.cfg.Device.Objective)
+	agg := serve.SummarizeTallies(tallies, f.cfg.Device.Policy, sum.Pool, f.cfg.Device.Objective)
 	sum.DurationMs = agg.DurationMs
 	sum.Tenants = agg.Tenants
 	sum.Total = agg.Total

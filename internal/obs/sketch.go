@@ -80,6 +80,31 @@ func (s *Sketch) Add(v float64) {
 	s.buckets[s.bucketIndex(v)]++
 }
 
+// Merge adds o's observations to s: bucket counts, count and sum add, and
+// min and max combine, so s then answers every quantile exactly as one
+// sketch fed both streams would (DDSketch's mergeability). Only the sum
+// depends on the merge order: it adds o's total in one step. A sketch of
+// a different accuracy has other bucket bounds and is rejected, leaving s
+// unchanged.
+func (s *Sketch) Merge(o *Sketch) error {
+	if o.gamma != s.gamma || len(o.buckets) != len(s.buckets) {
+		return fmt.Errorf("obs: cannot merge a sketch of ratio %v into one of ratio %v", o.gamma, s.gamma)
+	}
+	for k, c := range o.buckets {
+		s.buckets[k] += c
+	}
+	s.count += o.count
+	s.sum += o.sum
+	// Add's comparisons, so an equal extreme keeps the earlier stream's.
+	if o.min < s.min {
+		s.min = o.min
+	}
+	if o.max > s.max {
+		s.max = o.max
+	}
+	return nil
+}
+
 func (s *Sketch) bucketIndex(v float64) int {
 	if v <= sketchMinMs {
 		return 0

@@ -183,3 +183,48 @@ func TestSketchEdgeCases(t *testing.T) {
 	}()
 	NewSketchAccuracy(0)
 }
+
+// TestSketchMerge: sketches fed the parts of a stream merge into one that
+// answers every quantile, the count, min and max exactly as a sketch fed
+// the whole stream; the sum agrees to rounding. Merging a sketch of
+// another accuracy is rejected and leaves the target unchanged.
+func TestSketchMerge(t *testing.T) {
+	for name, vals := range testDistributions(3000) {
+		whole := NewSketch()
+		for _, v := range vals {
+			whole.Add(v)
+		}
+		merged := NewSketch()
+		for _, cut := range [][2]int{{0, 0}, {0, 700}, {700, 701}, {701, 2500}, {2500, 3000}} {
+			part := NewSketch()
+			for _, v := range vals[cut[0]:cut[1]] {
+				part.Add(v)
+			}
+			if err := merged.Merge(part); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, q := range []float64{0, 0.01, 0.5, 0.95, 0.99, 1} {
+			if got, want := merged.Quantile(q), whole.Quantile(q); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: merged q%.2f = %v, whole-stream sketch %v", name, q, got, want)
+			}
+		}
+		if merged.Count() != whole.Count() || merged.Min() != whole.Min() || merged.Max() != whole.Max() {
+			t.Errorf("%s: merged count/min/max %d/%v/%v, whole %d/%v/%v", name,
+				merged.Count(), merged.Min(), merged.Max(), whole.Count(), whole.Min(), whole.Max())
+		}
+		if relErr(merged.Sum(), whole.Sum()) > 1e-12 {
+			t.Errorf("%s: merged sum %v, whole %v", name, merged.Sum(), whole.Sum())
+		}
+	}
+	s := NewSketch()
+	s.Add(3)
+	coarse := NewSketchAccuracy(0.05)
+	coarse.Add(7)
+	if err := s.Merge(coarse); err == nil {
+		t.Fatal("merging a sketch of another accuracy succeeded")
+	}
+	if s.Count() != 1 || s.Max() != 3 {
+		t.Errorf("a rejected merge changed the sketch: count %d, max %v", s.Count(), s.Max())
+	}
+}

@@ -12,7 +12,10 @@ import (
 
 // Device is one serving endpoint in a fleet: it accepts arrivals (running
 // its own admission control), dispatches rounds in virtual time, and
-// exposes the load signals placement policies steer by.
+// exposes the load signals placement policies steer by. It keeps no
+// completion log: its outcomes reach the fleet once each, through the
+// runtime's completion stream (Runtime.Subscribe), and its summary
+// statistics through Tally.
 type Device interface {
 	// Name labels the device ("Orin/0").
 	Name() string
@@ -61,8 +64,11 @@ type Device interface {
 	// placement signal.
 	MixFitMs(network string) (float64, error)
 
-	// Completions returns every outcome recorded so far.
-	Completions() []Completion
+	// Tally is the device's completion tally since its last Reset: every
+	// outcome recorded, folded once as it was recorded. A fleet merges its
+	// devices' tallies into the fleet summary; the device keeps no
+	// completion log for it.
+	Tally() *Tally
 	// Rounds is the number of dispatch rounds executed.
 	Rounds() int
 	// CacheCounters reports the device's own cache hits, misses and

@@ -32,10 +32,18 @@ type TenantSpec struct {
 	SLOMs float64
 }
 
+// MaxTraceRequests caps the arrivals one Generate call may produce: ten
+// times a 1M-request region run. A spec set whose expected arrival count
+// exceeds it is rejected before any request is generated, since serving
+// it would first allocate the whole trace.
+const MaxTraceRequests = 10_000_000
+
 // Generate builds a trace covering [0, durationMs) from the tenant specs.
 // Arrivals are deterministic in (specs, durationMs, seed): each tenant
 // draws from its own seeded stream, so adding a tenant does not perturb
-// the others' arrivals.
+// the others' arrivals. The specs' expected arrival count is bounded by
+// MaxTraceRequests, and an arrival gap too small to advance the clock is
+// an error, so Generate always terminates.
 func Generate(specs []TenantSpec, durationMs float64, seed int64) (Trace, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("serve: no tenant specs")
@@ -44,7 +52,7 @@ func Generate(specs []TenantSpec, durationMs float64, seed int64) (Trace, error)
 		return nil, fmt.Errorf("serve: duration %g is not positive and finite", durationMs)
 	}
 	names := map[string]bool{}
-	var tr Trace
+	expected := 0.0
 	for i, sp := range specs {
 		if sp.Name == "" {
 			return nil, fmt.Errorf("serve: tenant %d has no name", i)
@@ -72,6 +80,21 @@ func Generate(specs []TenantSpec, durationMs float64, seed int64) (Trace, error)
 		if sp.PhaseMs < 0 || sp.SLOMs < 0 {
 			return nil, fmt.Errorf("serve: tenant %q has negative phase or SLO", sp.Name)
 		}
+		// Periodic tenants arrive ceil(span/period) times, Poisson ones
+		// rate x span on average.
+		if span := durationMs - sp.PhaseMs; span > 0 {
+			if sp.RateRPS > 0 {
+				expected += sp.RateRPS * span / 1000
+			} else {
+				expected += math.Ceil(span / sp.PeriodMs)
+			}
+		}
+		if expected > MaxTraceRequests {
+			return nil, fmt.Errorf("serve: tenant %q brings the trace to about %.3g requests, over the MaxTraceRequests cap of %d", sp.Name, expected, MaxTraceRequests)
+		}
+	}
+	var tr Trace
+	for _, sp := range specs {
 		// Per-tenant sub-stream keyed by tenant name, so reordering or
 		// inserting tenants never perturbs another tenant's arrivals.
 		h := fnv.New64a()
@@ -88,11 +111,14 @@ func Generate(specs []TenantSpec, durationMs float64, seed int64) (Trace, error)
 				ArrivalMs: t,
 				SLOMs:     sp.SLOMs,
 			})
+			next := t + sp.PeriodMs
 			if sp.RateRPS > 0 {
-				t += rng.ExpFloat64() * 1000 / sp.RateRPS
-			} else {
-				t += sp.PeriodMs
+				next = t + rng.ExpFloat64()*1000/sp.RateRPS
 			}
+			if next == t {
+				return nil, fmt.Errorf("serve: tenant %q: an arrival gap does not advance the clock at %g ms", sp.Name, t)
+			}
+			t = next
 		}
 	}
 	sort.SliceStable(tr, func(i, j int) bool { return tr[i].ArrivalMs < tr[j].ArrivalMs })

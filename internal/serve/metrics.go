@@ -4,6 +4,8 @@
 package serve
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"haxconn/internal/obs"
@@ -95,35 +97,55 @@ type Summary struct {
 // latencies (and the TOTAL row's) in completion order; the percentile
 // columns come from the sorted latencies.
 func Summarize(completions []Completion, policy Policy, platform string, obj schedule.Objective) *Summary {
-	acc := newStreamStats(false)
-	acc.total.lats = make([]float64, 0, len(completions))
+	t := newTally(false)
+	t.total.lats = make([]float64, 0, len(completions))
 	for _, c := range completions {
-		acc.observe(c)
+		t.observe(c)
 	}
-	return acc.summarize(policy, platform, obj)
+	return t.summarize(policy, platform, obj)
 }
 
+// SummarizeSketch is the streaming-sketch counterpart of Summarize: same
+// folding, but percentiles come from a fixed-size quantile sketch instead
+// of sorted stored samples (counts, means and maxima stay exact). It is
+// what a Runtime with Config.SketchMetrics produces, exported so the
+// sketch-vs-exact tolerance can be tested on arbitrary completion sets.
+func SummarizeSketch(completions []Completion, policy Policy, platform string, obj schedule.Objective) *Summary {
+	t := newTally(true)
+	for _, c := range completions {
+		t.observe(c)
+	}
+	return t.summarize(policy, platform, obj)
+}
+
+// mixedNetwork labels a row whose completions ran more than one network.
+const mixedNetwork = "mixed"
+
 // tenantAcc folds one tenant's outcomes into counters plus its latencies:
-// every sample, sorted once when the stats are read (the exact path), or
-// a fixed-size sketch, so per-tenant metric memory is constant in the
-// number of requests (sketch mode). Networks are labeled from the first
-// completion, "mixed" on a differing one. In sketch mode mean and max
-// stay exact and only the percentile columns carry the sketch's
-// relative-error bound.
+// every served latency in completion order, with a sorted copy made when
+// the stats are read (the exact path; see Tally.sortRuns), or a fixed-size
+// sketch, so per-tenant metric memory is constant in the number of
+// requests (sketch mode). Networks are labeled from the first completion,
+// "mixed" on a differing one. In sketch mode mean and max stay exact and
+// only the percentile columns carry the sketch's relative-error bound.
 type tenantAcc struct {
-	network                                  string
+	first, network                           string // first completion's network; the row label
 	offered, rejected, completed, violations int
 	sumMs                                    float64
-	lats                                     []float64   // exact path
+	lats                                     []float64   // exact path, completion order
+	sorted                                   []float64   // exact path, lats sorted as of the last sortRuns
 	sketch                                   *obs.Sketch // sketch mode
 }
 
 func (a *tenantAcc) observe(c Completion) {
+	if a.offered == 0 {
+		a.first = c.Network
+	}
 	a.offered++
 	if a.network == "" {
 		a.network = c.Network
 	} else if a.network != c.Network {
-		a.network = "mixed"
+		a.network = mixedNetwork
 	}
 	if c.Rejected {
 		a.rejected++
@@ -141,9 +163,9 @@ func (a *tenantAcc) observe(c Completion) {
 	}
 }
 
-// stats reads the tenant's row. On the exact path it sorts the stored
-// latencies in place, so it is called once per accumulator.
-func (a *tenantAcc) stats(name string, durationMs float64) TenantStats {
+// row fills the tenant's statistics from its counters and either its
+// sketch or, on the exact path, its latencies in ascending order.
+func (a *tenantAcc) row(name string, durationMs float64, sorted []float64) TenantStats {
 	st := TenantStats{Tenant: name, Network: a.network,
 		Offered: a.offered, Rejected: a.rejected, Completed: a.completed,
 		Violations: a.violations}
@@ -157,12 +179,11 @@ func (a *tenantAcc) stats(name string, durationMs float64) TenantStats {
 		st.P99Ms = a.sketch.Quantile(0.99)
 		st.MaxMs = a.sketch.Max()
 	} else {
-		sort.Float64s(a.lats)
-		st.MeanMs = a.sumMs / float64(len(a.lats))
-		st.P50Ms = schedule.Percentile(a.lats, 0.50)
-		st.P95Ms = schedule.Percentile(a.lats, 0.95)
-		st.P99Ms = schedule.Percentile(a.lats, 0.99)
-		st.MaxMs = a.lats[len(a.lats)-1]
+		st.MeanMs = a.sumMs / float64(len(sorted))
+		st.P50Ms = schedule.Percentile(sorted, 0.50)
+		st.P95Ms = schedule.Percentile(sorted, 0.95)
+		st.P99Ms = schedule.Percentile(sorted, 0.99)
+		st.MaxMs = sorted[len(sorted)-1]
 	}
 	st.ViolationRate = float64(a.violations) / float64(a.completed)
 	if durationMs > 0 {
@@ -171,65 +192,257 @@ func (a *tenantAcc) stats(name string, durationMs float64) TenantStats {
 	return st
 }
 
-// streamStats accumulates a whole run's completions one at a time: one
-// tenantAcc per tenant plus the TOTAL row's, fed in processing order.
-type streamStats struct {
+// Tally accumulates a run's completions one at a time, in processing
+// order: one row per tenant plus the TOTAL row, each exact (latencies
+// stored) or sketched. A runtime feeds its own tally every completion it
+// records; Summary reads it, and a fleet or a sharded plane merges its
+// devices' tallies (SummarizeTallies) instead of re-folding completions.
+type Tally struct {
 	sketch     bool
 	tenants    map[string]*tenantAcc
 	total      *tenantAcc
 	durationMs float64
 }
 
-func newStreamStats(sketch bool) *streamStats {
-	s := &streamStats{sketch: sketch, tenants: map[string]*tenantAcc{}}
-	s.total = s.newAcc()
-	return s
+func newTally(sketch bool) *Tally {
+	t := &Tally{sketch: sketch, tenants: map[string]*tenantAcc{}}
+	t.total = t.newAcc()
+	return t
 }
 
-func (s *streamStats) newAcc() *tenantAcc {
-	if s.sketch {
+func (t *Tally) newAcc() *tenantAcc {
+	if t.sketch {
 		return &tenantAcc{sketch: obs.NewSketch()}
 	}
 	return &tenantAcc{}
 }
 
-func (s *streamStats) observe(c Completion) {
-	a, ok := s.tenants[c.Tenant]
+func (t *Tally) observe(c Completion) {
+	a, ok := t.tenants[c.Tenant]
 	if !ok {
-		a = s.newAcc()
-		s.tenants[c.Tenant] = a
+		a = t.newAcc()
+		t.tenants[c.Tenant] = a
 	}
 	a.observe(c)
-	s.total.observe(c)
-	if c.EndMs > s.durationMs {
-		s.durationMs = c.EndMs
+	t.total.observe(c)
+	if c.EndMs > t.durationMs {
+		t.durationMs = c.EndMs
 	}
 }
 
-func (s *streamStats) summarize(policy Policy, platform string, obj schedule.Objective) *Summary {
+// sortRuns refreshes the sorted copy of every exact row whose latencies
+// grew since the last call, carving the copies from one allocation. A
+// device's runs are thus sorted once however many levels summarize them,
+// while lats keeps completion order for the merged means.
+func (t *Tally) sortRuns() {
+	if t.sketch {
+		return
+	}
+	need := 0
+	if len(t.total.sorted) != len(t.total.lats) {
+		need += len(t.total.lats)
+	}
+	for _, a := range t.tenants {
+		if len(a.sorted) != len(a.lats) {
+			need += len(a.lats)
+		}
+	}
+	if need == 0 {
+		return
+	}
+	slab := make([]float64, need)
+	carve := func(a *tenantAcc) {
+		if n := len(a.lats); len(a.sorted) != n {
+			a.sorted, slab = slab[:n:n], slab[n:]
+			copy(a.sorted, a.lats)
+			sort.Float64s(a.sorted)
+		}
+	}
+	carve(t.total)
+	for _, a := range t.tenants {
+		carve(a)
+	}
+}
+
+func (t *Tally) summarize(policy Policy, platform string, obj schedule.Objective) *Summary {
+	t.sortRuns()
 	sum := &Summary{Policy: policy.String(), Platform: platform,
-		Objective: obj.String(), DurationMs: s.durationMs}
-	names := make([]string, 0, len(s.tenants))
-	for name := range s.tenants {
+		Objective: obj.String(), DurationMs: t.durationMs}
+	names := make([]string, 0, len(t.tenants))
+	for name := range t.tenants {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		sum.Tenants = append(sum.Tenants, s.tenants[name].stats(name, s.durationMs))
+		a := t.tenants[name]
+		sum.Tenants = append(sum.Tenants, a.row(name, t.durationMs, a.sorted))
 	}
-	sum.Total = s.total.stats(totalName, s.durationMs)
+	sum.Total = t.total.row(totalName, t.durationMs, t.total.sorted)
 	return sum
 }
 
-// SummarizeSketch is the streaming-sketch counterpart of Summarize: same
-// folding, but percentiles come from a fixed-size quantile sketch instead
-// of sorted stored samples (counts, means and maxima stay exact). It is
-// what a Runtime with Config.SketchMetrics produces, exported so the
-// sketch-vs-exact tolerance can be tested on arbitrary completion sets.
-func SummarizeSketch(completions []Completion, policy Policy, platform string, obj schedule.Objective) *Summary {
-	acc := newStreamStats(true)
-	for _, c := range completions {
-		acc.observe(c)
+// SummarizeTallies merges per-device tallies into one summary, equal to
+// Summarize (or SummarizeSketch) over the devices' completions
+// concatenated in parts order. Counts add, the duration is the latest
+// completion, and a row's network label is the first network or "mixed",
+// by the same rule as one fold. On the exact path the percentiles come
+// from a k-way merge of each part's sorted latencies into one buffer —
+// the same multiset, so the same bits — and each mean re-adds the parts'
+// latencies in completion order, part after part, so it keeps the one
+// fold's bits too. Sketched parts merge as sketches: percentiles, counts
+// and maxima equal SummarizeSketch's, while each mean adds the parts' sums
+// in parts order and may differ from one fold's in its last bits. The
+// parts come from runtimes of one configuration, so they are all exact or
+// all sketched.
+func SummarizeTallies(parts []*Tally, policy Policy, platform string, obj schedule.Objective) *Summary {
+	m := tallyMerge{parts: parts, rows: make([]*tenantAcc, 0, len(parts))}
+	var names []string
+	served := 0
+	for _, p := range parts {
+		p.sortRuns()
+		m.sketch = p.sketch
+		m.durationMs = math.Max(m.durationMs, p.durationMs)
+		served += p.total.completed
+		for name := range p.tenants {
+			names = append(names, name)
+		}
 	}
-	return acc.summarize(policy, platform, obj)
+	sort.Strings(names)
+	names = slices.Compact(names)
+	if !m.sketch {
+		m.buf = make([]float64, 0, served)
+		m.runs = make([][]float64, 0, len(parts))
+		m.heads = make([]int, len(parts))
+		m.heap = make([]int, 0, len(parts))
+	}
+	sum := &Summary{Policy: policy.String(), Platform: platform,
+		Objective: obj.String(), DurationMs: m.durationMs}
+	if len(names) > 0 {
+		sum.Tenants = make([]TenantStats, 0, len(names))
+	}
+	for _, name := range names {
+		sum.Tenants = append(sum.Tenants, m.row(name, false))
+	}
+	sum.Total = m.row(totalName, true)
+	return sum
+}
+
+// tallyMerge is SummarizeTallies' state: the parts, the merge mode and the
+// scratch every row reuses — the rows being merged, the merged latency
+// buffer sized for the TOTAL row, and the k-way merge's heap.
+type tallyMerge struct {
+	parts      []*Tally
+	sketch     bool
+	durationMs float64
+
+	rows  []*tenantAcc
+	buf   []float64
+	runs  [][]float64
+	heads []int
+	heap  []int
+}
+
+// row merges one row across the parts: the named tenant's, or the TOTAL
+// row's when total is set.
+func (m *tallyMerge) row(name string, total bool) TenantStats {
+	m.rows = m.rows[:0]
+	for _, p := range m.parts {
+		a := p.total
+		if !total {
+			a = p.tenants[name]
+		}
+		if a != nil && a.offered > 0 {
+			m.rows = append(m.rows, a)
+		}
+	}
+	var out tenantAcc
+	for _, a := range m.rows {
+		out.network = mergeNetwork(out.network, a)
+		out.offered += a.offered
+		out.rejected += a.rejected
+		out.completed += a.completed
+		out.violations += a.violations
+	}
+	if m.sketch {
+		out.sketch = obs.NewSketch()
+		for _, a := range m.rows {
+			if err := out.sketch.Merge(a.sketch); err != nil {
+				panic(err) // every serving sketch has obs.DefaultSketchAccuracy
+			}
+		}
+		return out.row(name, m.durationMs, nil)
+	}
+	m.runs = m.runs[:0]
+	for _, a := range m.rows {
+		for _, v := range a.lats {
+			out.sumMs += v
+		}
+		m.runs = append(m.runs, a.sorted)
+	}
+	m.buf = m.mergeRuns(m.buf[:0])
+	return out.row(name, m.durationMs, m.buf)
+}
+
+// mergeNetwork folds row a's network label onto label, the label of the
+// rows merged before it, exactly as observing a's completions after
+// theirs would: an empty label takes a's, "mixed" stays, and any other
+// stays only when every one of a's completions ran that network.
+func mergeNetwork(label string, a *tenantAcc) string {
+	switch {
+	case label == "":
+		return a.network
+	case label == mixedNetwork || (a.first == label && a.network == label):
+		return label
+	default:
+		return mixedNetwork
+	}
+}
+
+// mergeRuns appends the union of m.runs to dst in ascending order: a
+// k-way merge over a min-heap of run heads, ties to the earlier run.
+func (m *tallyMerge) mergeRuns(dst []float64) []float64 {
+	runs, heads, h := m.runs, m.heads[:len(m.runs)], m.heap[:0]
+	for r, run := range runs {
+		heads[r] = 0
+		if len(run) > 0 {
+			h = append(h, r)
+		}
+	}
+	less := func(a, b int) bool {
+		va, vb := runs[a][heads[a]], runs[b][heads[b]]
+		return va < vb || (va == vb && a < b)
+	}
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				return
+			}
+			if c+1 < len(h) && less(h[c+1], h[c]) {
+				c++
+			}
+			if !less(h[c], h[i]) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(h) > 1 {
+		r := h[0]
+		dst = append(dst, runs[r][heads[r]])
+		heads[r]++
+		if heads[r] == len(runs[r]) {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
+	if len(h) == 1 {
+		dst = append(dst, runs[h[0]][heads[h[0]]:]...)
+	}
+	return dst
 }

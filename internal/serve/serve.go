@@ -38,6 +38,7 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -92,6 +93,19 @@ type Request struct {
 
 // Trace is a request sequence, ordered by arrival time.
 type Trace []Request
+
+// InArrivalOrder returns the trace in nondecreasing arrival order: the
+// trace itself when it already is — the stable sort would leave it
+// unchanged, so no copy is made — and otherwise a stably sorted copy. The
+// serving drivers read it and never write it.
+func (tr Trace) InArrivalOrder() Trace {
+	if slices.IsSortedFunc(tr, func(a, b Request) int { return cmp.Compare(a.ArrivalMs, b.ArrivalMs) }) {
+		return tr
+	}
+	out := slices.Clone(tr)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].ArrivalMs < out[j].ArrivalMs })
+	return out
+}
 
 // Validate rejects a request whose arrival time or SLO is NaN or
 // infinite, naming the request and the field — the checks Generate
@@ -259,23 +273,29 @@ type Runtime struct {
 	prepares   int                // core.Prepare calls issued by the estimators
 
 	// Virtual-timeline state, advanced by Offer and Step.
-	clockMs     float64 // end of the last dispatched round
-	busyMs      float64 // total round time (clock advance while dispatching)
-	pending     []Request
-	waited      []int // rounds pending[i] was eligible but passed over
-	queued      map[string]int
+	clockMs float64 // end of the last dispatched round
+	busyMs  float64 // total round time (clock advance while dispatching)
+	pending []Request
+	waited  []int // rounds pending[i] was eligible but passed over
+	queued  map[string]int
+	rounds  int
+
+	// The completion stream: record hands every completion, once, to the
+	// tally (what Summary reads), then to each subscriber. The log is kept
+	// only while nothing subscribes: a fleet subscribes to every device it
+	// builds, and a standalone runtime keeps its log for Completions.
+	tally       *Tally
+	subs        []func(Completion)
 	completions []Completion
-	rounds      int
 
 	// Cache effectiveness local to this runtime: with a shared cache the
 	// cache's own counters aggregate over all devices in the group.
 	hits, misses, upgrades int
 	lastSched              map[string]*schedule.Schedule // last deployed schedule per mix key
 
-	// Observability state (see Config.Tracer/SketchMetrics/Metrics).
-	acc       *streamStats // streaming metric accumulator (sketch mode)
-	peakQueue int          // high watermark of the pending queue
-	forced    int          // starvation-bound forced dispatches
+	// Observability state (see Config.Tracer/Metrics).
+	peakQueue int // high watermark of the pending queue
+	forced    int // starvation-bound forced dispatches
 
 	// Per-round scratch buffers reused across Step calls. Step runs on one
 	// goroutine and nothing retains these slices past the round (cache keys
@@ -400,11 +420,9 @@ func New(cfg Config) (*Runtime, error) {
 		prepErr:    map[string]error{},
 		queued:     map[string]int{},
 		lastSched:  map[string]*schedule.Schedule{},
+		tally:      newTally(cfg.SketchMetrics),
 	}
 	rt.scoreFn, rt.scoreManyFn = rt.scoreOne, rt.scoreMany
-	if cfg.SketchMetrics {
-		rt.acc = newStreamStats(true)
-	}
 	return rt, nil
 }
 
@@ -459,10 +477,28 @@ func (r *Runtime) BusyMs() float64 { return r.busyMs }
 // Rounds returns the number of dispatch rounds executed so far.
 func (r *Runtime) Rounds() int { return r.rounds }
 
-// Completions returns the outcomes recorded so far (served and rejected),
-// in processing order. The slice is the runtime's own; callers must not
-// mutate it.
+// Completions returns the outcomes recorded since the last Reset (served
+// and rejected), in processing order, for a runtime nothing subscribes to
+// — whether Serve drives it or Offer and Step do. A subscribed runtime,
+// such as every device a fleet builds, keeps no log and returns nil. The
+// slice is the runtime's own; callers must not mutate it.
 func (r *Runtime) Completions() []Completion { return r.completions }
+
+// Subscribe adds fn to the runtime's completion stream: every completion
+// recorded from now on is handed to fn, once, in processing order, after
+// the runtime's own tally. A subscriber is the runtime's owner consuming
+// the stream, so a subscribed runtime keeps no completion log (and drops
+// the one it had). Subscribers survive Reset.
+func (r *Runtime) Subscribe(fn func(Completion)) {
+	r.subs = append(r.subs, fn)
+	r.completions = nil
+}
+
+// Tally returns the runtime's completion tally since the last Reset: what
+// Summary reads, and what a fleet merges over its devices
+// (SummarizeTallies). It is the runtime's own and keeps folding
+// completions as they are recorded.
+func (r *Runtime) Tally() *Tally { return r.tally }
 
 // CacheCounters returns this runtime's own cache effectiveness: lookups it
 // performed that hit or missed, and deployments that advanced to a newer
@@ -484,15 +520,16 @@ func (r *Runtime) Reset() {
 	r.pending = nil
 	r.waited = nil
 	r.queued = map[string]int{}
+	// An empty tally is already a fresh one (a new runtime's first Serve).
+	if r.tally.total.offered > 0 {
+		r.tally = newTally(r.cfg.SketchMetrics)
+	}
 	r.completions = nil
 	r.rounds = 0
 	r.hits, r.misses, r.upgrades = 0, 0, 0
 	r.lastSched = map[string]*schedule.Schedule{}
 	r.peakQueue = 0
 	r.forced = 0
-	if r.cfg.SketchMetrics {
-		r.acc = newStreamStats(true)
-	}
 	if r.cfg.SharedCache == nil {
 		r.cache.Rewind()
 	}
@@ -508,13 +545,16 @@ func (r *Runtime) trace(e obs.Event) {
 	r.cfg.Tracer.Emit(e)
 }
 
-// record registers one outcome: it appends the completion, feeds the
-// streaming accumulator, and emits the lifecycle event. Every completion
-// — served or rejected — flows through here.
+// record registers one outcome: it feeds the tally, then the log or the
+// subscribers, and emits the lifecycle event. Every completion — served
+// or rejected — flows through here.
 func (r *Runtime) record(c Completion) {
-	r.completions = append(r.completions, c)
-	if r.acc != nil {
-		r.acc.observe(c)
+	r.tally.observe(c)
+	if len(r.subs) == 0 {
+		r.completions = append(r.completions, c)
+	}
+	for _, fn := range r.subs {
+		fn(c)
 	}
 	if r.cfg.Tracer == nil {
 		return
@@ -1140,16 +1180,11 @@ func adaptiveWaitBound(maxWait int, oldest Candidate, startMs float64) int {
 	}
 }
 
-// Summary folds the outcomes recorded so far into a serving summary. In
-// sketch mode (Config.SketchMetrics) the percentile columns come from the
-// streaming accumulator instead of stored samples.
+// Summary reads the outcomes recorded so far from the runtime's tally into
+// a serving summary. In sketch mode (Config.SketchMetrics) the percentile
+// columns come from per-tenant sketches instead of stored samples.
 func (r *Runtime) Summary() *Summary {
-	var sum *Summary
-	if r.acc != nil {
-		sum = r.acc.summarize(r.cfg.Policy, r.cfg.Platform.Name, r.cfg.Objective)
-	} else {
-		sum = Summarize(r.completions, r.cfg.Policy, r.cfg.Platform.Name, r.cfg.Objective)
-	}
+	sum := r.tally.summarize(r.cfg.Policy, r.cfg.Platform.Name, r.cfg.Objective)
 	sum.MixPolicy = r.former.Name()
 	sum.Rounds = r.rounds
 	sum.CacheHits, sum.CacheMisses, sum.CacheUpgrades = r.hits, r.misses, r.upgrades
@@ -1160,7 +1195,8 @@ func (r *Runtime) Summary() *Summary {
 }
 
 // Serve executes the trace in virtual time and returns the serving
-// summary. The trace may be unsorted; it is served in arrival order. Serve
+// summary. The trace may be unsorted; it is served in arrival order, from
+// a sorted copy only when it is not already sorted (InArrivalOrder). Serve
 // rewinds the virtual timeline first (Reset), so repeated calls on one
 // runtime serve independent runs over a warm schedule cache.
 func (r *Runtime) Serve(tr Trace) (*Summary, error) {
@@ -1171,11 +1207,15 @@ func (r *Runtime) Serve(tr Trace) (*Summary, error) {
 		return nil, err
 	}
 	r.Reset()
-	// Every offered request ends in exactly one completion, so the log is
-	// sized once.
-	r.completions = make([]Completion, 0, len(tr))
-	reqs := append(Trace(nil), tr...)
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].ArrivalMs < reqs[j].ArrivalMs })
+	// Every offered request ends in exactly one completion, so the log and
+	// the tally's TOTAL run are sized once.
+	if len(r.subs) == 0 {
+		r.completions = make([]Completion, 0, len(tr))
+	}
+	if !r.tally.sketch {
+		r.tally.total.lats = make([]float64, 0, len(tr))
+	}
+	reqs := tr.InArrivalOrder()
 
 	next := 0
 	for next < len(reqs) || len(r.pending) > 0 {
@@ -1209,7 +1249,7 @@ func (r *Runtime) FillMetrics(reg *obs.Registry) {
 	reg.Add(p+"rounds", float64(r.rounds))
 	reg.Add(p+"busy_ms", r.busyMs)
 	reg.Set(p+"clock_ms", r.clockMs)
-	reg.Add(p+"completions", float64(len(r.completions)))
+	reg.Add(p+"completions", float64(r.tally.total.offered))
 	reg.Set(p+"queue_depth", float64(len(r.pending)))
 	reg.Set(p+"queue_peak", float64(r.peakQueue))
 	reg.Add(p+"cache_hits", float64(r.hits))

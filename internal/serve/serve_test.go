@@ -142,6 +142,41 @@ func TestGenerateValidation(t *testing.T) {
 	}
 }
 
+// TestGenerateBoundsArrivals: a spec set whose expected arrival count is
+// over MaxTraceRequests, or whose arrival gap is below the clock's float
+// spacing, is rejected before the trace is built, naming the tenant.
+// Without the bound each case here loops or allocates without end.
+func TestGenerateBoundsArrivals(t *testing.T) {
+	cases := []struct {
+		name  string
+		specs []TenantSpec
+		durMs float64
+	}{
+		// t += 1e-20 stops advancing near 1e-4 ms.
+		{"sub-spacing period", []TenantSpec{{Name: "tiny", Network: "VGG19", PeriodMs: 1e-20, SLOMs: 10}}, 1000},
+		{"sub-spacing Poisson rate", []TenantSpec{{Name: "tiny", Network: "VGG19", RateRPS: 1e25, SLOMs: 10}}, 1000},
+		// Terminates, but asks for 1e9 requests.
+		{"billion periodic arrivals", []TenantSpec{{Name: "tiny", Network: "VGG19", PeriodMs: 1e-6, SLOMs: 10}}, 1000},
+		// Each tenant alone fits; together they do not.
+		{"total over the cap", []TenantSpec{
+			{Name: "a", Network: "VGG19", PeriodMs: 1.6e-4},
+			{Name: "tiny", Network: "ResNet152", PeriodMs: 1.6e-4},
+		}, 1000},
+		// 1e5 expected arrivals, but at 1e15 ms a 0.01 ms step is lost.
+		{"stalled clock", []TenantSpec{{Name: "tiny", Network: "VGG19", PeriodMs: 0.01, PhaseMs: 1e15}}, 1e15 + 1000},
+	}
+	for _, tc := range cases {
+		_, err := Generate(tc.specs, tc.durMs, 1)
+		if err == nil {
+			t.Errorf("%s: expected an error", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), `"tiny"`) {
+			t.Errorf("%s: error %q does not name the tenant", tc.name, err)
+		}
+	}
+}
+
 // TestNewValidation: New names the field behind every rejected value — a
 // negative count, beam or factor, or a non-finite float — and rejects a
 // shared cache whose configuration differs from the one the runtime's

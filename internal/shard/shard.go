@@ -422,7 +422,16 @@ func (p *Plane) Serve(tr serve.Trace) (*Summary, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Exact-size partitions, in trace order: a sorted trace yields sorted
+	// parts, which the shards' drivers then use without copying.
+	sizes := make([]int, k)
+	for _, q := range tr {
+		sizes[assign[q.Tenant]]++
+	}
 	parts := make([]serve.Trace, k)
+	for s := range parts {
+		parts[s] = make(serve.Trace, 0, sizes[s])
+	}
 	for _, q := range tr {
 		s := assign[q.Tenant]
 		parts[s] = append(parts[s], q)
@@ -700,20 +709,17 @@ func (st *shardState) emitHandoffs(handoffs []Handoff) {
 
 // merge folds the finished shards into the plane summary and the
 // plane-level observability sinks, in shard order throughout, so the
-// merged artifacts are deterministic.
+// merged artifacts are deterministic. The plane rows merge every shard's
+// device tallies, shard by shard in pool order, exactly as one summary
+// over the devices' completions in that order would (sketched under the
+// template's SketchMetrics; see serve.SummarizeTallies).
 func (p *Plane) merge(states []*shardState, h *hub) *Summary {
 	sum := &Summary{
 		Shards:        p.cfg.shards(),
 		GossipEveryMs: p.periodMs(),
 		Handoffs:      h.log,
 	}
-	n := 0
-	for _, st := range states {
-		for _, d := range st.drv.Fleet().Devices() {
-			n += len(d.Completions())
-		}
-	}
-	all := make([]serve.Completion, 0, n)
+	var tallies []*serve.Tally
 	var pools []string
 	for _, st := range states {
 		ss := ShardSummary{
@@ -732,7 +738,7 @@ func (p *Plane) merge(states []*shardState, h *hub) *Summary {
 			}
 		}
 		for _, d := range f.Devices() {
-			all = append(all, d.Completions()...)
+			tallies = append(tallies, d.Tally())
 		}
 		pools = append(pools, st.sum.Fleet.Pool)
 		if st.rounds > sum.Rounds {
@@ -748,7 +754,7 @@ func (p *Plane) merge(states []*shardState, h *hub) *Summary {
 		sum.PerShard = append(sum.PerShard, ss)
 	}
 	dt := p.global.Fleet.Device
-	merged := serve.Summarize(all, dt.Policy, strings.Join(pools, "|"), dt.Objective)
+	merged := serve.SummarizeTallies(tallies, dt.Policy, strings.Join(pools, "|"), dt.Objective)
 	sum.Tenants = merged.Tenants
 	sum.Total = merged.Total
 	sum.SLOAttainmentPct = merged.Total.SLOAttainmentPct()

@@ -179,6 +179,52 @@ func TestShardedHandoff(t *testing.T) {
 	}
 }
 
+// TestShardedRequestsEndOnce: on TestShardedHandoff's configuration, which
+// hands a tenant off, the plane's merged trace carries exactly one
+// terminal event — complete or reject — for every request ID of the
+// trace, and none for an ID the trace does not hold. A handoff moves a
+// tenant's future arrivals between shards, so a request lost or served
+// twice in the move would show here.
+func TestShardedRequestsEndOnce(t *testing.T) {
+	cfg := demoControl()
+	cfg.MaxDevices = 4
+	tracer := obs.NewTracer()
+	p, err := New(Config{Control: cfg, Shards: 4, HandoffBacklogMs: 15, Tracer: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := shardTrace(t, 11)
+	sum, err := p.Serve(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sum.Handoffs) == 0 {
+		t.Fatal("no handoff: the test would not cover one")
+	}
+	ends := map[int]int{}
+	for _, q := range tr {
+		ends[q.ID] = 0
+	}
+	if len(ends) != len(tr) {
+		t.Fatalf("trace IDs are not unique: %d IDs for %d requests", len(ends), len(tr))
+	}
+	for _, e := range tracer.Events() {
+		if e.Kind != obs.KindComplete && e.Kind != obs.KindReject {
+			continue
+		}
+		n, ok := ends[e.Request]
+		if !ok {
+			t.Fatalf("terminal %s event for request %d, which the trace does not hold", e.Kind, e.Request)
+		}
+		ends[e.Request] = n + 1
+	}
+	for _, q := range tr {
+		if n := ends[q.ID]; n != 1 {
+			t.Errorf("request %d (tenant %s) ended %d times", q.ID, q.Tenant, n)
+		}
+	}
+}
+
 // TestShardedRegionCompare runs the canonical region-scale comparison
 // (the BenchmarkShardedControl configuration) and checks the win
 // condition: the sharded leg's SLO attainment is equal or better, solves
