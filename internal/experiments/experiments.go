@@ -76,8 +76,8 @@ type T6Row struct {
 	SolveMs      float64
 }
 
-// request builds the core.Request for a Table 6 definition.
-func (d T6Def) request() (core.Request, error) {
+// Request builds the core.Request for a Table 6 definition.
+func (d T6Def) Request() (core.Request, error) {
 	p, ok := soc.PlatformByName(d.Platform)
 	if !ok {
 		return core.Request{}, fmt.Errorf("experiments: unknown platform %s", d.Platform)
@@ -93,7 +93,7 @@ func (d T6Def) request() (core.Request, error) {
 
 // RunT6 executes a single Table 6 experiment.
 func RunT6(d T6Def) (*T6Row, error) {
-	req, err := d.request()
+	req, err := d.Request()
 	if err != nil {
 		return nil, err
 	}

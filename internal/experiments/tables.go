@@ -143,9 +143,10 @@ type T8Cell struct {
 	Schedule     string
 }
 
-// Table8 runs the exhaustive pairwise evaluation on Orin: every pair from
-// the 10-network evaluation set, iteration-balanced, throughput objective.
-func Table8() ([]T8Cell, error) {
+// Table8Requests returns Table 8's problems in table order: every pair
+// (i, j <= i) from the 10-network evaluation set on Orin, iteration-
+// balanced, throughput objective.
+func Table8Requests() []core.Request {
 	p, _ := soc.PlatformByName("Orin")
 	nets := nn.EvaluationSet()
 	gpu := p.GPU()
@@ -153,31 +154,42 @@ func Table8() ([]T8Cell, error) {
 	for i, n := range nets {
 		lat[i] = perf.NetworkLatencyMs(gpu, n)
 	}
-	var cells []T8Cell
+	var reqs []core.Request
 	for i := 0; i < len(nets); i++ {
 		for j := 0; j <= i; j++ {
 			it1, it2 := balanceIterations(lat[i], lat[j])
-			cmp, err := core.Compare(core.Request{
+			reqs = append(reqs, core.Request{
 				Platform:   p,
 				Networks:   []string{nets[i].Name, nets[j].Name},
 				Iterations: []int{it1, it2},
 				Objective:  schedule.MaxThroughput,
 			})
-			if err != nil {
-				return nil, err
-			}
-			name, best := cmp.BestBaseline(schedule.MaxThroughput)
-			cell := T8Cell{
-				Net1: nets[i].Name, Net2: nets[j].Name,
-				BestBaseline: name,
-				Iter1:        it1, Iter2: it2,
-				Schedule: cmp.HaXCoNN.Description,
-			}
-			if best != nil && best.FPS > 0 {
-				cell.Ratio = cmp.HaXCoNN.FPS / best.FPS
-			}
-			cells = append(cells, cell)
 		}
+	}
+	return reqs
+}
+
+// Table8 runs the exhaustive pairwise evaluation on Orin: every pair from
+// the 10-network evaluation set, iteration-balanced, throughput objective.
+func Table8() ([]T8Cell, error) {
+	reqs := Table8Requests()
+	cells := make([]T8Cell, 0, len(reqs))
+	for _, req := range reqs {
+		cmp, err := core.Compare(req)
+		if err != nil {
+			return nil, err
+		}
+		name, best := cmp.BestBaseline(schedule.MaxThroughput)
+		cell := T8Cell{
+			Net1: req.Networks[0], Net2: req.Networks[1],
+			BestBaseline: name,
+			Iter1:        req.Iterations[0], Iter2: req.Iterations[1],
+			Schedule: cmp.HaXCoNN.Description,
+		}
+		if best != nil && best.FPS > 0 {
+			cell.Ratio = cmp.HaXCoNN.FPS / best.FPS
+		}
+		cells = append(cells, cell)
 	}
 	return cells, nil
 }
