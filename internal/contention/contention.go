@@ -21,6 +21,7 @@ package contention
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -29,15 +30,37 @@ import (
 // among still-hungry consumers. The returned slice is parallel to demands.
 func FairShare(demands []float64, capacity float64) []float64 {
 	alloc := make([]float64, len(demands))
+	FairShareInto(demands, capacity, alloc)
+	return alloc
+}
+
+// FairShareInto is FairShare writing the allocation into out, which must
+// be at least as long as demands; out may alias nothing the caller still
+// needs. It allocates nothing for up to fairShareStack consumers.
+// Consumers are served in ascending demand order, equal demands in the
+// order sort.Slice leaves them (slices.SortFunc runs the same pattern-
+// defeating quicksort), so every share matches FairShare's bit for bit.
+func FairShareInto(demands []float64, capacity float64, out []float64) {
+	out = out[:len(demands)]
+	clear(out)
 	if capacity <= 0 || len(demands) == 0 {
-		return alloc
+		return
 	}
 	// Sort indices by demand ascending; satisfy small demands first.
-	idx := make([]int, len(demands))
-	for i := range idx {
-		idx[i] = i
+	var buf [fairShareStack]int
+	idx := buf[:0]
+	if len(demands) > len(buf) {
+		idx = make([]int, 0, len(demands))
 	}
-	sort.Slice(idx, func(a, b int) bool { return demands[idx[a]] < demands[idx[b]] })
+	for i := range demands {
+		idx = append(idx, i)
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		if demands[a] < demands[b] {
+			return -1
+		}
+		return 0
+	})
 	remaining := capacity
 	for pos, i := range idx {
 		share := remaining / float64(len(idx)-pos)
@@ -45,11 +68,14 @@ func FairShare(demands []float64, capacity float64) []float64 {
 		if give < 0 {
 			give = 0
 		}
-		alloc[i] = give
+		out[i] = give
 		remaining -= give
 	}
-	return alloc
 }
+
+// fairShareStack is how many consumers FairShareInto sorts in a stack
+// buffer: every accelerator of a platform plus a few background demands.
+const fairShareStack = 16
 
 // Slowdown converts a bandwidth allocation into an execution slowdown for a
 // task with the given demand and memory intensity mu (fraction of its

@@ -33,7 +33,7 @@ package control
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"haxconn/internal/fleet"
 	"haxconn/internal/obs"
@@ -372,7 +372,9 @@ type run struct {
 	prevBusy []float64            // BusyMs at the previous tick (utilization windowing)
 
 	tenants map[string]*tenantWindow
-	mixBase []string // per device: the configured mix policy adaptMix restores
+	names   []string   // the keys of tenants, sorted; grows with it
+	byDev   [][]string // bestDevice's tenants per device, reused
+	mixBase []string   // per device: the configured mix policy adaptMix restores
 
 	hiStreak, loStreak int
 	cooldown           int
@@ -564,6 +566,8 @@ func (r *run) ingest() {
 			if w == nil {
 				w = newTenantWindow(r.cfg.SLOWindow)
 				r.tenants[c.Tenant] = w
+				at, _ := slices.BinarySearch(r.names, c.Tenant)
+				r.names = slices.Insert(r.names, at, c.Tenant)
 			}
 			w.add(c)
 		}
@@ -831,13 +835,8 @@ func transferEntries(donor, target *serve.Cache, nowMs float64) (int, error) {
 // window looks bad and migration cannot help. Tenants are judged in
 // sorted name order so the decision sequence is deterministic.
 func (r *run) migrate(nowMs float64) {
-	names := make([]string, 0, len(r.tenants))
-	for name := range r.tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	worst, worstRatio := "", 0.0
-	for _, name := range names {
+	for _, name := range r.names {
 		w := r.tenants[name]
 		if w.cooldown > 0 {
 			w.cooldown--
@@ -891,7 +890,9 @@ func (r *run) migrate(nowMs float64) {
 func (r *run) bestDevice(tenant, network string, nowMs float64, exclude int) int {
 	volume := float64(r.cfg.SLOWindow)
 	best, bestScore := -1, math.Inf(1)
-	for i, d := range r.fleet.Devices() {
+	devs := r.fleet.Devices()
+	r.byDev = r.table.groupByDevice(len(devs), r.byDev)
+	for i, d := range devs {
 		if i == exclude || r.fleet.Draining(i) || r.leaveMs[i] >= 0 {
 			continue
 		}
@@ -905,7 +906,7 @@ func (r *run) bestDevice(tenant, network string, nowMs float64, exclude int) int
 				score += volume * st
 			}
 		}
-		for _, other := range r.table.tenantsOn(i) {
+		for _, other := range r.byDev[i] {
 			if other == tenant {
 				continue
 			}

@@ -71,6 +71,25 @@ func (t *stickyTable) tenantsOn(device int) []string {
 	return names
 }
 
+// groupByDevice lists the tenants assigned to each device index below n
+// — tenantsOn(i) for every i — from one scan of the table, reusing the
+// lists in groups. Each list is sorted.
+func (t *stickyTable) groupByDevice(n int, groups [][]string) [][]string {
+	groups = slices.Grow(groups[:0], n)[:n]
+	for i := range groups {
+		groups[i] = groups[i][:0]
+	}
+	for name, di := range t.byTenant {
+		if di >= 0 && di < n {
+			groups[di] = append(groups[di], name)
+		}
+	}
+	for _, g := range groups {
+		slices.Sort(g)
+	}
+	return groups
+}
+
 // tenantWindow is a tenant's rolling completion window: the last N served
 // latencies with their violation flags, in completion order (a ring), the
 // same latencies kept in ascending order so p99 is an index lookup, plus

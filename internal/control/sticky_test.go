@@ -103,3 +103,61 @@ func TestIngestFoldsEachCompletionOnce(t *testing.T) {
 		t.Errorf("window order %v, want device 0's completions, then device 1's: %v", got, want)
 	}
 }
+
+// TestGroupByDeviceMatchesTenantsOn: bestDevice's one-scan grouping lists,
+// for every device, exactly tenantsOn's sorted tenants — across random
+// tables with unassigned tenants, empty devices and migrations, reusing
+// one set of lists throughout.
+func TestGroupByDeviceMatchesTenantsOn(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	table := newStickyTable()
+	var groups [][]string
+	for round := 0; round < 50; round++ {
+		devices := 1 + rng.Intn(8)
+		for k := rng.Intn(12); k > 0; k-- {
+			name := string(rune('a'+rng.Intn(26))) + string(rune('a'+rng.Intn(3)))
+			switch rng.Intn(4) {
+			case 0:
+				table.unassign(name)
+			default:
+				table.assign(name, rng.Intn(devices))
+			}
+		}
+		groups = table.groupByDevice(devices, groups)
+		if len(groups) != devices {
+			t.Fatalf("round %d: %d groups for %d devices", round, len(groups), devices)
+		}
+		for i := range groups {
+			if want := table.tenantsOn(i); !slices.Equal(groups[i], want) {
+				t.Fatalf("round %d device %d: grouped %v, tenantsOn %v", round, i, groups[i], want)
+			}
+		}
+	}
+}
+
+// TestIngestKeepsTenantNamesSorted: the run's tenant names, which migrate
+// judges in order, are the keys of its windows, sorted, as tenants first
+// complete in any order.
+func TestIngestKeepsTenantNamesSorted(t *testing.T) {
+	cfg := demoConfig()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := newRun(c.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"m", "c", "x", "c", "a", "m", "q"} {
+		r.completed(0, serve.Completion{Request: serve.Request{Tenant: name, Network: "VGG19", SLOMs: 10}, LatencyMs: 1})
+		r.ingest()
+		keys := make([]string, 0, len(r.tenants))
+		for k := range r.tenants {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if !slices.Equal(r.names, keys) {
+			t.Fatalf("after %s: names %v, window keys %v", name, r.names, keys)
+		}
+	}
+}

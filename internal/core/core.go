@@ -173,10 +173,22 @@ func Plan(req Request) (*Result, error) {
 }
 
 // Measure evaluates any schedule on the ground-truth simulator and wraps
-// the outcome in a Result.
+// the outcome in a Result. It records no timeline; schedule.Evaluate under
+// sim.GroundTruth does, with the same figures.
 func Measure(prob *schedule.Problem, pr *schedule.Profile, s *schedule.Schedule) (*Result, error) {
-	gt := sim.GroundTruth{SatBW: prob.Platform.SatBW()}
-	ev, err := schedule.Evaluate(prob, pr, s, gt)
+	return measure(prob, pr, groundTruth(prob, pr), s)
+}
+
+// groundTruth returns a timeline-free ground-truth evaluator for the
+// problem.
+func groundTruth(prob *schedule.Problem, pr *schedule.Profile) *schedule.Evaluator {
+	return schedule.NewEvaluator(prob, pr, sim.GroundTruth{SatBW: prob.Platform.SatBW()})
+}
+
+// measure is Measure on a caller's ground-truth evaluator, so several
+// schedules of one problem share its buffers.
+func measure(prob *schedule.Problem, pr *schedule.Profile, gt *schedule.Evaluator, s *schedule.Schedule) (*Result, error) {
+	ev, err := gt.Evaluate(s)
 	if err != nil {
 		return nil, err
 	}
@@ -249,8 +261,9 @@ func Compare(req Request) (*Comparison, error) {
 		return nil, err
 	}
 	cmp := &Comparison{HaXCoNN: hax, Baselines: map[string]*Result{}}
+	gt := groundTruth(hax.Problem, hax.Profile)
 	for name, s := range baselines.All(hax.Profile) {
-		r, err := Measure(hax.Problem, hax.Profile, s)
+		r, err := measure(hax.Problem, hax.Profile, gt, s)
 		if err != nil {
 			return nil, fmt.Errorf("core: measuring %s: %w", name, err)
 		}

@@ -276,8 +276,8 @@ func lower(prob *Problem, pr *Profile, s *Schedule, w *sim.Workload, labels bool
 		st := &w.Streams[i]
 		st.Name = it.Net.Name
 		st.After = append(st.After[:0], it.After...)
-		st.Tasks = st.Tasks[:0]
 		row := s.Assign[i]
+		st.Tasks = slices.Grow(st.Tasks[:0], it.iterations()*(len(row)+2*s.Transitions(i)))
 		for iter := 0; iter < it.iterations(); iter++ {
 			for g := range pr.Groups[i] {
 				a := row[g]
@@ -327,16 +327,24 @@ type Eval struct {
 	MakespanMs float64
 	// ItemLatencyMs is the per-item start-to-finish latency.
 	ItemLatencyMs []float64
+	// StreamEndMs is each item's finish time from the start of the run.
+	StreamEndMs []float64
 	// FPS is total frames over the makespan.
 	FPS float64
 	// Cost is the objective value to minimize.
 	Cost float64
-	// Result is the underlying simulation, for timeline inspection.
+	// Result is the underlying simulation with its timeline — per-task
+	// records and contention intervals — for QueueingMs, energy, traces
+	// and figures. Only the package function Evaluate records one;
+	// Evaluator.Evaluate leaves Result nil.
 	Result *sim.Result
 }
 
 // Evaluate runs the schedule under the given arbiter (analytic model or
-// ground truth) and computes the objective cost.
+// ground truth) and computes the objective cost. It is the one evaluation
+// that records a timeline (Eval.Result): tasks are labelled and every
+// task record and contention interval is kept. Callers that read only the
+// figures use an Evaluator, which returns them bit for bit.
 func Evaluate(prob *Problem, pr *Profile, s *Schedule, arb sim.Arbiter) (*Eval, error) {
 	if err := prob.Validate(); err != nil {
 		return nil, err
@@ -349,13 +357,28 @@ func Evaluate(prob *Problem, pr *Profile, s *Schedule, arb sim.Arbiter) (*Eval, 
 	if err != nil {
 		return nil, err
 	}
-	ev := &Eval{MakespanMs: res.MakespanMs, Result: res}
-	for i := range prob.Items {
-		ev.ItemLatencyMs = append(ev.ItemLatencyMs, res.StreamLatencyMs(i))
-	}
-	ev.FPS = res.FPS(prob.Frames())
-	ev.Cost = prob.cost(res)
+	ev := newEval(prob, res)
+	ev.Result = res
 	return ev, nil
+}
+
+// newEval derives an Eval's figures from a simulation; the result's
+// slices are copied, so it may belong to a reused engine.
+func newEval(prob *Problem, res *sim.Result) *Eval {
+	n := len(prob.Items)
+	buf := make([]float64, 2*n)
+	ev := &Eval{
+		MakespanMs:    res.MakespanMs,
+		ItemLatencyMs: buf[:n:n],
+		StreamEndMs:   buf[n:],
+		FPS:           res.FPS(prob.Frames()),
+		Cost:          prob.cost(res),
+	}
+	for i := range n {
+		ev.ItemLatencyMs[i] = res.StreamLatencyMs(i)
+	}
+	copy(ev.StreamEndMs, res.StreamEndMs)
+	return ev
 }
 
 // cost is the objective value to minimize for a simulated run: the
@@ -367,13 +390,15 @@ func (p *Problem) cost(res *sim.Result) float64 {
 	return res.MakespanMs
 }
 
-// Evaluator computes the objective cost of schedules for one problem, the
-// inner loop of the solvers. It runs every check Evaluate runs but builds
-// no timeline: schedules are lowered into reused, unlabelled simulator
-// tasks and simulated on a reused sim.Engine, so a warmed Evaluator
-// allocates nothing per call. The profile's allowed accelerators are read
-// once, by NewEvaluator. An Evaluator must not be used by two goroutines
-// at once; give each its own.
+// Evaluator evaluates schedules for one problem without recording a
+// timeline: the inner loop of the solvers (Cost) and the ground-truth
+// measurement of plans and served mixes (Evaluate). It runs every check
+// Evaluate runs, but schedules are lowered into reused, unlabelled
+// simulator tasks and simulated on a reused sim.Engine that keeps no task
+// records or contention intervals, so a warmed Evaluator's Cost allocates
+// nothing. The profile's allowed accelerators are read once, by
+// NewEvaluator. An Evaluator must not be used by two goroutines at once;
+// give each its own.
 type Evaluator struct {
 	prob    *Problem
 	pr      *Profile
@@ -393,23 +418,45 @@ func NewEvaluator(prob *Problem, pr *Profile, arb sim.Arbiter) *Evaluator {
 // Evaluate(prob, pr, s, arb).Cost bit for bit, and fails wherever
 // Evaluate fails.
 func (e *Evaluator) Cost(s *Schedule) (float64, error) {
-	if err := e.prob.Validate(); err != nil {
-		return 0, err
-	}
-	if err := s.validate(e.pr, e.allowed); err != nil {
-		return 0, err
-	}
-	lower(e.prob, e.pr, s, &e.w, false)
-	ms, err := e.eng.Makespan(e.prob.Platform, e.w, e.arb)
+	res, err := e.run(s)
 	if err != nil {
 		return 0, err
 	}
-	return e.prob.cost(&sim.Result{MakespanMs: ms}), nil
+	return e.prob.cost(res), nil
+}
+
+// Evaluate returns Evaluate(prob, pr, s, arb) without its timeline: the
+// makespan, per-item latencies, stream ends, FPS and cost equal Evaluate's
+// bit for bit, Result is nil, and it fails wherever Evaluate fails.
+func (e *Evaluator) Evaluate(s *Schedule) (*Eval, error) {
+	res, err := e.run(s)
+	if err != nil {
+		return nil, err
+	}
+	return newEval(e.prob, res), nil
+}
+
+// run checks s, lowers it unlabelled and simulates it untimed; the result
+// belongs to the engine.
+func (e *Evaluator) run(s *Schedule) (*sim.Result, error) {
+	if err := e.prob.Validate(); err != nil {
+		return nil, err
+	}
+	if err := s.validate(e.pr, e.allowed); err != nil {
+		return nil, err
+	}
+	lower(e.prob, e.pr, s, &e.w, false)
+	return e.eng.RunUntimed(e.prob.Platform, e.w, e.arb)
 }
 
 // BaseLatencyMs returns the contention-free latency of item i under the
-// schedule: standalone group times plus transition costs. It is the
-// admissible lower bound the branch-and-bound solver prunes with.
+// schedule: standalone group times plus transition costs. It feeds the
+// first of branch & bound's two admissible bounds (see package solver):
+// the critical path of these latencies through the item dependencies,
+// which grows with a candidate's base latency, so candidates are tried in
+// its order and the first one it prunes ends the loop under the latency
+// objective. The second bound, the busiest accelerator's contention-free
+// load, has no such order and prunes one candidate at a time.
 func BaseLatencyMs(pr *Profile, s *Schedule, i int, iterations int) float64 {
 	if iterations < 1 {
 		iterations = 1

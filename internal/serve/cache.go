@@ -730,13 +730,14 @@ func (e *Entry) Best() *schedule.Schedule {
 
 // Evaluate measures a schedule for this mix on the ground-truth simulator,
 // memoizing per schedule — repeated rounds of a cached mix cost a map
-// lookup, not a simulation.
+// lookup, not a simulation. The evaluation records no timeline (its
+// Result is nil); serving reads only its figures and stream ends.
 func (e *Entry) Evaluate(s *schedule.Schedule) (*schedule.Eval, error) {
 	if ev, ok := e.evaluated(s); ok {
 		return ev, nil
 	}
 	gt := sim.GroundTruth{SatBW: e.Prob.Platform.SatBW()}
-	ev, err := schedule.Evaluate(e.Prob, e.Profile, s, gt)
+	ev, err := schedule.NewEvaluator(e.Prob, e.Profile, gt).Evaluate(s)
 	if err != nil {
 		return nil, err
 	}
@@ -757,8 +758,8 @@ func (e *Entry) evaluated(s *schedule.Schedule) (*schedule.Eval, bool) {
 // the ground-truth simulator. It is the "predicted" half of the forensics
 // audit: Predict and Evaluate on the same deployed schedule yield exactly
 // the model-vs-reality pair the calibration table is built from. Memoized
-// per schedule like Evaluate; called only on the single-threaded dispatch
-// path.
+// per schedule like Evaluate, and like it without a timeline; called only
+// on the single-threaded dispatch path.
 func (e *Entry) Predict(s *schedule.Schedule) (*schedule.Eval, error) {
 	var buf [keyBufLen]byte
 	if ev, ok := e.predEvals[string(s.AppendKey(buf[:0]))]; ok {
@@ -768,7 +769,7 @@ func (e *Entry) Predict(s *schedule.Schedule) (*schedule.Eval, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev, err := schedule.Evaluate(e.Prob, e.Profile, s, sim.ModelArbiter{Model: m})
+	ev, err := schedule.NewEvaluator(e.Prob, e.Profile, sim.ModelArbiter{Model: m}).Evaluate(s)
 	if err != nil {
 		return nil, err
 	}

@@ -43,7 +43,7 @@ func serialScore(r *Runtime, cands []Candidate, startMs float64, sel []int) (Bat
 		Detail: strings.Join(mix, "+"), Value: ev.MakespanMs})
 	ends := make([]float64, len(idx))
 	for k, pi := range perm {
-		ends[pi] = ev.Result.StreamEndMs[k]
+		ends[pi] = ev.StreamEndMs[k]
 	}
 	return BatchScore{MakespanMs: ev.MakespanMs, EndMs: ends}, true
 }

@@ -723,7 +723,7 @@ func (r *Runtime) scoreMany(sels [][]int) ([]BatchScore, []bool) {
 		}
 		ends := carve(&sc.floats, len(perms[i]))
 		for j, pi := range perms[i] {
-			ends[pi] = ev.Result.StreamEndMs[j]
+			ends[pi] = ev.StreamEndMs[j]
 		}
 		scores[i], oks[i] = BatchScore{MakespanMs: ev.MakespanMs, EndMs: ends}, true
 	}
@@ -1089,7 +1089,7 @@ func (r *Runtime) Step() error {
 		}
 	}
 	for k, b := range batch {
-		end := start + ev.Result.StreamEndMs[k]
+		end := start + ev.StreamEndMs[k]
 		c := Completion{
 			Request:         b,
 			StartMs:         start,
@@ -1131,8 +1131,8 @@ func (r *Runtime) auditRound(entry *Entry, s *schedule.Schedule, ev *schedule.Ev
 			"actual_ms":    ev.MakespanMs,
 		}})
 	for k, b := range batch {
-		pred := start + pv.Result.StreamEndMs[k] - b.ArrivalMs
-		act := start + ev.Result.StreamEndMs[k] - b.ArrivalMs
+		pred := start + pv.StreamEndMs[k] - b.ArrivalMs
+		act := start + ev.StreamEndMs[k] - b.ArrivalMs
 		r.cfg.Audit.Observe("serve", "tenant", b.Tenant, pred, act)
 		r.cfg.Audit.Observe("serve", "network", b.Network, pred, act)
 		r.trace(obs.Event{AtMs: start, Kind: obs.KindAudit,

@@ -72,11 +72,12 @@ type GroundTruth struct {
 	SatBW float64
 }
 
-// Slowdowns implements Arbiter.
+// Slowdowns implements Arbiter. It allocates nothing: the max-min shares
+// are written into out, then each is replaced by its task's slowdown.
 func (g GroundTruth) Slowdowns(demands, intensities, out []float64) {
-	alloc := contention.FairShare(demands, g.SatBW)
+	contention.FairShareInto(demands, g.SatBW, out)
 	for i := range demands {
-		out[i] = contention.Slowdown(demands[i], intensities[i], alloc[i])
+		out[i] = contention.Slowdown(demands[i], intensities[i], out[i])
 	}
 }
 
@@ -140,7 +141,11 @@ func (r *Result) FPS(frames int) float64 {
 	return 1000 * float64(frames) / r.MakespanMs
 }
 
-const timeEps = 1e-9
+// TimeEps is the completion tolerance: a task completes once its
+// remaining standalone work is at most TimeEps ms. Since no slowdown is
+// below 1, a task therefore runs for at least its BaseMs less TimeEps, the
+// slack any contention-free lower bound on a makespan must allow per task.
+const TimeEps = 1e-9
 
 // Run simulates the workload on the platform with the given arbiter.
 func Run(p *soc.Platform, w Workload, arb Arbiter) (*Result, error) {
@@ -184,14 +189,25 @@ type Engine struct {
 	res Result
 }
 
-// Makespan simulates the workload exactly like Run and returns its
-// makespan, without building the per-task records and contention
-// intervals only timelines read.
-func (e *Engine) Makespan(p *soc.Platform, w Workload, arb Arbiter) (float64, error) {
+// RunUntimed simulates the workload exactly like Run, without building
+// the per-task records and contention intervals only timelines read: the
+// result's makespan, stream starts and ends and busy times equal Run's bit
+// for bit, and its Records and Intervals are empty. The result belongs to
+// the engine and is overwritten by its next run.
+func (e *Engine) RunUntimed(p *soc.Platform, w Workload, arb Arbiter) (*Result, error) {
 	if err := e.run(p, w, arb, false); err != nil {
+		return nil, err
+	}
+	return &e.res, nil
+}
+
+// Makespan is RunUntimed's makespan.
+func (e *Engine) Makespan(p *soc.Platform, w Workload, arb Arbiter) (float64, error) {
+	res, err := e.RunUntimed(p, w, arb)
+	if err != nil {
 		return 0, err
 	}
-	return e.res.MakespanMs, nil
+	return res.MakespanMs, nil
 }
 
 // active is the task running on an accelerator; remaining is measured in
@@ -337,7 +353,7 @@ func (e *Engine) run(p *soc.Platform, w Workload, arb Arbiter, record bool) erro
 		// Complete finished tasks.
 		for _, a := range e.accels {
 			act := e.running[a]
-			if act.remaining > timeEps {
+			if act.remaining > TimeEps {
 				continue
 			}
 			if record {
@@ -377,6 +393,9 @@ func (e *Engine) enqueue(s int) {
 	tasks := e.streams[s].Tasks
 	if e.next[s] >= len(tasks) {
 		e.done[s] = true
+		if math.IsNaN(e.res.StreamStartMs[s]) { // an empty stream, unblocked just now
+			e.res.StreamStartMs[s] = e.now
+		}
 		e.res.StreamEndMs[s] = e.now
 		e.completed++
 		// Unblock dependents that were fully waiting on us.

@@ -1,9 +1,28 @@
 // Package solver generates optimal schedules for the HaX-CoNN problem
 // (Sec. 3.5 of the paper). Two complete engines are provided:
 //
-//   - OptimizeBB: branch & bound over per-network assignment candidates
-//     with an admissible contention-free lower bound. It is anytime —
-//     improvements are reported as found — and powers D-HaX-CoNN.
+//   - OptimizeBB: branch & bound over per-network assignment candidates.
+//     It is anytime — improvements are reported as found — and powers
+//     D-HaX-CoNN. A prefix of decided networks is pruned when either of
+//     two admissible contention-free bounds already reaches the
+//     incumbent's cost, since contention and queueing only add time:
+//
+//     1. the critical path of per-network base latencies through the
+//     dependencies (schedule.BaseLatencyMs; undecided networks at their
+//     best candidate). Candidates are tried in base-latency order, so
+//     under the latency objective the first candidate this bound prunes
+//     ends the loop (break);
+//
+//     2. the busiest accelerator's load: the decided networks' standalone
+//     task times on it, transitions included, times iterations — each
+//     accelerator runs one task at a time. It is not monotone in
+//     candidate order, so it prunes one candidate at a time (continue),
+//     and it is lowered by a margin for the simulator's completion
+//     tolerance (sim.TimeEps per task) and summation rounding.
+//
+//     Every leaf under a pruned prefix costs at least the incumbent, so
+//     the incumbent stream is the one an unpruned search would report;
+//     only the node counts at which incumbents appear shrink.
 //
 //   - OptimizeSAT: the Z3-style path. Assignment booleans, exactly-one and
 //     transition-budget constraints (sequential-counter at-most-k) are
@@ -72,38 +91,57 @@ type Incumbent struct {
 type Stats struct {
 	Nodes    int           // search nodes explored (B&B) or models enumerated (SAT)
 	Evals    int           // full schedule evaluations
-	Pruned   int           // subtrees cut by the lower bound
+	Pruned   int           // subtrees cut by either lower bound (B&B)
 	Complete bool          // false if the time budget expired first
 	Elapsed  time.Duration // wall time
 }
 
 // Candidates enumerates all per-item assignment vectors with at most
 // maxTransitions accelerator switches, over the profile's allowed
-// accelerators.
+// accelerators. The vectors share one backing array, each capped at its
+// own length.
 func Candidates(pr *schedule.Profile, item, maxTransitions int) [][]int {
-	groups := pr.NumGroups(item)
-	var out [][]int
-	cur := make([]int, groups)
-	var rec func(g, trans int)
-	rec = func(g, trans int) {
-		if g == groups {
-			out = append(out, append([]int(nil), cur...))
-			return
+	e := candEnum{allowed: pr.Allowed, cur: make([]int, pr.NumGroups(item)), maxTransitions: maxTransitions}
+	e.rec(0, 0) // count
+	e.flat, e.out = make([]int, e.n*len(e.cur)), make([][]int, 0, e.n)
+	e.n = 0
+	e.rec(0, 0)
+	return e.out
+}
+
+// candEnum is Candidates' depth-first enumeration: a counting pass while
+// flat is nil, then a pass that copies each vector into flat.
+type candEnum struct {
+	allowed        []int
+	cur            []int
+	maxTransitions int
+	n              int
+	flat           []int
+	out            [][]int
+}
+
+func (e *candEnum) rec(g, trans int) {
+	if g == len(e.cur) {
+		if e.flat != nil {
+			k := len(e.cur)
+			row := e.flat[e.n*k : (e.n+1)*k : (e.n+1)*k]
+			copy(row, e.cur)
+			e.out = append(e.out, row)
 		}
-		for _, a := range pr.Allowed {
-			t := trans
-			if g > 0 && cur[g-1] != a {
-				t++
-				if t > maxTransitions {
-					continue
-				}
-			}
-			cur[g] = a
-			rec(g+1, t)
-		}
+		e.n++
+		return
 	}
-	rec(0, 0)
-	return out
+	for _, a := range e.allowed {
+		t := trans
+		if g > 0 && e.cur[g-1] != a {
+			t++
+			if t > e.maxTransitions {
+				continue
+			}
+		}
+		e.cur[g] = a
+		e.rec(g+1, t)
+	}
 }
 
 // OptimizeBB finds the minimum-cost schedule by branch & bound. It returns
@@ -123,31 +161,21 @@ func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sche
 	// incumbents appear early.
 	cands := make([][][]int, nItems)
 	base := make([][]float64, nItems)
+	tmp := &schedule.Schedule{Assign: make([][]int, nItems)}
 	for i := 0; i < nItems; i++ {
 		cands[i] = Candidates(pr, i, cfg.maxTransitions())
 		base[i] = make([]float64, len(cands[i]))
-		tmp := &schedule.Schedule{Assign: make([][]int, nItems)}
 		for c, assign := range cands[i] {
 			tmp.Assign[i] = assign
 			base[i][c] = schedule.BaseLatencyMs(pr, tmp, i, prob.Items[i].Iterations)
 		}
-		order := make([]int, len(cands[i]))
-		for k := range order {
-			order[k] = k
-		}
-		sort.Slice(order, func(a, b int) bool { return base[i][order[a]] < base[i][order[b]] })
-		sortedC := make([][]int, len(order))
-		sortedB := make([]float64, len(order))
-		for k, o := range order {
-			sortedC[k] = cands[i][o]
-			sortedB[k] = base[i][o]
-		}
-		cands[i], base[i] = sortedC, sortedB
+		sort.Sort(byBase{cands[i], base[i]})
 	}
 	minBase := make([]float64, nItems)
 	for i := range minBase {
 		minBase[i] = base[i][0]
 	}
+	loads := newLoadTable(prob, pr, cands)
 
 	var (
 		best     *schedule.Schedule
@@ -242,6 +270,12 @@ func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sche
 				}
 				continue
 			}
+			// The load bound is not monotone in candidate order: a later
+			// candidate may spread its load better, so only this one goes.
+			if costLB(loads.push(depth, c)) >= bestCost {
+				st.Pruned++
+				continue
+			}
 			if err := dfs(depth + 1); err != nil {
 				return err
 			}
@@ -257,6 +291,109 @@ func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sche
 		return nil, 0, st, fmt.Errorf("solver: search produced no schedule")
 	}
 	return best, bestCost, st, nil
+}
+
+// byBase sorts one item's candidates by base latency in place. sort.Sort
+// runs sort.Slice's algorithm with the same comparisons, so candidates of
+// equal latency end in the order sort.Slice gives an index permutation,
+// and with it which of two equal-cost schedules the search meets first.
+type byBase struct {
+	cands [][]int
+	base  []float64
+}
+
+func (b byBase) Len() int           { return len(b.base) }
+func (b byBase) Less(i, j int) bool { return b.base[i] < b.base[j] }
+func (b byBase) Swap(i, j int) {
+	b.cands[i], b.cands[j] = b.cands[j], b.cands[i]
+	b.base[i], b.base[j] = b.base[j], b.base[i]
+}
+
+// loadTable holds, in one flat slab per solve, every candidate's
+// contention-free load per accelerator and the running loads of the
+// decided prefix, for branch & bound's second bound.
+type loadTable struct {
+	stride int // accelerators, plus one slot for the lowered task count
+	// first[i] is item i's first candidate row in slab.
+	first []int
+	// slab holds one row of stride values per candidate, in every item's
+	// candidate order: its standalone task time on each accelerator,
+	// times iterations, then its lowered task count. Then come
+	// len(first)+1 prefix rows: row d sums items 0..d-1's chosen rows.
+	slab   []float64
+	prefix int // offset of prefix row 0 in slab
+}
+
+// newLoadTable builds the load rows of every item's candidates, in the
+// order of cands.
+func newLoadTable(prob *schedule.Problem, pr *schedule.Profile, cands [][][]int) *loadTable {
+	stride := len(prob.Platform.Accels) + 1
+	t := &loadTable{stride: stride, first: make([]int, len(cands))}
+	rows := 0
+	for i := range cands {
+		t.first[i] = rows
+		rows += len(cands[i])
+	}
+	t.prefix = rows * stride
+	t.slab = make([]float64, t.prefix+(len(cands)+1)*stride)
+	for i, cs := range cands {
+		iters := float64(max(prob.Items[i].Iterations, 1))
+		for c, row := range cs {
+			r := t.slab[(t.first[i]+c)*stride : (t.first[i]+c+1)*stride]
+			tasks := candidateLoad(pr, i, row, r[:stride-1])
+			for a := range r[:stride-1] {
+				r[a] *= iters
+			}
+			r[stride-1] = float64(tasks) * iters
+		}
+	}
+	return t
+}
+
+// candidateLoad adds item i's per-iteration standalone task times under
+// row into load, by accelerator — each group's execution on its
+// accelerator, and at every switch the OUT transition on the previous
+// accelerator and the IN transition on the next, as schedule.BuildSim
+// lowers them — and returns the number of tasks.
+func candidateLoad(pr *schedule.Profile, i int, row []int, load []float64) int {
+	tasks := 0
+	for g, a := range row {
+		if g > 0 && row[g-1] != a {
+			load[row[g-1]] += pr.TransOutMs[i][g-1][row[g-1]]
+			load[a] += pr.TransInMs[i][g][a]
+			tasks += 2
+		}
+		load[a] += pr.Exec[i][g][a].LatencyMs
+		tasks++
+	}
+	return tasks
+}
+
+// push decides item depth's candidate c on top of the prefix of items
+// 0..depth-1: it writes prefix row depth+1 and returns that prefix's load
+// bound, the busiest accelerator's load less the margin.
+func (t *loadTable) push(depth, c int) float64 {
+	n := t.stride
+	from := t.slab[t.prefix+depth*n : t.prefix+(depth+1)*n]
+	to := t.slab[t.prefix+(depth+1)*n : t.prefix+(depth+2)*n]
+	row := t.slab[(t.first[depth]+c)*n : (t.first[depth]+c+1)*n]
+	busiest := 0.0
+	for a := range to {
+		to[a] = from[a] + row[a]
+		if a < n-1 && to[a] > busiest {
+			busiest = to[a]
+		}
+	}
+	return loadMargin(busiest, to[n-1])
+}
+
+// loadMargin returns the busiest accelerator's load less what the
+// simulator may take back from it: each of the prefix's tasks may complete
+// up to sim.TimeEps early, and the simulated clock sums the same times in
+// another order, each addition rounding by up to half an ulp, which a
+// relative 1e-9 covers many times over.
+func loadMargin(busiest, tasks float64) float64 {
+	return busiest - tasks*sim.TimeEps - busiest*1e-9
 }
 
 // pathMemo is criticalPath's scratch, kept across branch & bound's

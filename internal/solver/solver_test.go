@@ -327,10 +327,11 @@ func TestLocalSearchDeterministicForSeed(t *testing.T) {
 	}
 }
 
-// The solvers cost candidates with schedule.Evaluator; its cost must equal
-// Evaluate's bit for bit on everything they can hand it, under the model
-// they optimize with and under ground truth, with one Evaluator per
-// arbiter reused across schedules in shuffled order.
+// The solvers cost candidates with schedule.Evaluator, and plans and
+// served mixes are measured with it; its cost and its timeline-free
+// evaluation must equal Evaluate's bit for bit on everything they can hand
+// it, under the model they optimize with and under ground truth, with one
+// Evaluator per arbiter reused across schedules in shuffled order.
 func TestEvaluatorMatchesEvaluate(t *testing.T) {
 	problem := func(platform string, obj schedule.Objective, frames int, items ...schedule.Item) (*schedule.Problem, *schedule.Profile) {
 		p, ok := soc.PlatformByName(platform)
@@ -419,6 +420,27 @@ func TestEvaluatorMatchesEvaluate(t *testing.T) {
 				if math.Float64bits(got) != math.Float64bits(want.Cost) {
 					t.Fatalf("%s %T %v: Evaluator cost %v, Evaluate cost %v", c.name, arb, s.Assign, got, want.Cost)
 				}
+				full, err := ev.Evaluate(s)
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				if full.Result != nil {
+					t.Fatalf("%s: Evaluator.Evaluate recorded a timeline", c.name)
+				}
+				same := func(what string, a, b []float64) {
+					if len(a) != len(b) {
+						t.Fatalf("%s %T %v %s: %d values, Evaluate %d", c.name, arb, s.Assign, what, len(a), len(b))
+					}
+					for i := range a {
+						if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+							t.Fatalf("%s %T %v %s[%d]: Evaluator %v, Evaluate %v", c.name, arb, s.Assign, what, i, a[i], b[i])
+						}
+					}
+				}
+				same("figures", []float64{full.MakespanMs, full.FPS, full.Cost}, []float64{want.MakespanMs, want.FPS, want.Cost})
+				same("item latencies", full.ItemLatencyMs, want.ItemLatencyMs)
+				same("stream ends", full.StreamEndMs, want.Result.StreamEndMs)
+				same("Evaluate's stream ends", want.StreamEndMs, want.Result.StreamEndMs)
 			}
 		}
 	}
