@@ -35,8 +35,8 @@ func FairShare(demands []float64, capacity float64) []float64 {
 }
 
 // FairShareInto is FairShare writing the allocation into out, which must
-// be at least as long as demands; out may alias nothing the caller still
-// needs. It allocates nothing for up to fairShareStack consumers.
+// be at least as long as demands and must not overlap it. It allocates
+// nothing for up to fairShareStack consumers.
 // Consumers are served in ascending demand order, equal demands in the
 // order sort.Slice leaves them (slices.SortFunc runs the same pattern-
 // defeating quicksort), so every share matches FairShare's bit for bit.

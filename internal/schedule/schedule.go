@@ -517,7 +517,8 @@ func Percentile(sorted []float64, p float64) float64 {
 // beyond an epsilon slack in its constraint system; in this evaluator the
 // overlap serializes instead, and this function reports how much
 // serialization a schedule induced — zero for a perfectly interleaved
-// schedule, large for the over-subscribed DSAs Herald/H2H produce.
+// schedule, large for the over-subscribed DSAs Herald/H2H produce. It
+// reads the timeline, so ev must come from Evaluate.
 func QueueingMs(ev *Eval) float64 {
 	if ev == nil || ev.Result == nil {
 		return 0
@@ -546,7 +547,8 @@ func QueueingMs(ev *Eval) float64 {
 }
 
 // SatisfiesEpsilon reports whether the schedule's induced queueing stays
-// within the epsilon slack of Eq. 9 (per task, on average).
+// within the epsilon slack of Eq. 9 (per task, on average). Like
+// QueueingMs it reads the timeline of an Evaluate result.
 func SatisfiesEpsilon(ev *Eval, epsilonMs float64) bool {
 	n := len(ev.Result.Records)
 	if n == 0 {

@@ -142,9 +142,10 @@ func (r *Result) FPS(frames int) float64 {
 }
 
 // TimeEps is the completion tolerance: a task completes once its
-// remaining standalone work is at most TimeEps ms. Since no slowdown is
-// below 1, a task therefore runs for at least its BaseMs less TimeEps, the
-// slack any contention-free lower bound on a makespan must allow per task.
+// remaining standalone work is at most TimeEps ms. Under slowdowns of at
+// least 1 — GroundTruth's, and every contention.Model's — a task therefore
+// runs for at least its BaseMs less TimeEps, the slack a contention-free
+// lower bound on a makespan must allow per task.
 const TimeEps = 1e-9
 
 // Run simulates the workload on the platform with the given arbiter.
@@ -201,15 +202,6 @@ func (e *Engine) RunUntimed(p *soc.Platform, w Workload, arb Arbiter) (*Result, 
 	return &e.res, nil
 }
 
-// Makespan is RunUntimed's makespan.
-func (e *Engine) Makespan(p *soc.Platform, w Workload, arb Arbiter) (float64, error) {
-	res, err := e.RunUntimed(p, w, arb)
-	if err != nil {
-		return 0, err
-	}
-	return res.MakespanMs, nil
-}
-
 // active is the task running on an accelerator; remaining is measured in
 // standalone-ms units. The zero value is an idle accelerator.
 type active struct {
@@ -251,7 +243,7 @@ func (e *Engine) reset(p *soc.Platform, w Workload) {
 	e.res.Intervals = e.res.Intervals[:0]
 }
 
-// run is the simulation loop behind Run and Makespan. record selects
+// run is the simulation loop behind Run and RunUntimed. record selects
 // whether Records and Intervals are appended.
 func (e *Engine) run(p *soc.Platform, w Workload, arb Arbiter, record bool) error {
 	if err := e.validate(p, w); err != nil {

@@ -240,7 +240,7 @@ func TestValidationRejectsNonFinite(t *testing.T) {
 
 // One Engine reused across workloads whose stream and accelerator counts
 // grow and shrink — including after a failed run — must reproduce Run's
-// makespan bit for bit every time.
+// makespan and stream ends bit for bit every time.
 func TestEngineReuseMatchesRun(t *testing.T) {
 	platform := func(n int) *soc.Platform {
 		p := soc.Orin()
@@ -287,17 +287,22 @@ func TestEngineReuseMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
-			got, err := e.Makespan(p, w, arb)
+			got, err := e.RunUntimed(p, w, arb)
 			if err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
-			if math.Float64bits(got) != math.Float64bits(want.MakespanMs) {
-				t.Errorf("round %d (%d streams, %d accelerators): reused engine %v, Run %v", round, shape[0], shape[1], got, want.MakespanMs)
+			if math.Float64bits(got.MakespanMs) != math.Float64bits(want.MakespanMs) {
+				t.Errorf("round %d (%d streams, %d accelerators): reused engine %v, Run %v", round, shape[0], shape[1], got.MakespanMs, want.MakespanMs)
+			}
+			for s := range want.StreamEndMs {
+				if math.Float64bits(got.StreamEndMs[s]) != math.Float64bits(want.StreamEndMs[s]) {
+					t.Errorf("round %d stream %d: reused engine ends at %v, Run at %v", round, s, got.StreamEndMs[s], want.StreamEndMs[s])
+				}
 			}
 		}
 		// A run that fails mid-simulation leaves state the next run must
 		// not see.
-		if _, err := e.Makespan(p, w, brokenArbiter{}); err != nil {
+		if _, err := e.RunUntimed(p, w, brokenArbiter{}); err != nil {
 			failed++
 		}
 	}

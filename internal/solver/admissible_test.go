@@ -15,8 +15,10 @@ import (
 // evaluation set (Table 6's pairs and Table 8's 55 Orin pairs): the
 // predicted makespan of each complete assignment is at least its margined
 // bound, so no prefix the bound prunes hides a better schedule. The
-// margin is needed: on one Table 8 leaf the raw busiest-accelerator load
-// exceeds the simulated makespan in the last bits.
+// margin is needed: where the busiest accelerator never idles, the raw
+// load and the simulated makespan sum the same times in different orders,
+// and on over a thousand of these leaves the load comes out larger in the
+// last bits.
 func TestLoadBoundAdmissible(t *testing.T) {
 	var reqs []core.Request
 	for _, d := range experiments.Table6Defs() {
