@@ -383,37 +383,6 @@ func BenchmarkSATSolver(b *testing.B) {
 	}
 }
 
-// BenchmarkQoSMission runs the autonomous-loop QoS extension experiment:
-// a three-phase mission under a 125 Hz camera with 12 ms deadlines.
-func BenchmarkQoSMission(b *testing.B) {
-	var r *experiments.QoSResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = experiments.QoSMission(8, 12)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.HaX.MeanMs, "hax_mean_ms")
-	b.ReportMetric(r.GPUOnly.MeanMs, "gpu_mean_ms")
-	b.ReportMetric(100*r.HaX.MissRate, "hax_miss_pct")
-}
-
-// BenchmarkEnergyPareto computes the latency/energy frontier (AxoNN-style
-// energy extension).
-func BenchmarkEnergyPareto(b *testing.B) {
-	var r *experiments.EnergyParetoResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = experiments.EnergyPareto()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(r.Front)), "pareto_points")
-	b.ReportMetric(r.Fastest.EnergyMJ-r.Frugalest.EnergyMJ, "energy_span_mJ")
-}
-
 // BenchmarkAblationLocalSearch quantifies the optimality gap of a
 // hill-climbing heuristic vs the exact engines (the paper targets optimal
 // schedules rather than heuristics).

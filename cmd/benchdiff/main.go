@@ -10,14 +10,18 @@
 //
 //	benchdiff -baseline BENCH_fleet.json -current /tmp/BENCH_fleet.json [-tolerance 0.25]
 //
-// Metrics present on only one side are reported but do not fail the
-// check (new benchmarks appear, old ones retire); value drifts do.
+// A baseline benchmark or metric absent from the current run fails the
+// check like a drift does, so a renamed benchmark or a -bench pattern that
+// stops matching cannot silently drop a gate; a change that retires a
+// metric commits the regenerated baseline. A benchmark or metric only the
+// current run has is reported and passes.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -48,17 +52,26 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	// Metrics on only one side are informational: new benchmarks appear
-	// and old ones retire without failing the gate.
+	if failures := compare(os.Stdout, base, cur, *tolerance); failures > 0 {
+		fmt.Fprintf(os.Stderr, "benchdiff: %d metric(s) missing or drifted beyond %.0f%%\n", failures, 100**tolerance)
+		os.Exit(1)
+	}
+	fmt.Printf("benchdiff: all baseline metrics present and within %.0f%%\n", 100**tolerance)
+}
+
+// compare reports every metric of both artifacts on w and returns the
+// failures: a baseline benchmark or metric missing from the current run,
+// or a shared metric drifting beyond tolerance.
+func compare(w io.Writer, base, cur *artifact, tolerance float64) int {
 	for _, bench := range sortedKeys(cur.Benchmarks) {
 		bm, ok := base.Benchmarks[bench]
 		if !ok {
-			fmt.Printf("NEW      %s: benchmark absent from baseline\n", bench)
+			fmt.Fprintf(w, "NEW      %s: benchmark absent from baseline\n", bench)
 			continue
 		}
 		for _, metric := range sortedKeys(cur.Benchmarks[bench]) {
 			if _, ok := bm[metric]; !ok {
-				fmt.Printf("NEW      %s/%s: metric absent from baseline\n", bench, metric)
+				fmt.Fprintf(w, "NEW      %s/%s: metric absent from baseline\n", bench, metric)
 			}
 		}
 	}
@@ -67,31 +80,29 @@ func main() {
 		bm := base.Benchmarks[bench]
 		cm, ok := cur.Benchmarks[bench]
 		if !ok {
-			fmt.Printf("MISSING  %s: benchmark absent from current run\n", bench)
+			fmt.Fprintf(w, "MISSING  %s: benchmark absent from current run\n", bench)
+			failures++
 			continue
 		}
 		for _, metric := range sortedKeys(bm) {
 			bv := bm[metric]
 			cv, ok := cm[metric]
 			if !ok {
-				fmt.Printf("MISSING  %s/%s: metric absent from current run\n", bench, metric)
+				fmt.Fprintf(w, "MISSING  %s/%s: metric absent from current run\n", bench, metric)
+				failures++
 				continue
 			}
 			drift := relDrift(bv, cv)
 			status := "ok"
-			if drift > *tolerance {
+			if drift > tolerance {
 				status = "FAIL"
 				failures++
 			}
-			fmt.Printf("%-8s %s/%s: baseline %.4f, current %.4f (drift %.1f%%, tol %.0f%%)\n",
-				status, bench, metric, bv, cv, 100*drift, 100**tolerance)
+			fmt.Fprintf(w, "%-8s %s/%s: baseline %.4f, current %.4f (drift %.1f%%, tol %.0f%%)\n",
+				status, bench, metric, bv, cv, 100*drift, 100*tolerance)
 		}
 	}
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d metric(s) drifted beyond %.0f%%\n", failures, 100**tolerance)
-		os.Exit(1)
-	}
-	fmt.Printf("benchdiff: all shared metrics within %.0f%%\n", 100**tolerance)
+	return failures
 }
 
 // relDrift is |cur-base| relative to the baseline magnitude; a zero

@@ -1,0 +1,43 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// TestCompare: a drift within tolerance passes and one beyond it fails; a
+// zero baseline compares absolutely; a metric only the current run has
+// passes, and a baseline metric or benchmark the current run lacks fails.
+func TestCompare(t *testing.T) {
+	bench := func(metrics map[string]float64) *artifact {
+		return &artifact{Benchmarks: map[string]map[string]float64{"A": metrics}}
+	}
+	cases := []struct {
+		name      string
+		base, cur *artifact
+		failures  int
+		line      string
+	}{
+		{"within tolerance", bench(map[string]float64{"y": 100}), bench(map[string]float64{"y": 120}), 0, "ok       A/y"},
+		{"beyond tolerance", bench(map[string]float64{"y": 100}), bench(map[string]float64{"y": 130}), 1, "FAIL     A/y"},
+		{"zero baseline within", bench(map[string]float64{"y": 0}), bench(map[string]float64{"y": 0.2}), 0, "ok       A/y"},
+		{"zero baseline beyond", bench(map[string]float64{"y": 0}), bench(map[string]float64{"y": 0.3}), 1, "FAIL     A/y"},
+		{"new metric", bench(map[string]float64{"y": 1}), bench(map[string]float64{"y": 1, "z": 5}), 0, "NEW      A/z"},
+		{"missing metric", bench(map[string]float64{"y": 1, "z": 5}), bench(map[string]float64{"y": 1}), 1, "MISSING  A/z"},
+		{"missing benchmark",
+			&artifact{Benchmarks: map[string]map[string]float64{"A": {"y": 1}, "B": {"x": 1}}},
+			bench(map[string]float64{"y": 1}), 1, "MISSING  B:"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			if got := compare(&out, tc.base, tc.cur, 0.25); got != tc.failures {
+				t.Errorf("failures = %d, want %d\n%s", got, tc.failures, out.String())
+			}
+			if !strings.Contains(out.String(), tc.line) {
+				t.Errorf("output lacks %q:\n%s", tc.line, out.String())
+			}
+		})
+	}
+}

@@ -1,6 +1,6 @@
 // Command experiments regenerates the paper's evaluation artifacts on the
 // simulator substrate: every table and figure of Sec. 5 plus the design
-// ablations listed in DESIGN.md.
+// ablations (-id ablations).
 //
 // Examples:
 //
@@ -20,11 +20,11 @@ import (
 
 var artifacts = []string{
 	"fig1", "table2", "fig3", "fig4", "table5", "fig5", "table6",
-	"fig6", "fig7", "table7", "table8", "ablations", "qos", "energy",
+	"fig6", "fig7", "table7", "table8", "ablations",
 }
 
 func main() {
-	id := flag.String("id", "all", "artifact to regenerate (fig1, table2, fig3, fig4, table5, fig5, table6, fig6, fig7, table7, table8, ablations, qos, energy, all)")
+	id := flag.String("id", "all", "artifact to regenerate (fig1, table2, fig3, fig4, table5, fig5, table6, fig6, fig7, table7, table8, ablations, all)")
 	format := flag.String("format", "text", "output format for tabular artifacts: text, csv or json")
 	flag.Parse()
 
@@ -152,18 +152,6 @@ func main() {
 			}
 			fmt.Printf("contention reduction: oversaturated time %.2fms (naive) -> %.2fms (HaX-CoNN), -%.0f%% (paper: up to 45%%)\n",
 				cr.NaiveOversatMs, cr.HaXOversatMs, cr.ReductionPct)
-		case "qos":
-			r, err := experiments.QoSMission(8, 12)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatQoS(r))
-		case "energy":
-			r, err := experiments.EnergyPareto()
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatEnergyPareto(r))
 		default:
 			return fmt.Errorf("unknown artifact %q", name)
 		}

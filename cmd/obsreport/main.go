@@ -33,12 +33,21 @@
 // backlog) from "gossip" events and the tenant handoff log from
 // "handoff" events, plus any shard.* counters from the metrics file.
 //
+// It is also the artifact gate of CI's observability job. -require names
+// event kinds, or a layer's preset of them, that must each have at least
+// one event in the JSONL trace and in the Chrome trace given by -chrome,
+// so a refactor that silently drops an event kind fails the build; under
+// -require the -metrics file must hold at least one metric. Ingest
+// rejects an event with no kind and a metric with no name.
+//
 // Examples:
 //
 //	serve -mode aware -trace-jsonl trace.jsonl && obsreport -jsonl trace.jsonl
 //	control -mode serve -trace-jsonl t.jsonl -metrics-out m.jsonl
 //	obsreport -jsonl t.jsonl -metrics m.jsonl -format json -out report.json
 //	obsreport -jsonl t.jsonl -strict   # CI: every violation must classify
+//	serve -mode compare -trace t.json -trace-jsonl t.jsonl -metrics-out m.jsonl
+//	obsreport -chrome t.json -jsonl t.jsonl -metrics m.jsonl -require serve
 package main
 
 import (
@@ -55,6 +64,7 @@ import (
 	"strings"
 	"text/tabwriter"
 
+	"haxconn/internal/cliutil"
 	"haxconn/internal/obs"
 	"haxconn/internal/report"
 )
@@ -142,24 +152,67 @@ type Report struct {
 	Metrics      []obs.Metric     `json:"metrics,omitempty"`
 }
 
+// defaultStages is the request lifecycle the two-tenant compare demo is
+// guaranteed to exercise: arrivals through admission, mix forming and
+// scoring, cache hits/misses/probes, dispatch, completion and at least
+// one SLO violation.
+const defaultStages = "arrive,admit,mix-form,mix-score,cache-hit,cache-miss,cache-probe,dispatch,complete,violate"
+
+// presets maps each layer's canonical demo to the stages it must emit:
+// serve is the lifecycle above plus the predicted-vs-actual audit pairs;
+// fleet (mix-aware placement, contention-aware mixes) adds placement;
+// control (burst demo) adds scale decisions and pool snapshots; shard
+// (a K=4 plane with a hot tenant and no growth headroom, e.g.
+// control -mode serve -shards 4 -devices Orin:4 -max 4 -handoff-backlog 10
+// with one tenant's rate boosted) adds the gossip barrier rounds and the
+// cross-shard tenant handoff.
+var presets = map[string]string{
+	"serve":   defaultStages + ",audit",
+	"fleet":   "arrive,admit,place,mix-form,mix-score,cache-hit,dispatch,complete,violate,audit",
+	"control": "arrive,admit,place,scale,pool,mix-form,cache-hit,dispatch,complete,violate,audit",
+	"shard":   "arrive,admit,place,pool,mix-form,cache-hit,cache-miss,dispatch,complete,violate,audit,gossip,handoff",
+}
+
+// maxUtilWindows bounds the utilization timeline: the windows it holds
+// over all devices, counting those a span reaches before time 0. A span
+// too long for its window size, or far from time 0, fails the analysis
+// instead of exhausting memory.
+const maxUtilWindows = 1 << 20
+
 func main() {
 	var (
 		jsonlPath   = flag.String("jsonl", "", "trace JSONL input (written by -trace-jsonl; required)")
 		metricsPath = flag.String("metrics", "", "metrics input (written by -metrics-out, JSONL or CSV); echoed into the report")
+		chromePath  = flag.String("chrome", "", "Chrome trace-event JSON (written by -trace) whose events are counted by kind against -require")
+		require     = flag.String("require", "", "comma-separated event kinds, or the presets serve, fleet, control and shard, that must each have an event in every trace; -metrics must then hold a metric")
 		format      = flag.String("format", "text", "output format: text, csv or json")
 		outPath     = flag.String("out", "", "write the report here instead of stdout")
-		utilWindow  = flag.Float64("utilwindow", 100, "utilization-timeline window in virtual ms")
+		utilWindow  = flag.Float64("utilwindow", 100, fmt.Sprintf("utilization-timeline window in virtual ms; the timeline holds at most %d windows over all devices, counting those before time 0", maxUtilWindows))
 		strict      = flag.Bool("strict", false, "exit non-zero when any violation classifies unknown or the trace is empty")
 	)
 	flag.Parse()
 	if *jsonlPath == "" {
 		fatalf("-jsonl is required (a trace written with -trace-jsonl)")
 	}
+	switch *format {
+	case "text", "csv", "json":
+	default:
+		fatalf("unknown format %q (want text, csv or json)", *format)
+	}
 	events, err := readEvents(*jsonlPath)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	rep := Analyze(events, *utilWindow)
+	var chromeCounts map[string]int
+	if *chromePath != "" {
+		if chromeCounts, err = readChromeCounts(*chromePath); err != nil {
+			fatalf("%v", err)
+		}
+	}
+	rep, err := Analyze(events, *utilWindow)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	if *metricsPath != "" {
 		rep.Metrics, err = readMetrics(*metricsPath)
 		if err != nil {
@@ -167,27 +220,26 @@ func main() {
 		}
 	}
 
-	out := io.Writer(os.Stdout)
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer f.Close()
-		out = f
-	}
-	switch *format {
-	case "text":
-		err = writeText(out, rep)
-	case "csv":
-		err = writeCSV(out, rep)
-	case "json":
-		err = report.WriteJSON(out, rep)
-	default:
-		fatalf("unknown format %q (want text, csv or json)", *format)
+	if *outPath == "" {
+		err = writeReport(os.Stdout, *format, rep)
+	} else {
+		err = cliutil.WriteFile(*outPath, func(w io.Writer) error { return writeReport(w, *format, rep) })
 	}
 	if err != nil {
 		fatalf("%v", err)
+	}
+	if required := requiredKinds(*require); len(required) > 0 {
+		if err := checkKinds(countKinds(events), required); err != nil {
+			fatalf("%s: %v", *jsonlPath, err)
+		}
+		if chromeCounts != nil {
+			if err := checkKinds(chromeCounts, required); err != nil {
+				fatalf("%s: %v", *chromePath, err)
+			}
+		}
+		if *metricsPath != "" && len(rep.Metrics) == 0 {
+			fatalf("%s: no metrics", *metricsPath)
+		}
 	}
 	if *strict {
 		if rep.Events == 0 {
@@ -199,6 +251,17 @@ func main() {
 	}
 }
 
+// writeReport renders rep to w in the named format.
+func writeReport(w io.Writer, format string, rep *Report) error {
+	switch format {
+	case "csv":
+		return writeCSV(w, rep)
+	case "json":
+		return report.WriteJSON(w, rep)
+	}
+	return writeText(w, rep)
+}
+
 // readEvents parses a trace JSONL file.
 func readEvents(path string) ([]obs.Event, error) {
 	f, err := os.Open(path)
@@ -206,17 +269,30 @@ func readEvents(path string) ([]obs.Event, error) {
 		return nil, err
 	}
 	defer f.Close()
+	events, err := parseEvents(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return events, nil
+}
+
+// parseEvents parses trace JSONL, one event per line; blank lines are
+// skipped, and an event with no kind is an error naming its line.
+func parseEvents(r io.Reader) ([]obs.Event, error) {
 	var events []obs.Event
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
+	for n := 1; sc.Scan(); n++ {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
 		}
 		var e obs.Event
 		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			return nil, fmt.Errorf("%s: %v", path, err)
+			return nil, fmt.Errorf("line %d: %v", n, err)
+		}
+		if e.Kind == "" {
+			return nil, fmt.Errorf("line %d: event has no kind", n)
 		}
 		events = append(events, e)
 	}
@@ -231,37 +307,123 @@ func readMetrics(path string) ([]obs.Metric, error) {
 		return nil, err
 	}
 	defer f.Close()
+	metrics, err := parseMetrics(f, strings.HasSuffix(path, ".csv"))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return metrics, nil
+}
+
+// parseMetrics parses name,value CSV (isCSV) or the registry's JSONL. A
+// metric with no name is an error naming its row or line.
+func parseMetrics(r io.Reader, isCSV bool) ([]obs.Metric, error) {
 	var out []obs.Metric
-	if strings.HasSuffix(path, ".csv") {
-		rows, err := csv.NewReader(f).ReadAll()
+	if isCSV {
+		rows, err := csv.NewReader(r).ReadAll()
 		if err != nil {
-			return nil, fmt.Errorf("%s: %v", path, err)
+			return nil, err
 		}
 		for i, row := range rows {
 			if i == 0 || len(row) < 2 {
 				continue // header
 			}
+			if row[0] == "" {
+				return nil, fmt.Errorf("row %d: metric has no name", i)
+			}
 			v, err := strconv.ParseFloat(row[1], 64)
 			if err != nil {
-				return nil, fmt.Errorf("%s: row %d: %v", path, i, err)
+				return nil, fmt.Errorf("row %d: %v", i, err)
 			}
 			out = append(out, obs.Metric{Name: row[0], Value: v})
 		}
 		return out, nil
 	}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
+	sc := bufio.NewScanner(r)
+	for n := 1; sc.Scan(); n++ {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
 		}
 		var m obs.Metric
 		if err := json.Unmarshal([]byte(line), &m); err != nil {
-			return nil, fmt.Errorf("%s: %v", path, err)
+			return nil, fmt.Errorf("line %d: %v", n, err)
+		}
+		if m.Name == "" {
+			return nil, fmt.Errorf("line %d: metric has no name", n)
 		}
 		out = append(out, m)
 	}
 	return out, sc.Err()
+}
+
+// readChromeCounts parses a Chrome trace-event file and counts its events
+// by name, skipping "M" metadata records. The tracer names each event by
+// its kind, so the counts compare with a JSONL trace's.
+func readChromeCounts(path string) (map[string]int, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var t struct {
+		TraceEvents []struct {
+			Name  string `json:"name"`
+			Phase string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &t); err != nil {
+		return nil, fmt.Errorf("%s: not valid Chrome trace JSON: %v", path, err)
+	}
+	counts := map[string]int{}
+	for _, e := range t.TraceEvents {
+		if e.Phase != "M" {
+			counts[e.Name]++
+		}
+	}
+	return counts, nil
+}
+
+// requiredKinds expands a -require list: a preset name stands for its
+// layer's kinds, any other entry is a kind.
+func requiredKinds(spec string) []string {
+	var kinds []string
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		if p, ok := presets[name]; ok {
+			kinds = append(kinds, strings.Split(p, ",")...)
+		} else if name != "" {
+			kinds = append(kinds, name)
+		}
+	}
+	return kinds
+}
+
+// countKinds tallies events per kind.
+func countKinds(events []obs.Event) map[string]int {
+	counts := map[string]int{}
+	for _, e := range events {
+		counts[e.Kind]++
+	}
+	return counts
+}
+
+// checkKinds fails unless every required kind has at least one event,
+// naming the missing kinds and the counts it found.
+func checkKinds(counts map[string]int, required []string) error {
+	var missing []string
+	for _, kind := range required {
+		if counts[kind] == 0 {
+			missing = append(missing, kind)
+		}
+	}
+	if len(missing) == 0 {
+		return nil
+	}
+	found := make([]string, 0, len(counts))
+	for _, kind := range sortedKeys(counts) {
+		found = append(found, fmt.Sprintf("%s=%d", kind, counts[kind]))
+	}
+	return fmt.Errorf("no events of kind(s) %s (found %s)",
+		strings.Join(missing, ", "), strings.Join(found, " "))
 }
 
 // reqKey joins per-request events across kinds: audit, force and violate
@@ -272,8 +434,10 @@ type reqKey struct {
 }
 
 // Analyze runs the full pass: joins, classification, re-aggregation and
-// timelines. Deterministic for a given event stream.
-func Analyze(events []obs.Event, utilWindowMs float64) *Report {
+// timelines. Deterministic for a given event stream. It fails when the
+// utilization window is not finite or the timeline would exceed
+// maxUtilWindows.
+func Analyze(events []obs.Event, utilWindowMs float64) (*Report, error) {
 	rep := &Report{Events: len(events), Classes: map[string]int{}}
 
 	// Pass 1: index the joinable facts.
@@ -364,8 +528,11 @@ func Analyze(events []obs.Event, utilWindowMs float64) *Report {
 		rep.Rows = append(rep.Rows, row)
 	}
 
-	rep.Utilization = utilization(events, utilWindowMs)
-	return rep
+	var err error
+	if rep.Utilization, err = utilization(events, utilWindowMs); err != nil {
+		return nil, err
+	}
+	return rep, nil
 }
 
 // classify attributes one violated request's miss, given its audit event
@@ -404,45 +571,75 @@ func classify(a obs.Event, wasForced bool, windows []ScaleWindow) string {
 }
 
 // utilization folds dispatch spans into per-device fixed windows; spans
-// crossing a boundary split proportionally.
-func utilization(events []obs.Event, windowMs float64) []UtilRow {
-	if windowMs <= 0 {
-		return nil
+// crossing a boundary split proportionally. A non-positive window turns
+// the timeline off. Before walking a span it counts the windows the
+// device's timeline then spans, from its earliest window (or 0) to its
+// latest, and fails once all devices together exceed maxUtilWindows.
+func utilization(events []obs.Event, windowMs float64) ([]UtilRow, error) {
+	if math.IsNaN(windowMs) || math.IsInf(windowMs, 0) {
+		return nil, fmt.Errorf("utilization window %v ms is not finite", windowMs)
 	}
-	busy := map[string]map[int]float64{} // device -> window index -> busy ms
-	maxWin := map[string]int{}
+	if windowMs <= 0 {
+		return nil, nil
+	}
+	type timeline struct {
+		busy   []float64 // busy ms per window from time 0
+		lo, hi float64   // earliest (<= 0) and latest window reached
+	}
+	devices := map[string]*timeline{}
+	total := 0.0 // windows held over all devices
 	for _, e := range events {
 		if e.Kind != obs.KindDispatch || e.DurMs <= 0 {
 			continue
 		}
-		dev := busy[e.Device]
-		if dev == nil {
-			dev = map[int]float64{}
-			busy[e.Device] = dev
+		tl := devices[e.Device]
+		if tl == nil {
+			tl = &timeline{busy: make([]float64, 1)}
+			devices[e.Device] = tl
+			total++
 		}
-		for t := e.AtMs; t < e.AtMs+e.DurMs; {
-			w := int(t / windowMs)
-			edge := float64(w+1) * windowMs
-			end := math.Min(edge, e.AtMs+e.DurMs)
-			dev[w] += end - t
-			if w > maxWin[e.Device] {
-				maxWin[e.Device] = w
+		end := e.AtMs + e.DurMs
+		first := math.Floor(e.AtMs / windowMs)
+		last := math.Max(first, math.Ceil(end/windowMs)-1)
+		lo, hi := math.Min(tl.lo, first), math.Max(tl.hi, last)
+		grown := total + (hi - lo) - (tl.hi - tl.lo)
+		if !(grown <= maxUtilWindows) {
+			return nil, fmt.Errorf("utilization timeline: dispatch at %g ms for %g ms on %q needs more than %d windows of %g ms",
+				e.AtMs, e.DurMs, e.Device, maxUtilWindows, windowMs)
+		}
+		tl.lo, tl.hi, total = lo, hi, grown
+		// Walk the counted windows by index, the last one ending the span,
+		// so rounding in t/windowMs can neither stall the walk nor leave
+		// the counted windows.
+		for w, t := int(first), e.AtMs; w <= int(last); w++ {
+			edge := end
+			if w < int(last) {
+				edge = math.Min(float64(w+1)*windowMs, end)
 			}
-			t = end
+			if edge <= t {
+				continue
+			}
+			if w >= 0 {
+				for len(tl.busy) <= w {
+					tl.busy = append(tl.busy, 0)
+				}
+				tl.busy[w] += edge - t
+			}
+			t = edge
 		}
 	}
 	var rows []UtilRow
-	for _, name := range sortedKeys(busy) {
-		for w := 0; w <= maxWin[name]; w++ {
+	for _, name := range sortedKeys(devices) {
+		for w, busy := range devices[name].busy {
 			rows = append(rows, UtilRow{
 				Device:  name,
 				StartMs: float64(w) * windowMs,
-				BusyMs:  busy[name][w],
-				UtilPct: 100 * busy[name][w] / windowMs,
+				BusyMs:  busy,
+				UtilPct: 100 * busy / windowMs,
 			})
 		}
 	}
-	return rows
+	return rows, nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {

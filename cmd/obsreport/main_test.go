@@ -1,8 +1,14 @@
 package main
 
 import (
+	"fmt"
+	"math"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
+	"haxconn/internal/cliutil"
 	"haxconn/internal/obs"
 )
 
@@ -17,6 +23,15 @@ func auditEvent(device string, req int, atMs, pred, act, wait, slo float64) obs.
 			"queue_wait_ms": wait, "slo_ms": slo,
 		},
 	}
+}
+
+func mustAnalyze(t *testing.T, events []obs.Event, utilWindowMs float64) *Report {
+	t.Helper()
+	rep, err := Analyze(events, utilWindowMs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
 
 func violateEvent(device string, req int, atMs, overMs float64) obs.Event {
@@ -54,7 +69,7 @@ func TestClassifyRules(t *testing.T) {
 		// Request 6: a violation with no audit event cannot be attributed.
 		violateEvent("D", 6, 600, 1),
 	}
-	rep := Analyze(events, 0)
+	rep := mustAnalyze(t, events, 0)
 	if rep.Violations != 6 {
 		t.Fatalf("Violations = %d, want 6", rep.Violations)
 	}
@@ -85,7 +100,7 @@ func TestClassifyJoinsOnDevice(t *testing.T) {
 		auditEvent("Orin/naive", 7, 100, 8, 12, 2, 10),
 		violateEvent("Orin/aware", 7, 112, 2),
 	}
-	rep := Analyze(events, 0)
+	rep := mustAnalyze(t, events, 0)
 	if got := rep.Rows[0].Class; got != ClassUnknown {
 		t.Errorf("cross-leg join classified %s, want unknown", got)
 	}
@@ -100,7 +115,7 @@ func TestClassifyOpenScaleWindow(t *testing.T) {
 		auditEvent("D", 8, 800, 8, 12, 2, 10),
 		violateEvent("D", 8, 812, 2),
 	}
-	rep := Analyze(events, 0)
+	rep := mustAnalyze(t, events, 0)
 	if got := rep.Rows[0].Class; got != ClassScaleLag {
 		t.Errorf("dispatch inside an open window classified %s, want scale-lag", got)
 	}
@@ -120,7 +135,7 @@ func TestAnalyzeCalibrationRebuild(t *testing.T) {
 		{Kind: obs.KindAudit, Detail: "scale-lag", Request: obs.NoRequest,
 			Metrics: map[string]float64{"trip_ms": 1, "clear_ms": 2, "lag_ticks": 1}},
 	}
-	rep := Analyze(events, 0)
+	rep := mustAnalyze(t, events, 0)
 	got := map[string]int{}
 	for _, s := range rep.Calibration {
 		got[s.Layer+"/"+s.Scope+"/"+s.Key] = s.Count
@@ -149,7 +164,10 @@ func TestUtilizationBuckets(t *testing.T) {
 		{Kind: obs.KindDispatch, Device: "A", AtMs: 160, DurMs: 20}, // 20 in w1
 		{Kind: obs.KindDispatch, Device: "B", AtMs: 210, DurMs: 40}, // 40 in w2
 	}
-	rows := utilization(events, 100)
+	rows, err := utilization(events, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
 	busy := map[string]map[float64]float64{}
 	for _, r := range rows {
 		if busy[r.Device] == nil {
@@ -166,5 +184,138 @@ func TestUtilizationBuckets(t *testing.T) {
 	// Device B's timeline still renders the empty leading windows.
 	if len(busy["B"]) != 3 {
 		t.Errorf("device B has %d windows, want 3 (zero-filled from 0)", len(busy["B"]))
+	}
+}
+
+// TestUtilizationBound: a span too long for its window, one far before
+// time 0, a window too small for its span and a non-finite window each
+// fail the analysis instead of exhausting memory or looping, and a span
+// crossing an edge where t/windowMs rounds below the window index (571.9
+// ms = 43 x 13.3 ms) still finishes with its busy time counted once.
+func TestUtilizationBound(t *testing.T) {
+	cases := []struct {
+		name     string
+		trace    string
+		windowMs float64
+		wantErr  string
+	}{
+		{"long span", `{"at_ms":0,"dur_ms":1e12,"kind":"dispatch","device":"D","request":-1}`, 100, "windows"},
+		{"before time 0", `{"at_ms":-1e9,"dur_ms":1e9,"kind":"dispatch","device":"D","request":-1}`, 100, "windows"},
+		{"tiny window", `{"at_ms":0,"dur_ms":5,"kind":"dispatch","device":"D","request":-1}`, 1e-9, "windows"},
+		{"NaN window", `{"at_ms":0,"dur_ms":5,"kind":"dispatch","device":"D","request":-1}`, math.NaN(), "not finite"},
+		{"rounded edge", `{"at_ms":570,"dur_ms":5,"kind":"dispatch","device":"D","request":-1}`, 13.3, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			events, err := parseEvents(strings.NewReader(tc.trace))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Analyze(events, tc.windowMs)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("Analyze error = %v, want one containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			busy := 0.0
+			for _, u := range rep.Utilization {
+				busy += u.BusyMs
+			}
+			if math.Abs(busy-5) > 1e-9 || len(rep.Utilization) != 44 {
+				t.Errorf("busy %g ms over %d windows, want 5 ms over 44", busy, len(rep.Utilization))
+			}
+		})
+	}
+}
+
+// TestRequirePresets: every preset passes on a trace with one event of
+// each of its kinds and fails, naming the kind, when any one is missing.
+func TestRequirePresets(t *testing.T) {
+	for name := range presets {
+		kinds := requiredKinds(name)
+		for skip := -1; skip < len(kinds); skip++ {
+			var trace strings.Builder
+			for i, kind := range kinds {
+				if i != skip {
+					fmt.Fprintf(&trace, "{\"kind\":%q,\"request\":-1}\n", kind)
+				}
+			}
+			events, err := parseEvents(strings.NewReader(trace.String()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = checkKinds(countKinds(events), kinds)
+			switch {
+			case skip < 0 && err != nil:
+				t.Errorf("%s: complete trace fails: %v", name, err)
+			case skip >= 0 && (err == nil || !strings.Contains(err.Error(), kinds[skip])):
+				t.Errorf("%s without %s: error = %v", name, kinds[skip], err)
+			}
+		}
+	}
+	if got := requiredKinds("fleet, gossip"); len(got) != len(requiredKinds("fleet"))+1 || got[len(got)-1] != "gossip" {
+		t.Errorf("requiredKinds(fleet, gossip) = %v", got)
+	}
+}
+
+// TestChromeCountsMatchJSONL: the Chrome and JSONL exports of one tracer
+// count the same events per kind, counter samples and spans included.
+func TestChromeCountsMatchJSONL(t *testing.T) {
+	tr := obs.NewTracer()
+	for i := 0; i < 3; i++ {
+		at := float64(10 * i)
+		tr.Emit(obs.Event{AtMs: at, Kind: obs.KindArrive, Tenant: "t", Request: i})
+		tr.Emit(obs.Event{AtMs: at, Kind: obs.KindAdmit, Tenant: "t", Device: "D", Request: i})
+		tr.Emit(obs.Event{AtMs: at, DurMs: 4, Kind: obs.KindDispatch, Device: "D", Request: obs.NoRequest})
+		tr.Emit(obs.Event{AtMs: at + 4, Kind: obs.KindComplete, Tenant: "t", Device: "D", Request: i, Value: 4})
+	}
+	tr.Emit(obs.Event{AtMs: 5, Kind: obs.KindPool, Request: obs.NoRequest,
+		Metrics: map[string]float64{"active": 1, "backlog_ms": 2}})
+	tr.Emit(obs.Event{AtMs: 6, Kind: obs.KindPool, Request: obs.NoRequest})
+	tr.Emit(obs.Event{AtMs: 7, Kind: obs.KindScale, Request: obs.NoRequest, Detail: "grow"})
+	tr.Emit(obs.Event{AtMs: 8, Kind: obs.KindGossip, Request: obs.NoRequest,
+		Metrics: map[string]float64{"shard": 1}})
+
+	dir := t.TempDir()
+	chromePath, jsonlPath := filepath.Join(dir, "t.json"), filepath.Join(dir, "t.jsonl")
+	if err := cliutil.WriteFile(chromePath, tr.WriteChromeTrace); err != nil {
+		t.Fatal(err)
+	}
+	if err := cliutil.WriteFile(jsonlPath, tr.WriteJSONL); err != nil {
+		t.Fatal(err)
+	}
+	chrome, err := readChromeCounts(chromePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := readEvents(jsonlPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonl := countKinds(events)
+	want := tr.CountByKind()
+	if !reflect.DeepEqual(chrome, want) || !reflect.DeepEqual(jsonl, want) {
+		t.Errorf("counts differ:\n chrome %v\n jsonl  %v\n tracer %v", chrome, jsonl, want)
+	}
+}
+
+// TestIngestRejectsUnnamed: an event with no kind and a metric with no
+// name fail ingest, naming the line (JSONL) or row (CSV).
+func TestIngestRejectsUnnamed(t *testing.T) {
+	_, err := parseEvents(strings.NewReader("{\"kind\":\"arrive\",\"request\":1}\n\n{\"at_ms\":3,\"request\":2}\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 3: event has no kind") {
+		t.Errorf("event without kind: error = %v", err)
+	}
+	_, err = parseMetrics(strings.NewReader("{\"name\":\"a\",\"value\":1}\n{\"value\":2}\n"), false)
+	if err == nil || !strings.Contains(err.Error(), "line 2: metric has no name") {
+		t.Errorf("JSONL metric without name: error = %v", err)
+	}
+	_, err = parseMetrics(strings.NewReader("name,value\na,1\n,2\n"), true)
+	if err == nil || !strings.Contains(err.Error(), "row 2: metric has no name") {
+		t.Errorf("CSV metric without name: error = %v", err)
 	}
 }

@@ -3,9 +3,10 @@
 // serving flags, declared once and bound straight into the serve.Config
 // device template each command builds; the sharded-plane flags, bound
 // into a shard.Config; the observability flags; tenant and device-pool
-// spec parsing; CSV/JSON output writing; and schedule-cache save/load.
-// Keeping one copy here means a flag, spec-format or persistence change
-// lands in every command at once.
+// spec parsing; CSV/JSON output writing through WriteFile, which
+// cmd/obsreport's -out uses too; and schedule-cache save/load. Keeping
+// one copy here means a flag, spec-format or persistence change lands in
+// every command at once.
 package cliutil
 
 import (
@@ -37,7 +38,7 @@ func ServingFlags(fs *flag.FlagSet, cfg *serve.Config, admission bool) {
 	fs.Var(mixFlag{&cfg.MixPolicy}, "mix", "mix-forming `policy`: "+strings.Join(serve.MixPolicies(), ", "))
 	fs.IntVar(&cfg.ScoreBeam, "mixbeam", 0, "candidate batches the contention-aware mix policy scores per round (0 = default)")
 	fs.IntVar(&cfg.MaxWaitRounds, "maxwait", 0, "rounds a request may be passed over by a non-FIFO mix policy before being forced (0 = default)")
-	fs.Float64Var(&cfg.SolverTimeScale, "scale", 50, "solver-time stretch onto the virtual timeline (see autoloop)")
+	fs.Float64Var(&cfg.SolverTimeScale, "scale", 50, "solver-time stretch onto the virtual timeline")
 	fs.BoolVar(&cfg.AdaptiveMaxWait, "adaptivewait", false, "scale the max-wait bound by the oldest request's SLO slack (starved requests force sooner)")
 	if admission {
 		fs.IntVar(&cfg.MaxBatch, "maxbatch", 0, "max concurrent requests per dispatch round (default: #accelerators)")
@@ -235,26 +236,34 @@ func SplitList(s string) []string {
 // reported on stdout, matching the commands' historical behavior.
 func WriteOutputs(csvPath, jsonPath string, writeCSV func(io.Writer) error, v any) error {
 	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
+		if err := WriteFile(csvPath, writeCSV); err != nil {
 			return err
-		}
-		defer f.Close()
-		if err := writeCSV(f); err != nil {
-			return fmt.Errorf("writing %s: %v", csvPath, err)
 		}
 		fmt.Printf("wrote %s\n", csvPath)
 	}
 	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
+		if err := WriteFile(jsonPath, func(w io.Writer) error { return report.WriteJSON(w, v) }); err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := report.WriteJSON(f, v); err != nil {
-			return fmt.Errorf("writing %s: %v", jsonPath, err)
-		}
 		fmt.Printf("wrote %s\n", jsonPath)
+	}
+	return nil
+}
+
+// WriteFile creates path, runs write on it and closes it. An error from
+// writing or closing is wrapped with the path, so a file that only fails
+// as it is flushed on close is reported too.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("closing %s: %w", path, err)
 	}
 	return nil
 }
@@ -282,12 +291,7 @@ func LoadCache(path string, cache *serve.Cache) (int, error) {
 // SaveCaches writes the caches' snapshots to path (cmd/serve's
 // -cache-save).
 func SaveCaches(path string, caches ...*serve.Cache) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return serve.SaveCaches(f, caches...)
+	return WriteFile(path, func(w io.Writer) error { return serve.SaveCaches(w, caches...) })
 }
 
 // LoadFleetCaches imports every snapshot whose platform has a cache group
@@ -321,16 +325,11 @@ func LoadFleetCaches(path string, f *fleet.Fleet) (int, error) {
 // SaveFleetCaches writes every platform group's cache to path
 // (cmd/fleet's -cache-save).
 func SaveFleetCaches(path string, f *fleet.Fleet) error {
-	file, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer file.Close()
 	var caches []*serve.Cache
 	for _, p := range f.CachePlatforms() {
 		caches = append(caches, f.Cache(p))
 	}
-	return serve.SaveCaches(file, caches...)
+	return SaveCaches(path, caches...)
 }
 
 // ObsFlags bundles the serving commands' shared observability flags:
@@ -414,13 +413,8 @@ func (o *ObsFlags) Apply(cfg *serve.Config) {
 // each file on stdout like WriteOutputs does.
 func (o *ObsFlags) WriteArtifacts() error {
 	write := func(path, what string, n int, fn func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
+		if err := WriteFile(path, fn); err != nil {
 			return err
-		}
-		defer f.Close()
-		if err := fn(f); err != nil {
-			return fmt.Errorf("writing %s: %v", path, err)
 		}
 		fmt.Printf("wrote %s (%d %s)\n", path, n, what)
 		return nil

@@ -3,11 +3,13 @@ package cliutil
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"haxconn/internal/fleet"
@@ -112,6 +114,34 @@ func TestWriteOutputsRoundTrip(t *testing.T) {
 	// Empty paths write nothing and succeed.
 	if err := WriteOutputs("", "", nil, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWriteFileNamesPath: an artifact under a missing directory, and a
+// writer that fails, return an error naming the artifact's path, through
+// WriteFile and each writer built on it.
+func TestWriteFileNamesPath(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing", "out")
+	writers := map[string]func(path string) error{
+		"WriteFile": func(path string) error {
+			return WriteFile(path, func(io.Writer) error { return nil })
+		},
+		"WriteOutputs csv": func(path string) error {
+			return WriteOutputs(path, "", func(io.Writer) error { return nil }, nil)
+		},
+		"WriteOutputs json": func(path string) error { return WriteOutputs("", path, nil, 1) },
+		"SaveCaches":        func(path string) error { return SaveCaches(path) },
+	}
+	for name, write := range writers {
+		if err := write(missing); err == nil || !strings.Contains(err.Error(), missing) {
+			t.Errorf("%s under a missing directory: error = %v, want one naming %s", name, err, missing)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "out")
+	boom := errors.New("boom")
+	err := WriteFile(path, func(io.Writer) error { return boom })
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), path) {
+		t.Errorf("failing writer: error = %v, want boom wrapped with %s", err, path)
 	}
 }
 

@@ -268,3 +268,38 @@ func TestFig7Convergence(t *testing.T) {
 		t.Error("formatter output incomplete")
 	}
 }
+
+func TestAblationLocalSearch(t *testing.T) {
+	hc, err := AblationLocalSearch("Xavier")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hc.ExactMs <= 0 || hc.HeuristicMs <= 0 {
+		t.Fatalf("bad measurements %+v", hc)
+	}
+	// The heuristic can match but should not beat the exact engine by more
+	// than model noise.
+	if hc.GapPct < -3 {
+		t.Errorf("heuristic measured %.1f%% better than the optimum — bound bug?", -hc.GapPct)
+	}
+}
+
+func TestMeasureQueueing(t *testing.T) {
+	qa, err := MeasureQueueing("Xavier")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(qa.QueueingMs) != 6 {
+		t.Fatalf("%d schedulers measured", len(qa.QueueingMs))
+	}
+	// GPU-only serializes everything: it must queue more than HaX-CoNN.
+	if qa.QueueingMs["GPU-only"] <= qa.QueueingMs["HaX-CoNN"] {
+		t.Errorf("GPU-only queueing %.2f not above HaX-CoNN %.2f",
+			qa.QueueingMs["GPU-only"], qa.QueueingMs["HaX-CoNN"])
+	}
+	for name, q := range qa.QueueingMs {
+		if q < 0 {
+			t.Errorf("%s: negative queueing %g", name, q)
+		}
+	}
+}

@@ -146,28 +146,3 @@ func FormatFig4(r *Fig4Result) string {
 	}
 	return b.String()
 }
-
-// FormatQoS renders the autonomous-loop QoS comparison.
-func FormatQoS(r *QoSResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "QoS mission on Orin — period %.1f ms, deadline %.1f ms\n", r.PeriodMs, r.DeadlineMs)
-	fmt.Fprintf(&b, "%-10s %8s %8s %8s %10s %8s\n", "scheduler", "mean", "p99/max", "misses", "miss-rate", "fps")
-	fmt.Fprintf(&b, "%-10s %6.2fms %6.2fms %8d %9.1f%% %8.1f\n",
-		"HaX-CoNN", r.HaX.MeanMs, r.HaX.MaxMs, r.HaX.Misses, 100*r.HaX.MissRate, r.HaX.ThroughputFPS)
-	fmt.Fprintf(&b, "%-10s %6.2fms %6.2fms %8d %9.1f%% %8.1f\n",
-		"GPU-only", r.GPUOnly.MeanMs, r.GPUOnly.MaxMs, r.GPUOnly.Misses, 100*r.GPUOnly.MissRate, r.GPUOnly.ThroughputFPS)
-	return b.String()
-}
-
-// FormatEnergyPareto renders the latency/energy frontier.
-func FormatEnergyPareto(r *EnergyParetoResult) string {
-	var b strings.Builder
-	b.WriteString("Energy/latency Pareto frontier — GoogleNet + ResNet101 on Orin\n")
-	b.WriteString("  latency(ms)  energy(mJ)  EDP\n")
-	for _, pt := range r.Front {
-		fmt.Fprintf(&b, "  %10.2f  %10.1f  %8.0f\n", pt.LatencyMs, pt.EnergyMJ, pt.EDP)
-	}
-	fmt.Fprintf(&b, "budgeted (<=1.2x fastest): %.2f ms at %.1f mJ (fastest: %.2f ms at %.1f mJ)\n",
-		r.Budgeted.LatencyMs, r.Budgeted.EnergyMJ, r.Fastest.LatencyMs, r.Fastest.EnergyMJ)
-	return b.String()
-}

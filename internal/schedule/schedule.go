@@ -334,8 +334,8 @@ type Eval struct {
 	// Cost is the objective value to minimize.
 	Cost float64
 	// Result is the underlying simulation with its timeline — per-task
-	// records and contention intervals — for QueueingMs, energy, traces
-	// and figures. Only the package function Evaluate records one;
+	// records and contention intervals — for QueueingMs, traces and
+	// figures. Only the package function Evaluate records one;
 	// Evaluator.Evaluate leaves Result nil.
 	Result *sim.Result
 }
@@ -496,7 +496,7 @@ func MinBaseLatencyMs(pr *Profile, i int, iterations int) float64 {
 
 // Percentile returns the p-quantile of sorted data (nearest-rank). It is
 // the latency-percentile helper shared by the runtime packages
-// (internal/autoloop, internal/serve).
+// (internal/serve, internal/control).
 func Percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0

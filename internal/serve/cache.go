@@ -3,8 +3,8 @@
 // reuse characterization and solving work. An unseen mix is served on the
 // best naive schedule immediately while the anytime solver's incumbent
 // stream — recorded at miss time, replayed against the virtual clock —
-// upgrades the entry in the background, mirroring how internal/autoloop
-// deploys D-HaX-CoNN incumbents at frame boundaries.
+// upgrades the entry in the background, as D-HaX-CoNN deploys improved
+// incumbents while the workload runs.
 package serve
 
 import (

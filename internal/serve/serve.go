@@ -172,9 +172,8 @@ type Config struct {
 	AdmitSLOFactor float64
 	// SolverTimeScale stretches the background solver's virtual solve time
 	// when mapping its incumbent stream onto the serving timeline, so
-	// upgrade dynamics at Z3-like solve times can be studied (see
-	// autoloop.Config.SolverTimeScale). 1, zero or a negative value means
-	// unscaled.
+	// upgrade dynamics at Z3-like solve times can be studied. 1, zero or a
+	// negative value means unscaled.
 	SolverTimeScale float64
 	// MaxGroups caps layer groups per network (0 = nn.DefaultMaxGroups).
 	MaxGroups int
