@@ -30,39 +30,60 @@ func BenchmarkControlCompare(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var cmp *control.CompareResult
+	var rows []serve.Row
 	for i := 0; i < b.N; i++ {
-		cmp, err = control.Compare(control.Config{
+		legs, err := control.Legs(control.Config{
 			Fleet: fleet.Config{
 				Devices: []fleet.DeviceSpec{{Platform: "Orin"}},
 				Device:  serve.Config{SolverTimeScale: 50},
 			},
 			MaxDevices:    3,
 			GrowPlatforms: []string{"Xavier", "SD865"},
-		}, tr, nil)
+		}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
+		if rows, err = serve.Compare(tr, legs...); err != nil {
+			b.Fatal(err)
+		}
 	}
+	static, ctrl := rows[0], rows[1]
+	sum := ctrl.Summary.(*control.Summary)
 	metrics := map[string]float64{
-		"controlled_p99_ms":     cmp.Controlled.Fleet.Total.P99Ms,
-		"static_p99_ms":         cmp.Static.Total.P99Ms,
-		"controlled_violations": float64(cmp.Controlled.Fleet.Total.Violations),
-		"static_violations":     float64(cmp.Static.Total.Violations),
-		"controlled_device_ms":  cmp.Controlled.DeviceMs,
-		"static_device_ms":      cmp.StaticDeviceMs,
-		"peak_devices":          float64(cmp.Controlled.PeakDevices),
-		"scale_events":          float64(len(cmp.Controlled.Scale)),
-		"migrations":            float64(len(cmp.Controlled.Migrations)),
-		"seeded_entries":        float64(cmp.Controlled.SeededEntries),
-		"win_count":             float64(cmp.WinCount()),
+		"controlled_p99_ms":     ctrl.Total.P99Ms,
+		"static_p99_ms":         static.Total.P99Ms,
+		"controlled_violations": float64(ctrl.Total.Violations),
+		"static_violations":     float64(static.Total.Violations),
+		"controlled_device_ms":  ctrl.DeviceMs,
+		"static_device_ms":      static.DeviceMs,
+		"peak_devices":          float64(ctrl.PeakDevices),
+		"scale_events":          float64(len(sum.Scale)),
+		"migrations":            float64(len(sum.Migrations)),
+		"seeded_entries":        float64(sum.SeededEntries),
+		"win_count":             float64(controlWins(static, ctrl)),
 	}
 	reportAndRecordControl(b, "BenchmarkControlCompare", metrics)
 }
 
+// controlWins counts the metrics the controlled fleet beats its static
+// baseline on: total p99 latency, SLO violations and device-time.
+func controlWins(static, ctrl serve.Row) int {
+	n := 0
+	for _, won := range []bool{
+		ctrl.Total.P99Ms < static.Total.P99Ms,
+		ctrl.Total.Violations < static.Total.Violations,
+		ctrl.DeviceMs < static.DeviceMs,
+	} {
+		if won {
+			n++
+		}
+	}
+	return n
+}
+
 // BenchmarkShardedControl is the sharded-control win condition: the
 // region-scale demo (48 Orins, 32 tenants, a fleet-wide burst and a hot
-// tenant) served on a K=4 shard plane and on one global controller over
+// tenant) served on one global controller and on a K=4 shard plane over
 // the identical trace. Every metric is virtual-time deterministic and
 // gates at the strict tolerance; the win is sharded_slo_pct >=
 // global_slo_pct with warm_hits > 0.
@@ -71,29 +92,33 @@ func BenchmarkShardedControl(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var res *shard.CompareResult
+	var rows []serve.Row
 	for i := 0; i < b.N; i++ {
-		res, err = shard.Compare(shard.Config{Control: shard.DemoRegionControl(), Shards: 4}, tr)
+		legs, err := shard.Legs(shard.Config{Control: shard.DemoRegionControl(), Shards: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
+		if rows, err = serve.Compare(tr, legs...); err != nil {
+			b.Fatal(err)
+		}
 	}
+	global, sharded := rows[0], rows[1].Summary.(*shard.Summary)
 	metrics := map[string]float64{
-		"sharded_slo_pct":    res.Sharded.SLOAttainmentPct,
-		"global_slo_pct":     res.GlobalSLOAttainmentPct,
-		"sharded_violations": float64(res.Sharded.Total.Violations),
-		"global_violations":  float64(res.Global.Fleet.Total.Violations),
-		"sharded_p99_ms":     res.Sharded.Total.P99Ms,
-		"global_p99_ms":      res.Global.Fleet.Total.P99Ms,
-		"offered":            float64(res.Offered),
-		"warm_hits":          float64(res.Sharded.WarmHits),
-		"gossip_tx_entries":  float64(res.Sharded.GossipTxEntries),
-		"gossip_rx_entries":  float64(res.Sharded.GossipRxEntries),
-		"solve_assists":      float64(res.Sharded.SolveAssists),
-		"deferred":           float64(res.Sharded.Deferred),
-		"handoffs":           float64(len(res.Sharded.Handoffs)),
-		"rounds":             float64(res.Sharded.Rounds),
-		"peak_devices":       float64(res.Sharded.PeakDevices),
+		"sharded_slo_pct":    sharded.SLOAttainmentPct,
+		"global_slo_pct":     global.SLOAttainmentPct,
+		"sharded_violations": float64(sharded.Total.Violations),
+		"global_violations":  float64(global.Total.Violations),
+		"sharded_p99_ms":     sharded.Total.P99Ms,
+		"global_p99_ms":      global.Total.P99Ms,
+		"offered":            float64(len(tr)),
+		"warm_hits":          float64(sharded.WarmHits),
+		"gossip_tx_entries":  float64(sharded.GossipTxEntries),
+		"gossip_rx_entries":  float64(sharded.GossipRxEntries),
+		"solve_assists":      float64(sharded.SolveAssists),
+		"deferred":           float64(sharded.Deferred),
+		"handoffs":           float64(len(sharded.Handoffs)),
+		"rounds":             float64(sharded.Rounds),
+		"peak_devices":       float64(sharded.PeakDevices),
 	}
 	reportAndRecordControl(b, "BenchmarkShardedControl", metrics)
 }

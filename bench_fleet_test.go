@@ -74,26 +74,34 @@ func BenchmarkFleetThroughput(b *testing.B) {
 // load-aware policies regressed.
 func BenchmarkFleetPlacementGap(b *testing.B) {
 	tr := fleetBenchTrace(b)
-	var cmp *fleet.Comparison
+	var rows []serve.Row
 	for i := 0; i < b.N; i++ {
-		var err error
-		cmp, err = fleet.Compare(fleet.Config{
+		legs, err := fleet.Legs(fleet.Config{
 			Devices: []fleet.DeviceSpec{
 				{Platform: "Orin"}, {Platform: "Xavier"}, {Platform: "SD865"},
 			},
 			Device: serve.Config{SolverTimeScale: 50},
-		}, tr)
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
+		if rows, err = serve.Compare(tr, legs...); err != nil {
+			b.Fatal(err)
+		}
 	}
-	roundRobin := cmp.Fleets[0]
-	best := cmp.Best()
+	// rows[0] is the single SoC, rows[1] round-robin; the best placement
+	// has the lowest p99 (ties: fewer violations, then earlier).
+	roundRobin, best := rows[1].Total, rows[1].Total
+	for _, r := range rows[2:] {
+		if t := r.Total; t.P99Ms < best.P99Ms || (t.P99Ms == best.P99Ms && t.Violations < best.Violations) {
+			best = t
+		}
+	}
 	metrics := map[string]float64{
-		"best_p99_ms":        best.Total.P99Ms,
-		"round_robin_p99_ms": roundRobin.Total.P99Ms,
-		"placement_gap_x":    roundRobin.Total.P99Ms / best.Total.P99Ms,
-		"single_soc_p99_ms":  cmp.Single.Total.P99Ms,
+		"best_p99_ms":        best.P99Ms,
+		"round_robin_p99_ms": roundRobin.P99Ms,
+		"placement_gap_x":    roundRobin.P99Ms / best.P99Ms,
+		"single_soc_p99_ms":  rows[0].Total.P99Ms,
 	}
 	reportAndRecord(b, "BenchmarkFleetPlacementGap", metrics)
 }

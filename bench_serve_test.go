@@ -41,15 +41,18 @@ func serveBenchTrace(b *testing.B) serve.Trace {
 // dispatch rounds the demand-balance leg runs.
 func BenchmarkServeMixFormers(b *testing.B) {
 	tr := serveBenchTrace(b)
-	var cmp *serve.MixComparison
+	var legs []serve.Leg
+	for _, mix := range []string{serve.MixFIFO, serve.MixDemandBalance, serve.MixContentionAware} {
+		legs = append(legs, serve.RuntimeLeg(mix, serve.Config{Platform: soc.Orin(), SolverTimeScale: 50, MixPolicy: mix}))
+	}
+	var rows []serve.Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		cmp, err = serve.CompareMixes(serve.Config{Platform: soc.Orin(), SolverTimeScale: 50}, tr)
-		if err != nil {
+		if rows, err = serve.Compare(tr, legs...); err != nil {
 			b.Fatal(err)
 		}
 	}
-	fifo, db, ca := cmp.Results[0].Total, cmp.Results[1].Total, cmp.Results[2].Total
+	fifo, db, ca := rows[0].Total, rows[1].Total, rows[2].Total
 	// The raw per-policy rps already gate throughput; the derived
 	// throughput delta is a near-zero difference of large numbers and
 	// would trip the relative-tolerance gate on any one-request shift.
@@ -58,12 +61,12 @@ func BenchmarkServeMixFormers(b *testing.B) {
 		"fifo_p99_ms":                   fifo.P99Ms,
 		"balance_rps":                   db.ThroughputRPS,
 		"balance_p99_ms":                db.P99Ms,
-		"balance_rounds":                float64(cmp.Results[1].Rounds),
-		"p99_impr_pct":                  cmp.P99ImprovementPct(1),
-		"violations_avoided":            float64(fifo.Violations - db.Violations),
+		"balance_rounds":                float64(rows[1].Summary.(*serve.Summary).Rounds),
+		"p99_impr_pct":                  rows[1].P99ImprPct,
+		"violations_avoided":            float64(rows[1].ViolationsAvoided),
 		"contention_rps":                ca.ThroughputRPS,
 		"contention_p99_ms":             ca.P99Ms,
-		"contention_violations_avoided": float64(fifo.Violations - ca.Violations),
+		"contention_violations_avoided": float64(rows[2].ViolationsAvoided),
 	}
 	reportAndRecordServe(b, "BenchmarkServeMixFormers", metrics)
 }

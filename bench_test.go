@@ -1,8 +1,11 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (Sec. 5), plus ablations of the design choices called out in DESIGN.md.
-// Each benchmark reports the artifact's headline metric via
-// b.ReportMetric; run `go test -bench=. -benchmem` and compare against
-// EXPERIMENTS.md.
+// (Sec. 5), plus ablations of its design choices: contention modeling,
+// transition costs, solver engines, layer-group granularity and the
+// local-search heuristic. Each benchmark reports the artifact's headline
+// metric via b.ReportMetric; run `go test -bench=. -benchmem` and compare
+// against the tables `go run ./cmd/experiments` regenerates (README
+// "Quickstart"; the solver engines and the heuristic ablation are
+// described in README "Background solving").
 package haxconn
 
 import (

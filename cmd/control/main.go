@@ -50,6 +50,7 @@ import (
 	"strconv"
 	"strings"
 	"text/tabwriter"
+	"time"
 
 	"haxconn/internal/cliutil"
 	"haxconn/internal/control"
@@ -175,24 +176,38 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		cmp, err := control.Compare(cfg, tr, pl)
+		legs, err := control.Legs(cfg, pl)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		printControl(cmp.Controlled)
-		printComparison(cmp)
+		rows, err := serve.Compare(tr, legs...)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		printControl(rows[1].Summary.(*control.Summary))
+		cliutil.PrintComparison(os.Stdout, rows)
 		if err := cliutil.WriteOutputs(*csvOut, *jsonOut,
-			func(w io.Writer) error { return report.ControlComparisonCSV(w, cmp) }, cmp); err != nil {
+			func(w io.Writer) error { return report.ComparisonCSV(w, rows) }, rows); err != nil {
 			fatalf("%v", err)
 		}
 	case "shard-compare":
-		res, err := shard.Compare(scfg, tr)
+		legs, err := shard.Legs(scfg)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		printShardCompare(res)
+		wall := timeLegs(legs)
+		rows, err := serve.Compare(tr, legs...)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		printShardSummary(rows[1].Summary.(*shard.Summary))
+		cliutil.PrintComparison(os.Stdout, rows)
+		fmt.Println()
+		for i, r := range rows {
+			fmt.Printf("wall %-12s %8.1f ms  %10.0f req/s\n", r.Leg, wall[i]*1e3, float64(r.Total.Offered)/wall[i])
+		}
 		if err := cliutil.WriteOutputs(*csvOut, *jsonOut,
-			func(w io.Writer) error { return report.ShardComparisonCSV(w, res) }, res); err != nil {
+			func(w io.Writer) error { return report.ComparisonCSV(w, rows) }, rows); err != nil {
 			fatalf("%v", err)
 		}
 	default:
@@ -228,27 +243,20 @@ func printShardSummary(sum *shard.Summary) {
 	fmt.Println()
 }
 
-func printShardCompare(res *shard.CompareResult) {
-	printShardSummary(res.Sharded)
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "config\twall\treq/s (wall)\tp99\tviol\tSLO att.\tdevice-ms\tpeak")
-	st := res.Sharded.Total
-	fmt.Fprintf(tw, "sharded:K=%d\t%.1f ms\t%.0f\t%.2f\t%d\t%.2f%%\t%.0f\t%d\n",
-		res.Sharded.Shards, res.ShardedWallSec*1e3, res.ShardedReqPerSecWall,
-		st.P99Ms, st.Violations, res.Sharded.SLOAttainmentPct,
-		res.Sharded.DeviceMs, res.Sharded.PeakDevices)
-	gt := res.Global.Fleet.Total
-	fmt.Fprintf(tw, "global\t%.1f ms\t%.0f\t%.2f\t%d\t%.2f%%\t%.0f\t%d\n",
-		res.GlobalWallSec*1e3, res.GlobalReqPerSecWall,
-		gt.P99Ms, gt.Violations, res.GlobalSLOAttainmentPct,
-		res.Global.DeviceMs, res.Global.PeakDevices)
-	tw.Flush()
-	speedup := 0.0
-	if res.GlobalReqPerSecWall > 0 {
-		speedup = res.ShardedReqPerSecWall / res.GlobalReqPerSecWall
+// timeLegs wraps each leg to record its wall seconds in the returned
+// slice as it serves. Wall time is printed only: no compare artifact
+// carries it, so the CSV and JSON stay byte-identical run to run.
+func timeLegs(legs []serve.Leg) []float64 {
+	wall := make([]float64, len(legs))
+	for i, leg := range legs {
+		legs[i].Serve = func(tr serve.Trace) (serve.Row, error) {
+			start := time.Now() //detlint:allow walltime per-leg wall time, printed on stdout and never written to an artifact
+			row, err := leg.Serve(tr)
+			wall[i] = time.Since(start).Seconds() //detlint:allow walltime per-leg wall time, printed on stdout and never written to an artifact
+			return row, err
+		}
 	}
-	fmt.Printf("\nsharded wall speedup %.2fx (%d offered requests; warm hits %d, assists %d)\n",
-		speedup, res.Offered, res.Sharded.WarmHits, res.Sharded.SolveAssists)
+	return wall
 }
 
 // buildTrace generates the base trace and overlays the burst window.
@@ -314,23 +322,6 @@ func printControl(sum *control.Summary) {
 			m.AtMs, m.Tenant, m.From, m.To, m.Reason, m.RollingP99Ms, m.ViolationRate)
 	}
 	fmt.Println()
-}
-
-func printComparison(cmp *control.CompareResult) {
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "config\tpool\tp50\tp99\tviol\tSLO att.\tdevice-ms")
-	ct := cmp.Controlled.Fleet.Total
-	fmt.Fprintf(tw, "controlled:sticky\t%s\t%.2f\t%.2f\t%d\t%.1f%%\t%.0f\n",
-		cmp.Controlled.Fleet.Pool, ct.P50Ms, ct.P99Ms, ct.Violations,
-		cmp.Controlled.Fleet.SLOAttainmentPct, cmp.Controlled.DeviceMs)
-	st := cmp.Static.Total
-	fmt.Fprintf(tw, "static:%s\t%s\t%.2f\t%.2f\t%d\t%.1f%%\t%.0f\n",
-		cmp.StaticPlacement, cmp.Static.Pool, st.P50Ms, st.P99Ms, st.Violations,
-		cmp.Static.SLOAttainmentPct, cmp.StaticDeviceMs)
-	tw.Flush()
-	p99, viol, dms := cmp.Wins()
-	fmt.Printf("\ncontrolled wins %d of 3: p99 %v, violations %v, device-time %v\n",
-		cmp.WinCount(), p99, viol, dms)
 }
 
 func fatalf(format string, args ...any) {

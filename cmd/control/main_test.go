@@ -12,8 +12,8 @@ import (
 
 // TestBuildTraceMatchesDemoBurst pins the CLI defaults to the library's
 // canonical burst: the default tenants/duration/burst flags must generate
-// exactly control.DemoBurstTrace, so the CLI demo, the example and the
-// acceptance tests all serve the same traffic.
+// exactly control.DemoBurstTrace, so the CLI demo, the acceptance tests
+// and the control benchmark all serve the same traffic.
 func TestBuildTraceMatchesDemoBurst(t *testing.T) {
 	specs, err := cliutil.ParseTenants("cam-a:VGG19:20:10,cam-b:VGG19:20:10,scorer-a:ResNet152:20:12,scorer-b:ResNet152:20:12", "poisson")
 	if err != nil {
@@ -55,20 +55,31 @@ func TestCompareModeDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := control.Compare(control.Config{
+	legs, err := control.Legs(control.Config{
 		Fleet: fleet.Config{
 			Devices: []fleet.DeviceSpec{{Platform: "Orin"}},
 			Device:  serve.Config{SolverTimeScale: 50},
 		},
 		MaxDevices:    3,
 		GrowPlatforms: []string{"Xavier", "SD865"},
-	}, tr, fleet.LeastLoaded())
+	}, fleet.LeastLoaded())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmp.WinCount() < 2 {
-		p99, viol, dms := cmp.Wins()
-		t.Errorf("controlled wins %d of 3 (p99 %v, violations %v, device-time %v)",
-			cmp.WinCount(), p99, viol, dms)
+	rows, err := serve.Compare(tr, legs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Against the static baseline, positive is better.
+	ctrl := rows[1]
+	wins := 0
+	for _, won := range []bool{ctrl.P99ImprPct > 0, ctrl.ViolationsAvoided > 0, ctrl.DeviceMsSavedPct > 0} {
+		if won {
+			wins++
+		}
+	}
+	if wins < 2 {
+		t.Errorf("controlled wins %d of 3 (p99 %+.1f%%, violations %+d, device-time %+.1f%%)",
+			wins, ctrl.P99ImprPct, ctrl.ViolationsAvoided, ctrl.DeviceMsSavedPct)
 	}
 }

@@ -150,13 +150,17 @@ func main() {
 		if obsf.Tracing() || obsf.MetricsPath != "" || obsf.AuditPath != "" {
 			fatalf("-trace/-trace-jsonl/-metrics-out/-audit-out need -mode serve (compare rebuilds identically named devices per leg, which would overlap in one trace or audit)")
 		}
-		cmp, err := fleet.Compare(cfg, tr)
+		legs, err := fleet.Legs(cfg)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		printComparison(cmp)
+		rows, err := serve.Compare(tr, legs...)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		cliutil.PrintComparison(os.Stdout, rows)
 		if err := cliutil.WriteOutputs(*csvOut, *jsonOut,
-			func(w io.Writer) error { return report.FleetComparisonCSV(w, cmp) }, cmp); err != nil {
+			func(w io.Writer) error { return report.ComparisonCSV(w, rows) }, rows); err != nil {
 			fatalf("%v", err)
 		}
 	default:
@@ -188,25 +192,6 @@ func printFleet(sum *fleet.Summary) {
 			cs.Platform, strings.Join(cs.Devices, ","), cs.Entries, cs.Hits, cs.Misses, 100*cs.HitRate, cs.Upgrades)
 	}
 	fmt.Printf("rounds=%d  SLO attainment: %.1f%%\n\n", sum.Rounds, sum.SLOAttainmentPct)
-}
-
-func printComparison(cmp *fleet.Comparison) {
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "config\tpool\tp50\tp99\tviol\treq/s\tSLO att.\tp99 vs single\tviol avoided")
-	st := cmp.Single.Total
-	fmt.Fprintf(tw, "single:%s\t%s\t%.2f\t%.2f\t%d\t%.1f\t%.1f%%\t\t\n",
-		cmp.SinglePlatform, cmp.SinglePlatform, st.P50Ms, st.P99Ms, st.Violations, st.ThroughputRPS, st.SLOAttainmentPct())
-	for _, fs := range cmp.Fleets {
-		ft := fs.Total
-		fmt.Fprintf(tw, "fleet:%s\t%s\t%.2f\t%.2f\t%d\t%.1f\t%.1f%%\t%+.1f%%\t%+d\n",
-			fs.Placement, fs.Pool, ft.P50Ms, ft.P99Ms, ft.Violations, ft.ThroughputRPS,
-			fs.SLOAttainmentPct, cmp.P99ImprovementPct(fs), cmp.ViolationsAvoided(fs))
-	}
-	tw.Flush()
-	best := cmp.Best()
-	fmt.Printf("\nbest placement: %s — p99 %.2f ms vs single-SoC %.2f ms (%.1f%% better), %d SLO violations avoided\n",
-		best.Placement, best.Total.P99Ms, cmp.Single.Total.P99Ms,
-		cmp.P99ImprovementPct(best), cmp.ViolationsAvoided(best))
 }
 
 func fatalf(format string, args ...any) {

@@ -25,23 +25,28 @@ func TestCompareModeDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := fleet.Compare(fleet.Config{Devices: pool, Device: serve.Config{SolverTimeScale: 50}}, tr)
+	legs, err := fleet.Legs(fleet.Config{Devices: pool, Device: serve.Config{SolverTimeScale: 50}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows, err := serve.Compare(tr, legs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := rows[0]
 	won := false
-	for _, fs := range cmp.Fleets {
-		if fs.Placement != "least-loaded" && fs.Placement != "affinity" {
+	for _, r := range rows[1:] {
+		if r.Leg != "fleet:least-loaded" && r.Leg != "fleet:affinity" {
 			continue
 		}
-		if fs.MixPolicy != serve.MixFIFO {
-			t.Errorf("default fleet mix policy = %q, want %q", fs.MixPolicy, serve.MixFIFO)
+		if r.MixPolicy != serve.MixFIFO {
+			t.Errorf("default fleet mix policy = %q, want %q", r.MixPolicy, serve.MixFIFO)
 		}
-		if fs.Total.P99Ms < cmp.Single.Total.P99Ms && fs.Total.Violations < cmp.Single.Total.Violations {
+		if r.Total.P99Ms < single.Total.P99Ms && r.Total.Violations < single.Total.Violations {
 			won = true
-			t.Logf("%s beats single-%s: p99 %.2f < %.2f ms, violations %d < %d",
-				fs.Placement, cmp.SinglePlatform, fs.Total.P99Ms, cmp.Single.Total.P99Ms,
-				fs.Total.Violations, cmp.Single.Total.Violations)
+			t.Logf("%s beats %s: p99 %.2f < %.2f ms, violations %d < %d",
+				r.Leg, single.Leg, r.Total.P99Ms, single.Total.P99Ms,
+				r.Total.Violations, single.Total.Violations)
 		}
 	}
 	if !won {

@@ -9,9 +9,9 @@ import (
 
 // FuzzAnalyze drives hostile trace and metrics bytes through ingest,
 // Analyze and the -require count. Each input either fails with an error
-// or gives a report whose class counts sum to its violations and whose
-// utilization timeline stays within maxUtilWindows; nothing panics or
-// allocates past that bound.
+// or gives a report whose class counts sum to its violations, whose
+// utilization timeline stays within maxUtilWindows, and which renders in
+// text, CSV and JSON; nothing panics or allocates past that bound.
 func FuzzAnalyze(f *testing.F) {
 	span := func(at, dur string) []byte {
 		return []byte(`{"at_ms":` + at + `,"dur_ms":` + dur + `,"kind":"dispatch","device":"D","request":-1}`)
@@ -35,6 +35,11 @@ func FuzzAnalyze(f *testing.F) {
 		f.Add([]byte(line), metrics, false, 100.0)
 	}
 	f.Add([]byte(`{"kind":"arrive","request":1}`), []byte("name,value\nserve.requests,3\n"), true, 100.0)
+	// Sums past the float64 range: a calibration aggregate and a
+	// utilization window.
+	f.Add([]byte(`{"at_ms":1,"kind":"audit","request":-1,"detail":"VGG19|MinLatency","metrics":{"predicted_ms":1e308,"actual_ms":1}}`+"\n"+
+		`{"at_ms":2,"kind":"audit","request":-1,"detail":"VGG19|MinLatency","metrics":{"predicted_ms":1e308,"actual_ms":1}}`), metrics, false, 100.0)
+	f.Add(span("0", "1e308"), metrics, false, 1e308)
 
 	required := requiredKinds("serve")
 	f.Fuzz(func(t *testing.T, trace, metrics []byte, csvMetrics bool, windowMs float64) {
@@ -59,8 +64,10 @@ func FuzzAnalyze(f *testing.F) {
 		if len(rep.Utilization) > maxUtilWindows {
 			t.Fatalf("%d utilization rows, bound %d", len(rep.Utilization), maxUtilWindows)
 		}
-		if err := writeText(io.Discard, rep); err != nil {
-			t.Fatal(err)
+		for _, format := range []string{"text", "csv", "json"} {
+			if err := writeReport(io.Discard, format, rep); err != nil {
+				t.Fatalf("%s render: %v", format, err)
+			}
 		}
 		counts := countKinds(events)
 		complete := true

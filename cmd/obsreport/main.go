@@ -334,6 +334,10 @@ func parseMetrics(r io.Reader, isCSV bool) ([]obs.Metric, error) {
 			if err != nil {
 				return nil, fmt.Errorf("row %d: %v", i, err)
 			}
+			if !finite(v) {
+				// JSONL cannot spell one; the JSON report could not encode it.
+				return nil, fmt.Errorf("row %d: metric %q value %v is not finite", i, row[0], v)
+			}
 			out = append(out, obs.Metric{Name: row[0], Value: v})
 		}
 		return out, nil
@@ -435,8 +439,9 @@ type reqKey struct {
 
 // Analyze runs the full pass: joins, classification, re-aggregation and
 // timelines. Deterministic for a given event stream. It fails when the
-// utilization window is not finite or the timeline would exceed
-// maxUtilWindows.
+// utilization window is not finite, the timeline would exceed
+// maxUtilWindows, or a calibration aggregate or utilization window sums
+// past the float64 range: every report it returns renders in each format.
 func Analyze(events []obs.Event, utilWindowMs float64) (*Report, error) {
 	rep := &Report{Events: len(events), Classes: map[string]int{}}
 
@@ -504,6 +509,12 @@ func Analyze(events []obs.Event, utilWindowMs float64) (*Report, error) {
 		rep.Shards = append(rep.Shards, *shards[idx])
 	}
 	rep.Calibration = audit.Snapshot()
+	for _, c := range rep.Calibration {
+		if !finite(c.MeanPredictedMs, c.MeanActualMs, c.BiasMs, c.MAPEPct) {
+			return nil, fmt.Errorf("calibration aggregate (%s, %s, %s) is not finite: mean predicted %g ms, mean actual %g ms, bias %g ms, MAPE %g%%",
+				c.Layer, c.Scope, c.Key, c.MeanPredictedMs, c.MeanActualMs, c.BiasMs, c.MAPEPct)
+		}
+	}
 	rep.ScaleWindows = windows
 
 	// Pass 2: classify every violation.
@@ -631,15 +642,30 @@ func utilization(events []obs.Event, windowMs float64) ([]UtilRow, error) {
 	var rows []UtilRow
 	for _, name := range sortedKeys(devices) {
 		for w, busy := range devices[name].busy {
-			rows = append(rows, UtilRow{
+			row := UtilRow{
 				Device:  name,
 				StartMs: float64(w) * windowMs,
 				BusyMs:  busy,
 				UtilPct: 100 * busy / windowMs,
-			})
+			}
+			if !finite(row.StartMs, row.BusyMs, row.UtilPct) {
+				return nil, fmt.Errorf("utilization of %q in window %d of %g ms is not finite: busy %g ms, %g%%",
+					name, w, windowMs, row.BusyMs, row.UtilPct)
+			}
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil
+}
+
+// finite reports whether every value is a finite number.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 func sortedKeys[V any](m map[string]V) []string {

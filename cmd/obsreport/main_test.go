@@ -154,6 +154,19 @@ func TestAnalyzeCalibrationRebuild(t *testing.T) {
 			t.Errorf("%s count = %d, want %d", k, got[k], n)
 		}
 	}
+
+	// Two round-level pairs whose predictions sum past the float64 range
+	// fail the analysis, naming the aggregate, instead of reporting a
+	// +Inf bias the JSON encoder rejects.
+	overflow, err := parseEvents(strings.NewReader(
+		`{"at_ms":1,"kind":"audit","request":-1,"detail":"VGG19|MinLatency","metrics":{"predicted_ms":1e308,"actual_ms":1}}` + "\n" +
+			`{"at_ms":2,"kind":"audit","request":-1,"detail":"VGG19|MinLatency","metrics":{"predicted_ms":1e308,"actual_ms":1}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Analyze(overflow, 0); err == nil || !strings.Contains(err.Error(), "(serve, mix, VGG19|MinLatency)") {
+		t.Errorf("Analyze error = %v, want one naming (serve, mix, VGG19|MinLatency)", err)
+	}
 }
 
 // TestUtilizationBuckets: dispatch spans split proportionally across
@@ -204,6 +217,7 @@ func TestUtilizationBound(t *testing.T) {
 		{"tiny window", `{"at_ms":0,"dur_ms":5,"kind":"dispatch","device":"D","request":-1}`, 1e-9, "windows"},
 		{"NaN window", `{"at_ms":0,"dur_ms":5,"kind":"dispatch","device":"D","request":-1}`, math.NaN(), "not finite"},
 		{"rounded edge", `{"at_ms":570,"dur_ms":5,"kind":"dispatch","device":"D","request":-1}`, 13.3, ""},
+		{"overflowing busy time", `{"at_ms":0,"dur_ms":1e308,"kind":"dispatch","device":"D","request":-1}`, 1e308, "not finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -303,8 +317,9 @@ func TestChromeCountsMatchJSONL(t *testing.T) {
 	}
 }
 
-// TestIngestRejectsUnnamed: an event with no kind and a metric with no
-// name fail ingest, naming the line (JSONL) or row (CSV).
+// TestIngestRejectsUnnamed: an event with no kind, a metric with no name
+// and a CSV metric whose value is not finite fail ingest, naming the line
+// (JSONL) or row (CSV).
 func TestIngestRejectsUnnamed(t *testing.T) {
 	_, err := parseEvents(strings.NewReader("{\"kind\":\"arrive\",\"request\":1}\n\n{\"at_ms\":3,\"request\":2}\n"))
 	if err == nil || !strings.Contains(err.Error(), "line 3: event has no kind") {
@@ -317,5 +332,9 @@ func TestIngestRejectsUnnamed(t *testing.T) {
 	_, err = parseMetrics(strings.NewReader("name,value\na,1\n,2\n"), true)
 	if err == nil || !strings.Contains(err.Error(), "row 2: metric has no name") {
 		t.Errorf("CSV metric without name: error = %v", err)
+	}
+	_, err = parseMetrics(strings.NewReader("name,value\na,NaN\n"), true)
+	if err == nil || !strings.Contains(err.Error(), `row 1: metric "a" value NaN is not finite`) {
+		t.Errorf("CSV metric with a NaN value: error = %v", err)
 	}
 }

@@ -12,9 +12,11 @@
 // (deadline-urgency order) or contention-aware (score a bounded beam of
 // candidate batches with the analytic contention model — -mixbeam sets
 // the beam width — and dispatch the best-predicted one). Compare mode
-// additionally serves the trace under fifo, demand-balance and
-// contention-aware mix forming and reports the batching win next to the
-// naive-vs-aware scheduling win; -mixcsv exports that table.
+// serves the trace on the naive baseline, on the contention-aware runtime
+// under -mix, and on the contention-aware runtime under each of fifo,
+// demand-balance and contention-aware mix forming that -mix does not
+// already select, then reports every leg against the naive baseline:
+// the scheduling win and the batching win in one table (-csv, -json).
 //
 // Solved schedule caches persist across runs: -cache-save writes the
 // cache's entries (mix + best-known assignment) as JSON after serving, and
@@ -24,7 +26,7 @@
 //
 // Examples:
 //
-//	serve                                # two-tenant demo, naive-vs-aware comparison
+//	serve                                # two-tenant demo, compare mode
 //	serve -mode aware -duration 5000 -csv out.csv
 //	serve -platform Xavier -tenants "cam:VGG19:30:40,lidar:ResNet101:25:50" -arrivals periodic
 //	serve -mode aware -mix demand-balance
@@ -57,9 +59,8 @@ func main() {
 		duration  = flag.Float64("duration", 1000, "trace duration in virtual ms")
 		seed      = flag.Int64("seed", 1, "load-generator seed")
 		mode      = flag.String("mode", "compare", "serving mode: aware, naive or compare")
-		csvOut    = flag.String("csv", "", "write per-tenant statistics as CSV to this file")
-		mixCSVOut = flag.String("mixcsv", "", "write the mix-forming comparison as CSV to this file (-mode compare)")
-		jsonOut   = flag.String("json", "", "write the full summary as JSON to this file")
+		csvOut    = flag.String("csv", "", "write per-tenant statistics (or the comparison) as CSV to this file")
+		jsonOut   = flag.String("json", "", "write the full summary (or the comparison) as JSON to this file")
 		cacheSave = flag.String("cache-save", "", "write the solved schedule cache as JSON to this file after serving (modes aware/naive)")
 		cacheLoad = flag.String("cache-load", "", "seed the schedule cache from a -cache-save file before serving, skipping re-solves of known mixes")
 		list      = flag.Bool("list", false, "list available networks, platforms and mix policies, then exit")
@@ -98,9 +99,6 @@ func main() {
 
 	switch *mode {
 	case "aware", "naive":
-		if *mixCSVOut != "" {
-			fatalf("-mixcsv needs -mode compare (the mix-forming comparison is only built there)")
-		}
 		if *mode == "naive" {
 			cfg.Policy = serve.NaiveGPUOnly
 		}
@@ -134,34 +132,16 @@ func main() {
 		if *cacheSave != "" || *cacheLoad != "" {
 			fatalf("-cache-save/-cache-load need -mode aware or naive (compare builds its own runtimes)")
 		}
-		cmp, err := serve.Compare(cfg, tr)
+		rows, err := serve.Compare(tr, serve.Legs(cfg)...)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		printSummary(os.Stdout, cmp.Naive)
-		printSummary(os.Stdout, cmp.Aware)
-		fmt.Printf("p99 latency:    naive %.2f ms -> aware %.2f ms (%.1f%% better)\n",
-			cmp.Naive.Total.P99Ms, cmp.Aware.Total.P99Ms, cmp.P99ImprovementPct())
-		fmt.Printf("SLO violations: naive %d -> aware %d (%d avoided)\n\n",
-			cmp.Naive.Total.Violations, cmp.Aware.Total.Violations, cmp.ViolationsAvoided())
-		mixCmp, err := serve.CompareMixes(cfg, tr)
-		if err != nil {
-			fatalf("%v", err)
+		for _, r := range rows {
+			printSummary(os.Stdout, r.Summary.(*serve.Summary))
 		}
-		printMixComparison(os.Stdout, mixCmp)
-		// The CSV keeps the per-tenant naive-vs-aware table; the JSON
-		// artifact carries both comparisons so the mix-forming win is
-		// scriptable, not stdout-only.
-		out := struct {
-			Scheduling *serve.Comparison    `json:"scheduling"`
-			MixForming *serve.MixComparison `json:"mix_forming"`
-		}{cmp, mixCmp}
+		cliutil.PrintComparison(os.Stdout, rows)
 		if err := cliutil.WriteOutputs(*csvOut, *jsonOut,
-			func(w io.Writer) error { return report.ServingComparisonCSV(w, cmp) }, out); err != nil {
-			fatalf("%v", err)
-		}
-		if err := cliutil.WriteOutputs(*mixCSVOut, "",
-			func(w io.Writer) error { return report.MixComparisonCSV(w, mixCmp) }, nil); err != nil {
+			func(w io.Writer) error { return report.ComparisonCSV(w, rows) }, rows); err != nil {
 			fatalf("%v", err)
 		}
 	default:
@@ -185,25 +165,6 @@ func printSummary(w io.Writer, sum *serve.Summary) {
 	tw.Flush()
 	fmt.Fprintf(w, "rounds=%d  cache: %d misses, %d hits (%.1f%% hit rate), %d upgrades\n\n",
 		sum.Rounds, sum.CacheMisses, sum.CacheHits, 100*sum.CacheHitRate, sum.CacheUpgrades)
-}
-
-// printMixComparison renders the mix-forming comparison (compare mode):
-// the same trace under each batching policy with scheduling held fixed.
-func printMixComparison(w io.Writer, cmp *serve.MixComparison) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "mix policy\tp50\tp99\tviol\treq/s\tp99 vs fifo\treq/s vs fifo")
-	for i, sum := range cmp.Results {
-		ts := sum.Total
-		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%d\t%.1f\t%+.1f%%\t%+.1f%%\n",
-			cmp.Policies[i], ts.P50Ms, ts.P99Ms, ts.Violations, ts.ThroughputRPS,
-			cmp.P99ImprovementPct(i), cmp.ThroughputImprovementPct(i))
-	}
-	tw.Flush()
-	last := len(cmp.Results) - 1
-	fmt.Fprintf(w, "mix forming:    %s p99 %.2f ms -> %s %.2f ms (%+.1f%% p99, %+.1f%% throughput)\n",
-		cmp.Policies[0], cmp.Results[0].Total.P99Ms,
-		cmp.Policies[last], cmp.Results[last].Total.P99Ms,
-		cmp.P99ImprovementPct(last), cmp.ThroughputImprovementPct(last))
 }
 
 func fatalf(format string, args ...any) {

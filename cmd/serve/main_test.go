@@ -11,12 +11,12 @@ import (
 	"haxconn/internal/soc"
 )
 
-// TestCompareModeMixWin drives compare mode's fifo-vs-demand-balance leg
-// exactly as main does — tenant specs through the flag parser, the
-// generated trace through serve.CompareMixes, the result through the
-// printer — on a mixed-memory-demand trace (four in-phase periodic
-// tenants spanning the Orin demand range), and asserts demand-balance
-// beats fifo on p99 latency without losing throughput.
+// TestCompareModeMixWin drives compare mode's legs exactly as main does
+// — tenant specs through the flag parser, the generated trace through
+// serve.Legs and serve.Compare, the rows through the printer — on
+// a mixed-memory-demand trace (four in-phase periodic tenants spanning
+// the Orin demand range), and asserts demand-balance beats fifo on p99
+// latency without losing throughput.
 func TestCompareModeMixWin(t *testing.T) {
 	specs, err := cliutil.ParseTenants(
 		"squeeze:SqueezeNet:8:7,incept:Inception:8:7,res152:ResNet152:8:7,res18:ResNet18:8:7",
@@ -34,11 +34,18 @@ func TestCompareModeMixWin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := serve.CompareMixes(serve.Config{Platform: soc.Orin(), SolverTimeScale: 50}, tr)
+	cfg := serve.Config{Policy: serve.ContentionAware, Platform: soc.Orin(), SolverTimeScale: 50}
+	rows, err := serve.Compare(tr, serve.Legs(cfg)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fifo, db, ca := cmp.Results[0].Total, cmp.Results[1].Total, cmp.Results[2].Total
+	if len(rows) != 4 {
+		t.Fatalf("compare mode served %d legs, want 4 (naive, contention-aware, demand-balance and contention-aware mixes)", len(rows))
+	}
+	fifo, db, ca := rows[1].Total, rows[2].Total, rows[3].Total
+	if rows[1].MixPolicy != serve.MixFIFO || rows[2].MixPolicy != serve.MixDemandBalance || rows[3].MixPolicy != serve.MixContentionAware {
+		t.Fatalf("mix policies %q, %q, %q", rows[1].MixPolicy, rows[2].MixPolicy, rows[3].MixPolicy)
+	}
 	if db.P99Ms >= fifo.P99Ms {
 		t.Errorf("compare mode: demand-balance p99 %.2f ms not better than fifo %.2f ms", db.P99Ms, fifo.P99Ms)
 	}
@@ -56,11 +63,11 @@ func TestCompareModeMixWin(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	printMixComparison(&buf, cmp)
+	cliutil.PrintComparison(&buf, rows)
 	out := buf.String()
-	for _, want := range []string{"fifo", "demand-balance", "contention-aware", "mix forming:"} {
+	for _, want := range []string{"naive-gpu-only", "mix-demand-balance", "mix-contention-aware", "p99 vs base"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("mix comparison output missing %q:\n%s", want, out)
+			t.Errorf("comparison output missing %q:\n%s", want, out)
 		}
 	}
 }

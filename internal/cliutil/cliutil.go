@@ -3,10 +3,10 @@
 // serving flags, declared once and bound straight into the serve.Config
 // device template each command builds; the sharded-plane flags, bound
 // into a shard.Config; the observability flags; tenant and device-pool
-// spec parsing; CSV/JSON output writing through WriteFile, which
-// cmd/obsreport's -out uses too; and schedule-cache save/load. Keeping
-// one copy here means a flag, spec-format or persistence change lands in
-// every command at once.
+// spec parsing; the comparison table; CSV/JSON output writing through
+// WriteFile, which cmd/obsreport's -out uses too; and schedule-cache
+// save/load. Keeping one copy here means a flag, spec-format or
+// persistence change lands in every command at once.
 package cliutil
 
 import (
@@ -16,6 +16,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 
 	"haxconn/internal/fleet"
 	"haxconn/internal/obs"
@@ -228,6 +229,22 @@ func SplitList(s string) []string {
 		}
 	}
 	return out
+}
+
+// PrintComparison renders a comparison (serve.Compare) as a table on w:
+// each leg's total figures, device-time and peak pool, then the leg
+// against the baseline (the first row).
+func PrintComparison(w io.Writer, rows []serve.Row) {
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "leg\tmix\tp50\tp99\tviol\treq/s\tSLO att.\tdevice-ms\tpeak\tp99 vs base\tviol avoided\treq/s vs base\tdevice-ms saved")
+	for _, r := range rows {
+		t := r.Total
+		fmt.Fprintf(tw, "%s\t%s\t%.2f\t%.2f\t%d\t%.1f\t%.1f%%\t%.0f\t%d\t%+.1f%%\t%+d\t%+.1f%%\t%+.1f%%\n",
+			r.Leg, r.MixPolicy, t.P50Ms, t.P99Ms, t.Violations, t.ThroughputRPS,
+			r.SLOAttainmentPct, r.DeviceMs, r.PeakDevices, r.P99ImprPct,
+			r.ViolationsAvoided, r.ThroughputImprPct, r.DeviceMsSavedPct)
+	}
+	tw.Flush()
 }
 
 // WriteOutputs writes the optional CSV and JSON artifacts of a run:

@@ -1,31 +1,16 @@
-// Compare: the controlled fleet against a static fleet of its maximum
-// size on identical traffic — the experiment that quantifies what the
-// control plane is worth. The static pool is what an operator would
-// provision for the burst (the controlled fleet's initial pool plus every
-// device the growth cycle could add); the controlled fleet reaches that
-// size only while pressure lasts.
+// Compare legs: the controlled fleet against a static fleet of its
+// maximum size on identical traffic — the experiment that quantifies
+// what the control plane is worth. The static pool is what an operator
+// would provision for the burst (the controlled fleet's initial pool plus
+// every device the growth cycle could add); the controlled fleet reaches
+// that size only while pressure lasts.
 package control
 
 import (
-	"fmt"
-
 	"haxconn/internal/fleet"
 	"haxconn/internal/schedule"
 	"haxconn/internal/serve"
 )
-
-// CompareResult holds one trace served both ways.
-type CompareResult struct {
-	// Controlled is the elastic run; Static the fixed max-size pool under
-	// StaticPlacement.
-	Controlled      *Summary
-	Static          *fleet.Summary
-	StaticPlacement string
-	// StaticDeviceMs is the static pool's device-time: pool size times the
-	// run's virtual duration (every provisioned device is on for the whole
-	// run).
-	StaticDeviceMs float64
-}
 
 // MaxPool returns the device specs of the controlled fleet's maximum
 // shape: the initial pool plus the growth cycle up to MaxDevices.
@@ -50,10 +35,30 @@ func MaxPool(cfg Config) []fleet.DeviceSpec {
 	return specs
 }
 
-// Compare serves the trace on the controlled fleet and on a static fleet
-// of the maximum size under the given placement policy (default
-// least-loaded, cmd/fleet's default).
-func Compare(cfg Config, tr serve.Trace, staticPlacement fleet.Placer) (*CompareResult, error) {
+// Leg serves the trace on a fresh controller built from cfg.
+func Leg(name string, cfg Config) serve.Leg {
+	return serve.Leg{Name: name, Serve: func(tr serve.Trace) (serve.Row, error) {
+		c, err := New(cfg)
+		if err != nil {
+			return serve.Row{}, err
+		}
+		sum, err := c.Serve(tr)
+		if err != nil {
+			return serve.Row{}, err
+		}
+		return serve.Row{Pool: sum.Fleet.Pool, MixPolicy: sum.Fleet.MixPolicy,
+			Total: sum.Fleet.Total, SLOAttainmentPct: sum.Fleet.SLOAttainmentPct,
+			DeviceMs: sum.DeviceMs, PeakDevices: sum.PeakDevices, Summary: sum}, nil
+	}}
+}
+
+// Legs returns the legs of an elasticity comparison: a static fleet of
+// the controlled fleet's maximum shape under staticPlacement (default
+// least-loaded, cmd/fleet's default) as the baseline, then the
+// controlled fleet. Only the controlled leg is observed: the static
+// baseline rebuilds identically-named devices, and two legs in one trace
+// (or one audit's per-device aggregates, or one registry) would overlap.
+func Legs(cfg Config, staticPlacement fleet.Placer) ([]serve.Leg, error) {
 	if staticPlacement == nil {
 		staticPlacement = fleet.LeastLoaded()
 	}
@@ -61,61 +66,14 @@ func Compare(cfg Config, tr serve.Trace, staticPlacement fleet.Placer) (*Compare
 	if err != nil {
 		return nil, err
 	}
-	controlled, err := ctrl.Serve(tr)
-	if err != nil {
-		return nil, err
-	}
 	sc := ctrl.Config().Fleet
 	sc.Devices = MaxPool(ctrl.Config())
 	sc.Placement = staticPlacement
-	// Only the controlled leg is observed: the static baseline rebuilds
-	// identically-named devices, and two legs in one trace (or one audit's
-	// per-device aggregates, or one registry) would overlap.
 	sc.Device.Tracer, sc.Device.Audit, sc.Device.Metrics = nil, nil, nil
-	sf, err := fleet.New(sc)
-	if err != nil {
-		return nil, err
-	}
-	static, err := sf.Serve(tr)
-	if err != nil {
-		return nil, err
-	}
-	return &CompareResult{
-		Controlled:      controlled,
-		Static:          static,
-		StaticPlacement: staticPlacement.Name(),
-		StaticDeviceMs:  float64(len(sf.Devices())) * static.DurationMs,
+	return []serve.Leg{
+		fleet.Leg("static:"+staticPlacement.Name(), sc),
+		Leg("controlled:sticky", cfg),
 	}, nil
-}
-
-// Wins reports, metric by metric, whether the controlled fleet beat the
-// static one: total p99 latency, SLO violations, and device-time consumed.
-func (r *CompareResult) Wins() (p99, violations, deviceMs bool) {
-	p99 = r.Controlled.Fleet.Total.P99Ms < r.Static.Total.P99Ms
-	violations = r.Controlled.Fleet.Total.Violations < r.Static.Total.Violations
-	deviceMs = r.Controlled.DeviceMs < r.StaticDeviceMs
-	return
-}
-
-// WinCount is the number of metrics the controlled fleet wins (0-3).
-func (r *CompareResult) WinCount() int {
-	a, b, c := r.Wins()
-	n := 0
-	for _, w := range []bool{a, b, c} {
-		if w {
-			n++
-		}
-	}
-	return n
-}
-
-// String renders the headline comparison compactly.
-func (r *CompareResult) String() string {
-	ct, st := r.Controlled.Fleet.Total, r.Static.Total
-	return fmt.Sprintf(
-		"controlled: p99 %.2f ms, %d violations, %.0f device-ms (peak %d devices) | static[%s]: p99 %.2f ms, %d violations, %.0f device-ms",
-		ct.P99Ms, ct.Violations, r.Controlled.DeviceMs, r.Controlled.PeakDevices,
-		r.StaticPlacement, st.P99Ms, st.Violations, r.StaticDeviceMs)
 }
 
 // assignToSchedule deep-copies a persisted assignment into a schedule.

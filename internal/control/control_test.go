@@ -230,30 +230,60 @@ func TestAutoscalerGrowsAndShrinks(t *testing.T) {
 // size on at least two of {p99 latency, SLO violations, device-time},
 // device-time being the headline elasticity win.
 func TestControlledBeatsStatic(t *testing.T) {
-	cmp, err := Compare(demoConfig(), burstTrace(t, 1), nil)
+	tr := burstTrace(t, 1)
+	rows := compare(t, demoConfig(), tr)
+	static, ctrl := rows[0], rows[1]
+	p99 := ctrl.Total.P99Ms < static.Total.P99Ms
+	viol := ctrl.Total.Violations < static.Total.Violations
+	dms := ctrl.DeviceMs < static.DeviceMs
+	wins := 0
+	for _, won := range []bool{p99, viol, dms} {
+		if won {
+			wins++
+		}
+	}
+	t.Logf("controlled: p99 %.2f ms, %d violations, %.0f device-ms | %s: p99 %.2f ms, %d violations, %.0f device-ms",
+		ctrl.Total.P99Ms, ctrl.Total.Violations, ctrl.DeviceMs,
+		static.Leg, static.Total.P99Ms, static.Total.Violations, static.DeviceMs)
+	if wins < 2 {
+		t.Errorf("controlled fleet wins only %d of 3 metrics (p99 %v, violations %v, device-time %v)",
+			wins, p99, viol, dms)
+	}
+	if !dms || ctrl.DeviceMsSavedPct <= 0 {
+		t.Errorf("controlled fleet did not even win device-time (%+.1f%% saved)", ctrl.DeviceMsSavedPct)
+	}
+	// Same traffic on both sides.
+	if ctrl.Total.Offered != static.Total.Offered || ctrl.Total.Offered != len(tr) {
+		t.Errorf("offered mismatch: controlled %d, static %d, trace %d",
+			ctrl.Total.Offered, static.Total.Offered, len(tr))
+	}
+	// The static pool is the controlled fleet's maximum shape, on for the
+	// whole run.
+	sf := static.Summary.(*fleet.Summary)
+	if got, want := len(sf.Devices), 3; got != want || static.PeakDevices != want {
+		t.Errorf("static pool has %d devices (peak %d), want %d", got, static.PeakDevices, want)
+	}
+	if want := float64(len(sf.Devices)) * sf.DurationMs; static.DeviceMs != want {
+		t.Errorf("static device-time %v, want pool size x duration %v", static.DeviceMs, want)
+	}
+}
+
+// compare serves tr on cfg's comparison legs (static baseline under
+// least-loaded placement, then the controlled fleet).
+func compare(t *testing.T, cfg Config, tr serve.Trace) []serve.Row {
+	t.Helper()
+	legs, err := Legs(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p99, viol, dms := cmp.Wins()
-	t.Logf("controlled: p99 %.2f ms, %d violations, %.0f device-ms | static[%s]: p99 %.2f ms, %d violations, %.0f device-ms",
-		cmp.Controlled.Fleet.Total.P99Ms, cmp.Controlled.Fleet.Total.Violations, cmp.Controlled.DeviceMs,
-		cmp.StaticPlacement, cmp.Static.Total.P99Ms, cmp.Static.Total.Violations, cmp.StaticDeviceMs)
-	if cmp.WinCount() < 2 {
-		t.Errorf("controlled fleet wins only %d of 3 metrics (p99 %v, violations %v, device-time %v)",
-			cmp.WinCount(), p99, viol, dms)
+	rows, err := serve.Compare(tr, legs...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !dms {
-		t.Error("controlled fleet did not even win device-time")
+	if rows[0].Leg != "static:least-loaded" || rows[1].Leg != "controlled:sticky" {
+		t.Fatalf("legs %q, %q", rows[0].Leg, rows[1].Leg)
 	}
-	// Same traffic on both sides.
-	if cmp.Controlled.Fleet.Total.Offered != cmp.Static.Total.Offered {
-		t.Errorf("offered mismatch: controlled %d, static %d",
-			cmp.Controlled.Fleet.Total.Offered, cmp.Static.Total.Offered)
-	}
-	// The static pool is the controlled fleet's maximum shape.
-	if got, want := len(cmp.Static.Devices), 3; got != want {
-		t.Errorf("static pool has %d devices, want %d", got, want)
-	}
+	return rows
 }
 
 // TestStickyPlacementLocality: without SLO pressure nothing migrates and

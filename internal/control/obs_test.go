@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"haxconn/internal/fleet"
 	"haxconn/internal/obs"
 )
 
@@ -167,10 +168,7 @@ func TestControlCompareTracesControlledLegOnly(t *testing.T) {
 	cfg := demoConfig()
 	cfg.Fleet.Device.Tracer = tracer
 	cfg.Fleet.Device.Metrics = reg
-	cmp, err := Compare(cfg, tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := compare(t, cfg, tr)
 	counts := tracer.CountByKind()
 	// Both legs saw every request; a double-traced run would show twice
 	// as many arrivals as the trace has requests, and a double-filled
@@ -187,7 +185,7 @@ func TestControlCompareTracesControlledLegOnly(t *testing.T) {
 	if want := float64(len(tr)); placed != want {
 		t.Errorf("placements in the registry = %v, want %v (controlled leg only)", placed, want)
 	}
-	if cmp.Static == nil {
+	if _, ok := rows[0].Summary.(*fleet.Summary); !ok {
 		t.Fatal("static leg missing")
 	}
 }

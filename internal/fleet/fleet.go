@@ -559,26 +559,34 @@ func (f *Fleet) Serve(tr serve.Trace) (*Summary, error) {
 	return sum, nil
 }
 
-// Comparison holds one trace served on a single SoC and on the fleet under
-// several placement policies.
-type Comparison struct {
-	// Single is the single-SoC baseline: the whole trace on one device of
-	// SinglePlatform, built from the same device template as the fleets.
-	Single         *serve.Summary
-	SinglePlatform string
-	// Fleets holds one fleet summary per placement policy, in the order
-	// the policies were given.
-	Fleets []*Summary
+// Leg serves the trace on a fresh fleet built from cfg. Every device is
+// in the pool for the whole run, so the leg's device-time is the pool
+// size times the makespan.
+func Leg(name string, cfg Config) serve.Leg {
+	return serve.Leg{Name: name, Serve: func(tr serve.Trace) (serve.Row, error) {
+		f, err := New(cfg)
+		if err != nil {
+			return serve.Row{}, err
+		}
+		sum, err := f.Serve(tr)
+		if err != nil {
+			return serve.Row{}, err
+		}
+		return serve.Row{Pool: sum.Pool, MixPolicy: sum.MixPolicy, Total: sum.Total,
+			SLOAttainmentPct: sum.SLOAttainmentPct,
+			DeviceMs:         float64(len(sum.Devices)) * sum.DurationMs,
+			PeakDevices:      len(sum.Devices), Summary: sum}, nil
+	}}
 }
 
-// Compare serves the same trace on a single SoC of the pool's first
-// platform and on the fleet under each placement policy. It quantifies
-// both the scale-out win (fleet vs. one SoC) and policy-vs-policy
-// differences on identical traffic. Every leg is built from cfg.Device
-// and runs unobserved: the legs build identically-named devices, which
-// one shared tracer would interleave indistinguishably (and one shared
-// audit or registry would merge). Observe a single fleet run instead.
-func Compare(cfg Config, tr serve.Trace, placements ...Placer) (*Comparison, error) {
+// Legs returns the legs of a scale-out comparison: the whole trace on a
+// single SoC of the pool's first platform (the baseline), then on the
+// fleet under each placement policy (default: all four). Every leg is
+// built from cfg.Device and runs unobserved: the legs build
+// identically-named devices, which one shared tracer would interleave
+// indistinguishably (and one shared audit or registry would merge).
+// Observe a single fleet run instead.
+func Legs(cfg Config, placements ...Placer) ([]serve.Leg, error) {
 	if len(placements) == 0 {
 		placements = []Placer{RoundRobin(), LeastLoaded(), Affinity(), MixAware()}
 	}
@@ -595,56 +603,11 @@ func Compare(cfg Config, tr serve.Trace, placements ...Placer) (*Comparison, err
 	cfg.Device.Tracer, cfg.Device.Audit, cfg.Device.Metrics = nil, nil, nil
 	sc := cfg.Device
 	sc.Platform = p
-	single, err := serve.New(sc)
-	if err != nil {
-		return nil, err
-	}
-	sum, err := single.Serve(tr)
-	if err != nil {
-		return nil, err
-	}
-	out := &Comparison{Single: sum, SinglePlatform: p.Name}
+	legs := []serve.Leg{serve.RuntimeLeg("single:"+p.Name, sc)}
 	for _, pl := range placements {
 		c := cfg
 		c.Placement = pl
-		fl, err := New(c)
-		if err != nil {
-			return nil, err
-		}
-		fsum, err := fl.Serve(tr)
-		if err != nil {
-			return nil, err
-		}
-		out.Fleets = append(out.Fleets, fsum)
+		legs = append(legs, Leg("fleet:"+pl.Name(), c))
 	}
-	return out, nil
-}
-
-// Best returns the fleet summary with the lowest total p99 latency
-// (ties: fewer SLO violations, then earlier in the list).
-func (c *Comparison) Best() *Summary {
-	var best *Summary
-	for _, f := range c.Fleets {
-		if best == nil ||
-			f.Total.P99Ms < best.Total.P99Ms ||
-			(f.Total.P99Ms == best.Total.P99Ms && f.Total.Violations < best.Total.Violations) {
-			best = f
-		}
-	}
-	return best
-}
-
-// P99ImprovementPct is a fleet's p99 latency reduction over the single-SoC
-// baseline, in percent (positive = fleet is better).
-func (c *Comparison) P99ImprovementPct(f *Summary) float64 {
-	if c.Single.Total.P99Ms <= 0 {
-		return 0
-	}
-	return 100 * (1 - f.Total.P99Ms/c.Single.Total.P99Ms)
-}
-
-// ViolationsAvoided is a fleet's reduction in SLO violations over the
-// single-SoC baseline.
-func (c *Comparison) ViolationsAvoided(f *Summary) int {
-	return c.Single.Total.Violations - f.Total.Violations
+	return legs, nil
 }

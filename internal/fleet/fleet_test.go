@@ -53,6 +53,12 @@ func TestNewValidation(t *testing.T) {
 		if _, err := New(tc.cfg); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
+		// A comparison rejects it too: Legs up front, or the leg built from it.
+		if legs, err := Legs(tc.cfg); err == nil {
+			if _, err := serve.Compare(nil, legs...); err == nil {
+				t.Errorf("%s: comparison accepted the config", tc.name)
+			}
+		}
 	}
 }
 
@@ -84,47 +90,46 @@ func TestDeviceNamingAndPool(t *testing.T) {
 // a single Orin on both fleet p99 latency and SLO violations.
 func TestFleetBeatsSingleSoC(t *testing.T) {
 	tr := defaultTrace(t)
-	cmp, err := Compare(threeDeviceConfig(), tr)
-	if err != nil {
-		t.Fatal(err)
+	rows := compare(t, threeDeviceConfig(), tr)
+	if rows[0].Leg != "single:Orin" {
+		t.Fatalf("baseline leg %q, want single:Orin", rows[0].Leg)
 	}
-	if cmp.SinglePlatform != "Orin" {
-		t.Fatalf("single-SoC baseline on %s, want Orin", cmp.SinglePlatform)
+	if len(rows) != 5 {
+		t.Fatalf("%d legs, want the single SoC and 4 placements (round-robin, least-loaded, affinity, mix-aware)", len(rows))
 	}
-	if len(cmp.Fleets) != 4 {
-		t.Fatalf("%d fleet summaries, want 4 (round-robin, least-loaded, affinity, mix-aware)", len(cmp.Fleets))
-	}
+	single := rows[0].Total
 	won := false
-	for _, fs := range cmp.Fleets {
+	for _, r := range rows[1:] {
+		fs := r.Summary.(*Summary)
 		if fs.Placement != "least-loaded" && fs.Placement != "affinity" {
 			continue
 		}
-		if fs.Total.P99Ms < cmp.Single.Total.P99Ms && fs.Total.Violations < cmp.Single.Total.Violations {
+		if fs.Total.P99Ms < single.P99Ms && fs.Total.Violations < single.Violations {
 			won = true
+			if r.P99ImprPct <= 0 || r.ViolationsAvoided <= 0 {
+				t.Errorf("%s beats the single SoC but its row reads %+.1f%% p99, %+d violations", r.Leg, r.P99ImprPct, r.ViolationsAvoided)
+			}
 		}
 		t.Logf("%-12s p99=%.2f ms viol=%d slo=%.1f%% (single: p99=%.2f viol=%d)",
 			fs.Placement, fs.Total.P99Ms, fs.Total.Violations, fs.SLOAttainmentPct,
-			cmp.Single.Total.P99Ms, cmp.Single.Total.Violations)
+			single.P99Ms, single.Violations)
 	}
 	if !won {
 		t.Error("neither least-loaded nor affinity beat single-SoC serving on p99 and violations")
 	}
-	// Both policies must serve every offered request's fate: offered
-	// counts match the trace under each configuration.
-	for _, fs := range cmp.Fleets {
-		if fs.Total.Offered != len(tr) {
-			t.Errorf("%s: offered %d != trace %d", fs.Placement, fs.Total.Offered, len(tr))
+	// Every configuration must settle every offered request's fate:
+	// offered counts match the trace on each leg.
+	for _, r := range rows {
+		if r.Total.Offered != len(tr) {
+			t.Errorf("%s: offered %d != trace %d", r.Leg, r.Total.Offered, len(tr))
 		}
-	}
-	if best := cmp.Best(); best == nil || cmp.P99ImprovementPct(best) <= 0 {
-		t.Error("Best() fleet does not improve on the single SoC")
 	}
 }
 
-// TestCompareSingleLegUsesTemplate: Compare's single-SoC baseline is built
-// from the same device template as the fleets, so it serves exactly what a
-// runtime built from that template on the first platform serves — every
-// knob included, AdaptiveMaxWait and SketchMetrics among them.
+// TestCompareSingleLegUsesTemplate: the single-SoC baseline leg is built
+// from the same device template as the fleets, so it serves exactly what
+// a runtime built from that template on the first platform serves —
+// every knob included, AdaptiveMaxWait and SketchMetrics among them.
 func TestCompareSingleLegUsesTemplate(t *testing.T) {
 	tr, err := serve.Generate([]serve.TenantSpec{
 		{Name: "alice", Network: "VGG19", RateRPS: 300, SLOMs: 10},
@@ -142,10 +147,7 @@ func TestCompareSingleLegUsesTemplate(t *testing.T) {
 		AdaptiveMaxWait: true,
 		SketchMetrics:   true,
 	}
-	cmp, err := Compare(Config{Devices: []DeviceSpec{{Platform: "Orin"}}, Device: tmpl}, tr, RoundRobin())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := compare(t, Config{Devices: []DeviceSpec{{Platform: "Orin"}}, Device: tmpl}, tr, RoundRobin())
 	rc := tmpl
 	rc.Platform = mustPlatform(t, "Orin")
 	rt, err := serve.New(rc)
@@ -156,9 +158,23 @@ func TestCompareSingleLegUsesTemplate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := mustJSON(t, cmp.Single), mustJSON(t, want); !bytes.Equal(got, want) {
+	if got, want := mustJSON(t, rows[0].Summary), mustJSON(t, want); !bytes.Equal(got, want) {
 		t.Errorf("single leg diverged from a runtime built from the template:\nsingle:  %s\nruntime: %s", got, want)
 	}
+}
+
+// compare serves tr on cfg's comparison legs.
+func compare(t *testing.T, cfg Config, tr serve.Trace, placements ...Placer) []serve.Row {
+	t.Helper()
+	legs, err := Legs(cfg, placements...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := serve.Compare(tr, legs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }
 
 // TestSingleDeviceFleetMatchesRuntime pins the fleet event loop to the

@@ -158,18 +158,16 @@ func TestFleetPlaceFitAudit(t *testing.T) {
 	}
 }
 
-// TestFleetCompareClearsSinks: fleet.Compare rebuilds identically named
-// devices per leg, so it must strip the tracer, the audit and the
-// registry from every leg rather than interleave them.
+// TestFleetCompareClearsSinks: the comparison legs rebuild identically
+// named devices per leg, so Legs must strip the tracer, the audit and
+// the registry from every leg rather than interleave them.
 func TestFleetCompareClearsSinks(t *testing.T) {
 	tr := defaultTrace(t)
 	cfg := threeDeviceConfig()
 	cfg.Device.Tracer = obs.NewTracer()
 	cfg.Device.Audit = obs.NewAudit()
 	cfg.Device.Metrics = obs.NewRegistry()
-	if _, err := Compare(cfg, tr, RoundRobin(), LeastLoaded()); err != nil {
-		t.Fatal(err)
-	}
+	compare(t, cfg, tr, RoundRobin(), LeastLoaded())
 	if n := cfg.Device.Metrics.Len(); n != 0 {
 		t.Errorf("Compare leaked %d metrics into the shared registry", n)
 	}

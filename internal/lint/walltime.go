@@ -10,9 +10,9 @@ import (
 // virtual tick clock so that traces, summaries and metrics replay
 // byte-identically; a stray time.Now() or time.Sleep() silently couples
 // results to the host scheduler. The intentional wall-clock sites
-// (solver wall deadlines that cap real CPU spend, the shard-compare
-// wall benchmark) carry //detlint:allow walltime annotations explaining
-// why they never feed deterministic output.
+// (solver wall deadlines that cap real CPU spend, cmd/control's per-leg
+// shard-compare wall timing) carry //detlint:allow walltime annotations
+// explaining why they never feed deterministic output.
 var WallTime = &Analyzer{
 	Name: "walltime",
 	Doc: "flags time.Now/Since/Sleep and friends outside annotated wall-bench " +

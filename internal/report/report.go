@@ -160,50 +160,25 @@ func ServingCSV(w io.Writer, sum *serve.Summary) error {
 	return c.flush()
 }
 
-// ServingComparisonCSV writes the naive-vs-contention-aware comparison:
-// per-tenant p99 and violation columns for both policies side by side.
-func ServingComparisonCSV(w io.Writer, cmp *serve.Comparison) error {
+// ComparisonCSV writes a comparison (serve.Compare): one row per leg
+// with its total figures, device-time and peak pool, then the leg
+// against the baseline (the first row).
+func ComparisonCSV(w io.Writer, rows []serve.Row) error {
 	c := newCSV(w)
-	if err := c.row("tenant", "network", "naive_p50_ms", "naive_p99_ms", "naive_violations",
-		"aware_p50_ms", "aware_p99_ms", "aware_violations", "p99_impr_pct", "mix_policy"); err != nil {
+	if err := c.row("leg", "pool", "mix_policy", "offered", "rejected", "completed",
+		"mean_ms", "p50_ms", "p95_ms", "p99_ms", "max_ms", "violations",
+		"throughput_rps", "slo_attainment_pct", "device_ms", "peak_devices",
+		"p99_impr_pct", "violations_avoided", "throughput_impr_pct",
+		"device_ms_saved_pct"); err != nil {
 		return err
 	}
-	naive := map[string]serve.TenantStats{cmp.Naive.Total.Tenant: cmp.Naive.Total}
-	for _, ts := range cmp.Naive.Tenants {
-		naive[ts.Tenant] = ts
-	}
-	rows := append(append([]serve.TenantStats(nil), cmp.Aware.Tenants...), cmp.Aware.Total)
-	for _, a := range rows {
-		n, ok := naive[a.Tenant]
-		if !ok {
-			return fmt.Errorf("report: tenant %q in the aware summary has no naive counterpart", a.Tenant)
-		}
-		impr := 0.0
-		if n.P99Ms > 0 {
-			impr = 100 * (1 - a.P99Ms/n.P99Ms)
-		}
-		if err := c.row(a.Tenant, a.Network, n.P50Ms, n.P99Ms, n.Violations,
-			a.P50Ms, a.P99Ms, a.Violations, impr, cmp.Aware.MixPolicy); err != nil {
-			return err
-		}
-	}
-	return c.flush()
-}
-
-// MixComparisonCSV writes the mix-forming comparison: one row per mix
-// policy with the total-traffic headline metrics and the improvement over
-// the baseline policy (the first row — fifo in the default comparison).
-func MixComparisonCSV(w io.Writer, cmp *serve.MixComparison) error {
-	c := newCSV(w)
-	if err := c.row("mix_policy", "completed", "p50_ms", "p95_ms", "p99_ms",
-		"violations", "throughput_rps", "p99_impr_pct", "throughput_impr_pct"); err != nil {
-		return err
-	}
-	for i, sum := range cmp.Results {
-		ts := sum.Total
-		if err := c.row(cmp.Policies[i], ts.Completed, ts.P50Ms, ts.P95Ms, ts.P99Ms,
-			ts.Violations, ts.ThroughputRPS,
-			cmp.P99ImprovementPct(i), cmp.ThroughputImprovementPct(i)); err != nil {
+	for _, r := range rows {
+		t := r.Total
+		if err := c.row(r.Leg, r.Pool, r.MixPolicy, t.Offered, t.Rejected, t.Completed,
+			t.MeanMs, t.P50Ms, t.P95Ms, t.P99Ms, t.MaxMs, t.Violations,
+			t.ThroughputRPS, r.SLOAttainmentPct, r.DeviceMs, r.PeakDevices,
+			r.P99ImprPct, r.ViolationsAvoided, r.ThroughputImprPct,
+			r.DeviceMsSavedPct); err != nil {
 			return err
 		}
 	}
@@ -244,33 +219,6 @@ func FleetCSV(w io.Writer, sum *fleet.Summary) error {
 		tot.P99Ms, tot.MaxMs, tot.Violations, tot.ViolationRate, tot.ThroughputRPS,
 		hits, misses, upgrades, sum.SLOAttainmentPct, sum.MixPolicy); err != nil {
 		return err
-	}
-	return c.flush()
-}
-
-// FleetComparisonCSV writes the single-SoC-vs-fleet comparison: one row
-// for the single-SoC baseline and one per placement policy, on identical
-// traffic.
-func FleetComparisonCSV(w io.Writer, cmp *fleet.Comparison) error {
-	c := newCSV(w)
-	if err := c.row("config", "pool", "p50_ms", "p99_ms", "violations",
-		"throughput_rps", "slo_attainment_pct", "p99_impr_pct", "violations_avoided",
-		"mix_policy"); err != nil {
-		return err
-	}
-	st := cmp.Single.Total
-	if err := c.row("single:"+cmp.SinglePlatform, cmp.SinglePlatform,
-		st.P50Ms, st.P99Ms, st.Violations, st.ThroughputRPS, st.SLOAttainmentPct(), 0.0, 0,
-		cmp.Single.MixPolicy); err != nil {
-		return err
-	}
-	for _, fs := range cmp.Fleets {
-		ft := fs.Total
-		if err := c.row("fleet:"+fs.Placement, fs.Pool,
-			ft.P50Ms, ft.P99Ms, ft.Violations, ft.ThroughputRPS, fs.SLOAttainmentPct,
-			cmp.P99ImprovementPct(fs), cmp.ViolationsAvoided(fs), fs.MixPolicy); err != nil {
-			return err
-		}
 	}
 	return c.flush()
 }
@@ -316,35 +264,6 @@ func ControlCSV(w io.Writer, sum *control.Summary) error {
 	return c.flush()
 }
 
-// ControlComparisonCSV writes the controlled-vs-static comparison: one row
-// per configuration with p99, violations, SLO attainment and device-time,
-// plus the controlled fleet's peak pool and decision counts.
-func ControlComparisonCSV(w io.Writer, cmp *control.CompareResult) error {
-	c := newCSV(w)
-	if err := c.row("config", "pool", "p50_ms", "p99_ms", "violations",
-		"throughput_rps", "slo_attainment_pct", "device_ms", "peak_devices",
-		"scale_events", "migrations", "seeded_entries", "mix_policy"); err != nil {
-		return err
-	}
-	ct := cmp.Controlled.Fleet.Total
-	if err := c.row("controlled:sticky", cmp.Controlled.Fleet.Pool,
-		ct.P50Ms, ct.P99Ms, ct.Violations, ct.ThroughputRPS,
-		cmp.Controlled.Fleet.SLOAttainmentPct, cmp.Controlled.DeviceMs,
-		cmp.Controlled.PeakDevices, len(cmp.Controlled.Scale),
-		len(cmp.Controlled.Migrations), cmp.Controlled.SeededEntries,
-		cmp.Controlled.Fleet.MixPolicy); err != nil {
-		return err
-	}
-	st := cmp.Static.Total
-	if err := c.row("static:"+cmp.StaticPlacement, cmp.Static.Pool,
-		st.P50Ms, st.P99Ms, st.Violations, st.ThroughputRPS,
-		cmp.Static.SLOAttainmentPct, cmp.StaticDeviceMs,
-		len(cmp.Static.Devices), 0, 0, 0, cmp.Static.MixPolicy); err != nil {
-		return err
-	}
-	return c.flush()
-}
-
 // ShardSummaryCSV writes a sharded run's merged summary: the plane
 // totals first, then one row per shard.
 func ShardSummaryCSV(w io.Writer, sum *shard.Summary) error {
@@ -365,42 +284,6 @@ func ShardSummaryCSV(w io.Writer, sum *shard.Summary) error {
 			ss.Control.Fleet.Total.P99Ms, ss.Control.DeviceMs, ss.Control.PeakDevices,
 			ss.GossipTxEntries, ss.GossipRxEntries, ss.WarmHits, ss.SolveAssists,
 			ss.Deferred); err != nil {
-			return err
-		}
-	}
-	return c.flush()
-}
-
-// ShardComparisonCSV writes the sharded-vs-global comparison: one row
-// per leg with the wall-clock throughput and serving quality, then one
-// row per shard with its gossip and partition counters.
-func ShardComparisonCSV(w io.Writer, res *shard.CompareResult) error {
-	c := newCSV(w)
-	if err := c.row("config", "shards", "wall_sec", "req_per_sec_wall",
-		"slo_attainment_pct", "violations", "p99_ms", "device_ms", "peak_devices",
-		"gossip_tx", "gossip_rx", "warm_hits", "solve_assists", "deferred",
-		"handoffs", "rounds"); err != nil {
-		return err
-	}
-	s := res.Sharded
-	if err := c.row("sharded", s.Shards, res.ShardedWallSec, res.ShardedReqPerSecWall,
-		s.SLOAttainmentPct, s.Total.Violations, s.Total.P99Ms, s.DeviceMs, s.PeakDevices,
-		s.GossipTxEntries, s.GossipRxEntries, s.WarmHits, s.SolveAssists, s.Deferred,
-		len(s.Handoffs), s.Rounds); err != nil {
-		return err
-	}
-	g := res.Global
-	if err := c.row("global", 1, res.GlobalWallSec, res.GlobalReqPerSecWall,
-		g.Fleet.SLOAttainmentPct, g.Fleet.Total.Violations, g.Fleet.Total.P99Ms,
-		g.DeviceMs, g.PeakDevices, 0, 0, 0, 0, 0, 0, 0); err != nil {
-		return err
-	}
-	for _, ss := range s.PerShard {
-		if err := c.row(fmt.Sprintf("shard:%d", ss.Shard), 1, "", "",
-			ss.Control.Fleet.SLOAttainmentPct, ss.Control.Fleet.Total.Violations,
-			ss.Control.Fleet.Total.P99Ms, ss.Control.DeviceMs, ss.Control.PeakDevices,
-			ss.GossipTxEntries, ss.GossipRxEntries, ss.WarmHits, ss.SolveAssists,
-			ss.Deferred, "", ""); err != nil {
 			return err
 		}
 	}

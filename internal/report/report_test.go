@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,8 @@ import (
 	"haxconn/internal/obs"
 	"haxconn/internal/schedule"
 	"haxconn/internal/serve"
+	"haxconn/internal/shard"
+	"haxconn/internal/soc"
 )
 
 func sampleT6() []*experiments.T6Row {
@@ -154,56 +157,26 @@ func TestServingCSV(t *testing.T) {
 	}
 }
 
-func TestServingComparisonCSV(t *testing.T) {
-	cmp := &serve.Comparison{Aware: sampleServing(serve.ContentionAware), Naive: sampleServing(serve.NaiveGPUOnly)}
-	var buf bytes.Buffer
-	if err := ServingComparisonCSV(&buf, cmp); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(&buf).ReadAll()
+// sampleFleet serves a short two-tenant trace on an Orin+Xavier fleet
+// under least-loaded placement.
+func sampleFleet(t *testing.T) *fleet.Summary {
+	t.Helper()
+	f, err := fleet.New(fleet.Config{
+		Devices:   []fleet.DeviceSpec{{Platform: "Orin"}, {Platform: "Xavier"}},
+		Placement: fleet.LeastLoaded(),
+		Device:    serve.Config{SolverTimeScale: 50},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 4 {
-		t.Fatalf("%d records", len(recs))
-	}
-	if recs[3][0] != "TOTAL" {
-		t.Errorf("last row: %v", recs[3])
-	}
-}
-
-func TestMixComparisonCSV(t *testing.T) {
-	fifo := sampleServing(serve.ContentionAware)
-	db := sampleServing(serve.ContentionAware)
-	db.MixPolicy = serve.MixDemandBalance
-	ca := sampleServing(serve.ContentionAware)
-	ca.MixPolicy = serve.MixContentionAware
-	cmp := &serve.MixComparison{
-		Policies: []string{serve.MixFIFO, serve.MixDemandBalance, serve.MixContentionAware},
-		Results:  []*serve.Summary{fifo, db, ca},
-	}
-	var buf bytes.Buffer
-	if err := MixComparisonCSV(&buf, cmp); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(&buf).ReadAll()
+	sum, err := f.Serve(sampleTrace(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 4 {
-		t.Fatalf("%d records, want header + 3 policy rows", len(recs))
-	}
-	if recs[0][0] != "mix_policy" || recs[0][7] != "p99_impr_pct" {
-		t.Errorf("header: %v", recs[0])
-	}
-	for i, want := range cmp.Policies {
-		if recs[i+1][0] != want {
-			t.Errorf("row %d policy %q, want %q", i+1, recs[i+1][0], want)
-		}
-	}
+	return sum
 }
 
-func sampleFleet(t *testing.T) (*fleet.Summary, *fleet.Comparison) {
+func sampleTrace(t *testing.T) serve.Trace {
 	t.Helper()
 	tr, err := serve.Generate([]serve.TenantSpec{
 		{Name: "alice", Network: "VGG19", RateRPS: 40, SLOMs: 15},
@@ -212,19 +185,11 @@ func sampleFleet(t *testing.T) (*fleet.Summary, *fleet.Comparison) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fleet.Config{
-		Devices: []fleet.DeviceSpec{{Platform: "Orin"}, {Platform: "Xavier"}},
-		Device:  serve.Config{SolverTimeScale: 50},
-	}
-	cmp, err := fleet.Compare(cfg, tr, fleet.LeastLoaded())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cmp.Fleets[0], cmp
+	return tr
 }
 
 func TestFleetCSV(t *testing.T) {
-	sum, cmp := sampleFleet(t)
+	sum := sampleFleet(t)
 	var buf bytes.Buffer
 	if err := FleetCSV(&buf, sum); err != nil {
 		t.Fatal(err)
@@ -247,54 +212,49 @@ func TestFleetCSV(t *testing.T) {
 		t.Errorf("fleet CSV mix_policy column: header %v, device row %v", recs[0], recs[1])
 	}
 
-	buf.Reset()
-	if err := FleetComparisonCSV(&buf, cmp); err != nil {
-		t.Fatal(err)
-	}
-	recs, err = csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// header + single + one fleet policy
-	if len(recs) != 3 {
-		t.Fatalf("%d records: %v", len(recs), recs)
-	}
-	if recs[1][0] != "single:Orin" || recs[2][0] != "fleet:least-loaded" {
-		t.Errorf("config column: %v", recs)
-	}
 }
 
-func sampleControl(t *testing.T) *control.CompareResult {
-	t.Helper()
-	tr, err := control.DemoBurstTrace(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmp, err := control.Compare(control.Config{
+// sampleControlConfig is the canonical burst demo's controlled fleet:
+// one Orin growing through Xavier and SD865 to three devices.
+func sampleControlConfig() control.Config {
+	return control.Config{
 		Fleet: fleet.Config{
 			Devices: []fleet.DeviceSpec{{Platform: "Orin"}},
 			Device:  serve.Config{SolverTimeScale: 50},
 		},
 		MaxDevices:    3,
 		GrowPlatforms: []string{"Xavier", "SD865"},
-	}, tr, nil)
+	}
+}
+
+func sampleControl(t *testing.T) *control.Summary {
+	t.Helper()
+	tr, err := control.DemoBurstTrace(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cmp
+	c, err := control.New(sampleControlConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := c.Serve(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum
 }
 
 func TestControlCSV(t *testing.T) {
-	cmp := sampleControl(t)
+	sum := sampleControl(t)
 	var buf bytes.Buffer
-	if err := ControlCSV(&buf, cmp.Controlled); err != nil {
+	if err := ControlCSV(&buf, sum); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 1 + len(cmp.Controlled.Timeline) + len(cmp.Controlled.Scale) + len(cmp.Controlled.Migrations)
+	want := 1 + len(sum.Timeline) + len(sum.Scale) + len(sum.Migrations)
 	if len(recs) != want {
 		t.Fatalf("%d records, want %d", len(recs), want)
 	}
@@ -308,45 +268,108 @@ func TestControlCSV(t *testing.T) {
 	for _, r := range recs[1:] {
 		kinds[r[0]]++
 	}
-	if kinds["pool"] != len(cmp.Controlled.Timeline) ||
-		kinds["scale"] != len(cmp.Controlled.Scale) ||
-		kinds["migration"] != len(cmp.Controlled.Migrations) {
+	if kinds["pool"] != len(sum.Timeline) ||
+		kinds["scale"] != len(sum.Scale) ||
+		kinds["migration"] != len(sum.Migrations) {
 		t.Errorf("row kinds %v vs timeline %d, scale %d, migrations %d",
-			kinds, len(cmp.Controlled.Timeline), len(cmp.Controlled.Scale), len(cmp.Controlled.Migrations))
+			kinds, len(sum.Timeline), len(sum.Scale), len(sum.Migrations))
 	}
 	if kinds["scale"] == 0 || kinds["migration"] == 0 {
 		t.Error("sample run produced no scale or migration rows; the CSV coverage is vacuous")
 	}
 }
 
-func TestControlComparisonCSV(t *testing.T) {
-	cmp := sampleControl(t)
-	var buf bytes.Buffer
-	if err := ControlComparisonCSV(&buf, cmp); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := csv.NewReader(&buf).ReadAll()
+// TestComparisonCSV: one writer renders every layer's comparison — a
+// serving, a fleet, a control and a sharded one — as one row per leg in
+// run order, the baseline's figures against itself reading zero.
+func TestComparisonCSV(t *testing.T) {
+	tr := sampleTrace(t)
+	burst, err := control.DemoBurstTrace(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// header + controlled + static
-	if len(recs) != 3 {
-		t.Fatalf("%d records: %v", len(recs), recs)
+	fleetLegs, err := fleet.Legs(fleet.Config{
+		Devices: []fleet.DeviceSpec{{Platform: "Orin"}, {Platform: "Xavier"}},
+		Device:  serve.Config{SolverTimeScale: 50},
+	}, fleet.LeastLoaded())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if recs[1][0] != "controlled:sticky" || recs[2][0] != "static:least-loaded" {
-		t.Errorf("config column: %v", recs)
+	controlLegs, err := control.Legs(sampleControlConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if recs[1][7] == recs[2][7] {
-		t.Errorf("device_ms identical for controlled and static: %v", recs[1][7])
+	shardCfg := sampleControlConfig()
+	shardCfg.Fleet.Devices = []fleet.DeviceSpec{{Platform: "Orin", Count: 2}}
+	shardCfg.MaxDevices = 4
+	shardLegs, err := shard.Legs(shard.Config{Control: shardCfg, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		tr    serve.Trace
+		legs  []serve.Leg
+		names []string
+	}{
+		{"serve", tr, serve.Legs(serve.Config{Platform: soc.Orin(), SolverTimeScale: 50}),
+			[]string{"naive-gpu-only", "contention-aware", "mix-demand-balance", "mix-contention-aware"}},
+		{"fleet", tr, fleetLegs, []string{"single:Orin", "fleet:least-loaded"}},
+		{"control", burst, controlLegs, []string{"static:least-loaded", "controlled:sticky"}},
+		{"shard", burst, shardLegs, []string{"global", "sharded:K=2"}},
+	} {
+		rows, err := serve.Compare(tc.tr, tc.legs...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var buf bytes.Buffer
+		if err := ComparisonCSV(&buf, rows); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := csv.NewReader(&buf).ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 1+len(tc.names) {
+			t.Fatalf("%s: %d records, want header + %d legs: %v", tc.name, len(recs), len(tc.names), recs)
+		}
+		col := map[string]int{}
+		for i, name := range recs[0] {
+			col[name] = i
+		}
+		for _, name := range []string{"leg", "pool", "mix_policy", "offered", "p99_ms", "violations",
+			"slo_attainment_pct", "device_ms", "peak_devices", "p99_impr_pct", "violations_avoided",
+			"throughput_impr_pct", "device_ms_saved_pct"} {
+			if _, ok := col[name]; !ok {
+				t.Fatalf("header missing %q: %v", name, recs[0])
+			}
+		}
+		for i, want := range tc.names {
+			rec := recs[i+1]
+			if rec[col["leg"]] != want {
+				t.Errorf("%s: row %d leg %q, want %q", tc.name, i+1, rec[col["leg"]], want)
+			}
+			if rec[col["offered"]] != strconv.Itoa(len(tc.tr)) {
+				t.Errorf("%s %s: offered %s, want %d", tc.name, want, rec[col["offered"]], len(tc.tr))
+			}
+		}
+		for _, name := range []string{"p99_impr_pct", "violations_avoided", "throughput_impr_pct", "device_ms_saved_pct"} {
+			if v, err := strconv.ParseFloat(recs[1][col[name]], 64); err != nil || v != 0 {
+				t.Errorf("%s: baseline %s = %q, want 0", tc.name, name, recs[1][col[name]])
+			}
+		}
+		if tc.name == "control" && recs[1][col["device_ms"]] == recs[2][col["device_ms"]] {
+			t.Errorf("device_ms identical for static and controlled: %v", recs[1][col["device_ms"]])
+		}
 	}
 }
 
 // TestControlCSVReactionTicks: the scale rows carry the reaction-lag
 // column — populated for grows, empty (not zero) for every other kind.
 func TestControlCSVReactionTicks(t *testing.T) {
-	cmp := sampleControl(t)
+	sum := sampleControl(t)
 	var buf bytes.Buffer
-	if err := ControlCSV(&buf, cmp.Controlled); err != nil {
+	if err := ControlCSV(&buf, sum); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := csv.NewReader(&buf).ReadAll()

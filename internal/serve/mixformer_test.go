@@ -274,14 +274,15 @@ func TestDemandBalanceBeatsFIFO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := CompareMixes(Config{Platform: soc.Orin(), SolverTimeScale: 50}, tr)
+	rows, err := Compare(tr, Legs(Config{Platform: soc.Orin(), SolverTimeScale: 50})...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := []string{cmp.Results[0].MixPolicy, cmp.Results[1].MixPolicy}; got[0] != MixFIFO || got[1] != MixDemandBalance {
-		t.Fatalf("default comparison policies = %v", got)
+	// Legs: naive, contention-aware (fifo), demand-balance, contention-aware mix.
+	if got := []string{rows[1].MixPolicy, rows[2].MixPolicy}; got[0] != MixFIFO || got[1] != MixDemandBalance {
+		t.Fatalf("default comparison mix policies = %v", got)
 	}
-	fifo, db := cmp.Results[0].Total, cmp.Results[1].Total
+	fifo, db := rows[1].Total, rows[2].Total
 	if db.P99Ms >= fifo.P99Ms {
 		t.Errorf("demand-balance p99 %.2f ms not better than fifo %.2f ms", db.P99Ms, fifo.P99Ms)
 	}
@@ -296,7 +297,7 @@ func TestDemandBalanceBeatsFIFO(t *testing.T) {
 	}
 	t.Logf("fifo p99=%.2f viol=%d rps=%.1f | demand-balance p99=%.2f viol=%d rps=%.1f (p99 %+.1f%%)",
 		fifo.P99Ms, fifo.Violations, fifo.ThroughputRPS,
-		db.P99Ms, db.Violations, db.ThroughputRPS, cmp.P99ImprovementPct(1))
+		db.P99Ms, db.Violations, db.ThroughputRPS, 100*(1-db.P99Ms/fifo.P99Ms))
 }
 
 // TestContentionAwareBeatsDemandBalance is the tentpole's acceptance
@@ -311,15 +312,23 @@ func TestContentionAwareBeatsDemandBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := CompareMixes(Config{Platform: soc.Orin(), SolverTimeScale: 50}, tr)
+	rows, err := Compare(tr, Legs(Config{Platform: soc.Orin(), SolverTimeScale: 50})...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{MixFIFO, MixDemandBalance, MixContentionAware}
-	if !reflect.DeepEqual(cmp.Policies, want) {
-		t.Fatalf("default comparison policies = %v, want %v", cmp.Policies, want)
+	// Each configuration once: the default fifo mix rides the
+	// contention-aware leg rather than a leg of its own.
+	var legs, mixes []string
+	for _, r := range rows {
+		legs, mixes = append(legs, r.Leg), append(mixes, r.MixPolicy)
 	}
-	db, ca := cmp.Results[1].Total, cmp.Results[2].Total
+	if want := []string{"naive-gpu-only", "contention-aware", "mix-demand-balance", "mix-contention-aware"}; !reflect.DeepEqual(legs, want) {
+		t.Fatalf("default comparison legs = %v, want %v", legs, want)
+	}
+	if want := []string{MixFIFO, MixFIFO, MixDemandBalance, MixContentionAware}; !reflect.DeepEqual(mixes, want) {
+		t.Fatalf("default comparison mix policies = %v, want %v", mixes, want)
+	}
+	db, ca := rows[2].Total, rows[3].Total
 	if ca.P99Ms > db.P99Ms {
 		t.Errorf("contention-aware p99 %.3f ms worse than demand-balance %.3f ms", ca.P99Ms, db.P99Ms)
 	}

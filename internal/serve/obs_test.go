@@ -32,8 +32,9 @@ func serveJSON(t *testing.T, cfg Config, tr Trace) []byte {
 // TestTracingNoPerturbation: attaching a tracer must not change a single
 // byte of the summary — observability watches the timeline, it never
 // steers it. Checked for fifo and for contention-aware (whose scoring
-// path emits the densest event stream), and through Compare, whose legs
-// are renamed for track separation only when a sink is attached.
+// path emits the densest event stream), and through a comparison of
+// Legs, whose legs are renamed for track separation only when a sink is
+// attached.
 func TestTracingNoPerturbation(t *testing.T) {
 	tr, err := Generate(MixedDemandTenants(), 1000, 1)
 	if err != nil {
@@ -56,11 +57,11 @@ func TestTracingNoPerturbation(t *testing.T) {
 	cmpOnce := func(tracer *obs.Tracer) []byte {
 		t.Helper()
 		cfg := Config{Platform: soc.Orin(), SolverTimeScale: 50, Tracer: tracer}
-		cmp, err := Compare(cfg, tr)
+		rows, err := Compare(tr, Legs(cfg)...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.Marshal(cmp)
+		b, err := json.Marshal(rows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,8 +73,8 @@ func TestTracingNoPerturbation(t *testing.T) {
 	if !bytes.Equal(plain, traced) {
 		t.Errorf("Compare: tracing changed the comparison:\n%s\nvs\n%s", plain, traced)
 	}
-	// Both legs must be on distinct tracks: every event carries a
-	// renamed device, never the bare platform name.
+	// The legs must be on distinct tracks: every event carries a renamed
+	// device, never the bare platform name.
 	for _, e := range tracer.Events() {
 		if e.Device == "Orin" {
 			t.Fatalf("Compare leg event kept bare device name %q: legs would overlap in one trace", e.Device)
@@ -81,18 +82,18 @@ func TestTracingNoPerturbation(t *testing.T) {
 	}
 }
 
-// TestCompareChromeTrackLayout: under a shared tracer serve.Compare
-// renames each leg's device, and the Chrome export must lay the legs out
+// TestCompareChromeTrackLayout: under a shared tracer Legs renames each
+// leg's device, and the Chrome export must lay the legs out
 // as separate named device tracks — no track named after the bare
-// platform, both policy legs present, and no two thread labels colliding
-// within a process.
+// platform, every leg present, and no two thread labels colliding within
+// a process.
 func TestCompareChromeTrackLayout(t *testing.T) {
 	tr, err := Generate(twoTenants(), 600, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tracer := obs.NewTracer()
-	if _, err := Compare(Config{Platform: soc.Orin(), SolverTimeScale: 50, Tracer: tracer}, tr); err != nil {
+	if _, err := Compare(tr, Legs(Config{Platform: soc.Orin(), SolverTimeScale: 50, Tracer: tracer})...); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -134,13 +135,16 @@ func TestCompareChromeTrackLayout(t *testing.T) {
 	for name := range labels[1] {
 		deviceTracks = append(deviceTracks, name)
 	}
-	for _, want := range []string{"Orin/contention-aware", "Orin/naive-gpu-only"} {
+	for _, want := range []string{"Orin/naive-gpu-only", "Orin/contention-aware", "Orin/mix-demand-balance", "Orin/mix-contention-aware"} {
 		if labels[1][want] == 0 {
 			t.Errorf("no device track %q (device tracks: %v)", want, deviceTracks)
 		}
 	}
 	if labels[1]["Orin"] != 0 {
 		t.Errorf("bare platform track %q present: compare legs would overlap", "Orin")
+	}
+	if labels[1]["Orin/mix-fifo"] != 0 {
+		t.Error("fifo served twice: the contention-aware leg already runs the default mix")
 	}
 }
 

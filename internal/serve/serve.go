@@ -1265,123 +1265,3 @@ func (r *Runtime) FillMetrics(reg *obs.Registry) {
 	}
 	r.cache.FillMetrics(reg)
 }
-
-// legName is the base device label comparison drivers suffix per leg.
-func legName(cfg Config) string {
-	if cfg.Name != "" {
-		return cfg.Name
-	}
-	if cfg.Platform != nil {
-		return cfg.Platform.Name
-	}
-	return ""
-}
-
-// Comparison serves one trace under both policies.
-type Comparison struct {
-	Aware *Summary
-	Naive *Summary
-}
-
-// Compare serves the same trace with the contention-aware runtime and the
-// naive single-accelerator baseline, quantifying the win under load.
-func Compare(cfg Config, tr Trace) (*Comparison, error) {
-	out := &Comparison{}
-	for _, pol := range []Policy{ContentionAware, NaiveGPUOnly} {
-		c := cfg
-		c.Policy = pol
-		// Under a shared tracer the legs need distinct device tracks (and
-		// metric namespaces); Name never reaches the summary, so renaming
-		// is purely observational.
-		if c.Tracer != nil || c.Metrics != nil {
-			c.Name = legName(cfg) + "/" + pol.String()
-		}
-		rt, err := New(c)
-		if err != nil {
-			return nil, err
-		}
-		sum, err := rt.Serve(tr)
-		if err != nil {
-			return nil, err
-		}
-		if pol == ContentionAware {
-			out.Aware = sum
-		} else {
-			out.Naive = sum
-		}
-	}
-	return out, nil
-}
-
-// P99ImprovementPct is the contention-aware p99 latency reduction over the
-// naive baseline, in percent (positive = aware is better).
-func (c *Comparison) P99ImprovementPct() float64 {
-	if c.Naive.Total.P99Ms <= 0 {
-		return 0
-	}
-	return 100 * (1 - c.Aware.Total.P99Ms/c.Naive.Total.P99Ms)
-}
-
-// ViolationsAvoided is the reduction in SLO violations.
-func (c *Comparison) ViolationsAvoided() int {
-	return c.Naive.Total.Violations - c.Aware.Total.Violations
-}
-
-// MixComparison serves one trace under several mix-forming policies with
-// everything else held fixed — the experiment that quantifies what batch
-// formation is worth. Results[0] is the baseline the improvement helpers
-// compare against.
-type MixComparison struct {
-	// Policies names the compared mix policies, in run order.
-	Policies []string
-	// Results holds one summary per policy, same order.
-	Results []*Summary
-}
-
-// CompareMixes serves the same trace under each named mix policy (default:
-// fifo, then demand-balance, then contention-aware) on otherwise identical
-// runtimes. Each policy gets a fresh runtime and cache, so the comparison
-// isolates batch formation from cache warmth.
-func CompareMixes(cfg Config, tr Trace, policies ...string) (*MixComparison, error) {
-	if len(policies) == 0 {
-		policies = []string{MixFIFO, MixDemandBalance, MixContentionAware}
-	}
-	out := &MixComparison{Policies: append([]string(nil), policies...)}
-	for _, pol := range policies {
-		c := cfg
-		c.MixPolicy = pol
-		c.Mix = nil
-		// Distinct per-leg tracks under a shared tracer, as in Compare.
-		if c.Tracer != nil || c.Metrics != nil {
-			c.Name = legName(cfg) + "/mix-" + MixPolicyName(pol)
-		}
-		rt, err := New(c)
-		if err != nil {
-			return nil, err
-		}
-		sum, err := rt.Serve(tr)
-		if err != nil {
-			return nil, err
-		}
-		out.Results = append(out.Results, sum)
-	}
-	return out, nil
-}
-
-// P99ImprovementPct is policy i's total-p99 reduction over the baseline
-// (Results[0]), in percent (positive = policy i is better).
-func (m *MixComparison) P99ImprovementPct(i int) float64 {
-	if m.Results[0].Total.P99Ms <= 0 {
-		return 0
-	}
-	return 100 * (1 - m.Results[i].Total.P99Ms/m.Results[0].Total.P99Ms)
-}
-
-// ThroughputImprovementPct is policy i's completed-throughput gain over
-// the baseline, in percent.
-func (m *MixComparison) ThroughputImprovementPct(i int) float64 {
-	if m.Results[0].Total.ThroughputRPS <= 0 {
-		return 0
-	}
-	return 100 * (m.Results[i].Total.ThroughputRPS/m.Results[0].Total.ThroughputRPS - 1)
-}

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -498,25 +501,101 @@ func TestServeComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := Compare(Config{Platform: soc.Orin(), SolverTimeScale: 50}, tr)
+	rows, err := Compare(tr, Legs(Config{Platform: soc.Orin(), SolverTimeScale: 50})...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aware, naive := cmp.Aware.Total, cmp.Naive.Total
-	if aware.P99Ms >= naive.P99Ms {
-		t.Errorf("contention-aware p99 %.2f ms not better than naive %.2f ms", aware.P99Ms, naive.P99Ms)
+	naive, aware := rows[0].Total, rows[1].Total
+	if aware.P99Ms >= naive.P99Ms || rows[1].P99ImprPct <= 0 {
+		t.Errorf("contention-aware p99 %.2f ms not better than naive %.2f ms (%+.1f%%)",
+			aware.P99Ms, naive.P99Ms, rows[1].P99ImprPct)
 	}
-	if aware.Violations >= naive.Violations {
-		t.Errorf("contention-aware violations %d not fewer than naive %d", aware.Violations, naive.Violations)
+	if aware.Violations >= naive.Violations || rows[1].ViolationsAvoided != naive.Violations-aware.Violations {
+		t.Errorf("contention-aware violations %d not fewer than naive %d (%d avoided)",
+			aware.Violations, naive.Violations, rows[1].ViolationsAvoided)
 	}
-	if cmp.Aware.CacheHits == 0 {
+	awareSum := rows[1].Summary.(*Summary)
+	if awareSum.CacheHits == 0 {
 		t.Error("schedule cache shows no hits on repeated workload mixes")
 	}
-	if cmp.Aware.Total.Completed != cmp.Naive.Total.Completed {
-		t.Errorf("policies served different request counts: %d vs %d",
-			cmp.Aware.Total.Completed, cmp.Naive.Total.Completed)
+	if aware.Completed != naive.Completed {
+		t.Errorf("policies served different request counts: %d vs %d", aware.Completed, naive.Completed)
 	}
 	t.Logf("aware p99=%.2f viol=%d | naive p99=%.2f viol=%d | hits=%d upgrades=%d",
 		aware.P99Ms, aware.Violations, naive.P99Ms, naive.Violations,
-		cmp.Aware.CacheHits, cmp.Aware.CacheUpgrades)
+		awareSum.CacheHits, awareSum.CacheUpgrades)
+}
+
+// TestCompareRowMatchesStandalone: a leg's row is exactly what serving
+// its configuration on its own gives, whatever the legs around it, and
+// an error names its leg.
+func TestCompareRowMatchesStandalone(t *testing.T) {
+	tr, err := Generate(twoTenants(), 600, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Platform: soc.Orin(), SolverTimeScale: 50, MixPolicy: MixDemandBalance}
+	legs := Legs(cfg)
+	rows, err := Compare(tr, legs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, r := range rows {
+		names = append(names, r.Leg+"/"+r.MixPolicy)
+	}
+	want := []string{"naive-gpu-only/demand-balance", "contention-aware/demand-balance",
+		"mix-fifo/fifo", "mix-contention-aware/contention-aware"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("legs = %v, want %v", names, want)
+	}
+	for i, leg := range legs {
+		alone, err := Compare(tr, leg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, standalone := rows[i], alone[0]
+		// Only the figures against the baseline depend on the other legs.
+		got.P99ImprPct, got.ViolationsAvoided, got.ThroughputImprPct, got.DeviceMsSavedPct = 0, 0, 0, 0
+		if a, b := mustMarshal(t, got), mustMarshal(t, standalone); !bytes.Equal(a, b) {
+			t.Errorf("%s: row in the comparison differs from the leg served alone:\n%s\nvs\n%s", leg.Name, a, b)
+		}
+		c := cfg
+		if leg.Name == NaiveGPUOnly.String() {
+			c.Policy = NaiveGPUOnly
+		} else if leg.Name != ContentionAware.String() {
+			c.MixPolicy = rows[i].MixPolicy
+		}
+		rt, err := New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := rt.Serve(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := mustMarshal(t, rows[i].Summary), mustMarshal(t, sum); !bytes.Equal(a, b) {
+			t.Errorf("%s: leg summary differs from a runtime built from its configuration", leg.Name)
+		}
+		if r := rows[i]; r.Total != sum.Total || r.DeviceMs != sum.DurationMs || r.PeakDevices != 1 ||
+			r.Pool != "Orin" || r.SLOAttainmentPct != sum.Total.SLOAttainmentPct() {
+			t.Errorf("%s: row %+v does not carry the summary's figures", leg.Name, r)
+		}
+		if r, base := rows[i], rows[0].Total; r.ViolationsAvoided != base.Violations-r.Total.Violations ||
+			r.P99ImprPct != 100*(1-r.Total.P99Ms/base.P99Ms) {
+			t.Errorf("%s: %+.2f%% p99, %+d violations: not against the first leg", leg.Name, r.P99ImprPct, r.ViolationsAvoided)
+		}
+	}
+	if _, err := Compare(tr, legs[0], RuntimeLeg("broken", Config{})); err == nil || !strings.HasPrefix(err.Error(), "broken leg: ") {
+		t.Errorf("failing leg's error = %v, want it to name the leg", err)
+	}
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

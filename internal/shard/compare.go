@@ -1,87 +1,45 @@
-// Sharded-vs-global compare: the same bursty multi-tenant trace served
-// once by the K-shard plane and once by a single global controller built
-// from the identical configuration. Deterministic serving metrics
-// (violations, attainment, percentiles) come from the virtual timeline;
-// wall-clock requests/sec is the one real-time measurement — the number
-// the sharded architecture exists to move, since the shards' solver and
-// dispatch work genuinely runs in parallel.
+// Sharded-vs-global compare legs: the same bursty multi-tenant trace
+// served once by one global controller built from the identical
+// configuration and once by the K-shard plane. Every figure comes from
+// the virtual timeline; the command layer times the legs on the wall
+// clock, the number the sharded architecture exists to move, since the
+// shards' solver and dispatch work genuinely runs in parallel.
 package shard
 
 import (
 	"fmt"
-	"time"
+	"strings"
 
 	"haxconn/internal/control"
 	"haxconn/internal/fleet"
 	"haxconn/internal/serve"
 )
 
-// CompareResult is the outcome of one sharded-vs-global comparison.
-type CompareResult struct {
-	// Sharded and Global serve the identical trace: Sharded on the
-	// K-shard plane, Global on one controller owning the whole pool.
-	Sharded *Summary
-	Global  *control.Summary
-
-	// Offered is the trace size both legs served.
-	Offered int
-
-	// GlobalSLOAttainmentPct mirrors the global leg's merged attainment
-	// (the sharded leg's lives in Sharded.SLOAttainmentPct).
-	GlobalSLOAttainmentPct float64
-
-	// Wall-clock: elapsed real time per leg and the derived offered
-	// requests/sec — the throughput of the control-plane machinery
-	// itself, not of the simulated devices.
-	ShardedWallSec       float64
-	GlobalWallSec        float64
-	ShardedReqPerSecWall float64
-	GlobalReqPerSecWall  float64
-}
-
-// Compare serves the trace on the sharded plane and on the equivalent
-// global controller and reports both, with wall-clock throughput per leg.
-// The plane's observability sinks apply to the sharded leg only — the
-// global leg runs unobserved, so both legs do equal per-event work aside
-// from the sharding itself.
-func Compare(cfg Config, tr serve.Trace) (*CompareResult, error) {
+// Legs returns the legs of a sharding comparison: one global controller
+// built from the plane's global-equivalent configuration (the baseline),
+// then the K-shard plane. Only the plane is observed, through
+// cfg's sinks; the global leg runs unobserved, so both legs do equal
+// per-event work aside from the sharding itself.
+func Legs(cfg Config) ([]serve.Leg, error) {
 	plane, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now() //detlint:allow walltime shard-compare is explicitly a wall-clock benchmark; wall seconds land only in *Wall fields
-	sharded, err := plane.Serve(tr)
-	if err != nil {
-		return nil, fmt.Errorf("shard: sharded leg: %w", err)
-	}
-	shardedWall := time.Since(start).Seconds() //detlint:allow walltime wall benchmark leg, reported as ShardedWallSec only
-
-	global, err := control.New(plane.Global())
-	if err != nil {
-		return nil, err
-	}
-	start = time.Now() //detlint:allow walltime wall benchmark leg for the global controller
-	gsum, err := global.Serve(tr)
-	if err != nil {
-		return nil, fmt.Errorf("shard: global leg: %w", err)
-	}
-	globalWall := time.Since(start).Seconds() //detlint:allow walltime wall benchmark leg, reported as GlobalWallSec only
-
-	res := &CompareResult{
-		Sharded:                sharded,
-		Global:                 gsum,
-		Offered:                len(tr),
-		GlobalSLOAttainmentPct: gsum.Fleet.SLOAttainmentPct,
-		ShardedWallSec:         shardedWall,
-		GlobalWallSec:          globalWall,
-	}
-	if shardedWall > 0 {
-		res.ShardedReqPerSecWall = float64(len(tr)) / shardedWall
-	}
-	if globalWall > 0 {
-		res.GlobalReqPerSecWall = float64(len(tr)) / globalWall
-	}
-	return res, nil
+	sharded := serve.Leg{Name: fmt.Sprintf("sharded:K=%d", cfg.shards()), Serve: func(tr serve.Trace) (serve.Row, error) {
+		sum, err := plane.Serve(tr)
+		if err != nil {
+			return serve.Row{}, err
+		}
+		pools := make([]string, len(sum.PerShard))
+		for i, ss := range sum.PerShard {
+			pools[i] = ss.Control.Fleet.Pool
+		}
+		return serve.Row{Pool: strings.Join(pools, "|"),
+			MixPolicy: serve.MixPolicyName(plane.Global().Fleet.Device.MixPolicy),
+			Total:     sum.Total, SLOAttainmentPct: sum.SLOAttainmentPct,
+			DeviceMs: sum.DeviceMs, PeakDevices: sum.PeakDevices, Summary: sum}, nil
+	}}
+	return []serve.Leg{control.Leg("global", plane.Global()), sharded}, nil
 }
 
 // DemoShardTrace is the canonical region-scale bursty trace: eight

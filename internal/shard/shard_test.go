@@ -229,30 +229,44 @@ func TestShardedRequestsEndOnce(t *testing.T) {
 // (the BenchmarkShardedControl configuration) and checks the win
 // condition: the sharded leg's SLO attainment is equal or better, solves
 // are partitioned (deferrals and assists both happened), the gossip
-// channel warmed caches, and both legs served the whole trace.
+// channel warmed caches, and both legs served the whole trace. Only the
+// plane feeds the shared tracer: the global baseline runs unobserved.
 func TestShardedRegionCompare(t *testing.T) {
 	tr, err := DemoRegionTrace(11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Compare(Config{Control: DemoRegionControl(), Shards: 4}, tr)
+	tracer := obs.NewTracer()
+	legs, err := Legs(Config{Control: DemoRegionControl(), Shards: 4, Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sharded.SLOAttainmentPct < res.GlobalSLOAttainmentPct {
-		t.Errorf("sharded SLO %.2f%% below global %.2f%%",
-			res.Sharded.SLOAttainmentPct, res.GlobalSLOAttainmentPct)
+	rows, err := serve.Compare(tr, legs...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Sharded.WarmHits == 0 {
+	global, sharded := rows[0], rows[1]
+	if global.Leg != "global" || sharded.Leg != "sharded:K=4" {
+		t.Fatalf("legs %q, %q", global.Leg, sharded.Leg)
+	}
+	if sharded.SLOAttainmentPct < global.SLOAttainmentPct {
+		t.Errorf("sharded SLO %.2f%% below global %.2f%%",
+			sharded.SLOAttainmentPct, global.SLOAttainmentPct)
+	}
+	sum := sharded.Summary.(*Summary)
+	if sum.WarmHits == 0 {
 		t.Error("no warm hits at region scale")
 	}
-	if res.Sharded.Deferred == 0 || res.Sharded.SolveAssists == 0 {
+	if sum.Deferred == 0 || sum.SolveAssists == 0 {
 		t.Errorf("solve ownership inert: deferred=%d assists=%d",
-			res.Sharded.Deferred, res.Sharded.SolveAssists)
+			sum.Deferred, sum.SolveAssists)
 	}
-	if res.Sharded.Total.Offered != len(tr) || res.Global.Fleet.Total.Offered != len(tr) {
+	if sharded.Total.Offered != len(tr) || global.Total.Offered != len(tr) {
 		t.Errorf("legs served %d/%d of %d offered requests",
-			res.Sharded.Total.Offered, res.Global.Fleet.Total.Offered, len(tr))
+			sharded.Total.Offered, global.Total.Offered, len(tr))
+	}
+	if got := tracer.CountByKind()[obs.KindArrive]; got != len(tr) {
+		t.Errorf("arrive events = %d, want %d (sharded leg only)", got, len(tr))
 	}
 }
 
