@@ -279,15 +279,102 @@ func TestControlCSV(t *testing.T) {
 	}
 }
 
-// TestComparisonCSV: one writer renders every layer's comparison — a
-// serving, a fleet, a control and a sharded one — as one row per leg in
-// run order, the baseline's figures against itself reading zero.
-func TestComparisonCSV(t *testing.T) {
-	tr := sampleTrace(t)
+// comparisonCSV runs legs over tr, renders the rows with ComparisonCSV
+// and checks what every layer's comparison shares: the header, one row
+// per leg in run order with the whole trace offered, and the baseline's
+// figures against itself reading zero. It returns the records and the
+// header's column index.
+func comparisonCSV(t *testing.T, tr serve.Trace, legs []serve.Leg, names []string) ([][]string, map[string]int) {
+	t.Helper()
+	rows, err := serve.Compare(tr, legs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ComparisonCSV(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1+len(names) {
+		t.Fatalf("%d records, want header + %d legs: %v", len(recs), len(names), recs)
+	}
+	col := map[string]int{}
+	for i, name := range recs[0] {
+		col[name] = i
+	}
+	for _, name := range []string{"leg", "pool", "mix_policy", "offered", "p99_ms", "violations",
+		"slo_attainment_pct", "device_ms", "peak_devices", "p99_impr_pct", "violations_avoided",
+		"throughput_impr_pct", "device_ms_saved_pct"} {
+		if _, ok := col[name]; !ok {
+			t.Fatalf("header missing %q: %v", name, recs[0])
+		}
+	}
+	for i, want := range names {
+		rec := recs[i+1]
+		if rec[col["leg"]] != want {
+			t.Errorf("row %d leg %q, want %q", i+1, rec[col["leg"]], want)
+		}
+		if rec[col["offered"]] != strconv.Itoa(len(tr)) {
+			t.Errorf("%s: offered %s, want %d", want, rec[col["offered"]], len(tr))
+		}
+	}
+	for _, name := range []string{"p99_impr_pct", "violations_avoided", "throughput_impr_pct", "device_ms_saved_pct"} {
+		if v, err := strconv.ParseFloat(recs[1][col[name]], 64); err != nil || v != 0 {
+			t.Errorf("baseline %s = %q, want 0", name, recs[1][col[name]])
+		}
+	}
+	return recs, col
+}
+
+// TestServingComparisonCSV: the naive GPU-only baseline against the
+// contention-aware runtime on one device, one row each.
+func TestServingComparisonCSV(t *testing.T) {
+	legs := serve.Legs(serve.Config{Platform: soc.Orin(), SolverTimeScale: 50})
+	recs, col := comparisonCSV(t, sampleTrace(t), legs[:2], []string{"naive-gpu-only", "contention-aware"})
+	for _, rec := range recs[1:] {
+		if rec[col["pool"]] != "Orin" {
+			t.Errorf("%s: pool %q, want Orin", rec[col["leg"]], rec[col["pool"]])
+		}
+	}
+}
+
+// TestMixComparisonCSV: the contention-aware runtime under each mix
+// policy, FIFO first as the baseline; the mix_policy column names each.
+func TestMixComparisonCSV(t *testing.T) {
+	legs := serve.Legs(serve.Config{Platform: soc.Orin(), SolverTimeScale: 50})
+	recs, col := comparisonCSV(t, sampleTrace(t), legs[1:],
+		[]string{"contention-aware", "mix-demand-balance", "mix-contention-aware"})
+	for i, want := range []string{serve.MixFIFO, serve.MixDemandBalance, serve.MixContentionAware} {
+		if got := recs[i+1][col["mix_policy"]]; got != want {
+			t.Errorf("%s: mix_policy %q, want %q", recs[i+1][col["leg"]], got, want)
+		}
+	}
+}
+
+// TestControlComparisonCSV: a static pool against the controlled one
+// over a burst; the controller's scaling shows in device time.
+func TestControlComparisonCSV(t *testing.T) {
 	burst, err := control.DemoBurstTrace(1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	legs, err := control.Legs(sampleControlConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, col := comparisonCSV(t, burst, legs, []string{"static:least-loaded", "controlled:sticky"})
+	if recs[1][col["device_ms"]] == recs[2][col["device_ms"]] {
+		t.Errorf("device_ms identical for static and controlled: %v", recs[1][col["device_ms"]])
+	}
+}
+
+// TestComparisonCSV: the one writer renders the remaining layers'
+// comparisons too — a fleet against one device, and a sharded control
+// plane against the global one.
+func TestComparisonCSV(t *testing.T) {
 	fleetLegs, err := fleet.Legs(fleet.Config{
 		Devices: []fleet.DeviceSpec{{Platform: "Orin"}, {Platform: "Xavier"}},
 		Device:  serve.Config{SolverTimeScale: 50},
@@ -295,7 +382,9 @@ func TestComparisonCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	controlLegs, err := control.Legs(sampleControlConfig(), nil)
+	comparisonCSV(t, sampleTrace(t), fleetLegs, []string{"single:Orin", "fleet:least-loaded"})
+
+	burst, err := control.DemoBurstTrace(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,62 +395,7 @@ func TestComparisonCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name  string
-		tr    serve.Trace
-		legs  []serve.Leg
-		names []string
-	}{
-		{"serve", tr, serve.Legs(serve.Config{Platform: soc.Orin(), SolverTimeScale: 50}),
-			[]string{"naive-gpu-only", "contention-aware", "mix-demand-balance", "mix-contention-aware"}},
-		{"fleet", tr, fleetLegs, []string{"single:Orin", "fleet:least-loaded"}},
-		{"control", burst, controlLegs, []string{"static:least-loaded", "controlled:sticky"}},
-		{"shard", burst, shardLegs, []string{"global", "sharded:K=2"}},
-	} {
-		rows, err := serve.Compare(tc.tr, tc.legs...)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		var buf bytes.Buffer
-		if err := ComparisonCSV(&buf, rows); err != nil {
-			t.Fatal(err)
-		}
-		recs, err := csv.NewReader(&buf).ReadAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) != 1+len(tc.names) {
-			t.Fatalf("%s: %d records, want header + %d legs: %v", tc.name, len(recs), len(tc.names), recs)
-		}
-		col := map[string]int{}
-		for i, name := range recs[0] {
-			col[name] = i
-		}
-		for _, name := range []string{"leg", "pool", "mix_policy", "offered", "p99_ms", "violations",
-			"slo_attainment_pct", "device_ms", "peak_devices", "p99_impr_pct", "violations_avoided",
-			"throughput_impr_pct", "device_ms_saved_pct"} {
-			if _, ok := col[name]; !ok {
-				t.Fatalf("header missing %q: %v", name, recs[0])
-			}
-		}
-		for i, want := range tc.names {
-			rec := recs[i+1]
-			if rec[col["leg"]] != want {
-				t.Errorf("%s: row %d leg %q, want %q", tc.name, i+1, rec[col["leg"]], want)
-			}
-			if rec[col["offered"]] != strconv.Itoa(len(tc.tr)) {
-				t.Errorf("%s %s: offered %s, want %d", tc.name, want, rec[col["offered"]], len(tc.tr))
-			}
-		}
-		for _, name := range []string{"p99_impr_pct", "violations_avoided", "throughput_impr_pct", "device_ms_saved_pct"} {
-			if v, err := strconv.ParseFloat(recs[1][col[name]], 64); err != nil || v != 0 {
-				t.Errorf("%s: baseline %s = %q, want 0", tc.name, name, recs[1][col[name]])
-			}
-		}
-		if tc.name == "control" && recs[1][col["device_ms"]] == recs[2][col["device_ms"]] {
-			t.Errorf("device_ms identical for static and controlled: %v", recs[1][col["device_ms"]])
-		}
-	}
+	comparisonCSV(t, burst, shardLegs, []string{"global", "sharded:K=2"})
 }
 
 // TestControlCSVReactionTicks: the scale rows carry the reaction-lag
