@@ -5,8 +5,6 @@ import (
 	"os"
 	"sort"
 	"testing"
-
-	"haxconn/internal/sat"
 )
 
 // benchRecords collects the metrics of every regression benchmark that
@@ -89,34 +87,4 @@ func writeBenchJSON(path string, records map[string]map[string]float64) error {
 		return err
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// newPigeonhole encodes the pigeonhole principle PHP(n+1, n) — UNSAT and a
-// classic clause-learning workout.
-func newPigeonhole(n int) *sat.Solver {
-	s := sat.New()
-	p := make([][]int, n+1)
-	for i := range p {
-		p[i] = make([]int, n)
-		for j := range p[i] {
-			p[i][j] = s.NewVar()
-		}
-	}
-	for i := 0; i <= n; i++ {
-		cl := make([]int, n)
-		copy(cl, p[i])
-		if err := s.AddClause(cl...); err != nil {
-			panic(err)
-		}
-	}
-	for j := 0; j < n; j++ {
-		for i1 := 0; i1 <= n; i1++ {
-			for i2 := i1 + 1; i2 <= n; i2++ {
-				if err := s.AddClause(-p[i1][j], -p[i2][j]); err != nil {
-					panic(err)
-				}
-			}
-		}
-	}
-	return s
 }

@@ -1,11 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (Sec. 5), plus ablations of its design choices: contention modeling,
-// transition costs, solver engines, layer-group granularity and the
-// local-search heuristic. Each benchmark reports the artifact's headline
-// metric via b.ReportMetric; run `go test -bench=. -benchmem` and compare
-// against the tables `go run ./cmd/experiments` regenerates (README
-// "Quickstart"; the solver engines and the heuristic ablation are
-// described in README "Background solving").
+// transition costs and layer-group granularity. Each benchmark reports the
+// artifact's headline metric via b.ReportMetric; run
+// `go test -bench=. -benchmem` and compare against the tables
+// `go run ./cmd/experiments` regenerates (README "Quickstart").
 package haxconn
 
 import (
@@ -261,21 +259,6 @@ func BenchmarkAblationNoTransitionCost(b *testing.B) {
 	b.ReportMetric(r.PenaltyPct, "penalty_pct")
 }
 
-// BenchmarkAblationSolvers cross-checks the branch & bound and SAT
-// engines (identical optima, different solve times).
-func BenchmarkAblationSolvers(b *testing.B) {
-	var sc *experiments.SolverComparison
-	for i := 0; i < b.N; i++ {
-		var err error
-		sc, err = experiments.AblationSolvers("Orin")
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(sc.BBMs, "bb_solve_ms")
-	b.ReportMetric(sc.SATMs, "sat_solve_ms")
-}
-
 // BenchmarkAblationGranularity sweeps the layer-group cap.
 func BenchmarkAblationGranularity(b *testing.B) {
 	var pts []experiments.AblationGranularityPoint
@@ -374,33 +357,6 @@ func BenchmarkPerfLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		perf.NetworkLatencyMs(a, net)
 	}
-}
-
-// BenchmarkSATSolver measures the CDCL engine on a pigeonhole instance.
-func BenchmarkSATSolver(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := newPigeonhole(6)
-		if got := s.Solve(); got.String() != "UNSAT" {
-			b.Fatalf("PHP(7,6) = %v", got)
-		}
-	}
-}
-
-// BenchmarkAblationLocalSearch quantifies the optimality gap of a
-// hill-climbing heuristic vs the exact engines (the paper targets optimal
-// schedules rather than heuristics).
-func BenchmarkAblationLocalSearch(b *testing.B) {
-	var hc *experiments.HeuristicComparison
-	for i := 0; i < b.N; i++ {
-		var err error
-		hc, err = experiments.AblationLocalSearch("Xavier")
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(hc.GapPct, "heuristic_gap_pct")
-	b.ReportMetric(hc.ExactSolveMs, "exact_solve_ms")
-	b.ReportMetric(hc.HeurSolveMs, "heuristic_solve_ms")
 }
 
 // BenchmarkQueueingAnalysis measures the Eq. 9 queueing residual per

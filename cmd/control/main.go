@@ -28,9 +28,10 @@
 //     elasticity trade on one trace.
 //   - shard-compare: serve identical traffic on the K-shard plane and on
 //     one global controller built from the same configuration — the
-//     sharding trade, with wall-clock req/sec per leg. -region swaps in
-//     the canonical region-scale demo (48 Orins, 32 tenants) where the
-//     single controller's per-request admission scan is the bottleneck.
+//     sharding trade in virtual time (perfbench's region-k4 workload
+//     measures its wall-clock cost). -region swaps in the canonical
+//     region-scale demo (48 Orins, 32 tenants) where the single
+//     controller's per-request admission scan is the bottleneck.
 //
 // Examples:
 //
@@ -50,7 +51,6 @@ import (
 	"strconv"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"haxconn/internal/cliutil"
 	"haxconn/internal/control"
@@ -195,17 +195,12 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		wall := timeLegs(legs)
 		rows, err := serve.Compare(tr, legs...)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		printShardSummary(rows[1].Summary.(*shard.Summary))
 		cliutil.PrintComparison(os.Stdout, rows)
-		fmt.Println()
-		for i, r := range rows {
-			fmt.Printf("wall %-12s %8.1f ms  %10.0f req/s\n", r.Leg, wall[i]*1e3, float64(r.Total.Offered)/wall[i])
-		}
 		if err := cliutil.WriteOutputs(*csvOut, *jsonOut,
 			func(w io.Writer) error { return report.ComparisonCSV(w, rows) }, rows); err != nil {
 			fatalf("%v", err)
@@ -241,22 +236,6 @@ func printShardSummary(sum *shard.Summary) {
 			ho.AtMs, ho.Tenant, ho.From, ho.To, ho.Cause, ho.BacklogMs, ho.Moved)
 	}
 	fmt.Println()
-}
-
-// timeLegs wraps each leg to record its wall seconds in the returned
-// slice as it serves. Wall time is printed only: no compare artifact
-// carries it, so the CSV and JSON stay byte-identical run to run.
-func timeLegs(legs []serve.Leg) []float64 {
-	wall := make([]float64, len(legs))
-	for i, leg := range legs {
-		legs[i].Serve = func(tr serve.Trace) (serve.Row, error) {
-			start := time.Now() //detlint:allow walltime per-leg wall time, printed on stdout and never written to an artifact
-			row, err := leg.Serve(tr)
-			wall[i] = time.Since(start).Seconds() //detlint:allow walltime per-leg wall time, printed on stdout and never written to an artifact
-			return row, err
-		}
-	}
-	return wall
 }
 
 // buildTrace generates the base trace and overlays the burst window.

@@ -140,12 +140,6 @@ func main() {
 			for _, pt := range pts {
 				fmt.Printf("ablation granularity maxGroups=%-3d measured %.2fms solve %.2fms\n", pt.MaxGroups, pt.MeasuredMs, pt.SolveMs)
 			}
-			sc, err := experiments.AblationSolvers("Orin")
-			if err != nil {
-				return err
-			}
-			fmt.Printf("ablation solvers: B&B %.2fms (%d evals) vs SAT %.2fms (%d models), measured %.4f vs %.4f ms\n",
-				sc.BBMs, sc.BBEvals, sc.SATMs, sc.SATModels, sc.MeasuredBB, sc.MeasuredSAT)
 			cr, err := experiments.MeasureContentionReduction("Xavier")
 			if err != nil {
 				return err

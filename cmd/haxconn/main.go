@@ -34,7 +34,6 @@ func main() {
 		frames    = flag.Int("frames", 0, "frame-count override for FPS (1 for streaming pipelines)")
 		maxGroups = flag.Int("maxgroups", 0, "layer-group cap per network (default 12)")
 		maxTrans  = flag.Int("maxtransitions", 0, "transition budget per network (default 1)")
-		useSAT    = flag.Bool("sat", false, "use the SAT-enumeration engine instead of branch & bound")
 		compare   = flag.Bool("compare", false, "also measure all five baselines")
 		traceOut  = flag.String("trace", "", "write the executed timeline as a Chrome trace (chrome://tracing) to this file")
 		list      = flag.Bool("list", false, "list available networks and platforms, then exit")
@@ -65,7 +64,6 @@ func main() {
 		FrameCount:     *frames,
 		MaxGroups:      *maxGroups,
 		MaxTransitions: *maxTrans,
-		UseSAT:         *useSAT,
 	}
 	switch *objective {
 	case "latency":

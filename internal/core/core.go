@@ -51,8 +51,6 @@ type Request struct {
 	MaxGroups int
 	// MaxTransitions bounds accelerator switches per network (0 = 1).
 	MaxTransitions int
-	// UseSAT selects the SAT-enumeration engine instead of branch & bound.
-	UseSAT bool
 	// ContentionModel overrides the fitted PCCS model (ablations).
 	ContentionModel contention.Model
 	// TimeBudget bounds solver time (0 = run to optimality).
@@ -147,16 +145,7 @@ func Plan(req Request) (*Result, error) {
 		// that HaX-CoNN never underperforms them (Sec. 5.2, Scenario 3).
 		Seeds: []*schedule.Schedule{baselines.GPUOnly(pr), baselines.NaiveConcurrent(pr)},
 	}
-	var (
-		best *schedule.Schedule
-		cost float64
-		st   solver.Stats
-	)
-	if req.UseSAT {
-		best, cost, st, err = solver.OptimizeSAT(prob, pr, cfg)
-	} else {
-		best, cost, st, err = solver.OptimizeBB(prob, pr, cfg)
-	}
+	best, cost, st, err := solver.OptimizeBB(prob, pr, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -100,31 +100,6 @@ func TestCompareHasAllBaselines(t *testing.T) {
 	}
 }
 
-func TestSATEngineAgreesWithBB(t *testing.T) {
-	req := Request{
-		Platform:  soc.Orin(),
-		Networks:  []string{"GoogleNet", "ResNet50"},
-		Objective: schedule.MinMaxLatency,
-		MaxGroups: 5,
-	}
-	bb, err := Plan(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.UseSAT = true
-	sat, err := Plan(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := bb.MeasuredMs - sat.MeasuredMs
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > 1e-6 {
-		t.Errorf("SAT engine measured %.4f ms, B&B %.4f ms", sat.MeasuredMs, bb.MeasuredMs)
-	}
-}
-
 func TestPlanDynamicHistory(t *testing.T) {
 	any, prob, pr, err := PlanDynamic(Request{
 		Platform:  soc.Xavier(),

@@ -1,10 +1,4 @@
-// Quickstart: schedule two concurrent DNNs on NVIDIA Orin with HaX-CoNN
-// and compare the result against running everything on the GPU.
-//
-// Run with:
-//
-//	go run ./examples/quickstart
-package main
+package core_test
 
 import (
 	"fmt"
@@ -15,7 +9,9 @@ import (
 	"haxconn/internal/soc"
 )
 
-func main() {
+// ExamplePlan schedules two concurrent DNNs on NVIDIA Orin and compares the
+// result against the best of the five baselines.
+func ExamplePlan() {
 	// A perception stack runs object detection (ResNet101) and scene
 	// classification (GoogleNet) on every camera frame. Both must finish
 	// before planning starts, so we minimize the combined latency.
@@ -35,7 +31,7 @@ func main() {
 	for i, name := range req.Networks {
 		fmt.Printf("  %-10s %.2f ms\n", name, res.ItemLatencyMs[i])
 	}
-	fmt.Printf("solver explored %d schedules in %v\n", res.SolverStats.Evals, res.SolverStats.Elapsed)
+	fmt.Printf("solver explored %d schedules\n", res.SolverStats.Evals)
 
 	// How much did contention-aware layer-level mapping buy us?
 	cmp, err := core.Compare(req)
@@ -45,4 +41,13 @@ func main() {
 	name, best := cmp.BestBaseline(req.Objective)
 	fmt.Printf("\nbest baseline (%s): %.2f ms\n", name, best.MeasuredMs)
 	fmt.Printf("improvement: %.1f%%\n", 100*cmp.Improvement(req.Objective))
+	// Output:
+	// HaX-CoNN schedule: GoogleNet: GPU[0-10] DLA[11-142]; ResNet101: GPU[0-345]
+	// combined latency:  2.77 ms (723.3 fps)
+	//   GoogleNet  1.84 ms
+	//   ResNet101  2.69 ms
+	// solver explored 72 schedules
+	//
+	// best baseline (GPU-only): 3.39 ms
+	// improvement: 18.5%
 }

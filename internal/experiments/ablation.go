@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"time"
-
 	"haxconn/internal/baselines"
 	"haxconn/internal/contention"
 	"haxconn/internal/core"
@@ -115,39 +113,6 @@ func AblationGranularity(plat string, caps []int) ([]AblationGranularityPoint, e
 	return pts, nil
 }
 
-// SolverComparison reports both engines on the same instance.
-type SolverComparison struct {
-	BBMs, SATMs             float64 // solve time
-	BBCost, SATCost         float64 // identical when both complete
-	BBEvals, SATModels      int
-	MeasuredBB, MeasuredSAT float64
-}
-
-// AblationSolvers cross-checks branch & bound against SAT enumeration.
-func AblationSolvers(plat string) (*SolverComparison, error) {
-	req := ablationWorkload(plat)
-	req.MaxGroups = 6 // keep the SAT enumeration space small
-	bb, err := core.Plan(req)
-	if err != nil {
-		return nil, err
-	}
-	req.UseSAT = true
-	sat, err := core.Plan(req)
-	if err != nil {
-		return nil, err
-	}
-	return &SolverComparison{
-		BBMs:        ms(bb.SolverStats.Elapsed),
-		SATMs:       ms(sat.SolverStats.Elapsed),
-		BBCost:      bb.PredictedMs,
-		SATCost:     sat.PredictedMs,
-		BBEvals:     bb.SolverStats.Evals,
-		SATModels:   sat.SolverStats.Nodes,
-		MeasuredBB:  bb.MeasuredMs,
-		MeasuredSAT: sat.MeasuredMs,
-	}, nil
-}
-
 // ContentionReduction quantifies the headline "minimizes memory contention
 // by up to 45%" claim: total over-saturation time (intervals whose demand
 // exceeds the saturation bandwidth) under the naive schedule vs HaX-CoNN.
@@ -214,66 +179,6 @@ func ablation(name string, full, variant float64) *AblationResult {
 		r.PenaltyPct = 100 * (variant - full) / full
 	}
 	return r
-}
-
-func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-// HeuristicComparison pits the hill-climbing heuristic against the exact
-// branch & bound on the same instance — quantifying the paper's decision
-// to target optimal schedules rather than heuristics.
-type HeuristicComparison struct {
-	ExactMs, HeuristicMs       float64 // measured on ground truth
-	ExactSolveMs, HeurSolveMs  float64
-	ExactEvals, HeuristicEvals int
-	GapPct                     float64 // heuristic over exact, positive = worse
-}
-
-// AblationLocalSearch runs both engines on the VGG19+ResNet152 instance.
-func AblationLocalSearch(plat string) (*HeuristicComparison, error) {
-	req := ablationWorkload(plat)
-	prob, pr, model, seeds, err := ablationSetup(req)
-	if err != nil {
-		return nil, err
-	}
-	exact, _, stE, err := solver.OptimizeBB(prob, pr, solver.Config{Model: model, Seeds: seeds})
-	if err != nil {
-		return nil, err
-	}
-	heur, _, stH, err := solver.OptimizeLocal(prob, pr, solver.Config{Model: model, Seeds: seeds}, 3, 1)
-	if err != nil {
-		return nil, err
-	}
-	mE, err := core.Measure(prob, pr, exact)
-	if err != nil {
-		return nil, err
-	}
-	mH, err := core.Measure(prob, pr, heur)
-	if err != nil {
-		return nil, err
-	}
-	hc := &HeuristicComparison{
-		ExactMs: mE.MeasuredMs, HeuristicMs: mH.MeasuredMs,
-		ExactSolveMs: ms(stE.Elapsed), HeurSolveMs: ms(stH.Elapsed),
-		ExactEvals: stE.Evals, HeuristicEvals: stH.Evals,
-	}
-	if mE.MeasuredMs > 0 {
-		hc.GapPct = 100 * (mH.MeasuredMs/mE.MeasuredMs - 1)
-	}
-	return hc, nil
-}
-
-// ablationSetup characterizes the request and prepares solver inputs.
-func ablationSetup(req core.Request) (*schedule.Problem, *schedule.Profile, contention.Model, []*schedule.Schedule, error) {
-	full, err := core.Plan(req)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	model, err := core.Model(req)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	seeds := []*schedule.Schedule{baselines.GPUOnly(full.Profile), baselines.NaiveConcurrent(full.Profile)}
-	return full.Problem, full.Profile, model, seeds, nil
 }
 
 // QueueingAnalysis quantifies the Sec. 5.2 observation that Herald/H2H

@@ -5,7 +5,7 @@
 //
 // Absolute numbers come from the simulator, not silicon; the Paper* fields
 // carry the published values so reports can show paper-vs-measured side by
-// side (see EXPERIMENTS.md for the recorded comparison).
+// side, as `go run ./cmd/experiments` prints them.
 package experiments
 
 import (

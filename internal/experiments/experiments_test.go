@@ -214,23 +214,6 @@ func TestAblationsRun(t *testing.T) {
 	}
 }
 
-func TestAblationSolversAgree(t *testing.T) {
-	sc, err := AblationSolvers("Orin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := sc.MeasuredBB - sc.MeasuredSAT
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > 1e-6 {
-		t.Errorf("solver engines disagree: BB %.4f ms vs SAT %.4f ms", sc.MeasuredBB, sc.MeasuredSAT)
-	}
-	if sc.SATModels == 0 {
-		t.Error("SAT engine enumerated nothing")
-	}
-}
-
 func TestContentionReduction(t *testing.T) {
 	r, err := MeasureContentionReduction("Xavier")
 	if err != nil {
@@ -266,21 +249,6 @@ func TestFig7Convergence(t *testing.T) {
 	}
 	if out := FormatFig7(phases); !strings.Contains(out, "phase 1") {
 		t.Error("formatter output incomplete")
-	}
-}
-
-func TestAblationLocalSearch(t *testing.T) {
-	hc, err := AblationLocalSearch("Xavier")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hc.ExactMs <= 0 || hc.HeuristicMs <= 0 {
-		t.Fatalf("bad measurements %+v", hc)
-	}
-	// The heuristic can match but should not beat the exact engine by more
-	// than model noise.
-	if hc.GapPct < -3 {
-		t.Errorf("heuristic measured %.1f%% better than the optimum — bound bug?", -hc.GapPct)
 	}
 }
 

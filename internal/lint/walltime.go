@@ -9,14 +9,14 @@ import (
 // entire serving stack — serve, fleet, control, shard — runs on the
 // virtual tick clock so that traces, summaries and metrics replay
 // byte-identically; a stray time.Now() or time.Sleep() silently couples
-// results to the host scheduler. The intentional wall-clock sites
-// (solver wall deadlines that cap real CPU spend, cmd/control's per-leg
-// shard-compare wall timing) carry //detlint:allow walltime annotations
-// explaining why they never feed deterministic output.
+// results to the host scheduler. The intentional wall-clock sites are
+// the solver's: its wall deadline caps real CPU spend, and Stats.Elapsed
+// and Incumbent.Elapsed are diagnostics. Each carries a //detlint:allow
+// walltime annotation explaining why it never feeds deterministic output.
 var WallTime = &Analyzer{
 	Name: "walltime",
-	Doc: "flags time.Now/Since/Sleep and friends outside annotated wall-bench " +
-		"and solver-deadline sites, protecting the virtual-clock discipline",
+	Doc: "flags time.Now/Since/Sleep and friends outside annotated " +
+		"solver-deadline sites, protecting the virtual-clock discipline",
 	Run: runWallTime,
 }
 

@@ -391,7 +391,7 @@ func (p *Problem) cost(res *sim.Result) float64 {
 }
 
 // Evaluator evaluates schedules for one problem without recording a
-// timeline: the inner loop of the solvers (Cost) and the ground-truth
+// timeline: the inner loop of the solver (Cost) and the ground-truth
 // measurement of plans and served mixes (Evaluate). It runs every check
 // Evaluate runs, but schedules are lowered into reused, unlabelled
 // simulator tasks and simulated on a reused sim.Engine that keeps no task

@@ -229,7 +229,7 @@ func TestValidateRejectsBadSchedules(t *testing.T) {
 		{"unknown accelerator", disallowed(len(prob.Platform.Accels))},
 		{"missing rows", &Schedule{Assign: nil}},
 	} {
-		// Validate, Evaluate and the solvers' Evaluator must all refuse it.
+		// Validate, Evaluate and the solver's Evaluator must all refuse it.
 		if err := c.s.Validate(pr); err == nil {
 			t.Errorf("%s: Validate accepted it", c.name)
 		}
@@ -243,7 +243,7 @@ func TestValidateRejectsBadSchedules(t *testing.T) {
 }
 
 // A warmed Evaluator allocates nothing per call, so no label, record or
-// interval can creep back into the solvers' inner loop unnoticed.
+// interval can creep back into the solver's inner loop unnoticed.
 func TestEvaluatorCostAllocatesNothing(t *testing.T) {
 	prob, pr := testProfile(t, "VGG19", "ResNet50", "GoogleNet")
 	prob.Items[1].Iterations = 3

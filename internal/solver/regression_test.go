@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"math"
 	"testing"
 
 	"haxconn/internal/baselines"
@@ -50,54 +49,5 @@ func TestScheduleWhereSeededFallsBackToSeed(t *testing.T) {
 	}
 	if got.Key() != seed.Key() {
 		t.Errorf("zero-node schedule %v; want the configured seed %v", got.Assign, seed.Assign)
-	}
-}
-
-// TestSATBudgetCheckedBeforeSolve: an already-expired budget must stop
-// OptimizeSAT before the first Solve — one model enumeration can
-// overshoot a tight budget unboundedly otherwise.
-func TestSATBudgetCheckedBeforeSolve(t *testing.T) {
-	prob, pr := buildProblem(t, "Orin", schedule.MinMaxLatency, 4, "AlexNet", "ResNet18")
-	seed := baselines.NaiveConcurrent(pr)
-	cfg := Config{Model: model(t, prob.Platform), TimeBudget: 1, Seeds: []*schedule.Schedule{seed}}
-	best, _, st, err := OptimizeSAT(prob, pr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Nodes != 0 {
-		t.Errorf("enumerated %d models under an expired budget; want 0", st.Nodes)
-	}
-	if st.Complete {
-		t.Error("Stats.Complete = true after an early budget exit")
-	}
-	if best.Key() != seed.Key() {
-		t.Errorf("best = %v; want the seed (no model was enumerated)", best.Assign)
-	}
-}
-
-// TestLocalSearchPerRestartSeeds: each restart draws from its own seed, so
-// a combined multi-restart run finds exactly the best of the equivalent
-// single-restart runs — the restart trajectories cannot depend on how the
-// restarts are interleaved.
-func TestLocalSearchPerRestartSeeds(t *testing.T) {
-	prob, pr := buildProblem(t, "Orin", schedule.MinMaxLatency, 6, "VGG19", "ResNet152")
-	cfg := Config{Model: model(t, prob.Platform)}
-	const restarts, seed = 3, 7
-	_, combined, _, err := OptimizeLocal(prob, pr, cfg, restarts, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bestSolo := math.Inf(1)
-	for r := 0; r < restarts; r++ {
-		_, c, _, err := OptimizeLocal(prob, pr, cfg, 1, seed+int64(r))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c < bestSolo {
-			bestSolo = c
-		}
-	}
-	if combined != bestSolo {
-		t.Errorf("restarts=%d run found %.6f; best of the per-seed runs is %.6f — restart trajectories are coupled", restarts, combined, bestSolo)
 	}
 }

@@ -1,36 +1,31 @@
 // Package solver generates optimal schedules for the HaX-CoNN problem
-// (Sec. 3.5 of the paper). Two complete engines are provided:
+// (Sec. 3.5 of the paper). OptimizeBB is the one engine: a complete
+// branch & bound over per-network assignment candidates. It is anytime —
+// improvements are reported as found — and powers D-HaX-CoNN through
+// RunAnytime. A prefix of decided networks is pruned when either of two
+// admissible contention-free bounds already reaches the incumbent's cost,
+// since contention and queueing only add time:
 //
-//   - OptimizeBB: branch & bound over per-network assignment candidates.
-//     It is anytime — improvements are reported as found — and powers
-//     D-HaX-CoNN. A prefix of decided networks is pruned when either of
-//     two admissible contention-free bounds already reaches the
-//     incumbent's cost, since contention and queueing only add time:
-//
-//     1. the critical path of per-network base latencies through the
+//  1. the critical path of per-network base latencies through the
 //     dependencies (schedule.BaseLatencyMs; undecided networks at their
 //     best candidate). Candidates are tried in base-latency order, so
 //     under the latency objective the first candidate this bound prunes
 //     ends the loop (break);
 //
-//     2. the busiest accelerator's load: the decided networks' standalone
+//  2. the busiest accelerator's load: the decided networks' standalone
 //     task times on it, transitions included, times iterations — each
 //     accelerator runs one task at a time. It is not monotone in
 //     candidate order, so it prunes one candidate at a time (continue),
 //     and it is lowered by a margin for the simulator's completion
 //     tolerance (sim.TimeEps per task) and summation rounding.
 //
-//     Every leaf under a pruned prefix costs at least the incumbent, so
-//     the incumbent stream is the one an unpruned search would report;
-//     only the node counts at which incumbents appear shrink.
+// Every leaf under a pruned prefix costs at least the incumbent, so the
+// incumbent stream is the one an unpruned search would report; only the
+// node counts at which incumbents appear shrink. A completed search
+// proves its incumbent optimal over the candidate space, as the paper's
+// Z3 formulation does.
 //
-//   - OptimizeSAT: the Z3-style path. Assignment booleans, exactly-one and
-//     transition-budget constraints (sequential-counter at-most-k) are
-//     handed to the CDCL solver in internal/sat; models are enumerated,
-//     costed with the analytic evaluator and blocked until UNSAT, which
-//     proves optimality of the incumbent.
-//
-// Both engines optimize the *predicted* cost: the analytic evaluator under
+// The engine optimizes the *predicted* cost: the analytic evaluator under
 // a contention model. Measured results always come from re-running the
 // chosen schedule on the ground-truth simulator.
 package solver
@@ -80,18 +75,17 @@ type Incumbent struct {
 	Cost     float64
 	Elapsed  time.Duration
 	// Nodes is the search work done when the incumbent was found: B&B
-	// nodes expanded, SAT models enumerated, or local-search evaluations.
-	// Unlike Elapsed it is deterministic for a given problem, so virtual-
-	// time replays of the incumbent stream (internal/serve's schedule
-	// cache) are reproducible run to run.
+	// nodes expanded. Unlike Elapsed it is deterministic for a given
+	// problem, so virtual-time replays of the incumbent stream
+	// (internal/serve's schedule cache) are reproducible run to run.
 	Nodes int
 }
 
 // Stats summarizes a search.
 type Stats struct {
-	Nodes    int           // search nodes explored (B&B) or models enumerated (SAT)
+	Nodes    int           // search nodes expanded
 	Evals    int           // full schedule evaluations
-	Pruned   int           // subtrees cut by either lower bound (B&B)
+	Pruned   int           // subtrees cut by either lower bound
 	Complete bool          // false if the time budget expired first
 	Elapsed  time.Duration // wall time
 }

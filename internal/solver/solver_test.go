@@ -71,59 +71,59 @@ func TestCandidatesCount(t *testing.T) {
 	}
 }
 
+// TestBBFindsOptimumExhaustively checks branch & bound against brute force
+// over every leaf of the candidate space, under both objectives, unseeded
+// and seeded with the naive baselines as core.Plan seeds it.
 func TestBBFindsOptimumExhaustively(t *testing.T) {
-	// Small instance: verify B&B against brute force over all candidates.
-	prob, pr := buildProblem(t, "Orin", schedule.MinMaxLatency, 4, "GoogleNet", "ResNet50")
-	m := model(t, prob.Platform)
-	arb := sim.ModelArbiter{Model: m}
+	for _, inst := range []struct {
+		nets      [2]string
+		maxGroups int
+		leaves    int
+	}{
+		{[2]string{"GoogleNet", "ResNet50"}, 4, 64},
+		// Table 6's VGG19+ResNet152 pair, cut into 6 groups.
+		{[2]string{"VGG19", "ResNet152"}, 6, 144},
+	} {
+		for _, obj := range []schedule.Objective{schedule.MinMaxLatency, schedule.MaxThroughput} {
+			t.Run(inst.nets[0]+"+"+inst.nets[1]+"/"+obj.String(), func(t *testing.T) {
+				prob, pr := buildProblem(t, "Orin", obj, inst.maxGroups, inst.nets[0], inst.nets[1])
+				m := model(t, prob.Platform)
+				arb := sim.ModelArbiter{Model: m}
 
-	bruteBest := math.Inf(1)
-	c0 := Candidates(pr, 0, 1)
-	c1 := Candidates(pr, 1, 1)
-	for _, a0 := range c0 {
-		for _, a1 := range c1 {
-			s := &schedule.Schedule{Assign: [][]int{a0, a1}}
-			ev, err := schedule.Evaluate(prob, pr, s, arb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ev.Cost < bruteBest {
-				bruteBest = ev.Cost
-			}
-		}
-	}
-	_, cost, st, err := OptimizeBB(prob, pr, Config{Model: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Complete {
-		t.Error("search should complete")
-	}
-	if math.Abs(cost-bruteBest) > 1e-9 {
-		t.Errorf("B&B cost %g != brute force %g", cost, bruteBest)
-	}
-}
-
-func TestSATMatchesBB(t *testing.T) {
-	for _, obj := range []schedule.Objective{schedule.MinMaxLatency, schedule.MaxThroughput} {
-		prob, pr := buildProblem(t, "Orin", obj, 4, "GoogleNet", "ResNet50")
-		m := model(t, prob.Platform)
-		_, bbCost, _, err := OptimizeBB(prob, pr, Config{Model: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, satCost, satSt, err := OptimizeSAT(prob, pr, Config{Model: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !satSt.Complete {
-			t.Error("SAT search should complete")
-		}
-		if math.Abs(bbCost-satCost) > 1e-9 {
-			t.Errorf("obj %v: SAT cost %g != B&B cost %g", obj, satCost, bbCost)
-		}
-		if satSt.Nodes == 0 {
-			t.Error("SAT search enumerated no models")
+				bruteBest, leaves := math.Inf(1), 0
+				for _, a0 := range Candidates(pr, 0, 1) {
+					for _, a1 := range Candidates(pr, 1, 1) {
+						ev, err := schedule.Evaluate(prob, pr, &schedule.Schedule{Assign: [][]int{a0, a1}}, arb)
+						if err != nil {
+							t.Fatal(err)
+						}
+						bruteBest = math.Min(bruteBest, ev.Cost)
+						leaves++
+					}
+				}
+				if leaves != inst.leaves {
+					t.Fatalf("%d leaves, want %d", leaves, inst.leaves)
+				}
+				for _, seeds := range [][]*schedule.Schedule{nil, {baselines.GPUOnly(pr), baselines.NaiveConcurrent(pr)}} {
+					best, cost, st, err := OptimizeBB(prob, pr, Config{Model: m, Seeds: seeds})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !st.Complete {
+						t.Error("search should complete")
+					}
+					if math.Abs(cost-bruteBest) > 1e-9 {
+						t.Errorf("%d seeds: B&B cost %g != brute force %g", len(seeds), cost, bruteBest)
+					}
+					ev, err := schedule.Evaluate(prob, pr, best, arb)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ev.Cost != cost {
+						t.Errorf("%d seeds: returned schedule costs %g, reported %g", len(seeds), ev.Cost, cost)
+					}
+				}
+			})
 		}
 	}
 }
@@ -222,9 +222,6 @@ func TestNilModelRejected(t *testing.T) {
 	if _, _, _, err := OptimizeBB(prob, pr, Config{}); err == nil {
 		t.Error("nil model must be rejected")
 	}
-	if _, _, _, err := OptimizeSAT(prob, pr, Config{}); err == nil {
-		t.Error("nil model must be rejected (SAT)")
-	}
 }
 
 func TestContentionAwareBeatsUnawarePrediction(t *testing.T) {
@@ -277,61 +274,12 @@ func TestCriticalPath(t *testing.T) {
 	}
 }
 
-func TestLocalSearchNeverBeatsExactAndIsClose(t *testing.T) {
-	prob, pr := buildProblem(t, "Orin", schedule.MinMaxLatency, 8, "VGG19", "ResNet152")
-	m := model(t, prob.Platform)
-	seeds := []*schedule.Schedule{baselines.GPUOnly(pr), baselines.NaiveConcurrent(pr)}
-	_, exact, _, err := OptimizeBB(prob, pr, Config{Model: m, Seeds: seeds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	best, heur, st, err := OptimizeLocal(prob, pr, Config{Model: m, Seeds: seeds}, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if heur < exact-1e-9 {
-		t.Fatalf("heuristic cost %g beats the proven optimum %g", heur, exact)
-	}
-	// With restarts and baseline seeds the gap on this instance is small.
-	if heur > exact*1.15 {
-		t.Errorf("heuristic cost %g is %.0f%% above the optimum %g", heur, 100*(heur/exact-1), exact)
-	}
-	if err := best.Validate(pr); err != nil {
-		t.Error(err)
-	}
-	if !st.Complete || st.Evals == 0 {
-		t.Errorf("stats %+v", st)
-	}
-}
-
-func TestLocalSearchErrors(t *testing.T) {
-	prob, pr := buildProblem(t, "Orin", schedule.MinMaxLatency, 4, "AlexNet")
-	if _, _, _, err := OptimizeLocal(prob, pr, Config{}, 1, 1); err == nil {
-		t.Error("nil model must be rejected")
-	}
-}
-
-func TestLocalSearchDeterministicForSeed(t *testing.T) {
-	prob, pr := buildProblem(t, "Orin", schedule.MinMaxLatency, 6, "GoogleNet", "ResNet50")
-	m := model(t, prob.Platform)
-	_, c1, _, err := OptimizeLocal(prob, pr, Config{Model: m}, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, c2, _, err := OptimizeLocal(prob, pr, Config{Model: m}, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
-		t.Errorf("same seed gave costs %g and %g", c1, c2)
-	}
-}
-
-// The solvers cost candidates with schedule.Evaluator, and plans and
+// The solver costs candidates with schedule.Evaluator, and plans and
 // served mixes are measured with it; its cost and its timeline-free
 // evaluation must equal Evaluate's bit for bit on everything they can hand
-// it, under the model they optimize with and under ground truth, with one
-// Evaluator per arbiter reused across schedules in shuffled order.
+// it, under the model the solver optimizes with and under ground truth,
+// with one Evaluator per arbiter reused across schedules in shuffled
+// order.
 func TestEvaluatorMatchesEvaluate(t *testing.T) {
 	problem := func(platform string, obj schedule.Objective, frames int, items ...schedule.Item) (*schedule.Problem, *schedule.Profile) {
 		p, ok := soc.PlatformByName(platform)

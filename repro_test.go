@@ -7,9 +7,9 @@ import (
 )
 
 // TestReproductionGate asserts, in one place, every shape claim this
-// repository makes against the paper (see EXPERIMENTS.md). It is the
-// test a reviewer would run to check the reproduction still holds after
-// a change to the substrate or the scheduler.
+// repository makes against the paper (the artifacts cmd/experiments
+// prints). It is the test a reviewer would run to check the reproduction
+// still holds after a change to the substrate or the scheduler.
 func TestReproductionGate(t *testing.T) {
 	t.Run("Fig1Ordering", func(t *testing.T) {
 		r, err := experiments.Fig1()
