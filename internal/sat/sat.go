@@ -2,10 +2,10 @@
 // solver: two-watched-literal propagation, 1-UIP conflict analysis with
 // clause learning, VSIDS branching, phase saving and Luby restarts.
 //
-// It is the repository's stand-in for Z3 (Sec. 3.5 of the paper): the
-// schedule optimizer in internal/solver encodes layer-to-accelerator
-// assignment constraints over these booleans and minimizes the schedule
-// objective by iterated solving with blocking clauses.
+// Nothing in the repository calls it: internal/solver plans every
+// schedule by branch and bound, and the SAT-enumeration optimizer that
+// used this package is deleted. ROADMAP item 5 schedules the package's
+// deletion.
 //
 // Literal convention follows DIMACS: variables are positive integers
 // starting at 1; a negative integer is the negated literal.
@@ -106,10 +106,6 @@ type Solver struct {
 
 	propagations, conflicts, decisions uint64
 
-	// original records every clause as added, before simplification, so
-	// WriteDIMACS round-trips the formula exactly.
-	original [][]int
-
 	ok bool // false once a top-level contradiction is added
 }
 
@@ -161,7 +157,6 @@ func (s *Solver) AddClause(dimacs ...int) error {
 			return fmt.Errorf("%w: %d", ErrBadLiteral, x)
 		}
 	}
-	s.original = append(s.original, append([]int(nil), dimacs...))
 	if !s.ok {
 		return nil
 	}
