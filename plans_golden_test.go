@@ -14,7 +14,7 @@ import (
 	"haxconn/internal/experiments"
 )
 
-var updatePlans = flag.Bool("update-plans", false, "rewrite testdata/paper_plans.golden from the current code")
+var updatePlans = flag.Bool("update-plans", false, "rewrite testdata/paper_plans.golden and testdata/paper_search.golden from the current code")
 
 const plansGolden = "testdata/paper_plans.golden"
 
@@ -52,20 +52,7 @@ func TestPaperPlansGolden(t *testing.T) {
 		}
 		return
 	}
-	f, err := os.Open(plansGolden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var want []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		want = append(want, sc.Text())
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
+	want := readGolden(t, plansGolden)
 	if len(want) != len(lines) {
 		t.Fatalf("%s has %d plans, the evaluation set %d", plansGolden, len(want), len(lines))
 	}
@@ -74,6 +61,26 @@ func TestPaperPlansGolden(t *testing.T) {
 			t.Errorf("plan %d moved:\n got %s\nwant %s", i, lines[i], want[i])
 		}
 	}
+}
+
+// readGolden returns the lines of a golden file.
+func readGolden(t *testing.T, path string) []string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var lines []string
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		lines = append(lines, sc.Text())
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return lines
 }
 
 // planLine compares one request and renders its plan as one golden line:
