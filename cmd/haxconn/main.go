@@ -124,8 +124,8 @@ func main() {
 	for i, l := range res.ItemLatencyMs {
 		fmt.Printf("  %-14s %.2f ms\n", req.Networks[i], l)
 	}
-	fmt.Printf("solver:      %d nodes, %d evals, pruned %d, %v\n",
-		res.SolverStats.Nodes, res.SolverStats.Evals, res.SolverStats.Pruned, res.SolverStats.Elapsed)
+	fmt.Printf("solver:      %d nodes, %d evals (%d cut), pruned %d, %v\n",
+		res.SolverStats.Nodes, res.SolverStats.Evals, res.SolverStats.Cut, res.SolverStats.Pruned, res.SolverStats.Elapsed)
 	if *traceOut != "" {
 		if err := writeTrace(*traceOut, res); err != nil {
 			fmt.Fprintln(os.Stderr, "haxconn:", err)

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // FairShare allocates capacity among demands with max-min fairness: no
@@ -140,10 +139,13 @@ func (o Oracle) Name() string { return "oracle" }
 // fitted model is immutable, so goroutines may share one.
 type PCCS struct {
 	satBW   float64
-	ownGrid []float64   // own-demand knots, ascending
-	extGrid []float64   // external-demand knots, ascending
-	stretch [][]float64 // stretch[i][j]: memory-portion stretch at ownGrid[i], extGrid[j]
-	fitted  bool
+	ownGrid []float64 // own-demand knots, ascending and evenly spaced from 0
+	extGrid []float64 // external-demand knots, ascending and evenly spaced from 0
+	// ownInv and extInv are the inverses of the grids' spacings, so a
+	// query finds its knots in O(1) (bracket).
+	ownInv, extInv float64
+	stretch        [][]float64 // stretch[i][j]: memory-portion stretch at ownGrid[i], extGrid[j]
+	fitted         bool
 }
 
 // FitPCCS builds a PCCS model for a platform saturation bandwidth by
@@ -158,7 +160,7 @@ func FitPCCS(satBW float64, samplesPerAxis int) (*PCCS, error) {
 	if samplesPerAxis < 2 {
 		return nil, fmt.Errorf("contention: need at least 2 samples per axis, got %d", samplesPerAxis)
 	}
-	m := &PCCS{satBW: satBW}
+	m := &PCCS{satBW: satBW, ownInv: float64(samplesPerAxis-1) / satBW, extInv: float64(samplesPerAxis-1) / (2 * satBW)}
 	for i := 0; i < samplesPerAxis; i++ {
 		frac := float64(i) / float64(samplesPerAxis-1)
 		m.ownGrid = append(m.ownGrid, frac*satBW)
@@ -183,9 +185,10 @@ func FitPCCS(satBW float64, samplesPerAxis int) (*PCCS, error) {
 }
 
 // SlowdownFor predicts the slowdown via bilinear interpolation on the
-// fitted stretch surface.
+// fitted stretch surface. A demand, intensity or external demand that is
+// not positive — NaN included — predicts no slowdown.
 func (m *PCCS) SlowdownFor(demand, mu, external float64) float64 {
-	if !m.fitted || demand <= 0 || mu <= 0 || external <= 0 {
+	if !m.fitted || !(demand > 0) || !(mu > 0) || !(external > 0) {
 		return 1
 	}
 	st := m.interp(demand, external)
@@ -196,16 +199,19 @@ func (m *PCCS) SlowdownFor(demand, mu, external float64) float64 {
 }
 
 func (m *PCCS) interp(own, ext float64) float64 {
-	i0, i1, ti := bracket(m.ownGrid, own)
-	j0, j1, tj := bracket(m.extGrid, ext)
+	i0, i1, ti := bracket(m.ownGrid, m.ownInv, own)
+	j0, j1, tj := bracket(m.extGrid, m.extInv, ext)
 	a := m.stretch[i0][j0]*(1-tj) + m.stretch[i0][j1]*tj
 	b := m.stretch[i1][j0]*(1-tj) + m.stretch[i1][j1]*tj
 	return a*(1-ti) + b*ti
 }
 
 // bracket finds grid neighbours of x and the interpolation fraction,
-// clamping outside the grid.
-func bracket(grid []float64, x float64) (int, int, float64) {
+// clamping outside the grid. The grid's knots are evenly spaced from 0,
+// and inv is the inverse of their spacing: x*inv guesses the upper
+// neighbour, and stepping against the stored knots corrects the guess to
+// the first knot at or above x, the index sort.SearchFloat64s returns.
+func bracket(grid []float64, inv, x float64) (int, int, float64) {
 	n := len(grid)
 	if x <= grid[0] {
 		return 0, 0, 0
@@ -213,7 +219,16 @@ func bracket(grid []float64, x float64) (int, int, float64) {
 	if x >= grid[n-1] {
 		return n - 1, n - 1, 0
 	}
-	hi := sort.SearchFloat64s(grid, x)
+	hi := n - 1
+	if f := x * inv; f < float64(n-2) {
+		hi = int(f) + 1
+	}
+	for hi > 1 && grid[hi-1] >= x {
+		hi--
+	}
+	for hi < n-1 && grid[hi] < x {
+		hi++
+	}
 	lo := hi - 1
 	t := (x - grid[lo]) / (grid[hi] - grid[lo])
 	return lo, hi, t

@@ -2,6 +2,7 @@ package contention
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -136,21 +137,28 @@ func TestFitPCCSErrors(t *testing.T) {
 }
 
 // FuzzFitPCCS: for any saturation bandwidth, FitPCCS either fails or fits
-// a model whose slowdown is finite and at least 1 for every finite,
-// non-negative demand pair and memory intensity in [0, 1].
+// a model whose slowdown is finite and at least 1 for every demand pair —
+// negative, NaN and infinite demands included — and every memory intensity
+// in [0, 1] or NaN.
 func FuzzFitPCCS(f *testing.F) {
 	f.Add(100.0, 50.0, 0.5, 80.0)
 	f.Add(math.NaN(), 1.0, 1.0, 1.0)
 	f.Add(math.Inf(1), 1.0, 1.0, 1.0)
 	f.Add(5e-324, 5e-324, 1.0, 1e308)
 	f.Add(math.MaxFloat64, math.MaxFloat64, 1.0, math.MaxFloat64)
+	// NaN demands used to index one past the grid and panic; a NaN
+	// intensity used to predict NaN.
+	f.Add(100.0, math.NaN(), 1.0, 10.0)
+	f.Add(100.0, 10.0, 1.0, math.NaN())
+	f.Add(100.0, 10.0, math.NaN(), 10.0)
+	f.Add(100.0, math.Inf(1), 0.5, math.Inf(1))
+	f.Add(100.0, math.Inf(-1), 0.5, math.Inf(-1))
 	f.Fuzz(func(t *testing.T, satBW, demand, mu, external float64) {
 		m, err := FitPCCS(satBW, 16)
 		if err != nil {
 			return
 		}
-		finiteNonNeg := func(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
-		if !finiteNonNeg(demand) || !finiteNonNeg(external) || !(mu >= 0 && mu <= 1) {
+		if !(mu >= 0 && mu <= 1) && !math.IsNaN(mu) {
 			return
 		}
 		if s := m.SlowdownFor(demand, mu, external); math.IsNaN(s) || math.IsInf(s, 0) || s < 1 {
@@ -228,13 +236,61 @@ func TestPCCSProperties(t *testing.T) {
 
 func TestBracketClamps(t *testing.T) {
 	grid := []float64{0, 10, 20}
-	if i0, i1, f := bracket(grid, -5); i0 != 0 || i1 != 0 || f != 0 {
+	if i0, i1, f := bracket(grid, 0.1, -5); i0 != 0 || i1 != 0 || f != 0 {
 		t.Errorf("below grid: %d %d %g", i0, i1, f)
 	}
-	if i0, i1, f := bracket(grid, 25); i0 != 2 || i1 != 2 || f != 0 {
+	if i0, i1, f := bracket(grid, 0.1, 25); i0 != 2 || i1 != 2 || f != 0 {
 		t.Errorf("above grid: %d %d %g", i0, i1, f)
 	}
-	if i0, i1, f := bracket(grid, 15); i0 != 1 || i1 != 2 || math.Abs(f-0.5) > 1e-12 {
+	if i0, i1, f := bracket(grid, 0.1, 15); i0 != 1 || i1 != 2 || math.Abs(f-0.5) > 1e-12 {
 		t.Errorf("mid grid: %d %d %g", i0, i1, f)
+	}
+}
+
+// searchBracket is bracket as it was written with a binary search; it is
+// the oracle for the O(1) lookup.
+func searchBracket(grid []float64, x float64) (int, int, float64) {
+	n := len(grid)
+	if x <= grid[0] {
+		return 0, 0, 0
+	}
+	if x >= grid[n-1] {
+		return n - 1, n - 1, 0
+	}
+	hi := sort.SearchFloat64s(grid, x)
+	lo := hi - 1
+	t := (x - grid[lo]) / (grid[hi] - grid[lo])
+	return lo, hi, t
+}
+
+// The O(1) bracket returns what the binary search returns, bit for bit, at
+// every knot of both axes, one ulp either side of it and midway to the
+// next, for 2 to 64 samples per axis and several bandwidths.
+func TestBracketMatchesBinarySearch(t *testing.T) {
+	for _, satBW := range []float64{1, 100, 137.5, 204.8, 1e-3, 3e7} {
+		for n := 2; n <= 64; n++ {
+			m, err := FitPCCS(satBW, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ax := range []struct {
+				grid []float64
+				inv  float64
+			}{{m.ownGrid, m.ownInv}, {m.extGrid, m.extInv}} {
+				for k, knot := range ax.grid {
+					xs := []float64{knot, math.Nextafter(knot, math.Inf(-1)), math.Nextafter(knot, math.Inf(1))}
+					if k+1 < len(ax.grid) {
+						xs = append(xs, (knot+ax.grid[k+1])/2)
+					}
+					for _, x := range xs {
+						lo, hi, f := bracket(ax.grid, ax.inv, x)
+						wlo, whi, wf := searchBracket(ax.grid, x)
+						if lo != wlo || hi != whi || math.Float64bits(f) != math.Float64bits(wf) {
+							t.Fatalf("satBW %g, %d samples, x %v: bracket %d %d %v, binary search %d %d %v", satBW, n, x, lo, hi, f, wlo, whi, wf)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -92,15 +92,15 @@ func Fig4() (*Fig4Result, error) {
 	}
 	sat := p.SatBW()
 	w := sim.Workload{Streams: []sim.Stream{
-		{Name: "DNN1", Tasks: []sim.Task{
-			{Label: "L11", Accel: 0, BaseMs: 4, DemandGBps: 0.5 * sat, MemIntensity: 0.8},
+		{Name: "DNN1", Labels: []string{"L11"}, Tasks: []sim.Task{
+			{Accel: 0, BaseMs: 4, DemandGBps: 0.5 * sat, MemIntensity: 0.8},
 		}},
-		{Name: "DNN2", Tasks: []sim.Task{
-			{Label: "L21", Accel: 1, BaseMs: 2, DemandGBps: 0.6 * sat, MemIntensity: 0.9},
-			{Label: "L22", Accel: 1, BaseMs: 3, DemandGBps: 0.3 * sat, MemIntensity: 0.5},
+		{Name: "DNN2", Labels: []string{"L21", "L22"}, Tasks: []sim.Task{
+			{Accel: 1, BaseMs: 2, DemandGBps: 0.6 * sat, MemIntensity: 0.9},
+			{Accel: 1, BaseMs: 3, DemandGBps: 0.3 * sat, MemIntensity: 0.5},
 		}},
-		{Name: "DNN3", Tasks: []sim.Task{
-			{Label: "L31", Accel: 2, BaseMs: 3, DemandGBps: 0.4 * sat, MemIntensity: 0.7},
+		{Name: "DNN3", Labels: []string{"L31"}, Tasks: []sim.Task{
+			{Accel: 2, BaseMs: 3, DemandGBps: 0.4 * sat, MemIntensity: 0.7},
 		}},
 	}}
 	res, err := sim.Run(p, w, sim.GroundTruth{SatBW: sat})

@@ -171,9 +171,11 @@ func (s *Schedule) AppendKey(b []byte) []byte {
 
 // Transitions returns the number of inter-accelerator transitions in item i
 // (the TR count of Eq. 3).
-func (s *Schedule) Transitions(i int) int {
+func (s *Schedule) Transitions(i int) int { return transitions(s.Assign[i]) }
+
+// transitions counts a row's accelerator switches.
+func transitions(row []int) int {
 	n := 0
-	row := s.Assign[i]
 	for g := 1; g < len(row); g++ {
 		if row[g] != row[g-1] {
 			n++
@@ -260,65 +262,69 @@ func (s *Schedule) Describe(pr *Profile) string {
 
 // BuildSim lowers a schedule into a simulator workload: one stream per
 // item, exec tasks per group and iteration, and OUT/IN transition tasks at
-// every accelerator switch (Eq. 2's tau terms).
+// every accelerator switch (Eq. 2's tau terms). Each stream's Labels name
+// its tasks, e.g. "VGG19/it0/g3" or "VGG19/it0/out3".
 func BuildSim(prob *Problem, pr *Profile, s *Schedule) sim.Workload {
-	var w sim.Workload
-	lower(prob, pr, s, &w, true)
-	return w
-}
-
-// lower writes BuildSim's workload for s into w, reusing w's stream,
-// dependency and task slices. Task labels, which only timelines read, are
-// built when labels is set.
-func lower(prob *Problem, pr *Profile, s *Schedule, w *sim.Workload, labels bool) {
-	w.Streams = slices.Grow(w.Streams[:0], len(prob.Items))[:len(prob.Items)]
+	w := sim.Workload{Streams: make([]sim.Stream, len(prob.Items))}
 	for i, it := range prob.Items {
 		st := &w.Streams[i]
 		st.Name = it.Net.Name
-		st.After = append(st.After[:0], it.After...)
+		st.After = append([]int(nil), it.After...)
+		lowerItem(prob, pr, i, s.Assign[i], st)
+		st.Labels = make([]string, 0, len(st.Tasks))
 		row := s.Assign[i]
-		st.Tasks = slices.Grow(st.Tasks[:0], it.iterations()*(len(row)+2*s.Transitions(i)))
 		for iter := 0; iter < it.iterations(); iter++ {
-			for g := range pr.Groups[i] {
-				a := row[g]
-				if g > 0 && row[g-1] != a {
-					prev := row[g-1]
-					outMs := pr.TransOutMs[i][g-1][prev]
-					inMs := pr.TransInMs[i][g][a]
-					bytes := float64(pr.OutBytes[i][g-1])
-					st.Tasks = append(st.Tasks,
-						transTask(taskLabel(labels, it.Net.Name, iter, "out", g), prev, outMs, bytes),
-						transTask(taskLabel(labels, it.Net.Name, iter, "in", g), a, inMs, bytes),
-					)
+			for g := range row {
+				if g > 0 && row[g-1] != row[g] {
+					st.Labels = append(st.Labels, taskLabel(st.Name, iter, "out", g), taskLabel(st.Name, iter, "in", g))
 				}
-				e := pr.Exec[i][g][a]
-				st.Tasks = append(st.Tasks, sim.Task{
-					Label:        taskLabel(labels, it.Net.Name, iter, "g", g),
-					Accel:        a,
-					BaseMs:       e.LatencyMs,
-					DemandGBps:   e.DemandGBps,
-					MemIntensity: e.MemIntensity,
-				})
+				st.Labels = append(st.Labels, taskLabel(st.Name, iter, "g", g))
 			}
 		}
 	}
+	return w
 }
 
-// taskLabel names a lowered task, e.g. "VGG19/it0/g3" or "VGG19/it0/out3",
-// or returns "" when labels are off.
-func taskLabel(labels bool, net string, iter int, kind string, g int) string {
-	if !labels {
-		return ""
+// lowerItem writes item i's tasks under its assignment row into st.Tasks,
+// reusing the slice: one iteration's tasks, then copies of them for the
+// other iterations.
+func lowerItem(prob *Problem, pr *Profile, i int, row []int, st *sim.Stream) {
+	per := len(row) + 2*transitions(row)
+	iters := prob.Items[i].iterations()
+	tasks := slices.Grow(st.Tasks[:0], iters*per)
+	for g, a := range row {
+		if g > 0 && row[g-1] != a {
+			prev := row[g-1]
+			outMs := pr.TransOutMs[i][g-1][prev]
+			inMs := pr.TransInMs[i][g][a]
+			bytes := float64(pr.OutBytes[i][g-1])
+			tasks = append(tasks, transTask(prev, outMs, bytes), transTask(a, inMs, bytes))
+		}
+		e := pr.Exec[i][g][a]
+		tasks = append(tasks, sim.Task{
+			Accel:        a,
+			BaseMs:       e.LatencyMs,
+			DemandGBps:   e.DemandGBps,
+			MemIntensity: e.MemIntensity,
+		})
 	}
+	for iter := 1; iter < iters; iter++ {
+		tasks = append(tasks, tasks[:per]...)
+	}
+	st.Tasks = tasks
+}
+
+// taskLabel names a lowered task, e.g. "VGG19/it0/g3" or "VGG19/it0/out3".
+func taskLabel(net string, iter int, kind string, g int) string {
 	return fmt.Sprintf("%s/it%d/%s%d", net, iter, kind, g)
 }
 
-func transTask(label string, accel int, ms, bytes float64) sim.Task {
+func transTask(accel int, ms, bytes float64) sim.Task {
 	demand := 0.0
 	if ms > 0 {
 		demand = bytes / (ms * 1e6)
 	}
-	return sim.Task{Label: label, Accel: accel, BaseMs: ms, DemandGBps: demand, MemIntensity: 1}
+	return sim.Task{Accel: accel, BaseMs: ms, DemandGBps: demand, MemIntensity: 1}
 }
 
 // Eval is the outcome of evaluating a schedule.
@@ -396,16 +402,25 @@ func (p *Problem) cost(res *sim.Result) float64 {
 // Evaluate runs, but schedules are lowered into reused, unlabelled
 // simulator tasks and simulated on a reused sim.Engine that keeps no task
 // records or contention intervals, so a warmed Evaluator's Cost allocates
-// nothing. The profile's allowed accelerators are read once, by
-// NewEvaluator. An Evaluator must not be used by two goroutines at once;
-// give each its own.
+// nothing.
+//
+// It remembers the assignment row each item's stream was lowered from,
+// and re-lowers an item — and re-runs the simulator's per-task checks and
+// suffix sums on it (sim.CheckStream) — only when its row changes.
+// Consecutive branch & bound leaves differ in the deepest item only. This
+// assumes the problem and profile do not change after NewEvaluator, which
+// also reads the profile's allowed accelerators once. An Evaluator must
+// not be used by two goroutines at once; give each its own.
 type Evaluator struct {
 	prob    *Problem
 	pr      *Profile
 	arb     sim.Arbiter
 	allowed []bool
-	w       sim.Workload
-	eng     sim.Engine
+	// rows holds, item after item, the row each stream of w was lowered
+	// from; -1 marks a stream that must be lowered.
+	rows []int
+	w    sim.Workload
+	eng  sim.Engine
 }
 
 // NewEvaluator returns an Evaluator for the problem and profile under the
@@ -414,39 +429,75 @@ func NewEvaluator(prob *Problem, pr *Profile, arb sim.Arbiter) *Evaluator {
 	return &Evaluator{prob: prob, pr: pr, arb: arb, allowed: allowedTable(pr)}
 }
 
-// Cost returns the objective cost of s; it equals
-// Evaluate(prob, pr, s, arb).Cost bit for bit, and fails wherever
-// Evaluate fails.
-func (e *Evaluator) Cost(s *Schedule) (float64, error) {
-	res, err := e.run(s)
-	if err != nil {
-		return 0, err
+// Cost returns the objective cost and the makespan of s, each equal to
+// Evaluate(prob, pr, s, arb)'s bit for bit, and fails wherever Evaluate
+// fails. If the makespan provably reaches limitMs first, the simulation
+// stops there and Cost reports cut, with zero cost and makespan: s's
+// makespan is at least limitMs (sim.Engine.RunLimited). math.Inf(1) runs
+// every simulation to the end.
+func (e *Evaluator) Cost(s *Schedule, limitMs float64) (cost, makespanMs float64, cut bool, err error) {
+	res, cut, err := e.run(s, limitMs)
+	if err != nil || cut {
+		return 0, 0, cut, err
 	}
-	return e.prob.cost(res), nil
+	return e.prob.cost(res), res.MakespanMs, false, nil
 }
 
 // Evaluate returns Evaluate(prob, pr, s, arb) without its timeline: the
 // makespan, per-item latencies, stream ends, FPS and cost equal Evaluate's
 // bit for bit, Result is nil, and it fails wherever Evaluate fails.
 func (e *Evaluator) Evaluate(s *Schedule) (*Eval, error) {
-	res, err := e.run(s)
+	res, _, err := e.run(s, math.Inf(1))
 	if err != nil {
 		return nil, err
 	}
 	return newEval(e.prob, res), nil
 }
 
-// run checks s, lowers it unlabelled and simulates it untimed; the result
-// belongs to the engine.
-func (e *Evaluator) run(s *Schedule) (*sim.Result, error) {
+// run checks s, lowers the items whose rows changed and simulates it
+// untimed under the limit; the result belongs to the engine.
+func (e *Evaluator) run(s *Schedule, limitMs float64) (*sim.Result, bool, error) {
 	if err := e.prob.Validate(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if err := s.validate(e.pr, e.allowed); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	lower(e.prob, e.pr, s, &e.w, false)
-	return e.eng.RunUntimed(e.prob.Platform, e.w, e.arb)
+	if e.w.Streams == nil {
+		e.init()
+	}
+	off := 0
+	for i, row := range s.Assign {
+		lowered := e.rows[off : off+len(row)]
+		off += len(row)
+		if slices.Equal(lowered, row) {
+			continue
+		}
+		st := &e.w.Streams[i]
+		lowerItem(e.prob, e.pr, i, row, st)
+		if err := sim.CheckStream(e.prob.Platform, i, st); err != nil {
+			lowered[0] = -1
+			return nil, false, err
+		}
+		copy(lowered, row)
+	}
+	return e.eng.RunLimited(e.prob.Platform, e.w, e.arb, limitMs)
+}
+
+// init sizes the workload and the row record for the problem: one stream
+// per item, none lowered yet.
+func (e *Evaluator) init() {
+	e.w.Streams = make([]sim.Stream, len(e.prob.Items))
+	n := 0
+	for i, it := range e.prob.Items {
+		e.w.Streams[i].Name = it.Net.Name
+		e.w.Streams[i].After = it.After
+		n += len(e.pr.Groups[i])
+	}
+	e.rows = make([]int, n)
+	for i := range e.rows {
+		e.rows[i] = -1
+	}
 }
 
 // BaseLatencyMs returns the contention-free latency of item i under the

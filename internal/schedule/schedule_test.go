@@ -236,14 +236,18 @@ func TestValidateRejectsBadSchedules(t *testing.T) {
 		if _, err := Evaluate(prob, pr, c.s, gtArb(prob.Platform)); err == nil {
 			t.Errorf("%s: Evaluate accepted it", c.name)
 		}
-		if _, err := ev.Cost(c.s); err == nil {
+		if _, _, _, err := ev.Cost(c.s, math.Inf(1)); err == nil {
 			t.Errorf("%s: Evaluator.Cost accepted it", c.name)
 		}
 	}
 }
 
 // A warmed Evaluator allocates nothing per call, so no label, record or
-// interval can creep back into the solver's inner loop unnoticed.
+// interval can creep back into the solver's inner loop unnoticed. The
+// calls alternate two schedules that differ in one row, as consecutive
+// branch & bound leaves do, so the re-lowered item and its checks are
+// inside the measured loop; the second runs under the first's makespan
+// as a limit.
 func TestEvaluatorCostAllocatesNothing(t *testing.T) {
 	prob, pr := testProfile(t, "VGG19", "ResNet50", "GoogleNet")
 	prob.Items[1].Iterations = 3
@@ -258,14 +262,23 @@ func TestEvaluatorCostAllocatesNothing(t *testing.T) {
 			row[g] = 1 - i%2
 		}
 	}
+	s2 := s.Clone()
+	s2.Assign[1][0] = 1
 	for _, obj := range []Objective{MinMaxLatency, MaxThroughput} {
 		prob.Objective = obj
 		ev := NewEvaluator(prob, pr, sim.ModelArbiter{Model: m})
-		if _, err := ev.Cost(s); err != nil {
+		_, limit, _, err := ev.Cost(s, math.Inf(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := ev.Cost(s2, limit); err != nil {
 			t.Fatal(err)
 		}
 		if allocs := testing.AllocsPerRun(20, func() {
-			if _, err := ev.Cost(s); err != nil {
+			if _, _, _, err := ev.Cost(s, math.Inf(1)); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := ev.Cost(s2, limit); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
@@ -321,15 +334,19 @@ func TestBuildSimTransitionTasks(t *testing.T) {
 	if len(w.Streams[0].Tasks) != want {
 		t.Errorf("tasks = %d, want %d", len(w.Streams[0].Tasks), want)
 	}
+	if len(w.Streams[0].Labels) != want {
+		t.Fatalf("labels = %d, want one per task", len(w.Streams[0].Labels))
+	}
 	var hasOut, hasIn bool
-	for _, task := range w.Streams[0].Tasks {
-		if strings.Contains(task.Label, "/out") {
+	for k, task := range w.Streams[0].Tasks {
+		label := w.Streams[0].Labels[k]
+		if strings.Contains(label, "/out") {
 			hasOut = true
 			if task.Accel != 0 {
 				t.Error("OUT transition must run on the old accelerator")
 			}
 		}
-		if strings.Contains(task.Label, "/in") {
+		if strings.Contains(label, "/in") {
 			hasIn = true
 			if task.Accel != 1 {
 				t.Error("IN transition must run on the new accelerator")

@@ -96,9 +96,33 @@ func fuzzWorkload(data []byte) (*soc.Platform, Workload) {
 	return p, w
 }
 
+// limitFor derives a run limit from a fuzz byte and the full makespan m:
+// below it, at it, one ulp above it, well above it, none, or a fixed
+// value (negative, zero, tiny, huge or NaN).
+func limitFor(b byte, m float64) float64 {
+	switch b % 8 {
+	case 0:
+		return m / 2
+	case 1:
+		return m * 0.999
+	case 2:
+		return m
+	case 3:
+		return math.Nextafter(m, math.Inf(1))
+	case 4:
+		return 2 * m
+	case 5:
+		return math.Inf(1)
+	default:
+		return fuzzValues[int(b/8)%len(fuzzValues)]
+	}
+}
+
 // FuzzSimRun: on any small workload, under ground truth and a PCCS model,
 // the simulator errors or returns finite results; the untimed run equals
-// Run bit for bit; and the allocation-free ground-truth arbitration equals
+// Run bit for bit; a run limited by a fuzzed limit either equals the
+// untimed run bit for bit or is cut, and a cut run's full makespan is at
+// least the limit; and the allocation-free ground-truth arbitration equals
 // the sort.Slice oracle, both on the workload's demands and over the whole
 // simulated timeline.
 func FuzzSimRun(f *testing.F) {
@@ -106,6 +130,9 @@ func FuzzSimRun(f *testing.F) {
 	f.Add([]byte{3, 3, 1, 0, 4, 0, 0, 4, 5, 0, 1, 0, 9, 5, 2, 1, 1, 0, 4, 5, 1, 1, 2, 2, 7, 7, 2})
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 10, 11, 0})
 	f.Add([]byte{1, 1, 9, 0, 6, 3, 0, 0, 3, 4, 2, 0, 1, 4, 4, 4, 0, 0, 7, 4, 1, 0, 1, 6, 4, 2, 13})
+	// An empty stream blocked on another stream while the limit is
+	// checked: it has no task to bound.
+	f.Add([]byte("0120"))
 	pccs, err := contention.FitPCCS(soc.Orin().SatBW(), 16)
 	if err != nil {
 		f.Fatal(err)
@@ -129,12 +156,59 @@ func FuzzSimRun(f *testing.F) {
 			}
 		}
 
-		var e Engine
+		// The limited run reads checked streams; a stream CheckStream
+		// rejects is one Run rejects too.
+		checked := true
+		for si := range w.Streams {
+			if CheckStream(p, si, &w.Streams[si]) != nil {
+				checked = false
+			}
+		}
+		var limitByte byte
+		if len(data) > 0 {
+			limitByte = data[len(data)-1]
+		}
+		var e, le Engine
 		for _, arb := range []Arbiter{gt(p), ModelArbiter{Model: pccs}} {
 			want, err := Run(p, w, arb)
 			unt, uerr := e.RunUntimed(p, w, arb)
 			if (err == nil) != (uerr == nil) || (err != nil && err.Error() != uerr.Error()) {
 				t.Fatalf("%T: Run error %v, RunUntimed error %v", arb, err, uerr)
+			}
+			if !checked {
+				if err == nil {
+					t.Fatalf("%T: Run accepted a stream CheckStream rejects", arb)
+				}
+				continue
+			}
+			m := math.NaN()
+			if err == nil {
+				m = want.MakespanMs
+			}
+			limit := limitFor(limitByte, m)
+			lim, cut, lerr := le.RunLimited(p, w, arb, limit)
+			switch {
+			case cut && lerr != nil:
+				t.Fatalf("%T: limited run both cut and failed: %v", arb, lerr)
+			case cut && err == nil && !(m >= limit):
+				t.Fatalf("%T: cut at limit %v, full makespan %v", arb, limit, m)
+			case !cut && (lerr == nil) != (uerr == nil):
+				t.Fatalf("%T: limited run error %v, RunUntimed error %v", arb, lerr, uerr)
+			case !cut && lerr != nil && lerr.Error() != uerr.Error():
+				t.Fatalf("%T: limited run error %v, RunUntimed error %v", arb, lerr, uerr)
+			case !cut && lerr == nil:
+				for _, v := range [][2][]float64{
+					{{lim.MakespanMs}, {unt.MakespanMs}},
+					{lim.StreamStartMs, unt.StreamStartMs},
+					{lim.StreamEndMs, unt.StreamEndMs},
+					{lim.BusyMs, unt.BusyMs},
+				} {
+					for i := range v[1] {
+						if math.Float64bits(v[0][i]) != math.Float64bits(v[1][i]) {
+							t.Fatalf("%T: uncut run under limit %v: %v, untimed %v", arb, limit, v[0], v[1])
+						}
+					}
+				}
 			}
 			if err != nil {
 				continue

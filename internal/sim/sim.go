@@ -22,9 +22,10 @@ import (
 )
 
 // Task is one unit of accelerator work: a layer group's execution or an
-// inter-accelerator transition.
+// inter-accelerator transition. It holds no pointer, so lowering a
+// schedule into tasks pays no GC write barriers; labels live in
+// Stream.Labels.
 type Task struct {
-	Label        string
 	Accel        int     // index into the platform's accelerator list
 	BaseMs       float64 // standalone duration
 	DemandGBps   float64 // memory throughput requested while running
@@ -37,7 +38,22 @@ type Task struct {
 type Stream struct {
 	Name  string
 	Tasks []Task
-	After []int
+	// Labels, parallel to Tasks, names each task for timelines
+	// (TaskRecord.Label, Interval.Active); nil leaves them unnamed.
+	Labels []string
+	// RestMs, parallel to Tasks, holds the summed BaseMs of each task's
+	// successors in the stream. CheckStream fills it; only RunLimited
+	// reads it.
+	RestMs []float64
+	After  []int
+}
+
+// label returns task k's label, or "" for an unlabelled stream.
+func (s *Stream) label(k int) string {
+	if k < len(s.Labels) {
+		return s.Labels[k]
+	}
+	return ""
 }
 
 // Background is a constant co-running memory demand that participates in
@@ -145,13 +161,15 @@ func (r *Result) FPS(frames int) float64 {
 // remaining standalone work is at most TimeEps ms. Under slowdowns of at
 // least 1 — GroundTruth's, and every contention.Model's — a task therefore
 // runs for at least its BaseMs less TimeEps, the slack a contention-free
-// lower bound on a makespan must allow per task.
+// lower bound on a makespan must allow per task. It has three users:
+// the engine's completion test, RunLimited's incumbent cutoff, and branch
+// & bound's load bound (package solver).
 const TimeEps = 1e-9
 
 // Run simulates the workload on the platform with the given arbiter.
 func Run(p *soc.Platform, w Workload, arb Arbiter) (*Result, error) {
 	var e Engine
-	if err := e.run(p, w, arb, true); err != nil {
+	if _, err := e.run(p, w, arb, true, false, math.Inf(1)); err != nil {
 		return nil, err
 	}
 	res := e.res
@@ -171,9 +189,12 @@ type Engine struct {
 	next    []int    // next task index per stream
 	done    []bool   // stream completed
 	running []active // task running per accelerator
-	// waiting is each accelerator's FIFO of queued stream indices; a
-	// stream queues at most one task at a time, so queues stay short.
-	waiting [][]int
+	// queued[a] counts the streams waiting in accelerator a's FIFO, which
+	// is waiting[a*ns:]: a stream queues at most one task at a time, so a
+	// queue holds at most ns streams. Plain integers keep the hot loop
+	// free of pointer writes.
+	queued  []int
+	waiting []int
 
 	// Per-interval scratch: the accelerators with a running task, then the
 	// arbitration inputs and outputs (running tasks first, background
@@ -182,6 +203,12 @@ type Engine struct {
 	demands     []float64
 	intensities []float64
 	slows       []float64
+
+	// ints and floats back every per-run slice above and the result's
+	// per-stream and per-accelerator figures, so a run allocates two
+	// arrays for them, not one each.
+	ints   []int
+	floats []float64
 
 	color []int8 // dependency-cycle search state per stream
 
@@ -196,10 +223,45 @@ type Engine struct {
 // for bit, and its Records and Intervals are empty. The result belongs to
 // the engine and is overwritten by its next run.
 func (e *Engine) RunUntimed(p *soc.Platform, w Workload, arb Arbiter) (*Result, error) {
-	if err := e.run(p, w, arb, false); err != nil {
+	if _, err := e.run(p, w, arb, false, false, math.Inf(1)); err != nil {
 		return nil, err
 	}
 	return &e.res, nil
+}
+
+// RunLimited is RunUntimed for a workload whose every stream passed
+// CheckStream on p and has not changed since: it skips the per-task checks
+// and reads each stream's RestMs. It also stops early, returning a nil
+// result and cut true, once the makespan provably reaches limitMs: after
+// each event, some unfinished stream's bound — the current time plus the
+// stream's remaining standalone work, less TimeEps per remaining task and
+// a relative 1e-9 for rounding — is at least limitMs. Slowdowns of at least
+// 1 make the bound admissible: a cut run's makespan is at least limitMs.
+// A run that is not cut equals RunUntimed's bit for bit; math.Inf(1) never
+// cuts.
+func (e *Engine) RunLimited(p *soc.Platform, w Workload, arb Arbiter, limitMs float64) (*Result, bool, error) {
+	cut, err := e.run(p, w, arb, false, true, limitMs)
+	if err != nil || cut {
+		return nil, cut, err
+	}
+	return &e.res, false, nil
+}
+
+// CheckStream runs the engine's per-task checks on stream si of a
+// workload for p — a valid accelerator, a finite non-negative duration and
+// demand, and a memory intensity in [0, 1] — and fills the stream's
+// RestMs, reusing its array.
+func CheckStream(p *soc.Platform, si int, st *Stream) error {
+	if err := checkTasks(p, si, st.Tasks); err != nil {
+		return err
+	}
+	st.RestMs = resize(st.RestMs, len(st.Tasks))
+	rest := 0.0
+	for k := len(st.Tasks) - 1; k >= 0; k-- {
+		st.RestMs[k] = rest
+		rest += st.Tasks[k].BaseMs
+	}
+	return nil
 }
 
 // active is the task running on an accelerator; remaining is measured in
@@ -218,36 +280,52 @@ func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // reset prepares the engine's buffers for a run of w on p.
 func (e *Engine) reset(p *soc.Platform, w Workload) {
-	ns, na := len(w.Streams), len(p.Accels)
+	ns, na, nd := len(w.Streams), len(p.Accels), len(p.Accels)+len(w.Background)
 	e.streams, e.now, e.completed = w.Streams, 0, 0
-	e.next = resize(e.next, ns)
-	clear(e.next)
 	e.done = resize(e.done, ns)
 	clear(e.done)
 	e.running = resize(e.running, na)
 	clear(e.running)
-	e.waiting = resize(e.waiting, na)
-	for a := range e.waiting {
-		e.waiting[a] = e.waiting[a][:0]
-	}
+
+	// Integers: next per stream, the active accelerators, the queue
+	// lengths, then the queues.
+	e.ints = resize(e.ints, ns+2*na+na*ns)
+	e.next, e.accels = e.ints[:ns:ns], e.ints[ns:ns:ns+na]
+	e.queued, e.waiting = e.ints[ns+na:ns+2*na:ns+2*na], e.ints[ns+2*na:]
+	clear(e.next)
+	clear(e.queued)
+
+	// Floats: the three arbitration vectors, then the result's stream
+	// starts, stream ends and busy times.
+	e.floats = resize(e.floats, 3*nd+2*ns+na)
+	f := e.floats
+	e.demands, e.intensities, e.slows = f[:0:nd], f[nd:nd:2*nd], f[2*nd:2*nd:3*nd]
+	f = f[3*nd:]
 	e.res.MakespanMs = 0
-	e.res.StreamStartMs = resize(e.res.StreamStartMs, ns)
+	e.res.StreamStartMs, e.res.StreamEndMs, e.res.BusyMs = f[:ns:ns], f[ns:2*ns:2*ns], f[2*ns:]
 	for i := range e.res.StreamStartMs {
 		e.res.StreamStartMs[i] = math.NaN()
 	}
-	e.res.StreamEndMs = resize(e.res.StreamEndMs, ns)
-	clear(e.res.StreamEndMs)
-	e.res.BusyMs = resize(e.res.BusyMs, na)
-	clear(e.res.BusyMs)
+	clear(f[ns:])
 	e.res.Records = e.res.Records[:0]
 	e.res.Intervals = e.res.Intervals[:0]
 }
 
-// run is the simulation loop behind Run and RunUntimed. record selects
-// whether Records and Intervals are appended.
-func (e *Engine) run(p *soc.Platform, w Workload, arb Arbiter, record bool) error {
-	if err := e.validate(p, w); err != nil {
-		return err
+// run is the simulation loop behind Run, RunUntimed and RunLimited. record
+// selects whether Records and Intervals are appended; checked skips the
+// per-task checks CheckStream ran. A finite limit stops the run, reporting
+// true, once the makespan provably reaches it (see RunLimited).
+func (e *Engine) run(p *soc.Platform, w Workload, arb Arbiter, record, checked bool, limit float64) (bool, error) {
+	if err := e.validate(p, w, checked); err != nil {
+		return false, err
+	}
+	limited := limit < math.Inf(1)
+	if limited {
+		for si := range w.Streams {
+			if s := &w.Streams[si]; len(s.RestMs) != len(s.Tasks) {
+				return false, fmt.Errorf("sim: stream %d has %d suffix sums for %d tasks (run CheckStream)", si, len(s.RestMs), len(s.Tasks))
+			}
+		}
 	}
 	e.reset(p, w)
 	ns := len(w.Streams)
@@ -276,9 +354,12 @@ func (e *Engine) run(p *soc.Platform, w Workload, arb Arbiter, record bool) erro
 	guard := 0
 	maxEvents := totalTasks(w)*4 + 64
 	for e.completed < ns {
+		if limited && e.reached(limit) {
+			return true, nil
+		}
 		guard++
 		if guard > maxEvents {
-			return fmt.Errorf("sim: no progress after %d events (dependency cycle?)", guard)
+			return false, fmt.Errorf("sim: no progress after %d events (dependency cycle?)", guard)
 		}
 		// Collect active tasks.
 		e.accels, e.demands, e.intensities = e.accels[:0], e.demands[:0], e.intensities[:0]
@@ -293,7 +374,7 @@ func (e *Engine) run(p *soc.Platform, w Workload, arb Arbiter, record bool) erro
 			e.intensities = append(e.intensities, task.MemIntensity)
 		}
 		if len(e.accels) == 0 {
-			return fmt.Errorf("sim: deadlock at %g ms: %d/%d streams done, none runnable", e.now, e.completed, ns)
+			return false, fmt.Errorf("sim: deadlock at %g ms: %d/%d streams done, none runnable", e.now, e.completed, ns)
 		}
 		// Background demands participate in arbitration but have no
 		// completion; append them with intensity 1 and ignore their slowdown.
@@ -301,7 +382,7 @@ func (e *Engine) run(p *soc.Platform, w Workload, arb Arbiter, record bool) erro
 			e.demands = append(e.demands, b.DemandGBps)
 			e.intensities = append(e.intensities, 1)
 		}
-		e.slows = resize(e.slows, len(e.demands))
+		e.slows = e.slows[:len(e.demands)]
 		arb.Slowdowns(e.demands, e.intensities, e.slows)
 
 		// Find earliest completion.
@@ -320,13 +401,13 @@ func (e *Engine) run(p *soc.Platform, w Workload, arb Arbiter, record bool) erro
 			dt = 0
 		}
 		if math.IsInf(dt, 1) || math.IsNaN(dt) {
-			return fmt.Errorf("sim: no task can make progress at %g ms (arbiter returned a non-finite slowdown)", e.now)
+			return false, fmt.Errorf("sim: no task can make progress at %g ms (arbiter returned a non-finite slowdown)", e.now)
 		}
 		if record && dt > 0 {
 			iv := Interval{StartMs: e.now, EndMs: e.now + dt}
 			for k, a := range e.accels {
 				act := &e.running[a]
-				iv.Active = append(iv.Active, e.streams[act.stream].Tasks[act.index].Label)
+				iv.Active = append(iv.Active, e.streams[act.stream].label(act.index))
 				iv.TotalDemand += e.demands[k]
 			}
 			for _, b := range w.Background {
@@ -355,7 +436,7 @@ func (e *Engine) run(p *soc.Platform, w Workload, arb Arbiter, record bool) erro
 					slow = (e.now - act.startMs) / task.BaseMs
 				}
 				e.res.Records = append(e.res.Records, TaskRecord{
-					Stream: act.stream, Index: act.index, Label: task.Label,
+					Stream: act.stream, Index: act.index, Label: e.streams[act.stream].label(act.index),
 					Accel: a, StartMs: act.startMs, EndMs: e.now, Slowdown: slow,
 				})
 			}
@@ -366,7 +447,37 @@ func (e *Engine) run(p *soc.Platform, w Workload, arb Arbiter, record bool) erro
 		e.dispatch()
 	}
 	e.res.MakespanMs = e.now
-	return nil
+	return false, nil
+}
+
+// reached reports whether some unfinished stream's bound has reached
+// limit. A stream's bound is the current time plus its remaining
+// standalone work: the running task's remaining work, or a queued or
+// blocked task's whole BaseMs, plus its successors' RestMs. Each of the
+// stream's remaining tasks may complete up to TimeEps early, and the
+// simulated clock sums the same times in another order, rounding at every
+// addition, which a relative 1e-9 covers many times over.
+func (e *Engine) reached(limit float64) bool {
+	for s := range e.streams {
+		if e.done[s] {
+			continue
+		}
+		st := &e.streams[s]
+		k := e.next[s]
+		if k == len(st.Tasks) { // an empty stream, blocked on a dependency
+			continue
+		}
+		task := &st.Tasks[k]
+		work := task.BaseMs
+		if act := &e.running[task.Accel]; act.busy && act.stream == s {
+			work = act.remaining
+		}
+		end := e.now + (work + st.RestMs[k])
+		if end-float64(len(st.Tasks)-k)*TimeEps-end*1e-9 >= limit {
+			return true
+		}
+	}
+	return false
 }
 
 // ready reports whether every stream s depends on has completed.
@@ -399,18 +510,20 @@ func (e *Engine) enqueue(s int) {
 		return
 	}
 	a := tasks[e.next[s]].Accel
-	e.waiting[a] = append(e.waiting[a], s)
+	e.waiting[a*len(e.streams)+e.queued[a]] = s
+	e.queued[a]++
 }
 
 // dispatch starts the head of every idle accelerator's queue.
 func (e *Engine) dispatch() {
 	for a := range e.running {
-		q := e.waiting[a]
-		if e.running[a].busy || len(q) == 0 {
+		if e.running[a].busy || e.queued[a] == 0 {
 			continue
 		}
+		q := e.queue(a)
 		s := q[0]
-		e.waiting[a] = append(q[:0], q[1:]...)
+		copy(q, q[1:])
+		e.queued[a]--
 		task := &e.streams[s].Tasks[e.next[s]]
 		if math.IsNaN(e.res.StreamStartMs[s]) {
 			e.res.StreamStartMs[s] = e.now
@@ -428,14 +541,20 @@ func (e *Engine) queuedOrRunning(s int) bool {
 			return true
 		}
 	}
-	for _, q := range e.waiting {
-		for _, t := range q {
+	for a := range e.queued {
+		for _, t := range e.queue(a) {
 			if t == s {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// queue returns accelerator a's FIFO of queued streams.
+func (e *Engine) queue(a int) []int {
+	from := a * len(e.streams)
+	return e.waiting[from : from+e.queued[a]]
 }
 
 func totalTasks(w Workload) int {
@@ -449,7 +568,8 @@ func totalTasks(w Workload) int {
 // finiteNonNeg reports whether x is a finite number >= 0; NaN is not.
 func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
-func (e *Engine) validate(p *soc.Platform, w Workload) error {
+// validate checks the workload; checked skips the per-task checks.
+func (e *Engine) validate(p *soc.Platform, w Workload, checked bool) error {
 	if len(w.Streams) == 0 {
 		return fmt.Errorf("sim: empty workload")
 	}
@@ -462,13 +582,9 @@ func (e *Engine) validate(p *soc.Platform, w Workload) error {
 				return fmt.Errorf("sim: stream %d depends on itself", si)
 			}
 		}
-		for ti := range s.Tasks {
-			t := &s.Tasks[ti]
-			if t.Accel < 0 || t.Accel >= len(p.Accels) {
-				return fmt.Errorf("sim: stream %d task %d: invalid accelerator %d", si, ti, t.Accel)
-			}
-			if !finiteNonNeg(t.BaseMs) || !finiteNonNeg(t.DemandGBps) || !(t.MemIntensity >= 0 && t.MemIntensity <= 1) {
-				return fmt.Errorf("sim: stream %d task %d: invalid parameters", si, ti)
+		if !checked {
+			if err := checkTasks(p, si, s.Tasks); err != nil {
+				return err
 			}
 		}
 	}
@@ -479,6 +595,20 @@ func (e *Engine) validate(p *soc.Platform, w Workload) error {
 	}
 	if e.cycle(w.Streams) {
 		return fmt.Errorf("sim: dependency cycle among streams")
+	}
+	return nil
+}
+
+// checkTasks runs the per-task checks on stream si's tasks.
+func checkTasks(p *soc.Platform, si int, tasks []Task) error {
+	for ti := range tasks {
+		t := &tasks[ti]
+		if t.Accel < 0 || t.Accel >= len(p.Accels) {
+			return fmt.Errorf("sim: stream %d task %d: invalid accelerator %d", si, ti, t.Accel)
+		}
+		if !finiteNonNeg(t.BaseMs) || !finiteNonNeg(t.DemandGBps) || !(t.MemIntensity >= 0 && t.MemIntensity <= 1) {
+			return fmt.Errorf("sim: stream %d task %d: invalid parameters", si, ti)
+		}
 	}
 	return nil
 }

@@ -19,10 +19,11 @@ func gt(p *soc.Platform) Arbiter { return GroundTruth{SatBW: p.SatBW()} }
 func TestSingleStreamSerial(t *testing.T) {
 	p := plat()
 	w := Workload{Streams: []Stream{{
-		Name: "a",
+		Name:   "a",
+		Labels: []string{"t0", "t1"},
 		Tasks: []Task{
-			{Label: "t0", Accel: 0, BaseMs: 2, DemandGBps: 10, MemIntensity: 0.5},
-			{Label: "t1", Accel: 0, BaseMs: 3, DemandGBps: 10, MemIntensity: 0.5},
+			{Accel: 0, BaseMs: 2, DemandGBps: 10, MemIntensity: 0.5},
+			{Accel: 0, BaseMs: 3, DemandGBps: 10, MemIntensity: 0.5},
 		},
 	}}}
 	r, err := Run(p, w, gt(p))
@@ -38,6 +39,9 @@ func TestSingleStreamSerial(t *testing.T) {
 	if !near(r.Records[0].EndMs, 2, 1e-9) || !near(r.Records[1].StartMs, 2, 1e-9) {
 		t.Error("tasks must run back to back")
 	}
+	if r.Records[0].Label != "t0" || r.Records[1].Label != "t1" || r.Intervals[1].Active[0] != "t1" {
+		t.Errorf("labels %q, %q and interval %v, want the stream's Labels", r.Records[0].Label, r.Records[1].Label, r.Intervals[1].Active)
+	}
 	if !near(r.StreamLatencyMs(0), 5, 1e-9) {
 		t.Errorf("stream latency %g", r.StreamLatencyMs(0))
 	}
@@ -46,8 +50,8 @@ func TestSingleStreamSerial(t *testing.T) {
 func TestParallelNoContention(t *testing.T) {
 	p := plat()
 	w := Workload{Streams: []Stream{
-		{Name: "a", Tasks: []Task{{Label: "a0", Accel: 0, BaseMs: 4, DemandGBps: 10, MemIntensity: 1}}},
-		{Name: "b", Tasks: []Task{{Label: "b0", Accel: 1, BaseMs: 4, DemandGBps: 10, MemIntensity: 1}}},
+		{Name: "a", Labels: []string{"a0"}, Tasks: []Task{{Accel: 0, BaseMs: 4, DemandGBps: 10, MemIntensity: 1}}},
+		{Name: "b", Labels: []string{"b0"}, Tasks: []Task{{Accel: 1, BaseMs: 4, DemandGBps: 10, MemIntensity: 1}}},
 	}}
 	r, err := Run(p, w, gt(p))
 	if err != nil {
@@ -65,8 +69,8 @@ func TestParallelWithContention(t *testing.T) {
 	// bound: each receives half, so both slow down by 1.6x.
 	d := 0.8 * sat
 	w := Workload{Streams: []Stream{
-		{Name: "a", Tasks: []Task{{Label: "a0", Accel: 0, BaseMs: 10, DemandGBps: d, MemIntensity: 1}}},
-		{Name: "b", Tasks: []Task{{Label: "b0", Accel: 1, BaseMs: 10, DemandGBps: d, MemIntensity: 1}}},
+		{Name: "a", Labels: []string{"a0"}, Tasks: []Task{{Accel: 0, BaseMs: 10, DemandGBps: d, MemIntensity: 1}}},
+		{Name: "b", Labels: []string{"b0"}, Tasks: []Task{{Accel: 1, BaseMs: 10, DemandGBps: d, MemIntensity: 1}}},
 	}}
 	r, err := Run(p, w, gt(p))
 	if err != nil {
@@ -89,8 +93,8 @@ func TestContentionIntervalNonUniform(t *testing.T) {
 	// non-uniform slowdown across contention intervals (Fig. 4).
 	d := 0.75 * sat
 	w := Workload{Streams: []Stream{
-		{Name: "a", Tasks: []Task{{Label: "a0", Accel: 0, BaseMs: 10, DemandGBps: d, MemIntensity: 1}}},
-		{Name: "b", Tasks: []Task{{Label: "b0", Accel: 1, BaseMs: 2, DemandGBps: d, MemIntensity: 1}}},
+		{Name: "a", Labels: []string{"a0"}, Tasks: []Task{{Accel: 0, BaseMs: 10, DemandGBps: d, MemIntensity: 1}}},
+		{Name: "b", Labels: []string{"b0"}, Tasks: []Task{{Accel: 1, BaseMs: 2, DemandGBps: d, MemIntensity: 1}}},
 	}}
 	r, err := Run(p, w, gt(p))
 	if err != nil {
@@ -112,8 +116,8 @@ func TestContentionIntervalNonUniform(t *testing.T) {
 func TestSameAcceleratorSerializes(t *testing.T) {
 	p := plat()
 	w := Workload{Streams: []Stream{
-		{Name: "a", Tasks: []Task{{Label: "a0", Accel: 0, BaseMs: 5, DemandGBps: 1, MemIntensity: 0}}},
-		{Name: "b", Tasks: []Task{{Label: "b0", Accel: 0, BaseMs: 5, DemandGBps: 1, MemIntensity: 0}}},
+		{Name: "a", Labels: []string{"a0"}, Tasks: []Task{{Accel: 0, BaseMs: 5, DemandGBps: 1, MemIntensity: 0}}},
+		{Name: "b", Labels: []string{"b0"}, Tasks: []Task{{Accel: 0, BaseMs: 5, DemandGBps: 1, MemIntensity: 0}}},
 	}}
 	r, err := Run(p, w, gt(p))
 	if err != nil {
@@ -127,8 +131,8 @@ func TestSameAcceleratorSerializes(t *testing.T) {
 func TestPipelineDependency(t *testing.T) {
 	p := plat()
 	w := Workload{Streams: []Stream{
-		{Name: "det", Tasks: []Task{{Label: "d0", Accel: 0, BaseMs: 3, DemandGBps: 1, MemIntensity: 0}}},
-		{Name: "track", After: []int{0}, Tasks: []Task{{Label: "t0", Accel: 1, BaseMs: 4, DemandGBps: 1, MemIntensity: 0}}},
+		{Name: "det", Labels: []string{"d0"}, Tasks: []Task{{Accel: 0, BaseMs: 3, DemandGBps: 1, MemIntensity: 0}}},
+		{Name: "track", After: []int{0}, Labels: []string{"t0"}, Tasks: []Task{{Accel: 1, BaseMs: 4, DemandGBps: 1, MemIntensity: 0}}},
 	}}
 	r, err := Run(p, w, gt(p))
 	if err != nil {
@@ -146,8 +150,8 @@ func TestBackgroundDemandSlowsTasks(t *testing.T) {
 	p := plat()
 	sat := p.SatBW()
 	w := Workload{
-		Streams: []Stream{{Name: "a", Tasks: []Task{
-			{Label: "a0", Accel: 0, BaseMs: 10, DemandGBps: 0.9 * sat, MemIntensity: 1},
+		Streams: []Stream{{Name: "a", Labels: []string{"a0"}, Tasks: []Task{
+			{Accel: 0, BaseMs: 10, DemandGBps: 0.9 * sat, MemIntensity: 1},
 		}}},
 		Background: []Background{{Label: "solver", DemandGBps: 0.2 * sat}},
 	}
@@ -167,8 +171,8 @@ func TestModelArbiterMatchesOracleGroundTruth(t *testing.T) {
 	p := plat()
 	d := 0.8 * p.SatBW()
 	w := Workload{Streams: []Stream{
-		{Name: "a", Tasks: []Task{{Label: "a0", Accel: 0, BaseMs: 10, DemandGBps: d, MemIntensity: 1}}},
-		{Name: "b", Tasks: []Task{{Label: "b0", Accel: 1, BaseMs: 10, DemandGBps: d, MemIntensity: 1}}},
+		{Name: "a", Labels: []string{"a0"}, Tasks: []Task{{Accel: 0, BaseMs: 10, DemandGBps: d, MemIntensity: 1}}},
+		{Name: "b", Labels: []string{"b0"}, Tasks: []Task{{Accel: 1, BaseMs: 10, DemandGBps: d, MemIntensity: 1}}},
 	}}
 	rg, err := Run(p, w, gt(p))
 	if err != nil {
@@ -209,8 +213,8 @@ func TestValidation(t *testing.T) {
 func TestValidationRejectsNonFinite(t *testing.T) {
 	p := plat()
 	task := func(base, demand, mu float64) Workload {
-		return Workload{Streams: []Stream{{Name: "a", Tasks: []Task{
-			{Label: "a0", Accel: 0, BaseMs: base, DemandGBps: demand, MemIntensity: mu},
+		return Workload{Streams: []Stream{{Name: "a", Labels: []string{"a0"}, Tasks: []Task{
+			{Accel: 0, BaseMs: base, DemandGBps: demand, MemIntensity: mu},
 		}}}}
 	}
 	background := func(demand float64) Workload {
@@ -313,9 +317,9 @@ func TestEngineReuseMatchesRun(t *testing.T) {
 
 func TestZeroDurationTasks(t *testing.T) {
 	p := plat()
-	w := Workload{Streams: []Stream{{Name: "a", Tasks: []Task{
-		{Label: "z", Accel: 0, BaseMs: 0},
-		{Label: "t", Accel: 0, BaseMs: 1, DemandGBps: 1, MemIntensity: 0},
+	w := Workload{Streams: []Stream{{Name: "a", Labels: []string{"z", "t"}, Tasks: []Task{
+		{Accel: 0, BaseMs: 0},
+		{Accel: 0, BaseMs: 1, DemandGBps: 1, MemIntensity: 0},
 	}}}}
 	r, err := Run(p, w, gt(p))
 	if err != nil {
@@ -330,7 +334,7 @@ func TestEmptyStreamCompletesAndUnblocks(t *testing.T) {
 	p := plat()
 	w := Workload{Streams: []Stream{
 		{Name: "empty"},
-		{Name: "b", After: []int{0}, Tasks: []Task{{Label: "b0", Accel: 0, BaseMs: 2, DemandGBps: 1, MemIntensity: 0}}},
+		{Name: "b", After: []int{0}, Labels: []string{"b0"}, Tasks: []Task{{Accel: 0, BaseMs: 2, DemandGBps: 1, MemIntensity: 0}}},
 	}}
 	r, err := Run(p, w, gt(p))
 	if err != nil {
@@ -361,8 +365,8 @@ func TestMakespanBounds(t *testing.T) {
 		a := float64(aMs%100) / 7
 		b := float64(bMs%100) / 7
 		w := Workload{Streams: []Stream{
-			{Name: "a", Tasks: []Task{{Label: "a0", Accel: 0, BaseMs: a, DemandGBps: float64(aD % 300), MemIntensity: 1}}},
-			{Name: "b", Tasks: []Task{{Label: "b0", Accel: 1, BaseMs: b, DemandGBps: float64(bD % 300), MemIntensity: 1}}},
+			{Name: "a", Labels: []string{"a0"}, Tasks: []Task{{Accel: 0, BaseMs: a, DemandGBps: float64(aD % 300), MemIntensity: 1}}},
+			{Name: "b", Labels: []string{"b0"}, Tasks: []Task{{Accel: 1, BaseMs: b, DemandGBps: float64(bD % 300), MemIntensity: 1}}},
 		}}
 		r, err := Run(p, w, gt(p))
 		if err != nil {
@@ -390,7 +394,7 @@ func (brokenArbiter) Slowdowns(_, _, out []float64) {
 func TestBrokenArbiterFailsLoudly(t *testing.T) {
 	p := plat()
 	w := Workload{Streams: []Stream{
-		{Name: "a", Tasks: []Task{{Label: "a0", Accel: 0, BaseMs: 1, DemandGBps: 10, MemIntensity: 1}}},
+		{Name: "a", Labels: []string{"a0"}, Tasks: []Task{{Accel: 0, BaseMs: 1, DemandGBps: 10, MemIntensity: 1}}},
 	}}
 	if _, err := Run(p, w, brokenArbiter{}); err == nil {
 		t.Fatal("expected an error when no task can progress")
@@ -402,12 +406,12 @@ func TestBrokenArbiterFailsLoudly(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	p := plat()
 	w := Workload{Streams: []Stream{
-		{Name: "a", Tasks: []Task{
-			{Label: "a0", Accel: 0, BaseMs: 3, DemandGBps: 90, MemIntensity: 0.9},
-			{Label: "a1", Accel: 1, BaseMs: 2, DemandGBps: 50, MemIntensity: 0.7},
+		{Name: "a", Labels: []string{"a0", "a1"}, Tasks: []Task{
+			{Accel: 0, BaseMs: 3, DemandGBps: 90, MemIntensity: 0.9},
+			{Accel: 1, BaseMs: 2, DemandGBps: 50, MemIntensity: 0.7},
 		}},
-		{Name: "b", Tasks: []Task{
-			{Label: "b0", Accel: 1, BaseMs: 4, DemandGBps: 70, MemIntensity: 0.8},
+		{Name: "b", Labels: []string{"b0"}, Tasks: []Task{
+			{Accel: 1, BaseMs: 4, DemandGBps: 70, MemIntensity: 0.8},
 		}},
 	}}
 	r1, err := Run(p, w, gt(p))
@@ -434,8 +438,8 @@ func TestAccountingInvariants(t *testing.T) {
 	p := plat()
 	f := func(a, b, c uint8) bool {
 		w := Workload{Streams: []Stream{
-			{Name: "a", Tasks: []Task{{Label: "a0", Accel: 0, BaseMs: float64(a%50) + 1, DemandGBps: float64(b % 200), MemIntensity: 1}}},
-			{Name: "b", Tasks: []Task{{Label: "b0", Accel: 1, BaseMs: float64(c%50) + 1, DemandGBps: float64(a % 200), MemIntensity: 1}}},
+			{Name: "a", Labels: []string{"a0"}, Tasks: []Task{{Accel: 0, BaseMs: float64(a%50) + 1, DemandGBps: float64(b % 200), MemIntensity: 1}}},
+			{Name: "b", Labels: []string{"b0"}, Tasks: []Task{{Accel: 1, BaseMs: float64(c%50) + 1, DemandGBps: float64(a % 200), MemIntensity: 1}}},
 		}}
 		r, err := Run(p, w, gt(p))
 		if err != nil {

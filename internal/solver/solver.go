@@ -25,6 +25,16 @@
 // proves its incumbent optimal over the candidate space, as the paper's
 // Z3 formulation does.
 //
+// A leaf that survives both bounds is simulated, but only until it cannot
+// win: the incumbent's makespan is the simulation's limit, and the run
+// stops once some network's elapsed time plus its remaining standalone
+// work, margined like bound 2, reaches it (sim.Engine.RunLimited). A cut
+// leaf's makespan is at least the incumbent's, so its cost is too — under
+// MaxThroughput as well, since FPS falls as the makespan grows — and the
+// search moves exactly as it would have after simulating it to the end.
+// A cut leaf still counts as an evaluation (Stats.Evals), and Stats.Cut
+// counts it again.
+//
 // The engine optimizes the *predicted* cost: the analytic evaluator under
 // a contention model. Measured results always come from re-running the
 // chosen schedule on the ground-truth simulator.
@@ -84,7 +94,8 @@ type Incumbent struct {
 // Stats summarizes a search.
 type Stats struct {
 	Nodes    int           // search nodes expanded
-	Evals    int           // full schedule evaluations
+	Evals    int           // schedule evaluations, cut ones included
+	Cut      int           // evaluations stopped at the incumbent's makespan
 	Pruned   int           // subtrees cut by either lower bound
 	Complete bool          // false if the time budget expired first
 	Elapsed  time.Duration // wall time
@@ -174,18 +185,28 @@ func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sche
 	var (
 		best     *schedule.Schedule
 		bestCost = math.Inf(1)
-		st       Stats
+		// limit is the incumbent's makespan, the point past which no
+		// simulation can yield a better cost.
+		limit = math.Inf(1)
+		st    Stats
 	)
 	// evaluate clones s when it becomes the incumbent, so callers may
 	// reuse s afterwards.
 	evaluate := func(s *schedule.Schedule) error {
 		st.Evals++
-		cost, err := ev.Cost(s)
+		cost, makespan, cut, err := ev.Cost(s, limit)
 		if err != nil {
 			return err
 		}
+		if cut {
+			st.Cut++
+			return nil
+		}
 		if cost < bestCost {
 			bestCost = cost
+			if makespan > 0 {
+				limit = makespan
+			}
 			best = s.Clone()
 			if cfg.OnImprove != nil {
 				//detlint:allow walltime Incumbent.Elapsed is diagnostic; virtual-time replays ride the Nodes counter, not wall time

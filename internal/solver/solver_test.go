@@ -361,12 +361,15 @@ func TestEvaluatorMatchesEvaluate(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", c.name, err)
 				}
-				got, err := ev.Cost(s)
+				got, makespan, cut, err := ev.Cost(s, math.Inf(1))
 				if err != nil {
 					t.Fatalf("%s: %v", c.name, err)
 				}
-				if math.Float64bits(got) != math.Float64bits(want.Cost) {
-					t.Fatalf("%s %T %v: Evaluator cost %v, Evaluate cost %v", c.name, arb, s.Assign, got, want.Cost)
+				if cut {
+					t.Fatalf("%s %T %v: cut without a limit", c.name, arb, s.Assign)
+				}
+				if math.Float64bits(got) != math.Float64bits(want.Cost) || math.Float64bits(makespan) != math.Float64bits(want.MakespanMs) {
+					t.Fatalf("%s %T %v: Evaluator cost %v and makespan %v, Evaluate %v and %v", c.name, arb, s.Assign, got, makespan, want.Cost, want.MakespanMs)
 				}
 				full, err := ev.Evaluate(s)
 				if err != nil {

@@ -13,8 +13,8 @@ import (
 func TestWriteProducesValidTrace(t *testing.T) {
 	p := soc.Orin()
 	w := sim.Workload{Streams: []sim.Stream{
-		{Name: "a", Tasks: []sim.Task{{Label: "a0", Accel: 0, BaseMs: 2, DemandGBps: 50, MemIntensity: 0.5}}},
-		{Name: "b", Tasks: []sim.Task{{Label: "b0", Accel: 1, BaseMs: 3, DemandGBps: 40, MemIntensity: 0.5}}},
+		{Name: "a", Labels: []string{"a0"}, Tasks: []sim.Task{{Accel: 0, BaseMs: 2, DemandGBps: 50, MemIntensity: 0.5}}},
+		{Name: "b", Labels: []string{"b0"}, Tasks: []sim.Task{{Accel: 1, BaseMs: 3, DemandGBps: 40, MemIntensity: 0.5}}},
 	}}
 	res, err := sim.Run(p, w, sim.GroundTruth{SatBW: p.SatBW()})
 	if err != nil {
