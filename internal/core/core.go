@@ -129,13 +129,20 @@ var fits sync.Map
 // Plan runs the full HaX-CoNN pipeline: characterize, formulate, solve,
 // and measure the optimal schedule on the ground-truth simulator.
 func Plan(req Request) (*Result, error) {
+	res, _, err := plan(req)
+	return res, err
+}
+
+// plan is Plan, also returning the ground-truth evaluator that measured
+// the plan, so Compare measures the baselines on it.
+func plan(req Request) (*Result, *schedule.Evaluator, error) {
 	prob, pr, err := Prepare(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	model, err := Model(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cfg := solver.Config{
 		MaxTransitions: req.MaxTransitions,
@@ -147,18 +154,19 @@ func Plan(req Request) (*Result, error) {
 	}
 	best, cost, st, err := solver.OptimizeBB(prob, pr, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res, err := Measure(prob, pr, best)
+	gt := groundTruth(prob, pr)
+	res, err := measure(prob, pr, gt, best)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res.PredictedMs = cost
 	if prob.Objective == schedule.MaxThroughput {
 		res.PredictedMs = -cost // cost is negated FPS; report positive
 	}
 	res.SolverStats = st
-	return res, nil
+	return res, gt, nil
 }
 
 // Measure evaluates any schedule on the ground-truth simulator and wraps
@@ -245,12 +253,11 @@ func (c *Comparison) Improvement(obj schedule.Objective) float64 {
 // Compare plans the request with HaX-CoNN and measures every baseline on
 // the same problem (the experiment harness behind Tables 6 and 8).
 func Compare(req Request) (*Comparison, error) {
-	hax, err := Plan(req)
+	hax, gt, err := plan(req)
 	if err != nil {
 		return nil, err
 	}
 	cmp := &Comparison{HaXCoNN: hax, Baselines: map[string]*Result{}}
-	gt := groundTruth(hax.Problem, hax.Profile)
 	for name, s := range baselines.All(hax.Profile) {
 		r, err := measure(hax.Problem, hax.Profile, gt, s)
 		if err != nil {

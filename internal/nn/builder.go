@@ -1,6 +1,9 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // builder accumulates layers while tracking the current tensor shape. The zoo
 // constructors use it so every layer has consistent chained dimensions.
@@ -111,7 +114,9 @@ func (b *builder) cut() {
 
 func (b *builder) build() *Network {
 	b.cut() // network end is always a legal boundary
-	n := &Network{Name: b.name, Layers: b.layers}
+	// The zoo keeps every network it builds; a copy of the layers drops
+	// the spare capacity appending left, a third of the array.
+	n := &Network{Name: b.name, Layers: slices.Clone(b.layers)}
 	if err := n.Validate(); err != nil {
 		panic(err) // zoo construction bug, not a runtime condition
 	}

@@ -287,11 +287,15 @@ func BuildSim(prob *Problem, pr *Profile, s *Schedule) sim.Workload {
 
 // lowerItem writes item i's tasks under its assignment row into st.Tasks,
 // reusing the slice: one iteration's tasks, then copies of them for the
-// other iterations.
+// other iterations. A new slice has room for one more transition per
+// iteration, so an Evaluator's next row rarely needs a larger one.
 func lowerItem(prob *Problem, pr *Profile, i int, row []int, st *sim.Stream) {
 	per := len(row) + 2*transitions(row)
 	iters := prob.Items[i].iterations()
-	tasks := slices.Grow(st.Tasks[:0], iters*per)
+	tasks := st.Tasks[:0]
+	if cap(tasks) < iters*per {
+		tasks = make([]sim.Task, 0, iters*(per+2))
+	}
 	for g, a := range row {
 		if g > 0 && row[g-1] != a {
 			prev := row[g-1]
@@ -405,8 +409,9 @@ func (p *Problem) cost(res *sim.Result) float64 {
 // nothing.
 //
 // It remembers the assignment row each item's stream was lowered from,
-// and re-lowers an item — and re-runs the simulator's per-task checks and
-// suffix sums on it (sim.CheckStream) — only when its row changes.
+// and re-lowers an item — and re-runs the simulator's per-task checks on
+// it (sim.CheckTasks) and, before a limited run, its suffix sums
+// (sim.Stream.SumRest) — only when its row changes.
 // Consecutive branch & bound leaves differ in the deepest item only. This
 // assumes the problem and profile do not change after NewEvaluator, which
 // also reads the profile's allowed accelerators once. An Evaluator must
@@ -475,11 +480,19 @@ func (e *Evaluator) run(s *Schedule, limitMs float64) (*sim.Result, bool, error)
 		}
 		st := &e.w.Streams[i]
 		lowerItem(e.prob, e.pr, i, row, st)
-		if err := sim.CheckStream(e.prob.Platform, i, st); err != nil {
+		if err := sim.CheckTasks(e.prob.Platform, i, st.Tasks); err != nil {
 			lowered[0] = -1
 			return nil, false, err
 		}
+		st.RestMs = st.RestMs[:0]
 		copy(lowered, row)
+	}
+	if limitMs < math.Inf(1) {
+		for i := range e.w.Streams {
+			if st := &e.w.Streams[i]; len(st.RestMs) != len(st.Tasks) {
+				st.SumRest()
+			}
+		}
 	}
 	return e.eng.RunLimited(e.prob.Platform, e.w, e.arb, limitMs)
 }

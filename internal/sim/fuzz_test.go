@@ -156,13 +156,14 @@ func FuzzSimRun(f *testing.F) {
 			}
 		}
 
-		// The limited run reads checked streams; a stream CheckStream
-		// rejects is one Run rejects too.
+		// The limited run reads checked, summed streams; a stream
+		// CheckTasks rejects is one Run rejects too.
 		checked := true
 		for si := range w.Streams {
-			if CheckStream(p, si, &w.Streams[si]) != nil {
+			if CheckTasks(p, si, w.Streams[si].Tasks) != nil {
 				checked = false
 			}
+			w.Streams[si].SumRest()
 		}
 		var limitByte byte
 		if len(data) > 0 {
@@ -177,7 +178,7 @@ func FuzzSimRun(f *testing.F) {
 			}
 			if !checked {
 				if err == nil {
-					t.Fatalf("%T: Run accepted a stream CheckStream rejects", arb)
+					t.Fatalf("%T: Run accepted a stream CheckTasks rejects", arb)
 				}
 				continue
 			}

@@ -42,8 +42,8 @@ type Stream struct {
 	// (TaskRecord.Label, Interval.Active); nil leaves them unnamed.
 	Labels []string
 	// RestMs, parallel to Tasks, holds the summed BaseMs of each task's
-	// successors in the stream. CheckStream fills it; only RunLimited
-	// reads it.
+	// successors in the stream. SumRest fills it; only a limited run
+	// (RunLimited) reads it.
 	RestMs []float64
 	After  []int
 }
@@ -229,10 +229,11 @@ func (e *Engine) RunUntimed(p *soc.Platform, w Workload, arb Arbiter) (*Result, 
 	return &e.res, nil
 }
 
-// RunLimited is RunUntimed for a workload whose every stream passed
-// CheckStream on p and has not changed since: it skips the per-task checks
-// and reads each stream's RestMs. It also stops early, returning a nil
-// result and cut true, once the makespan provably reaches limitMs: after
+// RunLimited is RunUntimed for a workload whose every stream's tasks
+// passed CheckTasks on p and have not changed since: it skips the per-task
+// checks. Under a finite limitMs it reads each stream's RestMs, which must
+// be current (SumRest), and stops early, returning a nil result and cut
+// true, once the makespan provably reaches limitMs: after
 // each event, some unfinished stream's bound — the current time plus the
 // stream's remaining standalone work, less TimeEps per remaining task and
 // a relative 1e-9 for rounding — is at least limitMs. Slowdowns of at least
@@ -247,21 +248,14 @@ func (e *Engine) RunLimited(p *soc.Platform, w Workload, arb Arbiter, limitMs fl
 	return &e.res, false, nil
 }
 
-// CheckStream runs the engine's per-task checks on stream si of a
-// workload for p — a valid accelerator, a finite non-negative duration and
-// demand, and a memory intensity in [0, 1] — and fills the stream's
-// RestMs, reusing its array.
-func CheckStream(p *soc.Platform, si int, st *Stream) error {
-	if err := checkTasks(p, si, st.Tasks); err != nil {
-		return err
-	}
-	st.RestMs = resize(st.RestMs, len(st.Tasks))
+// SumRest fills s.RestMs from s.Tasks, reusing its array.
+func (s *Stream) SumRest() {
+	s.RestMs = resize(s.RestMs, len(s.Tasks))
 	rest := 0.0
-	for k := len(st.Tasks) - 1; k >= 0; k-- {
-		st.RestMs[k] = rest
-		rest += st.Tasks[k].BaseMs
+	for k := len(s.Tasks) - 1; k >= 0; k-- {
+		s.RestMs[k] = rest
+		rest += s.Tasks[k].BaseMs
 	}
-	return nil
 }
 
 // active is the task running on an accelerator; remaining is measured in
@@ -313,7 +307,7 @@ func (e *Engine) reset(p *soc.Platform, w Workload) {
 
 // run is the simulation loop behind Run, RunUntimed and RunLimited. record
 // selects whether Records and Intervals are appended; checked skips the
-// per-task checks CheckStream ran. A finite limit stops the run, reporting
+// per-task checks (CheckTasks). A finite limit stops the run, reporting
 // true, once the makespan provably reaches it (see RunLimited).
 func (e *Engine) run(p *soc.Platform, w Workload, arb Arbiter, record, checked bool, limit float64) (bool, error) {
 	if err := e.validate(p, w, checked); err != nil {
@@ -323,7 +317,7 @@ func (e *Engine) run(p *soc.Platform, w Workload, arb Arbiter, record, checked b
 	if limited {
 		for si := range w.Streams {
 			if s := &w.Streams[si]; len(s.RestMs) != len(s.Tasks) {
-				return false, fmt.Errorf("sim: stream %d has %d suffix sums for %d tasks (run CheckStream)", si, len(s.RestMs), len(s.Tasks))
+				return false, fmt.Errorf("sim: stream %d has %d suffix sums for %d tasks (see Stream.SumRest)", si, len(s.RestMs), len(s.Tasks))
 			}
 		}
 	}
@@ -583,7 +577,7 @@ func (e *Engine) validate(p *soc.Platform, w Workload, checked bool) error {
 			}
 		}
 		if !checked {
-			if err := checkTasks(p, si, s.Tasks); err != nil {
+			if err := CheckTasks(p, si, s.Tasks); err != nil {
 				return err
 			}
 		}
@@ -599,8 +593,10 @@ func (e *Engine) validate(p *soc.Platform, w Workload, checked bool) error {
 	return nil
 }
 
-// checkTasks runs the per-task checks on stream si's tasks.
-func checkTasks(p *soc.Platform, si int, tasks []Task) error {
+// CheckTasks runs the engine's per-task checks on the tasks of stream si
+// of a workload for p: a valid accelerator, a finite non-negative duration
+// and demand, and a memory intensity in [0, 1].
+func CheckTasks(p *soc.Platform, si int, tasks []Task) error {
 	for ti := range tasks {
 		t := &tasks[ti]
 		if t.Accel < 0 || t.Accel >= len(p.Accels) {

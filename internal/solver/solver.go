@@ -207,7 +207,15 @@ func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sche
 			if makespan > 0 {
 				limit = makespan
 			}
-			best = s.Clone()
+			// OnImprove's callers keep every incumbent, so each gets its
+			// own copy; without one, the first copy is overwritten.
+			if best == nil || cfg.OnImprove != nil {
+				best = s.Clone()
+			} else {
+				for i, row := range s.Assign {
+					copy(best.Assign[i], row)
+				}
+			}
 			if cfg.OnImprove != nil {
 				//detlint:allow walltime Incumbent.Elapsed is diagnostic; virtual-time replays ride the Nodes counter, not wall time
 				cfg.OnImprove(Incumbent{Schedule: best, Cost: bestCost, Elapsed: time.Since(start), Nodes: st.Nodes})
