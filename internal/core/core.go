@@ -129,12 +129,17 @@ var fits sync.Map
 // Plan runs the full HaX-CoNN pipeline: characterize, formulate, solve,
 // and measure the optimal schedule on the ground-truth simulator.
 func Plan(req Request) (*Result, error) {
-	res, _, err := plan(req)
-	return res, err
+	res, gt, err := plan(req)
+	if err != nil {
+		return nil, err
+	}
+	gt.Release()
+	return res, nil
 }
 
 // plan is Plan, also returning the ground-truth evaluator that measured
-// the plan, so Compare measures the baselines on it.
+// the plan, so Compare measures the baselines on it; the caller releases
+// it.
 func plan(req Request) (*Result, *schedule.Evaluator, error) {
 	prob, pr, err := Prepare(req)
 	if err != nil {
@@ -159,6 +164,7 @@ func plan(req Request) (*Result, *schedule.Evaluator, error) {
 	gt := groundTruth(prob, pr)
 	res, err := measure(prob, pr, gt, best)
 	if err != nil {
+		gt.Release()
 		return nil, nil, err
 	}
 	res.PredictedMs = cost
@@ -173,7 +179,9 @@ func plan(req Request) (*Result, *schedule.Evaluator, error) {
 // the outcome in a Result. It records no timeline; schedule.Evaluate under
 // sim.GroundTruth does, with the same figures.
 func Measure(prob *schedule.Problem, pr *schedule.Profile, s *schedule.Schedule) (*Result, error) {
-	return measure(prob, pr, groundTruth(prob, pr), s)
+	gt := groundTruth(prob, pr)
+	defer gt.Release()
+	return measure(prob, pr, gt, s)
 }
 
 // groundTruth returns a timeline-free ground-truth evaluator for the
@@ -257,6 +265,7 @@ func Compare(req Request) (*Comparison, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer gt.Release()
 	cmp := &Comparison{HaXCoNN: hax, Baselines: map[string]*Result{}}
 	for name, s := range baselines.All(hax.Profile) {
 		r, err := measure(hax.Problem, hax.Profile, gt, s)

@@ -15,6 +15,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 
 	"haxconn/internal/nn"
 	"haxconn/internal/sim"
@@ -415,7 +416,8 @@ func (p *Problem) cost(res *sim.Result) float64 {
 // Consecutive branch & bound leaves differ in the deepest item only. This
 // assumes the problem and profile do not change after NewEvaluator, which
 // also reads the profile's allowed accelerators once. An Evaluator must
-// not be used by two goroutines at once; give each its own.
+// not be used by two goroutines at once; give each its own. Release hands
+// its task arrays and engine buffers to a later NewEvaluator.
 type Evaluator struct {
 	prob    *Problem
 	pr      *Profile
@@ -428,10 +430,24 @@ type Evaluator struct {
 	eng  sim.Engine
 }
 
+// evaluators holds released Evaluators, whose buffers NewEvaluator reuses.
+var evaluators = sync.Pool{New: func() any { return new(Evaluator) }}
+
 // NewEvaluator returns an Evaluator for the problem and profile under the
-// given arbiter.
+// given arbiter, on the buffers of a released one when the pool has one.
 func NewEvaluator(prob *Problem, pr *Profile, arb sim.Arbiter) *Evaluator {
-	return &Evaluator{prob: prob, pr: pr, arb: arb, allowed: allowedTable(pr)}
+	e := evaluators.Get().(*Evaluator)
+	e.prob, e.pr, e.arb, e.allowed = prob, pr, arb, allowedTable(pr)
+	e.w.Streams = e.w.Streams[:0]
+	return e
+}
+
+// Release hands e's buffers to a later NewEvaluator; e must not be used
+// again. What e returned stays valid: Cost's figures and Evaluate's Eval
+// are copies.
+func (e *Evaluator) Release() {
+	e.prob, e.pr, e.arb = nil, nil, nil
+	evaluators.Put(e)
 }
 
 // Cost returns the objective cost and the makespan of s, each equal to
@@ -468,7 +484,7 @@ func (e *Evaluator) run(s *Schedule, limitMs float64) (*sim.Result, bool, error)
 	if err := s.validate(e.pr, e.allowed); err != nil {
 		return nil, false, err
 	}
-	if e.w.Streams == nil {
+	if len(e.w.Streams) == 0 {
 		e.init()
 	}
 	off := 0
@@ -497,17 +513,18 @@ func (e *Evaluator) run(s *Schedule, limitMs float64) (*sim.Result, bool, error)
 	return e.eng.RunLimited(e.prob.Platform, e.w, e.arb, limitMs)
 }
 
-// init sizes the workload and the row record for the problem: one stream
-// per item, none lowered yet.
+// init sizes the workload and the row record for the problem, reusing
+// their arrays and the streams' task arrays: one stream per item, none
+// lowered yet.
 func (e *Evaluator) init() {
-	e.w.Streams = make([]sim.Stream, len(e.prob.Items))
+	e.w.Streams = slices.Grow(e.w.Streams[:0], len(e.prob.Items))[:len(e.prob.Items)]
 	n := 0
 	for i, it := range e.prob.Items {
 		e.w.Streams[i].Name = it.Net.Name
 		e.w.Streams[i].After = it.After
 		n += len(e.pr.Groups[i])
 	}
-	e.rows = make([]int, n)
+	e.rows = slices.Grow(e.rows[:0], n)[:n]
 	for i := range e.rows {
 		e.rows[i] = -1
 	}

@@ -736,8 +736,9 @@ func (e *Entry) Evaluate(s *schedule.Schedule) (*schedule.Eval, error) {
 	if ev, ok := e.evaluated(s); ok {
 		return ev, nil
 	}
-	gt := sim.GroundTruth{SatBW: e.Prob.Platform.SatBW()}
-	ev, err := schedule.NewEvaluator(e.Prob, e.Profile, gt).Evaluate(s)
+	gt := schedule.NewEvaluator(e.Prob, e.Profile, sim.GroundTruth{SatBW: e.Prob.Platform.SatBW()})
+	ev, err := gt.Evaluate(s)
+	gt.Release()
 	if err != nil {
 		return nil, err
 	}
@@ -769,7 +770,9 @@ func (e *Entry) Predict(s *schedule.Schedule) (*schedule.Eval, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev, err := schedule.NewEvaluator(e.Prob, e.Profile, sim.ModelArbiter{Model: m}).Evaluate(s)
+	pred := schedule.NewEvaluator(e.Prob, e.Profile, sim.ModelArbiter{Model: m})
+	ev, err := pred.Evaluate(s)
+	pred.Release()
 	if err != nil {
 		return nil, err
 	}

@@ -160,6 +160,7 @@ func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sche
 		return nil, 0, Stats{}, err
 	}
 	ev := schedule.NewEvaluator(prob, pr, sim.ModelArbiter{Model: cfg.Model})
+	defer ev.Release()
 	nItems := len(prob.Items)
 
 	// Per-item candidates, sorted by contention-free latency so good

@@ -279,7 +279,8 @@ func TestCriticalPath(t *testing.T) {
 // evaluation must equal Evaluate's bit for bit on everything they can hand
 // it, under the model the solver optimizes with and under ground truth,
 // with one Evaluator per arbiter reused across schedules in shuffled
-// order.
+// order. Each Evaluator is released after its run, so the next one, for
+// the other arbiter or the next problem, lowers into its buffers.
 func TestEvaluatorMatchesEvaluate(t *testing.T) {
 	problem := func(platform string, obj schedule.Objective, frames int, items ...schedule.Item) (*schedule.Problem, *schedule.Profile) {
 		p, ok := soc.PlatformByName(platform)
@@ -393,6 +394,7 @@ func TestEvaluatorMatchesEvaluate(t *testing.T) {
 				same("stream ends", full.StreamEndMs, want.Result.StreamEndMs)
 				same("Evaluate's stream ends", want.StreamEndMs, want.Result.StreamEndMs)
 			}
+			ev.Release()
 		}
 	}
 }
