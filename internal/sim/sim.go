@@ -233,10 +233,10 @@ func (e *Engine) RunUntimed(p *soc.Platform, w Workload, arb Arbiter) (*Result, 
 // passed CheckTasks on p and have not changed since: it skips the per-task
 // checks. Under a finite limitMs it reads each stream's RestMs, which must
 // be current (SumRest), and stops early, returning a nil result and cut
-// true, once the makespan provably reaches limitMs: after
-// each event, some unfinished stream's bound — the current time plus the
-// stream's remaining standalone work, less TimeEps per remaining task and
-// a relative 1e-9 for rounding — is at least limitMs. Slowdowns of at least
+// true, once the makespan provably reaches limitMs: after some event, an
+// unfinished stream's bound — the current time plus the stream's
+// remaining standalone work, less TimeEps per remaining task and a
+// relative 1e-9 for rounding — is at least limitMs. Slowdowns of at least
 // 1 make the bound admissible: a cut run's makespan is at least limitMs.
 // A run that is not cut equals RunUntimed's bit for bit; math.Inf(1) never
 // cuts.

@@ -205,6 +205,8 @@ func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sche
 		}
 		if cost < bestCost {
 			bestCost = cost
+			// A zero makespan scores 0 FPS, which any longer run beats
+			// under MaxThroughput, so it sets no limit.
 			if makespan > 0 {
 				limit = makespan
 			}
