@@ -103,55 +103,61 @@ func Herald(pr *schedule.Profile) *schedule.Schedule {
 // DSA exactly the way Sec. 5.2 describes.
 func H2H(pr *schedule.Profile) *schedule.Schedule {
 	s := &schedule.Schedule{Assign: make([][]int, len(pr.Groups))}
-	load := map[int]float64{}
+	accels := len(pr.Platform.Accels)
+	load := make([]float64, accels) // committed load per accelerator
 	var totalLoad float64
+	inflate := func(a int) float64 {
+		if totalLoad <= 0 {
+			return 1
+		}
+		return 1 + load[a]/totalLoad
+	}
+	// Every item's DP tables share two flat slabs, sized for the item with
+	// the most groups: dp[g*accels+a] is the best cost of groups 0..g with
+	// group g on accelerator a, from[g*accels+a] its predecessor.
+	most := 0
+	for i := range pr.Groups {
+		most = max(most, pr.NumGroups(i))
+	}
+	dp, from := make([]float64, most*accels), make([]int, most*accels)
 	for i := range pr.Groups {
 		groups := pr.NumGroups(i)
-		// dp[g][a]: best cost of groups 0..g with group g on accelerator a.
-		dp := make([][]float64, groups)
-		from := make([][]int, groups)
-		inflate := func(a int) float64 {
-			if totalLoad <= 0 {
-				return 1
-			}
-			return 1 + load[a]/totalLoad
-		}
 		for g := 0; g < groups; g++ {
-			dp[g] = make([]float64, len(pr.Platform.Accels))
-			from[g] = make([]int, len(pr.Platform.Accels))
-			for j := range dp[g] {
-				dp[g][j] = math.Inf(1)
+			cur, prev := g*accels, (g-1)*accels
+			for j := cur; j < cur+accels; j++ {
+				dp[j], from[j] = math.Inf(1), 0
 			}
 			for _, a := range pr.Allowed {
 				exec := pr.Exec[i][g][a].LatencyMs * inflate(a)
 				if g == 0 {
-					dp[g][a] = exec
-					from[g][a] = -1
+					dp[cur+a] = exec
+					from[cur+a] = -1
 					continue
 				}
-				for _, prev := range pr.Allowed {
-					c := dp[g-1][prev] + exec
-					if prev != a {
-						c += pr.TransOutMs[i][g-1][prev] + pr.TransInMs[i][g][a]
+				for _, p := range pr.Allowed {
+					c := dp[prev+p] + exec
+					if p != a {
+						c += pr.TransOutMs[i][g-1][p] + pr.TransInMs[i][g][a]
 					}
-					if c < dp[g][a] {
-						dp[g][a] = c
-						from[g][a] = prev
+					if c < dp[cur+a] {
+						dp[cur+a] = c
+						from[cur+a] = p
 					}
 				}
 			}
 		}
 		// Recover the best path.
+		last := (groups - 1) * accels
 		best, bestCost := pr.Allowed[0], math.Inf(1)
 		for _, a := range pr.Allowed {
-			if dp[groups-1][a] < bestCost {
-				best, bestCost = a, dp[groups-1][a]
+			if dp[last+a] < bestCost {
+				best, bestCost = a, dp[last+a]
 			}
 		}
 		row := make([]int, groups)
 		for g, a := groups-1, best; g >= 0; g-- {
 			row[g] = a
-			a = from[g][a]
+			a = from[g*accels+a]
 		}
 		s.Assign[i] = row
 		for g, a := range row {

@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
+	"strconv"
 	"sync"
 
 	"haxconn/internal/nn"
@@ -238,27 +238,34 @@ func (s *Schedule) validate(pr *Profile, allowed []bool) error {
 }
 
 // Describe renders the schedule compactly, e.g.
-// "VGG19: GPU[0-28] DLA[29-42]; ResNet101: DLA[0-95] GPU[96-343]".
+// "VGG19: GPU[0-28] DLA[29-42]; ResNet101: DLA[0-95] GPU[96-343]". The
+// text is built in one stack buffer, so a description that fits it costs
+// one allocation, the returned string.
 func (s *Schedule) Describe(pr *Profile) string {
-	var b strings.Builder
+	var buf [256]byte
+	b := buf[:0]
 	for i, row := range s.Assign {
 		if i > 0 {
-			b.WriteString("; ")
+			b = append(b, "; "...)
 		}
 		groups := pr.Groups[i]
-		b.WriteString(groups[0].Net.Name)
-		b.WriteString(":")
+		b = append(b, groups[0].Net.Name...)
+		b = append(b, ':')
 		start := 0
 		for g := 1; g <= len(row); g++ {
 			if g == len(row) || row[g] != row[start] {
-				fmt.Fprintf(&b, " %s[%d-%d]",
-					pr.Platform.Accels[row[start]].Name,
-					groups[start].Start, groups[g-1].End)
+				b = append(b, ' ')
+				b = append(b, pr.Platform.Accels[row[start]].Name...)
+				b = append(b, '[')
+				b = strconv.AppendInt(b, int64(groups[start].Start), 10)
+				b = append(b, '-')
+				b = strconv.AppendInt(b, int64(groups[g-1].End), 10)
+				b = append(b, ']')
 				start = g
 			}
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // BuildSim lowers a schedule into a simulator workload: one stream per

@@ -185,7 +185,11 @@ type Entry struct {
 
 	cache     *Cache
 	lastSched *schedule.Schedule
-	evals     map[string]*schedule.Eval
+	evals     map[string]*schedule.Eval // Evaluate's memo, by schedule key
+	// ownEvals holds the same evaluations as evals for the entry's own
+	// schedules (see owns), found by identity: a memo hit on a deployed or
+	// scored schedule is a pointer comparison, not a key build and hash.
+	ownEvals  []ownEval
 	predEvals map[string]*schedule.Eval // model-arbiter evaluations (Predict)
 	// settled marks an entry carried across a timeline rewind: its solve
 	// finished in a previous run, so it deploys its best incumbent
@@ -729,9 +733,10 @@ func (e *Entry) Best() *schedule.Schedule {
 }
 
 // Evaluate measures a schedule for this mix on the ground-truth simulator,
-// memoizing per schedule — repeated rounds of a cached mix cost a map
-// lookup, not a simulation. The evaluation records no timeline (its
-// Result is nil); serving reads only its figures and stream ends.
+// memoizing per schedule — repeated rounds of a cached mix cost a pointer
+// comparison or a map lookup, not a simulation. Schedules with equal keys
+// share one evaluation. The evaluation records no timeline (its Result is
+// nil); serving reads only its figures and stream ends.
 func (e *Entry) Evaluate(s *schedule.Schedule) (*schedule.Eval, error) {
 	if ev, ok := e.evaluated(s); ok {
 		return ev, nil
@@ -743,15 +748,67 @@ func (e *Entry) Evaluate(s *schedule.Schedule) (*schedule.Eval, error) {
 		return nil, err
 	}
 	e.evals[s.Key()] = ev
+	e.remember(s, ev)
 	return ev, nil
 }
 
+// ownEval is one identity-memo slot: one of the entry's own schedules and
+// its evaluation.
+type ownEval struct {
+	s  *schedule.Schedule
+	ev *schedule.Eval
+}
+
 // evaluated returns Evaluate's memoized result for s, if any, without
-// allocating: the schedule's key is built in a stack buffer.
+// allocating: the entry's own schedules are found by identity, any other
+// by its key, built in a stack buffer. A key hit on an own schedule joins
+// the identity memo, with the very evaluation the key maps to.
 func (e *Entry) evaluated(s *schedule.Schedule) (*schedule.Eval, bool) {
+	for _, o := range e.ownEvals {
+		if o.s == s {
+			return o.ev, true
+		}
+	}
 	var buf [keyBufLen]byte
 	ev, ok := e.evals[string(s.AppendKey(buf[:0]))]
+	if ok {
+		e.remember(s, ev)
+	}
 	return ev, ok
+}
+
+// remember adds s and its evaluation to the identity memo when s is one of
+// the entry's own schedules.
+func (e *Entry) remember(s *schedule.Schedule, ev *schedule.Eval) {
+	if e.owns(s) {
+		e.ownEvals = append(e.ownEvals, ownEval{s, ev})
+	}
+}
+
+// owns reports whether s is one of the schedules the entry itself can
+// deploy: its naive or seeded schedule, or its solver run's seed, best or
+// any incumbent. None of them changes once built or solved, and the memo
+// keeps each one alive, so its pointer identifies its assignment for the
+// entry's life.
+func (e *Entry) owns(s *schedule.Schedule) bool {
+	if s == nil {
+		return false
+	}
+	if s == e.Naive || s == e.Seeded {
+		return true
+	}
+	if e.Any == nil {
+		return false
+	}
+	if s == e.Any.Seed || s == e.Any.Best {
+		return true
+	}
+	for _, inc := range e.Any.History {
+		if inc.Schedule == s {
+			return true
+		}
+	}
+	return false
 }
 
 // Predict evaluates a schedule for this mix under the analytic contention

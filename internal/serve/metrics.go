@@ -230,49 +230,53 @@ func (t *Tally) observe(c Completion) {
 	}
 }
 
-// sortRuns refreshes the sorted copy of every exact row whose latencies
-// grew since the last call, carving the copies from one allocation. A
-// device's runs are thus sorted once however many levels summarize them,
-// while lats keeps completion order for the merged means.
-func (t *Tally) sortRuns() {
-	if t.sketch {
-		return
-	}
-	need := 0
-	if len(t.total.sorted) != len(t.total.lats) {
-		need += len(t.total.lats)
-	}
-	for _, a := range t.tenants {
-		if len(a.sorted) != len(a.lats) {
-			need += len(a.lats)
-		}
-	}
-	if need == 0 {
-		return
-	}
-	slab := make([]float64, need)
-	carve := func(a *tenantAcc) {
-		if n := len(a.lats); len(a.sorted) != n {
-			a.sorted, slab = slab[:n:n], slab[n:]
-			copy(a.sorted, a.lats)
-			sort.Float64s(a.sorted)
-		}
-	}
-	carve(t.total)
-	for _, a := range t.tenants {
-		carve(a)
-	}
-}
-
-func (t *Tally) summarize(policy Policy, platform string, obj schedule.Objective) *Summary {
-	t.sortRuns()
-	sum := &Summary{Policy: policy.String(), Platform: platform,
-		Objective: obj.String(), DurationMs: t.durationMs}
+// names returns the tally's tenant names, sorted.
+func (t *Tally) names() []string {
 	names := make([]string, 0, len(t.tenants))
 	for name := range t.tenants {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	return names
+}
+
+// sortRuns refreshes the sorted copy of every exact row whose latencies
+// grew since the last call, carving the copies from one allocation. The
+// TOTAL row's latencies are the union of the tenant rows', so it grows
+// whenever one of them does, and its sorted copy is a k-way merge of
+// theirs, walked in tenant-name order, rather than a second sort: the same
+// multiset, so the same bits. A device's runs are thus sorted once however
+// many levels summarize them, while lats keeps completion order for the
+// merged means. names is the tally's sorted tenant names.
+func (t *Tally) sortRuns(names []string) {
+	if t.sketch || len(t.total.sorted) == len(t.total.lats) {
+		return
+	}
+	need := len(t.total.lats)
+	for _, name := range names {
+		if a := t.tenants[name]; len(a.sorted) != len(a.lats) {
+			need += len(a.lats)
+		}
+	}
+	slab := make([]float64, need)
+	m := tallyMerge{runs: make([][]float64, 0, len(names)), heads: make([]int, len(names)), heap: make([]int, 0, len(names))}
+	for _, name := range names {
+		a := t.tenants[name]
+		if n := len(a.lats); len(a.sorted) != n {
+			a.sorted, slab = slab[:n:n], slab[n:]
+			copy(a.sorted, a.lats)
+			sort.Float64s(a.sorted)
+		}
+		m.runs = append(m.runs, a.sorted)
+	}
+	t.total.sorted = m.mergeRuns(slab[:0:len(t.total.lats)])
+}
+
+func (t *Tally) summarize(policy Policy, platform string, obj schedule.Objective) *Summary {
+	names := t.names()
+	t.sortRuns(names)
+	sum := &Summary{Policy: policy.String(), Platform: platform,
+		Objective: obj.String(), DurationMs: t.durationMs}
 	for _, name := range names {
 		a := t.tenants[name]
 		sum.Tenants = append(sum.Tenants, a.row(name, t.durationMs, a.sorted))
@@ -299,7 +303,7 @@ func SummarizeTallies(parts []*Tally, policy Policy, platform string, obj schedu
 	var names []string
 	served := 0
 	for _, p := range parts {
-		p.sortRuns()
+		p.sortRuns(p.names())
 		m.sketch = p.sketch
 		m.durationMs = math.Max(m.durationMs, p.durationMs)
 		served += p.total.completed
@@ -399,7 +403,9 @@ func mergeNetwork(label string, a *tenantAcc) string {
 }
 
 // mergeRuns appends the union of m.runs to dst in ascending order: a
-// k-way merge over a min-heap of run heads, ties to the earlier run.
+// k-way merge over a min-heap of run heads, ties to the earlier run. Runs
+// are ordered as sort.Float64s orders them, NaNs first, and so is the
+// union.
 func (m *tallyMerge) mergeRuns(dst []float64) []float64 {
 	runs, heads, h := m.runs, m.heads[:len(m.runs)], m.heap[:0]
 	for r, run := range runs {
@@ -410,7 +416,17 @@ func (m *tallyMerge) mergeRuns(dst []float64) []float64 {
 	}
 	less := func(a, b int) bool {
 		va, vb := runs[a][heads[a]], runs[b][heads[b]]
-		return va < vb || (va == vb && a < b)
+		switch {
+		case va < vb:
+			return true
+		case va > vb:
+			return false
+		}
+		// Equal, or a NaN on either side.
+		if na, nb := math.IsNaN(va), math.IsNaN(vb); na != nb {
+			return na
+		}
+		return a < b
 	}
 	down := func(i int) {
 		for {

@@ -67,9 +67,11 @@ type Candidate struct {
 	Request
 	// DemandGBps is the network's estimated standalone memory demand on
 	// this device (the profiler's time-weighted mean along the fastest
-	// path; see Runtime.DemandGBps). Zero when the active policy is not
-	// demand-aware — the runtime skips the estimate to keep the FIFO hot
-	// path free of profiling work.
+	// path; see Runtime.DemandGBps). The runtime looks it up once per
+	// request, the first round a demand-aware policy sees the request
+	// eligible, and keeps it beside the pending queue. Zero when the
+	// active policy is not demand-aware — the runtime skips the estimate
+	// to keep the FIFO hot path free of profiling work.
 	DemandGBps float64
 	// WaitedRounds counts consecutive dispatch rounds this request was
 	// eligible for but passed over by the mix policy.
@@ -93,8 +95,8 @@ type BatchScore struct {
 	// EndMs[i] is the predicted completion offset (from the round start)
 	// of the i-th candidate of the scored selection in ascending queue
 	// order — the per-request signal deadline-sensitive scoring needs.
-	// The runtime's scorers carve it from a per-round arena, so it is
-	// valid until Form returns (a MixFormer keeps no state across rounds).
+	// The runtime's scorers carve it from the round arena, so it is valid
+	// until Form returns (a MixFormer keeps no state across rounds).
 	EndMs []float64
 }
 
@@ -116,7 +118,13 @@ type BatchScorer func(sel []int) (BatchScore, bool)
 // same round.
 type BatchScorerMany func(sels [][]int) ([]BatchScore, []bool)
 
-// FormInput is one dispatch round's context.
+// FormInput is one dispatch round's context. The runtime builds it every
+// round with its round arena attached (an unexported field): the built-in
+// policies carve their working slices and their selection from it, so a
+// warm round allocates nothing. A FormInput built anywhere else has no
+// arena, and the policies allocate fresh slices; the selections are the
+// same either way. A policy that wraps another passes its FormInput
+// through unchanged, arena included.
 type FormInput struct {
 	// StartMs is the round's start on the virtual timeline.
 	StartMs float64
@@ -133,6 +141,30 @@ type FormInput struct {
 	// BatchScorerMany); policies that score a beam prefer it over Score so
 	// unseen mixes probe concurrently.
 	ScoreMany BatchScorerMany
+
+	// arena is the runtime's round arena, reset at the start of every
+	// round; nil outside the runtime.
+	arena *scoreArena
+}
+
+// ints returns n ints, carved from the round arena when there is one and
+// freshly allocated otherwise. An arena's ints are not cleared: the caller
+// overwrites each one before reading it.
+func (in *FormInput) ints(n int) []int {
+	if in.arena == nil {
+		return make([]int, n)
+	}
+	return carveRaw(&in.arena.ints, n)
+}
+
+// lists returns n index lists, carved from the round arena when there is
+// one and freshly allocated otherwise. Like ints, an arena's lists are not
+// cleared.
+func (in *FormInput) lists(n int) [][]int {
+	if in.arena == nil {
+		return make([][]int, n)
+	}
+	return carveRaw(&in.arena.lists, n)
 }
 
 // MixFormer selects which eligible requests form a dispatch round.
@@ -149,7 +181,9 @@ type MixFormer interface {
 	// the final batch: starved requests are forced in first, the policy's
 	// ranking fills the rest, and any remaining slots fall back to queue
 	// order — so a policy may return fewer indices than MaxBatch without
-	// shrinking the round.
+	// shrinking the round. Under the runtime the built-in policies carve
+	// the returned slice from the round arena: it stays valid until the
+	// next round, so a caller that keeps it longer copies it.
 	Form(in FormInput) []int
 }
 
@@ -164,7 +198,7 @@ func (fifoFormer) Name() string      { return MixFIFO }
 func (fifoFormer) DemandAware() bool { return false }
 func (fifoFormer) Form(in FormInput) []int {
 	n := batchSize(in)
-	sel := make([]int, n)
+	sel := in.ints(n)
 	for i := range sel {
 		sel[i] = i
 	}
@@ -189,7 +223,7 @@ func (demandBalance) Form(in FormInput) []int {
 	if n == 0 {
 		return nil
 	}
-	order := make([]int, len(in.Eligible))
+	order := in.ints(len(in.Eligible))
 	for i := range order {
 		order[i] = i
 	}
@@ -200,7 +234,7 @@ func (demandBalance) Form(in FormInput) []int {
 		}
 		return cmp.Compare(a, b)
 	})
-	sel := make([]int, 0, n)
+	sel := in.ints(n)[:0]
 	for lo, hi, heavy := 0, len(order)-1, true; len(sel) < n && lo <= hi; heavy = !heavy {
 		// A light turn only reaches across the queue when the light end is
 		// strictly lighter — on a uniform queue reordering buys nothing, so
@@ -232,7 +266,7 @@ func (sloAware) Form(in FormInput) []int {
 	if n == 0 {
 		return nil
 	}
-	order := make([]int, len(in.Eligible))
+	order := in.ints(len(in.Eligible))
 	for i := range order {
 		order[i] = i
 	}
@@ -243,7 +277,7 @@ func (sloAware) Form(in FormInput) []int {
 		}
 		return cmp.Compare(a, b)
 	})
-	return order[:n]
+	return order[:n:n]
 }
 
 // before turns a strict "a sorts first" test into a comparator result. A
@@ -322,9 +356,10 @@ func (p contentionAware) Form(in FormInput) []int {
 		roks    []bool
 	)
 	if lookahead {
-		rests = make([][]int, len(candidates))
-		slab := make([]int, 0, len(candidates)*(m-n))
+		rests = in.lists(len(candidates))
+		slab := in.ints(len(candidates) * (m - n))[:0]
 		for ci, sel := range candidates {
+			rests[ci] = nil
 			if oks[ci] {
 				start := len(slab)
 				slab = appendComplement(slab, sel, m)
@@ -392,15 +427,16 @@ func appendComplement(dst, sel []int, m int) []int {
 // eligible indices until the beam is full. Lexicographic subsets are
 // distinct by construction, so each is checked only against the seeds,
 // which keeps the work linear in the beam width. Every candidate is in
-// ascending queue order, carved from one slab.
+// ascending queue order, carved from one slab; the slab, the beam and the
+// running combination come from the round arena when there is one.
 func (p contentionAware) candidates(in FormInput, n int, fallback []int) [][]int {
 	width := beamWidth(p.beam, len(in.Eligible), n)
-	slab := make([]int, 0, width*n)
-	beam := make([][]int, 0, width)
+	slab := in.ints(width * n)[:0]
+	beam := in.lists(width)[:0]
 	// Lexicographic n-subsets of [0, len(eligible)): the oldest requests
 	// lead, so widening the beam explores pairings without abandoning the
 	// queue head. The first subset is the fifo prefix.
-	comb := make([]int, n)
+	comb := in.ints(n)
 	for i := range comb {
 		comb[i] = i
 	}

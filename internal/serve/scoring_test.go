@@ -299,7 +299,9 @@ func sameStatsBits(a, b TenantStats) bool {
 // copy-based fold it replaced, every field bit for bit, on seeded random
 // completion sets with rejections, a tenant whose networks differ (it
 // reads "mixed"), a tenant that never has a request served, and the
-// empty set.
+// empty set — and on sets of up to 40 tenants whose latencies tie within
+// and across tenants, some of them NaN, where the TOTAL row is merged
+// from the tenants' sorted runs instead of sorted again.
 func TestSummarizeMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	nets := []string{"VGG19", "ResNet152", "SqueezeNet"}
@@ -329,7 +331,24 @@ func TestSummarizeMatchesOracle(t *testing.T) {
 		}
 		sets = append(sets, cs)
 	}
-	for k, cs := range sets {
+	var tied [][]Completion
+	ties := []float64{0.5, 1.25, 3, 3, 7.75, 12}
+	for k := 0; k < 12; k++ {
+		draw := ties
+		if k%3 == 2 {
+			// NaN latencies sort first, in every row and in the merge.
+			draw = append(ties[:len(ties):len(ties)], math.NaN())
+		}
+		cs := make([]Completion, 50+rng.Intn(600))
+		for i := range cs {
+			lat := draw[rng.Intn(len(draw))]
+			cs[i] = Completion{Request: Request{ID: i, Tenant: fmt.Sprintf("m%02d", rng.Intn(1+k*4)), Network: "VGG19",
+				ArrivalMs: float64(i), SLOMs: 10}, StartMs: float64(i), EndMs: float64(i) + lat, LatencyMs: lat,
+				Violated: lat > 10}
+		}
+		tied = append(tied, cs)
+	}
+	for k, cs := range append(sets, tied...) {
 		got := Summarize(cs, ContentionAware, "Orin", schedule.MinMaxLatency)
 		want := summarizeOracle(cs, ContentionAware, "Orin", schedule.MinMaxLatency)
 		if math.Float64bits(got.DurationMs) != math.Float64bits(want.DurationMs) ||

@@ -275,7 +275,8 @@ type Runtime struct {
 	clockMs float64 // end of the last dispatched round
 	busyMs  float64 // total round time (clock advance while dispatching)
 	pending []Request
-	waited  []int // rounds pending[i] was eligible but passed over
+	waited  []int     // rounds pending[i] was eligible but passed over
+	demands []float64 // pending[i]'s DemandGBps, NaN until first read (pendingDemand)
 	queued  map[string]int
 	rounds  int
 
@@ -305,27 +306,30 @@ type Runtime struct {
 	batchScratch   []Request
 	composeScratch composeScratch
 
-	// score is the contention-aware scorer's per-round state, and
-	// scoreFn/scoreManyFn are its BatchScorer and BatchScorerMany, bound
-	// once so wiring them into a round allocates nothing.
+	// score is the round arena every mix policy and the contention-aware
+	// scorer carve from, and scoreFn/scoreManyFn are the scorer's
+	// BatchScorer and BatchScorerMany, bound once so wiring them into a
+	// round allocates nothing.
 	score       scoreArena
 	scoreFn     BatchScorer
 	scoreManyFn BatchScorerMany
 }
 
-// scoreArena is the mix scorer's view of one dispatch round: the eligible
-// candidates and the round start, plus an arena per element type that
-// every scoring wave carves its buffers from. Step resets it at the start
-// of each round, and nothing carved from it is reused within the round,
-// so a first wave's scores stay valid while the lookahead wave runs and
-// BatchScore.EndMs lives until Form returns. Once the arenas have grown
-// to a round's demand, scoring allocates nothing.
+// scoreArena is one dispatch round's arena: the eligible candidates and
+// the round start the mix scorer reads, plus an arena per element type
+// that the mix policy (FormInput carries it) and every scoring wave carve
+// their buffers from. Step resets it at the start of every round, under
+// every policy, and nothing carved from it is reused within the round, so
+// a first wave's scores stay valid while the lookahead wave runs,
+// BatchScore.EndMs lives until Form returns and the policy's selection
+// until the next round. Once the arenas have grown to a round's demand,
+// forming and scoring a batch allocate nothing.
 type scoreArena struct {
 	cands   []Candidate
 	startMs float64
 
 	ints    []int
-	perms   [][]int
+	lists   [][]int
 	names   []string
 	mixes   [][]string
 	floats  []float64
@@ -339,7 +343,7 @@ type scoreArena struct {
 // reset starts a round: the arenas are emptied, keeping their capacity.
 func (a *scoreArena) reset(cands []Candidate, startMs float64) {
 	a.cands, a.startMs = cands, startMs
-	a.ints, a.perms, a.names, a.mixes = a.ints[:0], a.perms[:0], a.names[:0], a.mixes[:0]
+	a.ints, a.lists, a.names, a.mixes = a.ints[:0], a.lists[:0], a.names[:0], a.mixes[:0]
 	a.floats, a.scores, a.oks = a.floats[:0], a.scores[:0], a.oks[:0]
 	a.entries, a.errs, a.evals = a.entries[:0], a.errs[:0], a.evals[:0]
 }
@@ -347,14 +351,21 @@ func (a *scoreArena) reset(cands []Candidate, startMs float64) {
 // carve returns n zeroed elements from the arena *a. A full arena moves to
 // a fresh backing array of twice the size, so earlier carves stay intact.
 func carve[T any](a *[]T, n int) []T {
+	s := carveRaw(a, n)
+	clear(s)
+	return s
+}
+
+// carveRaw is carve without the clearing, for a caller that overwrites
+// every element before it reads any: until then the elements hold what an
+// earlier round left there.
+func carveRaw[T any](a *[]T, n int) []T {
 	if cap(*a)-len(*a) < n {
 		*a = make([]T, 0, max(2*cap(*a), n))
 	}
 	l := len(*a)
 	*a = (*a)[:l+n]
-	s := (*a)[l : l+n : l+n]
-	clear(s)
-	return s
+	return (*a)[l : l+n : l+n]
 }
 
 // New validates the configuration and builds a runtime with an empty
@@ -518,6 +529,7 @@ func (r *Runtime) Reset() {
 	r.busyMs = 0
 	r.pending = nil
 	r.waited = nil
+	r.demands = nil
 	r.queued = map[string]int{}
 	// An empty tally is already a fresh one (a new runtime's first Serve).
 	if r.tally.total.offered > 0 {
@@ -680,26 +692,27 @@ func (r *Runtime) scoreMany(sels [][]int) ([]BatchScore, []bool) {
 	sc := &r.score
 	cands := sc.cands
 	scores, oks := carve(&sc.scores, len(sels)), carve(&sc.oks, len(sels))
-	perms := carve(&sc.perms, len(sels))
-	mixes := carve(&sc.mixes, len(sels))[:0]
-	pos := carve(&sc.ints, len(sels))[:0]
+	perms := carveRaw(&sc.lists, len(sels))
+	mixes := carveRaw(&sc.mixes, len(sels))[:0]
+	pos := carveRaw(&sc.ints, len(sels))[:0]
 	for i, sel := range sels {
 		if len(sel) == 0 {
+			perms[i] = nil
 			continue
 		}
-		idx := carve(&sc.ints, len(sel))
+		idx := carveRaw(&sc.ints, len(sel))
 		copy(idx, sel)
 		slices.Sort(idx)
 		// Canonical mix order mirrors dispatch: stable-sorted by network
 		// name, queue order among equals, so StreamEndMs maps 1:1.
-		perm := carve(&sc.ints, len(sel))
+		perm := carveRaw(&sc.ints, len(sel))
 		for k := range perm {
 			perm[k] = k
 		}
 		slices.SortStableFunc(perm, func(a, b int) int {
 			return strings.Compare(cands[idx[a]].Network, cands[idx[b]].Network)
 		})
-		mix := carve(&sc.names, len(sel))
+		mix := carveRaw(&sc.names, len(sel))
 		for k, pi := range perm {
 			mix[k] = cands[idx[pi]].Network
 		}
@@ -720,7 +733,7 @@ func (r *Runtime) scoreMany(sels [][]int) ([]BatchScore, []bool) {
 			r.trace(obs.Event{AtMs: sc.startMs, Kind: obs.KindMixScore, Request: obs.NoRequest,
 				Detail: strings.Join(mixes[k], "+"), Value: ev.MakespanMs})
 		}
-		ends := carve(&sc.floats, len(perms[i]))
+		ends := carveRaw(&sc.floats, len(perms[i]))
 		for j, pi := range perms[i] {
 			ends[pi] = ev.StreamEndMs[j]
 		}
@@ -843,17 +856,33 @@ func (r *Runtime) MixFitMs(network string) (float64, error) {
 	return best, nil
 }
 
+// pendingDemand returns pending[i]'s demand estimate from its slot,
+// filling the slot through DemandGBps the first time it is read. A failed
+// estimate leaves the slot empty, so every read repeats the memoized error.
+func (r *Runtime) pendingDemand(i int) (float64, error) {
+	if d := r.demands[i]; !math.IsNaN(d) {
+		return d, nil
+	}
+	d, err := r.DemandGBps(r.pending[i].Network)
+	if err != nil {
+		return 0, err
+	}
+	r.demands[i] = d
+	return d, nil
+}
+
 // PendingDemandSpread is the gap between the heaviest and lightest
 // estimated memory demand among pending requests' networks — the
 // offered-mix pressure signal the control plane reads when choosing a
-// device's mix policy. Zero with fewer than two pending requests.
+// device's mix policy. Zero with fewer than two pending requests. It reads
+// the per-request demand slots Step fills, filling any still empty.
 func (r *Runtime) PendingDemandSpread() (float64, error) {
 	if len(r.pending) < 2 {
 		return 0, nil
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, p := range r.pending {
-		d, err := r.DemandGBps(p.Network)
+	for i := range r.pending {
+		d, err := r.pendingDemand(i)
 		if err != nil {
 			return 0, err
 		}
@@ -939,6 +968,7 @@ func (r *Runtime) Offer(req Request) (bool, error) {
 	r.queued[req.Tenant]++
 	r.pending = append(r.pending, req)
 	r.waited = append(r.waited, 0)
+	r.demands = append(r.demands, math.NaN())
 	if len(r.pending) > r.peakQueue {
 		r.peakQueue = len(r.pending)
 	}
@@ -992,16 +1022,16 @@ func (r *Runtime) Step() error {
 	}
 	if r.former.DemandAware() {
 		for i := range cands {
-			d, err := r.DemandGBps(cands[i].Network)
+			d, err := r.pendingDemand(i)
 			if err != nil {
 				return err
 			}
 			cands[i].DemandGBps = d
 		}
 	}
-	in := FormInput{StartMs: start, MaxBatch: r.cfg.MaxBatch, Eligible: cands}
+	r.score.reset(cands, start)
+	in := FormInput{StartMs: start, MaxBatch: r.cfg.MaxBatch, Eligible: cands, arena: &r.score}
 	if sa, ok := r.former.(scoreAware); ok && sa.ScoreAware() {
-		r.score.reset(cands, start)
 		in.Score, in.ScoreMany = r.scoreFn, r.scoreManyFn
 	}
 	sel := r.former.Form(in)
@@ -1031,7 +1061,7 @@ func (r *Runtime) Step() error {
 	r.batchScratch = batch
 	// Remove the batch from the queue (picks are in ascending queue
 	// order); every eligible request passed over ages one round.
-	keepReq, keepWait, pi := r.pending[:0], r.waited[:0], 0
+	keepReq, keepWait, keepDemand, pi := r.pending[:0], r.waited[:0], r.demands[:0], 0
 	for i := range r.pending {
 		if pi < len(picks) && picks[pi] == i {
 			pi++
@@ -1043,8 +1073,9 @@ func (r *Runtime) Step() error {
 		}
 		keepReq = append(keepReq, r.pending[i])
 		keepWait = append(keepWait, w)
+		keepDemand = append(keepDemand, r.demands[i])
 	}
-	r.pending, r.waited = keepReq, keepWait
+	r.pending, r.waited, r.demands = keepReq, keepWait, keepDemand
 	for _, b := range batch {
 		r.queued[b.Tenant]--
 	}
