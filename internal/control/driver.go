@@ -13,21 +13,31 @@
 package control
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"haxconn/internal/fleet"
 	"haxconn/internal/serve"
 )
 
 // Driver steps one controlled run incrementally. Obtain one from
-// Controller.Start, call Advance with a nondecreasing horizon until it
-// reports no work remains, then Finish exactly once for the summary.
+// Controller.Start or StartIndexed, call Advance with a nondecreasing
+// horizon until it reports no work remains, then Finish exactly once for
+// the summary.
+//
+// A driver reads its requests in place from the trace it was started on,
+// through a list of indices in arrival order; it never copies or writes
+// a request. Handoffs move indices: ExtractFuture returns them and Inject
+// takes them, so the two drivers of a handoff must share one trace.
 type Driver struct {
-	r        *run
-	reqs     serve.Trace
-	next     int
+	r  *run
+	tr serve.Trace
+	// order lists, in arrival order, the indices into tr of the requests
+	// offered so far and still to offer; nil reads tr itself in order.
+	order    []int32
+	next     int // position in order of the next request to offer
 	nextTick float64
 }
 
@@ -36,18 +46,68 @@ type Driver struct {
 // may own no tenants yet still participate in gossip (and receive handed-
 // off tenants later via Inject). A request with a non-finite arrival time
 // or SLO is rejected (serve.Trace.Validate), for Serve and the driver
-// alike. A trace already in arrival order is used as is, with no copy:
-// the driver never writes its requests in place — ExtractFuture and
-// Inject build new slices — so the caller's trace is never modified.
+// alike. A trace already in arrival order is read as is, with no index;
+// any other through a stably sorted index. Either way the caller's trace
+// is neither copied nor modified.
 func (c *Controller) Start(tr serve.Trace) (*Driver, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
+	if len(tr) > math.MaxInt32 {
+		return nil, fmt.Errorf("control: %d requests exceed the driver's int32 indices", len(tr))
+	}
+	var order []int32
+	if !slices.IsSortedFunc(tr, func(a, b serve.Request) int { return cmp.Compare(a.ArrivalMs, b.ArrivalMs) }) {
+		order = make([]int32, len(tr))
+		for i := range order {
+			order[i] = int32(i)
+		}
+		SortArrivals(tr, order)
+	}
+	return c.start(tr, order)
+}
+
+// StartIndexed is Start over a subset of tr: the requests tr[order[0]],
+// tr[order[1]], ..., which must be valid (serve.Trace.Validate) and listed
+// in nondecreasing arrival order (SortArrivals). The driver reads them in
+// place and keeps order as its own, so the caller must not modify either
+// afterwards. The sharded plane starts every shard on the caller's trace
+// this way, at 4 bytes per request instead of a copy of each request.
+func (c *Controller) StartIndexed(tr serve.Trace, order []int32) (*Driver, error) {
+	if order == nil {
+		order = []int32{} // nil would read the whole trace
+	}
+	return c.start(tr, order)
+}
+
+func (c *Controller) start(tr serve.Trace, order []int32) (*Driver, error) {
 	r, err := newRun(c.cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Driver{r: r, reqs: tr.InArrivalOrder(), nextTick: c.cfg.TickMs}, nil
+	return &Driver{r: r, tr: tr, order: order, nextTick: c.cfg.TickMs}, nil
+}
+
+// SortArrivals stably sorts indices into tr by arrival time: the order in
+// which a driver offers the requests they name.
+func SortArrivals(tr serve.Trace, order []int32) {
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(tr[a].ArrivalMs, tr[b].ArrivalMs) })
+}
+
+// total is the number of requests the driver offers in all.
+func (d *Driver) total() int {
+	if d.order == nil {
+		return len(d.tr)
+	}
+	return len(d.order)
+}
+
+// at is the index into tr of the driver's i-th request.
+func (d *Driver) at(i int) int32 {
+	if d.order == nil {
+		return int32(i)
+	}
+	return d.order[i]
 }
 
 // Advance processes every event — arrival, control tick, device round —
@@ -58,17 +118,18 @@ func (c *Controller) Start(tr serve.Trace) (*Driver, error) {
 // Pass math.Inf(1) to run to completion.
 func (d *Driver) Advance(horizonMs float64) (bool, error) {
 	r := d.r
-	for d.next < len(d.reqs) || r.fleet.Pending() > 0 {
+	n := d.total()
+	for d.next < n || r.fleet.Pending() > 0 {
 		di, tDev := r.fleet.NextRound()
 		tArr := math.Inf(1)
-		if d.next < len(d.reqs) {
-			tArr = d.reqs[d.next].ArrivalMs
+		if d.next < n {
+			tArr = d.tr[d.at(d.next)].ArrivalMs
 		}
 		if tArr <= d.nextTick && tArr <= tDev {
 			if tArr > horizonMs {
 				return true, nil
 			}
-			if _, _, err := r.fleet.Offer(d.reqs[d.next]); err != nil {
+			if _, _, err := r.fleet.Offer(d.tr[d.at(d.next)]); err != nil {
 				return false, err
 			}
 			d.next++
@@ -121,42 +182,55 @@ func (d *Driver) Pending() int { return d.r.fleet.Pending() }
 // which tenant to move off a pressured shard.
 func (d *Driver) FutureArrivals(afterMs float64) map[string]int {
 	out := map[string]int{}
-	for _, q := range d.reqs[d.next:] {
-		if q.ArrivalMs > afterMs {
+	for i, n := d.next, d.total(); i < n; i++ {
+		if q := &d.tr[d.at(i)]; q.ArrivalMs > afterMs {
 			out[q.Tenant]++
 		}
 	}
 	return out
 }
 
-// ExtractFuture removes and returns the tenant's not-yet-offered requests
-// with arrival strictly after afterMs, preserving order. Requests already
-// offered (or arriving at or before afterMs) stay: a handoff moves a
-// tenant's future, not its in-flight work.
-func (d *Driver) ExtractFuture(tenant string, afterMs float64) serve.Trace {
-	var moved, kept serve.Trace
-	for _, q := range d.reqs[d.next:] {
-		if q.Tenant == tenant && q.ArrivalMs > afterMs {
-			moved = append(moved, q)
+// ExtractFuture removes the tenant's not-yet-offered requests with arrival
+// strictly after afterMs and returns their indices into the driver's
+// trace, in arrival order. Requests already offered (or arriving at or
+// before afterMs) stay: a handoff moves a tenant's future, not its
+// in-flight work.
+func (d *Driver) ExtractFuture(tenant string, afterMs float64) []int32 {
+	var moved, kept []int32
+	for i, n := d.next, d.total(); i < n; i++ {
+		j := d.at(i)
+		if q := &d.tr[j]; q.Tenant == tenant && q.ArrivalMs > afterMs {
+			moved = append(moved, j)
 		} else {
-			kept = append(kept, q)
+			kept = append(kept, j)
 		}
 	}
-	d.reqs, d.next = kept, 0
+	if kept == nil {
+		kept = []int32{}
+	}
+	d.order, d.next = kept, 0
 	return moved
 }
 
-// Inject merges handed-off requests into the remaining arrivals. Every
-// injected arrival must be at or after the driver's current horizon (the
+// Inject merges handed-off requests, given as indices into the trace this
+// driver was started on, into the remaining arrivals. Every injected
+// arrival must be at or after the driver's current horizon (the
 // extraction barrier time guarantees this for handoffs); the merge is
 // stable, existing arrivals first at a tie, so the combined stream stays
 // deterministic.
-func (d *Driver) Inject(reqs serve.Trace) {
-	if len(reqs) == 0 {
+func (d *Driver) Inject(moved []int32) {
+	if len(moved) == 0 {
 		return
 	}
-	merged := append(serve.Trace(nil), d.reqs[d.next:]...)
-	merged = append(merged, reqs...)
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].ArrivalMs < merged[j].ArrivalMs })
-	d.reqs, d.next = merged, 0
+	merged := make([]int32, 0, d.total()-d.next+len(moved))
+	for i, n := d.next, d.total(); i < n; i++ {
+		merged = append(merged, d.at(i))
+	}
+	merged = append(merged, moved...)
+	SortArrivals(d.tr, merged)
+	d.order, d.next = merged, 0
 }
+
+// Trace returns the trace the driver reads its requests from: the one it
+// was started on, never a copy.
+func (d *Driver) Trace() serve.Trace { return d.tr }

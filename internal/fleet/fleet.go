@@ -35,7 +35,7 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"haxconn/internal/obs"
@@ -102,14 +102,19 @@ func checkTemplate(d serve.Config) error {
 // life; a drained device stays in the pool (its completions belong to the
 // run) but takes no further placements or steps once removed.
 type Fleet struct {
-	cfg         Config
-	devices     []serve.Device
-	placer      Placer
-	caches      map[string]*serve.Cache // platform name -> shared cache
-	placed      []int                   // requests routed to each device
-	draining    []bool                  // no new placements; finishing in-flight work
-	removed     []bool                  // retired: no placements, no steps
-	perPlatform map[string]int          // per-platform naming counter
+	cfg       Config
+	devices   []serve.Device
+	placer    Placer
+	caches    map[string]*serve.Cache // platform name -> shared cache
+	platforms []string                // the keys of caches, sorted
+	placed    []int                   // requests routed to each device
+	// starts caches each device's NextStartMs. A device's start moves only
+	// when the fleet offers it a request, steps it or rewinds it, so
+	// NextRound scans these instead of asking every device each event.
+	starts      []float64
+	draining    []bool         // no new placements; finishing in-flight work
+	removed     []bool         // retired: no placements, no steps
+	perPlatform map[string]int // per-platform naming counter
 
 	// Placement-decision audit state (only populated when Audit or Tracer
 	// is set): the mix-aware placer's predicted fit per in-flight request
@@ -199,6 +204,8 @@ func (f *Fleet) addDevice(platform, mixPolicy string) (serve.Device, error) {
 				return nil, err
 			}
 			f.caches[p.Name] = c
+			i, _ := slices.BinarySearch(f.platforms, p.Name)
+			f.platforms = slices.Insert(f.platforms, i, p.Name)
 		}
 		dc.SharedCache = c
 	}
@@ -210,6 +217,7 @@ func (f *Fleet) addDevice(platform, mixPolicy string) (serve.Device, error) {
 	rt.Subscribe(func(c serve.Completion) { f.completed(i, c) })
 	f.perPlatform[p.Name]++
 	f.devices = append(f.devices, rt)
+	f.starts = append(f.starts, rt.NextStartMs())
 	f.placed = append(f.placed, 0)
 	f.draining = append(f.draining, false)
 	f.removed = append(f.removed, false)
@@ -287,7 +295,10 @@ func (f *Fleet) Remove(i int) error {
 func (f *Fleet) placeable(i int) bool { return !f.draining[i] && !f.removed[i] }
 
 // Devices exposes the pool (for inspection and tests), including drained
-// and removed members.
+// and removed members. Callers may read a device and swap its mix policy,
+// but must offer, step and reset devices only through the fleet (Offer,
+// Step, Rewind): the fleet caches each device's next round start and
+// refreshes it only there.
 func (f *Fleet) Devices() []serve.Device { return f.devices }
 
 // Cache returns the shared schedule cache of a platform group (nil when the
@@ -295,14 +306,9 @@ func (f *Fleet) Devices() []serve.Device { return f.devices }
 func (f *Fleet) Cache(platform string) *serve.Cache { return f.caches[platform] }
 
 // CachePlatforms lists the platform groups with shared caches, sorted.
-func (f *Fleet) CachePlatforms() []string {
-	names := make([]string, 0, len(f.caches))
-	for name := range f.caches {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+// The slice is the fleet's own, kept sorted as caches are added; callers
+// must not modify it.
+func (f *Fleet) CachePlatforms() []string { return f.platforms }
 
 // Pool describes the pool compactly ("Orin+Orin+Xavier+SD865").
 func (f *Fleet) Pool() string {
@@ -398,6 +404,7 @@ func (f *Fleet) Offer(req serve.Request) (int, bool, error) {
 		}
 	}
 	rejected, err := f.devices[j].Offer(req)
+	f.starts[j] = f.devices[j].NextStartMs()
 	if err != nil {
 		return -1, false, err
 	}
@@ -424,23 +431,29 @@ func (f *Fleet) assigned(tenant string) (int, bool) {
 // deterministic. (-1, +Inf) when every device is idle.
 func (f *Fleet) NextRound() (int, float64) {
 	di, tDev := -1, math.Inf(1)
-	for i, d := range f.devices {
-		if f.removed[i] {
-			continue
-		}
-		if s := d.NextStartMs(); s < tDev {
+	for i, s := range f.starts {
+		if s < tDev && !f.removed[i] {
 			di, tDev = i, s
 		}
 	}
+	if nextRoundHook != nil {
+		nextRoundHook(f, di, tDev)
+	}
 	return di, tDev
 }
+
+// nextRoundHook, set only by tests, sees every NextRound answer, so a test
+// can check the cached starts against the devices themselves.
+var nextRoundHook func(f *Fleet, di int, tDev float64)
 
 // Step executes one dispatch round on device i.
 func (f *Fleet) Step(i int) error {
 	if i < 0 || i >= len(f.devices) {
 		return fmt.Errorf("fleet: step of device %d of %d", i, len(f.devices))
 	}
-	return f.devices[i].Step()
+	err := f.devices[i].Step()
+	f.starts[i] = f.devices[i].NextStartMs()
+	return err
 }
 
 // Pending returns the total number of admitted, undispatched requests
@@ -460,6 +473,7 @@ func (f *Fleet) Pending() int {
 func (f *Fleet) Rewind() {
 	for i, d := range f.devices {
 		d.Reset()
+		f.starts[i] = d.NextStartMs()
 		f.placed[i] = 0
 		f.draining[i] = false
 		f.removed[i] = false

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -100,6 +101,12 @@ func (c CacheConfig) nodesPerMs() float64 {
 // progress included — so scoring work is never repeated. A mix whose
 // characterization fails is negative-cached: the failure is returned on
 // every re-probe without repeating the prepare.
+//
+// The cache also logs each live entry once, when it becomes exportable
+// (the entries Export marks solved): inserted solved, or settled in place
+// by GossipSeed, EnsureSolved or Rewind. A reader that keeps a count of
+// what it has read (SettledSince) sees what changed without a full
+// Export; the sharded plane's gossip barriers read it that way.
 type Cache struct {
 	cfg      CacheConfig
 	entries  map[string]*Entry
@@ -132,6 +139,11 @@ type Cache struct {
 	// wanted tracks deferred mixes (key → canonical networks) still
 	// awaiting the owner's gossiped schedule.
 	wanted map[string][]string
+
+	// exportLog lists live entries as they become exportable — inserted
+	// solved or settled in place, each once (see SettledSince) — so a
+	// gossip barrier reads what changed instead of exporting every entry.
+	exportLog []*Entry
 }
 
 // AttachTracer wires cache-internal events (probe builds, probe
@@ -201,6 +213,8 @@ type Entry struct {
 	// on such an entry counts as a warm hit (see Cache.WarmHits) and
 	// clears the mark.
 	gossiped bool
+	// logged marks an entry already in the cache's export log.
+	logged bool
 }
 
 // NewCache builds an empty cache.
@@ -215,6 +229,40 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		probeErr: map[string]error{},
 		wanted:   map[string][]string{},
 	}, nil
+}
+
+// exportable reports whether Export marks a live entry solved: its solve
+// ran, it settled, or the cache does not solve. An exportable entry stays
+// exportable: nothing clears Any or settled.
+func (c *Cache) exportable(e *Entry) bool { return e.Any != nil || e.settled || !c.cfg.Solve }
+
+// put registers e as the live entry of key.
+func (c *Cache) put(key string, e *Entry) {
+	c.entries[key] = e
+	c.logExportable(e)
+}
+
+// logExportable appends a live entry to the export log the first time it
+// is exportable. Every change that makes an entry live (put) or settles a
+// live one in place calls it.
+func (c *Cache) logExportable(e *Entry) {
+	if !e.logged && c.exportable(e) {
+		e.logged = true
+		c.exportLog = append(c.exportLog, e)
+	}
+}
+
+// SettledSince returns the live entries that became exportable — the
+// entries Export marks solved — after the first from did, and the count
+// to pass next time. Each entry appears once, when it became exportable
+// (inserted solved, or settled in place by GossipSeed, EnsureSolved or
+// Rewind), with Best as it stands now, so a reader that keeps its count
+// sees every exportable entry exactly once. The sharded plane's gossip
+// barriers read it instead of Export. The entries and their schedules are
+// the cache's own: callers must not modify them.
+func (c *Cache) SettledSince(from int) ([]*Entry, int) {
+	n := len(c.exportLog)
+	return c.exportLog[from:n:n], n
 }
 
 // owned reports whether this cache solves the given mix key itself (true
@@ -286,6 +334,7 @@ func (c *Cache) EnsureSolved(networks []string, nowMs float64) (bool, error) {
 		if err != nil {
 			return false, err
 		}
+		c.logExportable(e)
 		c.Assists++
 		c.trace(obs.Event{AtMs: nowMs, Kind: obs.KindCacheSolve, Request: obs.NoRequest,
 			Detail: key, Value: float64(e.solverNodes())})
@@ -295,7 +344,7 @@ func (c *Cache) EnsureSolved(networks []string, nowMs float64) (bool, error) {
 		delete(c.probes, key)
 		c.Promotions++
 		c.trace(obs.Event{AtMs: nowMs, Kind: obs.KindCachePromote, Request: obs.NoRequest, Detail: key})
-		c.entries[key] = e
+		c.put(key, e)
 		return true, nil
 	}
 	e, err := c.build(key, canon, nowMs)
@@ -311,7 +360,7 @@ func (c *Cache) EnsureSolved(networks []string, nowMs float64) (bool, error) {
 			Detail: key, Value: float64(e.solverNodes())})
 	}
 	c.Assists++
-	c.entries[key] = e
+	c.put(key, e)
 	return true, nil
 }
 
@@ -329,11 +378,16 @@ func (c *Cache) Platform() *soc.Platform { return c.cfg.Platform }
 // private cache automatically; a fleet rewinds each shared cache once per
 // run.
 func (c *Cache) Rewind() {
+	from := len(c.exportLog)
 	for _, e := range c.entries {
 		e.CreatedMs = 0
 		e.settled = true
 		e.lastSched = nil
+		c.logExportable(e)
 	}
+	// The stubs just settled were logged in map order; sort them so the
+	// log is the same run to run.
+	slices.SortFunc(c.exportLog[from:], func(a, b *Entry) int { return strings.Compare(a.Key, b.Key) })
 	// Probes settle too: their speculative solves finished with the old
 	// timeline, so scoring (and promotion) in the new run deploys their
 	// best incumbent rather than replaying against a dead clock.
@@ -443,7 +497,7 @@ func (c *Cache) Lookup(networks []string, nowMs float64) (*Entry, bool, error) {
 			c.deferSolve(key, canon)
 		}
 	}
-	c.entries[key] = e
+	c.put(key, e)
 	return e, false, nil
 }
 

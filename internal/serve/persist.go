@@ -58,7 +58,7 @@ func (c *Cache) Export() *CacheSnapshot {
 		snap.Entries = append(snap.Entries, EntrySnapshot{
 			Networks: append([]string(nil), e.Networks...),
 			Assign:   e.Best().Clone().Assign,
-			Solved:   e.Any != nil || e.settled || !c.cfg.Solve,
+			Solved:   c.exportable(e),
 		})
 	}
 	return snap
@@ -107,7 +107,7 @@ func (c *Cache) Import(snap *CacheSnapshot) (int, error) {
 		}
 		e.Seeded = s
 		e.settled = true
-		c.entries[key] = e
+		c.put(key, e)
 		n++
 	}
 	return n, nil
@@ -181,6 +181,7 @@ func (c *Cache) seedSchedule(networks []string, donor *schedule.Schedule, nowMs 
 		c.adoptDonor(e, donor)
 		e.settled = true
 		e.gossiped = true
+		c.logExportable(e)
 		return e, true, nil
 	}
 	if e, ok := c.probes[key]; ok {
@@ -196,7 +197,7 @@ func (c *Cache) seedSchedule(networks []string, donor *schedule.Schedule, nowMs 
 			e.settled = true
 			e.gossiped = true
 		}
-		c.entries[key] = e
+		c.put(key, e)
 		return e, true, nil
 	}
 	e, err := c.build(key, canon, nowMs)
@@ -215,7 +216,7 @@ func (c *Cache) seedSchedule(networks []string, donor *schedule.Schedule, nowMs 
 		}
 	}
 	e.gossiped = gossiped
-	c.entries[key] = e
+	c.put(key, e)
 	return e, true, nil
 }
 

@@ -277,8 +277,11 @@ type Runtime struct {
 	pending []Request
 	waited  []int     // rounds pending[i] was eligible but passed over
 	demands []float64 // pending[i]'s DemandGBps, NaN until first read (pendingDemand)
-	queued  map[string]int
-	rounds  int
+	// queued counts each tenant's pending requests for the MaxQueue
+	// admission check, its only reader; nil when MaxQueue is zero, so an
+	// uncapped runtime pays no map write per request.
+	queued map[string]int
+	rounds int
 
 	// The completion stream: record hands every completion, once, to the
 	// tally (what Summary reads), then to each subscriber. The log is kept
@@ -428,9 +431,11 @@ func New(cfg Config) (*Runtime, error) {
 		standalone: map[string]float64{},
 		demand:     map[string]float64{},
 		prepErr:    map[string]error{},
-		queued:     map[string]int{},
 		lastSched:  map[string]*schedule.Schedule{},
 		tally:      newTally(cfg.SketchMetrics),
+	}
+	if cfg.MaxQueue > 0 {
+		rt.queued = map[string]int{}
 	}
 	rt.scoreFn, rt.scoreManyFn = rt.scoreOne, rt.scoreMany
 	return rt, nil
@@ -530,7 +535,7 @@ func (r *Runtime) Reset() {
 	r.pending = nil
 	r.waited = nil
 	r.demands = nil
-	r.queued = map[string]int{}
+	clear(r.queued)
 	// An empty tally is already a fresh one (a new runtime's first Serve).
 	if r.tally.total.offered > 0 {
 		r.tally = newTally(r.cfg.SketchMetrics)
@@ -965,7 +970,9 @@ func (r *Runtime) Offer(req Request) (bool, error) {
 		r.record(Completion{Request: req, Rejected: true, RejectReason: reason})
 		return true, nil
 	}
-	r.queued[req.Tenant]++
+	if r.queued != nil {
+		r.queued[req.Tenant]++
+	}
 	r.pending = append(r.pending, req)
 	r.waited = append(r.waited, 0)
 	r.demands = append(r.demands, math.NaN())
@@ -1076,8 +1083,10 @@ func (r *Runtime) Step() error {
 		keepDemand = append(keepDemand, r.demands[i])
 	}
 	r.pending, r.waited, r.demands = keepReq, keepWait, keepDemand
-	for _, b := range batch {
-		r.queued[b.Tenant]--
+	if r.queued != nil {
+		for _, b := range batch {
+			r.queued[b.Tenant]--
+		}
 	}
 	// Canonical mix order: by network name, FIFO among equals, so the
 	// batch maps 1:1 onto the cached problem's items.

@@ -492,6 +492,41 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestMaxQueueCountsPerTenant: two tenants share a MaxQueue=2 runtime.
+// Each tenant's third simultaneous arrival is rejected while the other's
+// queue does not count against it, and a dispatched request frees its
+// tenant's slot for the next arrival.
+func TestMaxQueueCountsPerTenant(t *testing.T) {
+	rt, err := New(Config{Platform: soc.Orin(), Policy: NaiveGPUOnly, MaxQueue: 2, MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	offer := func(id int, tenant string, at float64) bool {
+		t.Helper()
+		rejected, err := rt.Offer(Request{ID: id, Tenant: tenant, Network: "VGG19", ArrivalMs: at})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rejected
+	}
+	var got []bool
+	for i, tenant := range []string{"a", "b", "a", "b", "a", "b"} {
+		got = append(got, offer(i, tenant, 0))
+	}
+	if want := []bool{false, false, false, false, true, true}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("rejections %v, want %v", got, want)
+	}
+	// MaxBatch 1 and FIFO: the first round serves tenant a's oldest
+	// request, so a has room for one more and b still has none.
+	if err := rt.Step(); err != nil {
+		t.Fatal(err)
+	}
+	at := rt.ClockMs()
+	if offer(6, "b", at) != true || offer(7, "a", at) != false || offer(8, "a", at) != true {
+		t.Error("after one dispatch of tenant a: want b rejected, then a admitted once")
+	}
+}
+
 // TestServeComparison is the acceptance demo: a two-tenant Poisson trace
 // over VGG19 + ResNet152 on Orin, where the contention-aware runtime must
 // beat the naive single-accelerator baseline on p99 latency and SLO

@@ -12,7 +12,6 @@ package shard
 
 import (
 	"sort"
-	"strings"
 	"sync"
 
 	"haxconn/internal/schedule"
@@ -21,7 +20,7 @@ import (
 // entryExport is one solved cache entry on the gossip channel.
 type entryExport struct {
 	Platform string
-	Key      string // canonical mix key within the platform
+	Key      string // the entry's cache key: canonical mix and objective
 	Networks []string
 	Assign   [][]int
 	Origin   int // exporting shard
@@ -138,10 +137,10 @@ func (h *hub) commitLocked() {
 	// wins ties, and within a shard Export's sorted order is kept, so the
 	// merged list is deterministic.
 	var merged []entryExport
-	seen := map[string]bool{}
+	seen := map[gossipID]bool{}
 	for _, rep := range h.reports {
 		for _, e := range rep.exports {
-			id := e.Platform + "\x00" + e.Key
+			id := gossipID{e.Platform, e.Key}
 			if seen[id] {
 				continue
 			}
@@ -157,10 +156,10 @@ func (h *hub) commitLocked() {
 	// routes back to its origin, which certainly does (it deferred from
 	// that very cache) and whose EnsureSolved solves the stub in place.
 	var wants []wantExport
-	wseen := map[string]bool{}
+	wseen := map[gossipID]bool{}
 	for _, rep := range h.reports {
 		for _, w := range rep.wants {
-			id := w.Platform + "\x00" + strings.Join(w.Networks, "+")
+			id := gossipID{w.Platform, w.Key}
 			if seen[id] || wseen[id] {
 				continue
 			}

@@ -15,9 +15,9 @@
 // control ticks of virtual time) the shards exchange:
 //
 //   - Solved schedule-cache entries: each shard exports the entries its
-//     platform caches solved since the last barrier (serve.Cache.Export
-//     is the underlying snapshot); the barrier merges them
-//     deterministically (shard order, first exporter of a mix wins) and
+//     platform caches solved since the last barrier (read from each
+//     cache's export log, serve.Cache.SettledSince); the barrier merges
+//     them deterministically (shard order, first exporter of a mix wins) and
 //     every other shard imports them (serve.Cache.GossipSeed), so a mix
 //     solved once anywhere warms every shard's cache. Imports are
 //     idempotent — re-gossiped mixes and already-probed mixes never
@@ -48,9 +48,11 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -362,32 +364,57 @@ func (p *Plane) Global() control.Config { return p.global }
 // tenant names. Exported so compare output and tests can show the
 // partition the plane will use.
 func (p *Plane) PartitionTenants(tr serve.Trace) (map[string]int, error) {
-	k := p.cfg.shards()
-	seen := map[string]bool{}
-	var names []string
-	for _, q := range tr {
-		if !seen[q.Tenant] {
-			seen[q.Tenant] = true
-			names = append(names, q.Tenant)
-		}
+	ordinal, names, _ := tenantOrdinals(tr)
+	shardOf, err := p.dealTenants(ordinal, names)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(names)
+	out := make(map[string]int, len(names))
+	for i, name := range names {
+		out[name] = shardOf[i]
+	}
+	return out, nil
+}
+
+// tenantOrdinals numbers the trace's tenants in order of first arrival in
+// the trace: ordinal maps a name to its number, names lists them by
+// number, and ords holds each request's tenant number.
+func tenantOrdinals(tr serve.Trace) (ordinal map[string]int32, names []string, ords []int32) {
+	ordinal = map[string]int32{}
+	ords = make([]int32, len(tr))
+	for i := range tr {
+		o, ok := ordinal[tr[i].Tenant]
+		if !ok {
+			o = int32(len(names))
+			ordinal[tr[i].Tenant] = o
+			names = append(names, tr[i].Tenant)
+		}
+		ords[i] = o
+	}
+	return ordinal, names, ords
+}
+
+// dealTenants returns each numbered tenant's shard (see PartitionTenants).
+func (p *Plane) dealTenants(ordinal map[string]int32, names []string) ([]int, error) {
+	k := p.cfg.shards()
 	for t := range p.cfg.TenantShard {
-		if !seen[t] {
+		if _, ok := ordinal[t]; !ok {
 			return nil, fmt.Errorf("shard: pinned tenant %q not in trace", t)
 		}
 	}
-	out := map[string]int{}
+	sorted := slices.Clone(names)
+	slices.Sort(sorted)
+	shardOf := make([]int, len(names))
 	next := 0
-	for _, name := range names {
-		if s, ok := p.cfg.TenantShard[name]; ok {
-			out[name] = s
-			continue
+	for _, name := range sorted {
+		s, ok := p.cfg.TenantShard[name]
+		if !ok {
+			s = next % k
+			next++
 		}
-		out[name] = next % k
-		next++
+		shardOf[ordinal[name]] = s
 	}
-	return out, nil
+	return shardOf, nil
 }
 
 // shardState is one shard's per-run state, owned by its goroutine between
@@ -399,17 +426,27 @@ type shardState struct {
 	audit  *obs.Audit
 	reg    *obs.Registry
 
-	tenants  []string                   // initial partition (summary)
-	exported map[string]map[string]bool // platform -> mix keys already gossiped
-	tx, rx   int
-	assists  int // wanted mixes this shard solved as their owner
-	rounds   int
-	sum      *control.Summary
-	err      error
+	tenants []string // initial partition (summary)
+	// sent holds the entries this shard exported or received over gossip;
+	// neither is exported again. cursor is, per platform, how far the
+	// barriers have read its cache's export log (serve.Cache.SettledSince).
+	sent    map[gossipID]bool
+	cursor  map[string]int
+	tx, rx  int
+	assists int // wanted mixes this shard solved as their owner
+	rounds  int
+	sum     *control.Summary
+	err     error
 }
+
+// gossipID names one cache entry plane-wide: its platform and cache key.
+type gossipID struct{ platform, key string }
 
 // Serve partitions the trace, runs the K shards concurrently to
 // completion and returns the merged summary. The trace may be unsorted.
+// The shards read the caller's trace in place and never write it: each
+// request's shard is resolved once, and each shard's driver gets the
+// indices of its requests in arrival order, 4 bytes per request.
 func (p *Plane) Serve(tr serve.Trace) (*Summary, error) {
 	if len(tr) == 0 {
 		return nil, fmt.Errorf("shard: empty trace")
@@ -417,29 +454,39 @@ func (p *Plane) Serve(tr serve.Trace) (*Summary, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
+	if len(tr) > math.MaxInt32 {
+		return nil, fmt.Errorf("shard: %d requests exceed the drivers' int32 indices", len(tr))
+	}
 	k := p.cfg.shards()
-	assign, err := p.PartitionTenants(tr)
+	ordinal, names, ords := tenantOrdinals(tr)
+	shardOf, err := p.dealTenants(ordinal, names)
 	if err != nil {
 		return nil, err
 	}
-	// Exact-size partitions, in trace order: a sorted trace yields sorted
-	// parts, which the shards' drivers then use without copying.
-	sizes := make([]int, k)
-	for _, q := range tr {
-		sizes[assign[q.Tenant]]++
+	// Lay the shards' index lists out in one array, shard after shard,
+	// each in trace order (a counting sort by shard). A sorted trace gives
+	// lists in arrival order; any other is sorted per shard, stably, as
+	// the global controller orders it.
+	bounds := make([]int, k+1)
+	for i, o := range ords {
+		s := shardOf[o]
+		ords[i] = int32(s)
+		bounds[s+1]++
 	}
-	parts := make([]serve.Trace, k)
-	for s := range parts {
-		parts[s] = make(serve.Trace, 0, sizes[s])
+	for s := 0; s < k; s++ {
+		bounds[s+1] += bounds[s]
 	}
-	for _, q := range tr {
-		s := assign[q.Tenant]
-		parts[s] = append(parts[s], q)
+	fill := append([]int(nil), bounds[:k]...)
+	idx := make([]int32, len(tr))
+	for i, s := range ords {
+		idx[fill[s]] = int32(i)
+		fill[s]++
 	}
+	sorted := slices.IsSortedFunc(tr, func(a, b serve.Request) int { return cmp.Compare(a.ArrivalMs, b.ArrivalMs) })
 
 	states := make([]*shardState, k)
 	for s := 0; s < k; s++ {
-		st := &shardState{idx: s, exported: map[string]map[string]bool{}}
+		st := &shardState{idx: s, sent: map[gossipID]bool{}, cursor: map[string]int{}}
 		pc := p.parts[s]
 		if p.cfg.Tracer != nil {
 			st.tracer = obs.NewTracer()
@@ -457,13 +504,17 @@ func (p *Plane) Serve(tr serve.Trace) (*Summary, error) {
 		if err != nil {
 			return nil, err
 		}
-		st.drv, err = ctrl.Start(parts[s])
+		order := idx[bounds[s]:bounds[s+1]:bounds[s+1]]
+		if !sorted {
+			control.SortArrivals(tr, order)
+		}
+		st.drv, err = ctrl.StartIndexed(tr, order)
 		if err != nil {
 			return nil, err
 		}
-		for t, owner := range assign {
-			if owner == s {
-				st.tenants = append(st.tenants, t)
+		for i, name := range names {
+			if shardOf[i] == s {
+				st.tenants = append(st.tenants, name)
 			}
 		}
 		sort.Strings(st.tenants)
@@ -506,7 +557,7 @@ func (p *Plane) runShard(h *hub, st *shardState) {
 			h.fail(err)
 			return
 		}
-		rep, repErr := p.buildReport(st, remaining)
+		rep, repErr := barrierReport(p, st, remaining)
 		if repErr != nil {
 			st.err = repErr
 			h.fail(repErr)
@@ -543,10 +594,23 @@ func (p *Plane) runShard(h *hub, st *shardState) {
 	st.sum = st.drv.Finish()
 }
 
-// buildReport snapshots what this shard pushes into the barrier: the
-// cache entries solved since the last barrier and the autoscaling
+// barrierReport builds each barrier's report: buildReport, held in a
+// variable so the package's tests can check every barrier's exports.
+var barrierReport = (*Plane).buildReport
+
+// buildReport is what this shard pushes into the barrier: the cache
+// entries that settled since its last barrier and the autoscaling
 // pressure signal. A pressured shard's handoff candidates are counted by
 // the committer (hub.handoffsLocked), not here.
+//
+// The exports are read from each cache's export log, from this shard's
+// cursor on (serve.Cache.SettledSince), not from a full snapshot. They are
+// exactly the entries a fresh Export marks solved that the shard has not
+// yet sent or received, in Export's order: platform by platform, sorted by
+// cache key. A deferred stub is never exported unsolved: it enters the
+// log when its owner's schedule settles it. An export carries the entry's
+// networks and Best rows themselves, uncloned: receivers only read them
+// (GossipSeed remaps the rows into its own schedule).
 func (p *Plane) buildReport(st *shardState, remaining bool) (*report, error) {
 	rep := &report{done: !remaining}
 	backlog, err := st.drv.PressureMs()
@@ -561,32 +625,24 @@ func (p *Plane) buildReport(st *shardState, remaining bool) (*report, error) {
 			if cache == nil {
 				continue
 			}
-			seen := st.exported[platform]
-			if seen == nil {
-				seen = map[string]bool{}
-				st.exported[platform] = seen
-			}
-			snap := cache.Export()
-			for _, e := range snap.Entries {
-				if !e.Solved {
-					// A deferred stub's naive schedule is not worth the
-					// channel; it stays unexported (and unmarked, so the
-					// settled entry goes out once its owner's solve lands).
+			settled, end := cache.SettledSince(st.cursor[platform])
+			st.cursor[platform] = end
+			from := len(rep.exports)
+			for _, e := range settled {
+				id := gossipID{platform, e.Key}
+				if st.sent[id] {
 					continue
 				}
-				key := strings.Join(e.Networks, "+")
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
+				st.sent[id] = true
 				rep.exports = append(rep.exports, entryExport{
 					Platform: platform,
-					Key:      key,
+					Key:      e.Key,
 					Networks: e.Networks,
-					Assign:   e.Assign,
+					Assign:   e.Best().Assign,
 					Origin:   st.idx,
 				})
 			}
+			slices.SortFunc(rep.exports[from:], func(a, b entryExport) int { return strings.Compare(a.Key, b.Key) })
 			for _, w := range cache.Wanted() {
 				rep.wants = append(rep.wants, wantExport{
 					Platform: platform,
@@ -645,15 +701,11 @@ func (p *Plane) applyImports(st *shardState, merged []entryExport, barrier float
 		if cache == nil {
 			continue
 		}
-		seen := st.exported[e.Platform]
-		if seen == nil {
-			seen = map[string]bool{}
-			st.exported[e.Platform] = seen
-		}
-		if seen[e.Key] {
+		id := gossipID{e.Platform, e.Key}
+		if st.sent[id] {
 			continue
 		}
-		seen[e.Key] = true
+		st.sent[id] = true
 		added, err := cache.GossipSeed(e.Networks, e.schedule(), barrier)
 		if err != nil {
 			// An import that cannot characterize locally is dropped, not

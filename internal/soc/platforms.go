@@ -98,17 +98,31 @@ func cpuAccel(peakGFLOPS float64) Accelerator {
 	}
 }
 
-// Platforms returns the three evaluated platforms in paper order.
+// models lists every platform model by name, in Platforms' order, so
+// PlatformByName builds only the model it returns.
+var models = []struct {
+	name  string
+	build func() *Platform
+}{
+	{"Orin", Orin}, {"Xavier", Xavier}, {"SD865", SD865}, {"OrinNX", OrinNX}, {"XavierNX", XavierNX},
+}
+
+// Platforms returns the three evaluated platforms in paper order, then the
+// two NX variants.
 func Platforms() []*Platform {
-	return []*Platform{Orin(), Xavier(), SD865(), OrinNX(), XavierNX()}
+	out := make([]*Platform, len(models))
+	for i, m := range models {
+		out[i] = m.build()
+	}
+	return out
 }
 
 // PlatformByName returns the named platform model ("Orin", "Xavier",
-// "SD865") or false.
+// "SD865", "OrinNX", "XavierNX") or false.
 func PlatformByName(name string) (*Platform, bool) {
-	for _, p := range Platforms() {
-		if p.Name == name {
-			return p, true
+	for _, m := range models {
+		if m.name == name {
+			return m.build(), true
 		}
 	}
 	return nil, false

@@ -2,6 +2,7 @@ package soc
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -22,6 +23,25 @@ func TestPlatformByName(t *testing.T) {
 	}
 	if _, ok := PlatformByName("TPUv9"); ok {
 		t.Error("unknown platform should not resolve")
+	}
+}
+
+// TestPlatformByNameMatchesPlatforms: each model PlatformByName builds on
+// its own equals the entry of the same name in Platforms, so the name
+// table it searches cannot drift from the models.
+func TestPlatformByNameMatchesPlatforms(t *testing.T) {
+	for _, want := range Platforms() {
+		got, ok := PlatformByName(want.Name)
+		if !ok {
+			t.Errorf("PlatformByName(%q) not found", want.Name)
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("PlatformByName(%q) = %+v, want %+v", want.Name, got, want)
+		}
+	}
+	if p, ok := PlatformByName("orin"); ok || p != nil {
+		t.Errorf("PlatformByName(%q) = %v, %v; want nil, false", "orin", p, ok)
 	}
 }
 

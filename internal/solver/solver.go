@@ -43,7 +43,9 @@ package solver
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"haxconn/internal/contention"
@@ -114,6 +116,42 @@ func Candidates(pr *schedule.Profile, item, maxTransitions int) [][]int {
 	return e.out
 }
 
+// candShape is one memoized shape of candidate rows: Candidates reads only
+// the item's group count, the allowed accelerators and the transition cap.
+type candShape struct {
+	allowed []int
+	rows    [][]int
+}
+
+// candMemo is the process-wide memo of candidate rows, keyed by group
+// count and transition cap, then matched on the allowed accelerators. Its
+// rows are shared by every solve of that shape and never written: branch
+// & bound sorts only its own copy of the row headers.
+var candMemo struct {
+	sync.Mutex
+	shapes map[[2]int][]candShape
+}
+
+// sharedCandidates returns Candidates' rows from the memo, enumerating
+// them on first sight of the shape. Callers must not write to the rows or
+// reorder the returned slice.
+func sharedCandidates(pr *schedule.Profile, item, maxTransitions int) [][]int {
+	k := [2]int{pr.NumGroups(item), maxTransitions}
+	candMemo.Lock()
+	defer candMemo.Unlock()
+	for _, sh := range candMemo.shapes[k] {
+		if slices.Equal(sh.allowed, pr.Allowed) {
+			return sh.rows
+		}
+	}
+	rows := Candidates(pr, item, maxTransitions)
+	if candMemo.shapes == nil {
+		candMemo.shapes = map[[2]int][]candShape{}
+	}
+	candMemo.shapes[k] = append(candMemo.shapes[k], candShape{allowed: slices.Clone(pr.Allowed), rows: rows})
+	return rows
+}
+
 // candEnum is Candidates' depth-first enumeration: a counting pass while
 // flat is nil, then a pass that copies each vector into flat.
 type candEnum struct {
@@ -164,12 +202,13 @@ func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sche
 	nItems := len(prob.Items)
 
 	// Per-item candidates, sorted by contention-free latency so good
-	// incumbents appear early.
+	// incumbents appear early. The rows come from the process-wide memo;
+	// the sort reorders this solve's own copy of their headers.
 	cands := make([][][]int, nItems)
 	base := make([][]float64, nItems)
 	tmp := &schedule.Schedule{Assign: make([][]int, nItems)}
 	for i := 0; i < nItems; i++ {
-		cands[i] = Candidates(pr, i, cfg.maxTransitions())
+		cands[i] = slices.Clone(sharedCandidates(pr, i, cfg.maxTransitions()))
 		base[i] = make([]float64, len(cands[i]))
 		for c, assign := range cands[i] {
 			tmp.Assign[i] = assign

@@ -3,6 +3,7 @@ package solver
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -39,6 +40,30 @@ func model(t *testing.T, p *soc.Platform) contention.Model {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// TestSharedCandidatesStayFresh: the memoized rows equal a fresh
+// enumeration, before and after branch & bound sorts its copy of them,
+// and a second request for the shape returns the memo's own rows.
+func TestSharedCandidatesStayFresh(t *testing.T) {
+	prob, pr := buildProblem(t, "Orin", schedule.MinMaxLatency, 6, "VGG19", "ResNet152")
+	for i := range prob.Items {
+		if got, want := sharedCandidates(pr, i, 1), Candidates(pr, i, 1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("item %d: memoized rows differ from a fresh enumeration", i)
+		}
+	}
+	if _, _, _, err := OptimizeBB(prob, pr, Config{Model: model(t, prob.Platform)}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range prob.Items {
+		got := sharedCandidates(pr, i, 1)
+		if !reflect.DeepEqual(got, Candidates(pr, i, 1)) {
+			t.Errorf("item %d: a solve reordered or wrote the memoized rows", i)
+		}
+		if again := sharedCandidates(pr, i, 1); &again[0] != &got[0] {
+			t.Errorf("item %d: the memo enumerated the shape again", i)
+		}
+	}
 }
 
 func TestCandidatesCount(t *testing.T) {
