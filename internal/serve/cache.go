@@ -140,9 +140,8 @@ type Cache struct {
 	// awaiting the owner's gossiped schedule.
 	wanted map[string][]string
 
-	// exportLog lists live entries as they become exportable — inserted
-	// solved or settled in place, each once (see SettledSince) — so a
-	// gossip barrier reads what changed instead of exporting every entry.
+	// exportLog lists live entries in the order they became exportable,
+	// each once (see SettledSince).
 	exportLog []*Entry
 }
 
@@ -254,12 +253,9 @@ func (c *Cache) logExportable(e *Entry) {
 
 // SettledSince returns the live entries that became exportable — the
 // entries Export marks solved — after the first from did, and the count
-// to pass next time. Each entry appears once, when it became exportable
-// (inserted solved, or settled in place by GossipSeed, EnsureSolved or
-// Rewind), with Best as it stands now, so a reader that keeps its count
-// sees every exportable entry exactly once. The sharded plane's gossip
-// barriers read it instead of Export. The entries and their schedules are
-// the cache's own: callers must not modify them.
+// to pass next time, so a reader that keeps its count sees each
+// exportable entry exactly once. The entries and their schedules are the
+// cache's own: callers must not modify them.
 func (c *Cache) SettledSince(from int) ([]*Entry, int) {
 	n := len(c.exportLog)
 	return c.exportLog[from:n:n], n
