@@ -206,7 +206,7 @@ func (d *Driver) ExtractFuture(tenant string, afterMs float64) []int32 {
 		}
 	}
 	if kept == nil {
-		kept = []int32{}
+		kept = []int32{} // a nil order would read the whole trace
 	}
 	d.order, d.next = kept, 0
 	return moved
