@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 
+	"haxconn/internal/baselines"
 	"haxconn/internal/core"
 	"haxconn/internal/nn"
 	"haxconn/internal/schedule"
@@ -35,7 +36,7 @@ func main() {
 		maxGroups = flag.Int("maxgroups", 0, "layer-group cap per network (default 12)")
 		maxTrans  = flag.Int("maxtransitions", 0, "transition budget per network (default 1)")
 		compare   = flag.Bool("compare", false, "also measure all five baselines")
-		traceOut  = flag.String("trace", "", "write the executed timeline as a Chrome trace (chrome://tracing) to this file")
+		traceOut  = flag.String("trace", "", "write the HaX-CoNN plan's executed timeline as a Chrome trace (chrome://tracing) to this file")
 		list      = flag.Bool("list", false, "list available networks and platforms, then exit")
 	)
 	flag.Parse()
@@ -93,6 +94,7 @@ func main() {
 		}
 	}
 
+	var res *core.Result
 	if *compare {
 		cmp, err := core.Compare(req)
 		if err != nil {
@@ -100,32 +102,31 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("%-10s %10s %10s\n", "scheduler", "latency", "fps")
-		for _, name := range []string{"GPU-only", "GPU&DSA", "Mensa", "Herald", "H2H"} {
+		for _, name := range baselines.Names {
 			r := cmp.Baselines[name]
 			fmt.Printf("%-10s %8.2fms %10.1f\n", name, r.MeasuredMs, r.FPS)
 		}
-		h := cmp.HaXCoNN
-		fmt.Printf("%-10s %8.2fms %10.1f\n", "HaX-CoNN", h.MeasuredMs, h.FPS)
+		res = cmp.HaXCoNN
+		fmt.Printf("%-10s %8.2fms %10.1f\n", "HaX-CoNN", res.MeasuredMs, res.FPS)
 		best, _ := cmp.BestBaseline(req.Objective)
 		fmt.Printf("\nimprovement over best baseline (%s): %.1f%%\n", best, 100*cmp.Improvement(req.Objective))
-		fmt.Println("schedule:", h.Description)
-		fmt.Printf("solver: %d nodes, %d evals, %v\n", h.SolverStats.Nodes, h.SolverStats.Evals, h.SolverStats.Elapsed)
-		return
+		fmt.Println("schedule:", res.Description)
+		fmt.Printf("solver: %d nodes, %d evals\n", res.SolverStats.Nodes, res.SolverStats.Evals)
+	} else {
+		var err error
+		if res, err = core.Plan(req); err != nil {
+			fmt.Fprintln(os.Stderr, "haxconn:", err)
+			os.Exit(1)
+		}
+		fmt.Println("schedule:   ", res.Description)
+		fmt.Printf("latency:     %.2f ms (predicted %.2f)\n", res.MeasuredMs, res.PredictedMs)
+		fmt.Printf("throughput:  %.1f fps\n", res.FPS)
+		for i, l := range res.ItemLatencyMs {
+			fmt.Printf("  %-14s %.2f ms\n", req.Networks[i], l)
+		}
+		fmt.Printf("solver:      %d nodes, %d evals (%d cut), pruned %d\n",
+			res.SolverStats.Nodes, res.SolverStats.Evals, res.SolverStats.Cut, res.SolverStats.Pruned)
 	}
-
-	res, err := core.Plan(req)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "haxconn:", err)
-		os.Exit(1)
-	}
-	fmt.Println("schedule:   ", res.Description)
-	fmt.Printf("latency:     %.2f ms (predicted %.2f)\n", res.MeasuredMs, res.PredictedMs)
-	fmt.Printf("throughput:  %.1f fps\n", res.FPS)
-	for i, l := range res.ItemLatencyMs {
-		fmt.Printf("  %-14s %.2f ms\n", req.Networks[i], l)
-	}
-	fmt.Printf("solver:      %d nodes, %d evals (%d cut), pruned %d, %v\n",
-		res.SolverStats.Nodes, res.SolverStats.Evals, res.SolverStats.Cut, res.SolverStats.Pruned, res.SolverStats.Elapsed)
 	if *traceOut != "" {
 		if err := writeTrace(*traceOut, res); err != nil {
 			fmt.Fprintln(os.Stderr, "haxconn:", err)

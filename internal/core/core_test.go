@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-	"time"
 
 	"haxconn/internal/contention"
 	"haxconn/internal/schedule"
@@ -113,8 +112,8 @@ func TestPlanDynamicHistory(t *testing.T) {
 		t.Fatalf("expected multiple incumbents (naive seed + improvements), got %d", len(any.History))
 	}
 	// The deployed schedule improves monotonically over the timeline.
-	first := any.ScheduleAt(0)
-	last := any.ScheduleAt(time.Hour)
+	first := any.ScheduleAtNodes(0)
+	last := any.ScheduleAtNodes(math.MaxInt)
 	mFirst, err := Measure(prob, pr, first)
 	if err != nil {
 		t.Fatal(err)

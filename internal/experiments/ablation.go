@@ -86,11 +86,13 @@ func AblationNoTransitionCost(plat string) (*AblationResult, error) {
 	return ablation("no-transition-cost", full.MeasuredMs, m.MeasuredMs), nil
 }
 
-// AblationGranularityPoint is one point of the group-count sweep.
+// AblationGranularityPoint is one point of the group-count sweep: the
+// measured plan and the search it took.
 type AblationGranularityPoint struct {
-	MaxGroups  int
-	MeasuredMs float64
-	SolveMs    float64
+	MaxGroups   int
+	MeasuredMs  float64
+	SolverNodes int
+	SolverEvals int
 }
 
 // AblationGranularity sweeps the layer-group cap: coarser groups shrink
@@ -105,9 +107,10 @@ func AblationGranularity(plat string, caps []int) ([]AblationGranularityPoint, e
 			return nil, err
 		}
 		pts = append(pts, AblationGranularityPoint{
-			MaxGroups:  c,
-			MeasuredMs: res.MeasuredMs,
-			SolveMs:    float64(res.SolverStats.Elapsed.Microseconds()) / 1000,
+			MaxGroups:   c,
+			MeasuredMs:  res.MeasuredMs,
+			SolverNodes: res.SolverStats.Nodes,
+			SolverEvals: res.SolverStats.Evals,
 		})
 	}
 	return pts, nil

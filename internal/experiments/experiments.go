@@ -73,7 +73,8 @@ type T6Row struct {
 	Schedule     string
 	ImprLat      float64 // latency reduction vs best baseline (fraction)
 	ImprFPS      float64 // FPS gain vs best baseline (fraction)
-	SolveMs      float64
+	SolverNodes  int     // HaX-CoNN's branch & bound nodes
+	SolverEvals  int     // HaX-CoNN's schedule evaluations
 }
 
 // Request builds the core.Request for a Table 6 definition.
@@ -108,7 +109,7 @@ func RunT6(d T6Def) (*T6Row, error) {
 	row.BestBaseline, _ = cmp.BestBaseline(d.Goal)
 	row.HaX = Metrics{LatencyMs: cmp.HaXCoNN.MeasuredMs, FPS: cmp.HaXCoNN.FPS}
 	row.Schedule = cmp.HaXCoNN.Description
-	row.SolveMs = float64(cmp.HaXCoNN.SolverStats.Elapsed.Microseconds()) / 1000
+	row.SolverNodes, row.SolverEvals = cmp.HaXCoNN.SolverStats.Nodes, cmp.HaXCoNN.SolverStats.Evals
 	_, best := cmp.BestBaseline(d.Goal)
 	if best != nil {
 		if best.MeasuredMs > 0 {

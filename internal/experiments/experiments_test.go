@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"haxconn/internal/solver"
 )
 
 func TestFig1Shape(t *testing.T) {
@@ -238,6 +240,14 @@ func TestFig7Convergence(t *testing.T) {
 	for i, ph := range phases {
 		if len(ph.Updates) == 0 {
 			t.Fatalf("phase %d: no schedule updates", i)
+		}
+		for j, u := range ph.Updates {
+			if j > 0 && u.Nodes < ph.Updates[j-1].Nodes {
+				t.Errorf("phase %d: update %d at %d nodes, before update %d at %d", i, j, u.Nodes, j-1, ph.Updates[j-1].Nodes)
+			}
+			if u.DeployMs != float64(u.Nodes)/solver.NodesPerMs {
+				t.Errorf("phase %d: update %d deploys at %g ms, want %d nodes / %d", i, j, u.DeployMs, u.Nodes, solver.NodesPerMs)
+			}
 		}
 		last := ph.Updates[len(ph.Updates)-1]
 		if last.LatencyMs > ph.OptimalMs+1e-6 {

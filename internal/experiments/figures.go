@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"haxconn/internal/baselines"
 	"haxconn/internal/core"
@@ -11,6 +10,7 @@ import (
 	"haxconn/internal/schedule"
 	"haxconn/internal/sim"
 	"haxconn/internal/soc"
+	"haxconn/internal/solver"
 )
 
 // Fig1Result reproduces the motivating case study (Fig. 1): VGG-19 and
@@ -231,14 +231,17 @@ type Fig7Phase struct {
 	BaselineMs float64 // naive initial schedule, deployed at t=0
 	OptimalMs  float64 // oracle: full solve
 	// Updates are the measured latencies of each incumbent the runtime
-	// deploys, with the solver time at which it became available.
+	// deploys, with the search work after which it became available.
 	Updates []Fig7Update
 }
 
-// Fig7Update is one deployed schedule improvement.
+// Fig7Update is one deployed schedule improvement: the incumbent found
+// after Nodes search nodes, deployed DeployMs = Nodes/solver.NodesPerMs
+// virtual milliseconds into the solve, as the serving cache replays it.
 type Fig7Update struct {
-	SolverTime time.Duration
-	LatencyMs  float64
+	Nodes     int
+	DeployMs  float64
+	LatencyMs float64
 }
 
 // Fig7 runs the three phases of the dynamic scenario (the DNN pairs of
@@ -280,7 +283,11 @@ func Fig7() ([]Fig7Phase, error) {
 			if err != nil {
 				return nil, err
 			}
-			phase.Updates = append(phase.Updates, Fig7Update{SolverTime: inc.Elapsed, LatencyMs: m.MeasuredMs})
+			phase.Updates = append(phase.Updates, Fig7Update{
+				Nodes:     inc.Nodes,
+				DeployMs:  float64(inc.Nodes) / solver.NodesPerMs,
+				LatencyMs: m.MeasuredMs,
+			})
 		}
 		phases = append(phases, phase)
 	}

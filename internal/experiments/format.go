@@ -91,7 +91,7 @@ func FormatFig7(phases []Fig7Phase) string {
 		fmt.Fprintf(&b, "phase %d: %s  baseline %.2f ms -> optimal %.2f ms\n",
 			i+1, strings.Join(ph.Networks, "+"), ph.BaselineMs, ph.OptimalMs)
 		for _, u := range ph.Updates {
-			fmt.Fprintf(&b, "  after %8v solver time: %.2f ms\n", u.SolverTime, u.LatencyMs)
+			fmt.Fprintf(&b, "  after %d nodes (%.3f ms): %.2f ms\n", u.Nodes, u.DeployMs, u.LatencyMs)
 		}
 	}
 	return b.String()

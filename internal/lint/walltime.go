@@ -10,9 +10,9 @@ import (
 // virtual tick clock so that traces, summaries and metrics replay
 // byte-identically; a stray time.Now() or time.Sleep() silently couples
 // results to the host scheduler. The intentional wall-clock sites are
-// the solver's: its wall deadline caps real CPU spend, and Stats.Elapsed
-// and Incumbent.Elapsed are diagnostics. Each carries a //detlint:allow
-// walltime annotation explaining why it never feeds deterministic output.
+// the solver's: under a TimeBudget, its wall deadline caps real CPU
+// spend. Each carries a //detlint:allow walltime annotation explaining
+// why it never feeds deterministic output.
 var WallTime = &Analyzer{
 	Name: "walltime",
 	Doc: "flags time.Now/Since/Sleep and friends outside annotated " +

@@ -293,12 +293,12 @@ func ShardSummaryCSV(w io.Writer, sum *shard.Summary) error {
 // Fig7CSV writes the dynamic-convergence series (one row per update).
 func Fig7CSV(w io.Writer, phases []experiments.Fig7Phase) error {
 	c := newCSV(w)
-	if err := c.row("phase", "solver_time_us", "latency_ms", "baseline_ms", "optimal_ms"); err != nil {
+	if err := c.row("phase", "nodes", "deploy_ms", "latency_ms", "baseline_ms", "optimal_ms"); err != nil {
 		return err
 	}
 	for i, ph := range phases {
 		for _, u := range ph.Updates {
-			if err := c.row(i+1, float64(u.SolverTime.Microseconds()), u.LatencyMs, ph.BaselineMs, ph.OptimalMs); err != nil {
+			if err := c.row(i+1, u.Nodes, u.DeployMs, u.LatencyMs, ph.BaselineMs, ph.OptimalMs); err != nil {
 				return err
 			}
 		}

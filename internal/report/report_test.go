@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"haxconn/internal/control"
 	"haxconn/internal/experiments"
@@ -73,8 +72,8 @@ func TestFig7CSV(t *testing.T) {
 		Networks:   []string{"A", "B"},
 		BaselineMs: 20, OptimalMs: 15,
 		Updates: []experiments.Fig7Update{
-			{SolverTime: 50 * time.Microsecond, LatencyMs: 20},
-			{SolverTime: 500 * time.Microsecond, LatencyMs: 15},
+			{Nodes: 4, DeployMs: 0.125, LatencyMs: 20},
+			{Nodes: 30, DeployMs: 0.9375, LatencyMs: 15},
 		},
 	}}
 	var buf bytes.Buffer
@@ -87,6 +86,12 @@ func TestFig7CSV(t *testing.T) {
 	}
 	if len(recs) != 3 {
 		t.Fatalf("%d records", len(recs))
+	}
+	if got := strings.Join(recs[0], ","); got != "phase,nodes,deploy_ms,latency_ms,baseline_ms,optimal_ms" {
+		t.Errorf("header %s", got)
+	}
+	if got := strings.Join(recs[2][:3], ","); got != "1,30,0.9375" {
+		t.Errorf("second update %s, want phase 1 at 30 nodes, 0.9375 ms", got)
 	}
 }
 

@@ -4,7 +4,7 @@
 //
 // Nothing in the repository calls it: internal/solver plans every
 // schedule by branch and bound, and the SAT-enumeration optimizer that
-// used this package is deleted. ROADMAP item 5 schedules the package's
+// used this package is deleted. ROADMAP item 1 schedules the package's
 // deletion.
 //
 // Literal convention follows DIMACS: variables are positive integers

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"haxconn/internal/baselines"
 	"haxconn/internal/core"
@@ -32,19 +31,13 @@ type CacheConfig struct {
 	// naive schedule (the NaiveGPUOnly policy needs no solving).
 	Solve bool
 	// SolverTimeScale stretches virtual solver time onto the serving
-	// timeline (see Config.SolverTimeScale). 1 means unscaled.
+	// timeline (see Config.SolverTimeScale). 1 means unscaled. Virtual
+	// solver time is the background solver's deterministic node counter
+	// at solver.NodesPerMs: an incumbent found after N nodes deploys
+	// N/NodesPerMs scaled milliseconds after the miss.
 	SolverTimeScale float64
-	// SolverNodesPerMs converts the background solver's deterministic
-	// work counter (search nodes) into virtual solver milliseconds: an
-	// incumbent found after N nodes deploys N/SolverNodesPerMs scaled
-	// milliseconds after the miss. The default (32, roughly the B&B node
-	// rate on the evaluation problems) makes upgrade replay deterministic
-	// run to run while matching real solve-time dynamics.
-	SolverNodesPerMs float64
 	// MaxGroups caps layer groups per network.
 	MaxGroups int
-	// TimeBudget bounds each background solve (0 = run to optimality).
-	TimeBudget time.Duration
 	// SolveOwner, when set, partitions the background-solving work across
 	// cooperating caches (the sharded control plane's deterministic solve
 	// ownership): a miss or probe on a mix this cache does not own is
@@ -71,22 +64,11 @@ func (c CacheConfig) solving() solveKnobs {
 	return solveKnobs{c.Platform.Name, c.Objective, c.Solve, c.SolverTimeScale, c.MaxGroups}
 }
 
-// defaultSolverNodesPerMs approximates the measured B&B node rate on the
-// two-network evaluation problems (~30 nodes per millisecond of solve).
-const defaultSolverNodesPerMs = 32
-
 func (c CacheConfig) scale() float64 {
 	if c.SolverTimeScale <= 0 {
 		return 1
 	}
 	return c.SolverTimeScale
-}
-
-func (c CacheConfig) nodesPerMs() float64 {
-	if c.SolverNodesPerMs <= 0 {
-		return defaultSolverNodesPerMs
-	}
-	return c.SolverNodesPerMs
 }
 
 // Cache maps workload mixes to solved schedules and counts its own
@@ -656,11 +638,10 @@ func (c *Cache) probeAll(mixes [][]string, nowMs float64, entries []*Entry, errs
 // platform and objective.
 func (c *Cache) request(canon []string) core.Request {
 	return core.Request{
-		Platform:   c.cfg.Platform,
-		Networks:   canon,
-		Objective:  c.cfg.Objective,
-		MaxGroups:  c.cfg.MaxGroups,
-		TimeBudget: c.cfg.TimeBudget,
+		Platform:  c.cfg.Platform,
+		Networks:  canon,
+		Objective: c.cfg.Objective,
+		MaxGroups: c.cfg.MaxGroups,
 	}
 }
 
@@ -763,7 +744,7 @@ func (e *Entry) Deployable(nowMs float64) *schedule.Schedule {
 	if !e.settled {
 		// Clamp before converting: a huge virtual gap must saturate at
 		// "every incumbent landed", not overflow the int conversion.
-		f := (nowMs - e.CreatedMs) / e.cache.cfg.scale() * e.cache.cfg.nodesPerMs()
+		f := (nowMs - e.CreatedMs) / e.cache.cfg.scale() * solver.NodesPerMs
 		if f < float64(nodes) {
 			nodes = int(f)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"haxconn/internal/soc"
+	"haxconn/internal/solver"
 )
 
 // TestProbeAllMatchesSerialProbe: ProbeAll's concurrent characterization
@@ -76,5 +77,38 @@ func TestProbeAllMatchesSerialProbe(t *testing.T) {
 	}
 	if gotErrs[4] == nil || gotErrs[6] == nil || gotErrs[4].Error() != gotErrs[6].Error() {
 		t.Error("duplicate failing mixes must share the memoized error")
+	}
+}
+
+// TestDeployableReplaysAtNodesPerMs pins the cache's replay clock: the
+// incumbent found after N search nodes deploys N/solver.NodesPerMs virtual
+// milliseconds, stretched by SolverTimeScale, after the miss, and not a
+// nanosecond sooner. The instants are dyadic, so the arithmetic is exact.
+func TestDeployableReplaysAtNodesPerMs(t *testing.T) {
+	const scale = 2
+	c, err := NewCache(CacheConfig{Platform: soc.Orin(), Solve: true, SolverTimeScale: scale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _, err := c.Lookup([]string{"VGG19", "ResNet152"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	landed := 0
+	for _, inc := range e.Any.History {
+		if inc.Nodes == 0 {
+			continue
+		}
+		at := float64(inc.Nodes) / solver.NodesPerMs * scale
+		if got, want := e.Deployable(at), e.Any.ScheduleAtNodes(inc.Nodes); got != want {
+			t.Errorf("at %g ms: deployed %v, want the incumbent of node %d", at, got.Assign, inc.Nodes)
+		}
+		if got, want := e.Deployable(at-1e-6), e.Any.ScheduleAtNodes(inc.Nodes-1); got != want {
+			t.Errorf("just before %g ms: deployed %v, want the incumbent before node %d", at, got.Assign, inc.Nodes)
+		}
+		landed++
+	}
+	if landed < 2 {
+		t.Fatalf("%d incumbents after node 0; the mix should improve more than once", landed)
 	}
 }

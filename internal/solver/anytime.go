@@ -1,10 +1,15 @@
 package solver
 
-import (
-	"time"
+import "haxconn/internal/schedule"
 
-	"haxconn/internal/schedule"
-)
+// NodesPerMs is the search rate at which replays of an incumbent stream
+// advance virtual solver time: an incumbent found after N nodes deploys
+// N/NodesPerMs virtual milliseconds after its solve starts. 32 is roughly
+// branch & bound's measured node rate on the two-network evaluation
+// problems (~30 nodes per millisecond of solve), and because node counts
+// are deterministic, so is every replay. Fig. 7 and internal/serve's
+// schedule cache both replay at this rate.
+const NodesPerMs = 32
 
 // Anytime records the improvement history of a D-HaX-CoNN run: the solver
 // is started alongside the executing workload with a naive initial
@@ -16,7 +21,7 @@ type Anytime struct {
 	Cost    float64
 	Stats   Stats
 	// Seed is the configured initial schedule (cfg.Seeds[0]), the fallback
-	// ScheduleAt/ScheduleAtNodes deploy before any incumbent has landed.
+	// ScheduleAtNodes deploys before any incumbent has landed.
 	Seed *schedule.Schedule
 }
 
@@ -43,37 +48,19 @@ func RunAnytime(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*Anyt
 	return a, nil
 }
 
-// scheduleWhere returns the last incumbent satisfying the landed
-// predicate, falling back to the configured naive seed when none has
-// landed yet — an incumbent the solver has not yet found cannot be
-// deployed, so unseeded runs report nil until the first improvement
-// lands.
-func (a *Anytime) scheduleWhere(landed func(Incumbent) bool) *schedule.Schedule {
-	var cur *schedule.Schedule
+// ScheduleAtNodes returns the schedule the runtime would be using after the
+// given amount of search work: the last incumbent found within nodes search
+// nodes, falling back to the configured naive seed when none has landed
+// yet — an incumbent the solver has not yet found cannot be deployed, so
+// unseeded runs report nil until the first improvement lands. Because node
+// counts are deterministic for a given problem, replays of the incumbent
+// stream against a virtual clock are reproducible.
+func (a *Anytime) ScheduleAtNodes(nodes int) *schedule.Schedule {
+	cur := a.Seed
 	for _, inc := range a.History {
-		if landed(inc) {
+		if inc.Nodes <= nodes {
 			cur = inc.Schedule
 		}
 	}
-	if cur == nil {
-		return a.Seed
-	}
 	return cur
-}
-
-// ScheduleAt returns the schedule the runtime would be using after the
-// given solver wall-time has elapsed: the last incumbent found no later
-// than elapsed.
-func (a *Anytime) ScheduleAt(elapsed time.Duration) *schedule.Schedule {
-	return a.scheduleWhere(func(inc Incumbent) bool { return inc.Elapsed <= elapsed })
-}
-
-// ScheduleAtNodes returns the schedule the runtime would be using after the
-// given amount of search work: the last incumbent found within nodes search
-// nodes. Because node counts (unlike wall time) are deterministic for a
-// given problem, replays of the incumbent stream against a virtual clock
-// are reproducible — internal/serve's schedule cache deploys upgrades
-// through this entry point.
-func (a *Anytime) ScheduleAtNodes(nodes int) *schedule.Schedule {
-	return a.scheduleWhere(func(inc Incumbent) bool { return inc.Nodes <= nodes })
 }

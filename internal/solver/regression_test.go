@@ -27,9 +27,6 @@ func TestScheduleWhereUnseededReturnsNil(t *testing.T) {
 	if s := a.ScheduleAtNodes(0); s != nil {
 		t.Errorf("ScheduleAtNodes(0) = %v before any incumbent landed; want nil", s.Assign)
 	}
-	if s := a.ScheduleAt(0); s != nil {
-		t.Errorf("ScheduleAt(0) = %v before any incumbent landed; want nil", s.Assign)
-	}
 }
 
 // TestScheduleWhereSeededFallsBackToSeed: with seeds configured, the

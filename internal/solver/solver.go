@@ -62,7 +62,9 @@ type Config struct {
 	// Model is the contention model used for prediction (required; use
 	// contention.None for the contention-unaware ablation).
 	Model contention.Model
-	// TimeBudget stops the search early; zero means run to completion.
+	// TimeBudget stops the search after this much wall time, the solver's
+	// only wall-clock read; zero means run to completion on the node
+	// counter alone.
 	TimeBudget time.Duration
 	// OnImprove, if set, is invoked for every new incumbent.
 	OnImprove func(Incumbent)
@@ -85,22 +87,20 @@ func (c Config) maxTransitions() int {
 type Incumbent struct {
 	Schedule *schedule.Schedule
 	Cost     float64
-	Elapsed  time.Duration
 	// Nodes is the search work done when the incumbent was found: B&B
-	// nodes expanded. Unlike Elapsed it is deterministic for a given
-	// problem, so virtual-time replays of the incumbent stream
-	// (internal/serve's schedule cache) are reproducible run to run.
+	// nodes expanded. It is deterministic for a given problem, so
+	// virtual-time replays of the incumbent stream (Fig. 7 and
+	// internal/serve's schedule cache) are reproducible run to run.
 	Nodes int
 }
 
 // Stats summarizes a search.
 type Stats struct {
-	Nodes    int           // search nodes expanded
-	Evals    int           // schedule evaluations, cut ones included
-	Cut      int           // evaluations stopped at the incumbent's makespan
-	Pruned   int           // subtrees cut by either lower bound
-	Complete bool          // false if the time budget expired first
-	Elapsed  time.Duration // wall time
+	Nodes    int  // search nodes expanded
+	Evals    int  // schedule evaluations, cut ones included
+	Cut      int  // evaluations stopped at the incumbent's makespan
+	Pruned   int  // subtrees cut by either lower bound
+	Complete bool // false if the time budget expired first
 }
 
 // Candidates enumerates all per-item assignment vectors with at most
@@ -190,7 +190,10 @@ func (e *candEnum) rec(g, trans int) {
 // OptimizeBB finds the minimum-cost schedule by branch & bound. It returns
 // the best schedule, its predicted cost, and search statistics.
 func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*schedule.Schedule, float64, Stats, error) {
-	start := time.Now() //detlint:allow walltime anchor for the CPU-spend deadline and Elapsed diagnostics; never feeds byte-compared output
+	var deadline time.Time
+	if cfg.TimeBudget > 0 {
+		deadline = time.Now().Add(cfg.TimeBudget) //detlint:allow walltime anchor for the CPU-spend deadline, read only under a TimeBudget
+	}
 	if cfg.Model == nil {
 		return nil, 0, Stats{}, fmt.Errorf("solver: nil contention model")
 	}
@@ -259,8 +262,7 @@ func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sche
 				}
 			}
 			if cfg.OnImprove != nil {
-				//detlint:allow walltime Incumbent.Elapsed is diagnostic; virtual-time replays ride the Nodes counter, not wall time
-				cfg.OnImprove(Incumbent{Schedule: best, Cost: bestCost, Elapsed: time.Since(start), Nodes: st.Nodes})
+				cfg.OnImprove(Incumbent{Schedule: best, Cost: bestCost, Nodes: st.Nodes})
 			}
 		}
 		return nil
@@ -302,10 +304,6 @@ func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sche
 
 	chosen := make([]int, nItems)
 	leaf := &schedule.Schedule{Assign: make([][]int, nItems)}
-	deadline := time.Time{}
-	if cfg.TimeBudget > 0 {
-		deadline = start.Add(cfg.TimeBudget)
-	}
 	expired := false
 	var dfs func(depth int) error
 	dfs = func(depth int) error {
@@ -351,7 +349,6 @@ func OptimizeBB(prob *schedule.Problem, pr *schedule.Profile, cfg Config) (*sche
 		return nil, 0, st, err
 	}
 	st.Complete = !expired
-	st.Elapsed = time.Since(start) //detlint:allow walltime Stats.Elapsed is diagnostic wall time, excluded from byte-compared summaries
 	if best == nil {
 		return nil, 0, st, fmt.Errorf("solver: search produced no schedule")
 	}

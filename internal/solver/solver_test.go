@@ -209,20 +209,16 @@ func TestAnytimeImprovesMonotonically(t *testing.T) {
 		if a.History[i].Cost >= a.History[i-1].Cost {
 			t.Errorf("incumbent %d cost %g not better than %g", i, a.History[i].Cost, a.History[i-1].Cost)
 		}
-		if a.History[i].Elapsed < a.History[i-1].Elapsed {
-			t.Errorf("incumbent %d elapsed went backwards", i)
+		if a.History[i].Nodes < a.History[i-1].Nodes {
+			t.Errorf("incumbent %d found at %d nodes, before incumbent %d at %d", i, a.History[i].Nodes, i-1, a.History[i-1].Nodes)
 		}
 	}
 	last := a.History[len(a.History)-1]
 	if last.Cost != a.Cost {
 		t.Error("final history entry must match the returned best")
 	}
-	// ScheduleAt(0) is the earliest incumbent; ScheduleAt(inf) the final one.
-	if s := a.ScheduleAt(0); s == nil {
-		t.Error("ScheduleAt(0) returned nil")
-	}
-	if s := a.ScheduleAt(time.Hour); s == nil || s.Transitions(0) != last.Schedule.Transitions(0) {
-		t.Error("ScheduleAt(large) should return the final incumbent")
+	if s := a.ScheduleAtNodes(math.MaxInt); s == nil || s.Key() != last.Schedule.Key() {
+		t.Error("ScheduleAtNodes(MaxInt) should return the final incumbent")
 	}
 }
 
