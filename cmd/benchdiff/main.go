@@ -3,12 +3,13 @@
 // benchmark -> metric -> value) and exits non-zero when any shared metric
 // drifts beyond the relative tolerance. The serving, fleet and control
 // benchmarks derive their metrics from virtual time, so on the same code
-// they reproduce exactly — any drift is a behavior change, and the
-// tolerance only absorbs intentional incremental tuning.
+// they reproduce byte for byte: CI compares them at -tolerance 0, where
+// any drift at all is a behavior change. A change meant to move a metric
+// commits the regenerated baseline.
 //
 // Usage:
 //
-//	benchdiff -baseline BENCH_fleet.json -current /tmp/BENCH_fleet.json [-tolerance 0.25]
+//	benchdiff -baseline BENCH_fleet.json -current /tmp/BENCH_fleet.json [-tolerance 0]
 //
 // A baseline benchmark or metric absent from the current run fails the
 // check like a drift does, so a renamed benchmark or a -bench pattern that

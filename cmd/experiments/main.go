@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"haxconn/internal/experiments"
 	"haxconn/internal/report"
@@ -31,6 +33,10 @@ func main() {
 	flag.Parse()
 	if *format != "text" && *format != "csv" && *format != "json" {
 		fmt.Fprintf(os.Stderr, "experiments: unknown format %q (want text, csv or json)\n", *format)
+		os.Exit(2)
+	}
+	if *id != "all" && !slices.Contains(artifacts, *id) {
+		fmt.Fprintf(os.Stderr, "experiments: unknown artifact %q (want %s or all)\n", *id, strings.Join(artifacts, ", "))
 		os.Exit(2)
 	}
 	if err := run(os.Stdout, *id, *format); err != nil {

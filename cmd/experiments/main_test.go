@@ -58,23 +58,42 @@ func firstDiffLine(a, b []byte) int {
 }
 
 // TestUnknownFormatExits2 runs main in a child process: an unknown
-// -format is a usage error (exit 2, named on stderr), not text output.
+// -format or -id is a usage error (exit 2, named on stderr with the valid
+// values), not text output or a run failure.
 func TestUnknownFormatExits2(t *testing.T) {
-	if os.Getenv("EXPERIMENTS_MAIN") == "1" {
-		os.Args = []string{"experiments", "-id", "table5", "-format", "jsno"}
-		main()
+	cases := []struct {
+		name string
+		args []string
+		want []string // on stderr
+	}{
+		{"format", []string{"-id", "table5", "-format", "jsno"}, []string{`unknown format "jsno"`, "text, csv or json"}},
+		{"id", []string{"-id", "nosuch"}, []string{`unknown artifact "nosuch"`, strings.Join(artifacts, ", ") + " or all"}},
+	}
+	if name := os.Getenv("EXPERIMENTS_MAIN"); name != "" {
+		for _, tc := range cases {
+			if tc.name == name {
+				os.Args = append([]string{"experiments"}, tc.args...)
+				main()
+			}
+		}
 		return
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownFormatExits2$")
-	cmd.Env = append(os.Environ(), "EXPERIMENTS_MAIN=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("-format jsno: %v, want exit status 2; stdout %q", err, stdout.String())
-	}
-	if !strings.Contains(stderr.String(), `unknown format "jsno"`) {
-		t.Errorf("stderr %q does not name the format", stderr.String())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownFormatExits2$")
+			cmd.Env = append(os.Environ(), "EXPERIMENTS_MAIN="+tc.name)
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("%v: %v, want exit status 2; stdout %q", tc.args, err, stdout.String())
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(stderr.String(), w) {
+					t.Errorf("%v: stderr %q lacks %q", tc.args, stderr.String(), w)
+				}
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -21,6 +22,38 @@ func TestZooValidates(t *testing.T) {
 func TestByNameUnknown(t *testing.T) {
 	if _, err := ByName("NoSuchNet"); err == nil {
 		t.Fatal("expected error for unknown network")
+	}
+}
+
+// TestIndexFollowsByteOrder: zoo indices run over sort.Strings order of
+// the zoo's names, so a mix sorted by index is a mix sorted by name, and
+// Index, Name and Names agree; a name outside the zoo has no index.
+func TestIndexFollowsByteOrder(t *testing.T) {
+	want := make([]string, 0, len(zoo))
+	for name := range zoo {
+		want = append(want, name)
+	}
+	sort.Strings(want)
+	if got := Names(); !slices.Equal(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
+	}
+	if Count() != len(want) {
+		t.Fatalf("Count() = %d, want %d", Count(), len(want))
+	}
+	for i, name := range want {
+		if j, ok := Index(name); !ok || j != i {
+			t.Errorf("Index(%q) = %d, %v; want %d", name, j, ok, i)
+		}
+		if Name(i) != name {
+			t.Errorf("Name(%d) = %q, want %q", i, Name(i), name)
+		}
+	}
+	if _, ok := Index("NoSuchNet"); ok {
+		t.Error("a name outside the zoo has an index")
+	}
+	Names()[0] = "clobbered"
+	if Name(0) != want[0] {
+		t.Error("a caller's write to Names() reached the index")
 	}
 }
 

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -34,6 +35,46 @@ var (
 	cache   = map[string]*Network{}
 )
 
+// names lists the zoo in sorted order and index maps each name to its
+// position there. Both are built once at init and only read afterwards,
+// so Index and Name take no lock.
+var (
+	names = sortedZoo()
+	index = indexOf(names)
+)
+
+func sortedZoo() []string {
+	out := make([]string, 0, len(zoo))
+	for name := range zoo {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func indexOf(names []string) map[string]int {
+	m := make(map[string]int, len(names))
+	for i, name := range names {
+		m[name] = i
+	}
+	return m
+}
+
+// Index returns a zoo network's index: its position in Names(). Index
+// order is the names' byte order, so sorting networks by index sorts them
+// by name. ok is false for a name outside the zoo.
+func Index(name string) (i int, ok bool) {
+	i, ok = index[name]
+	return i, ok
+}
+
+// Name returns the name of the zoo network with index i.
+func Name(i int) string { return names[i] }
+
+// Count returns the number of zoo networks: indices run from 0 to
+// Count()-1.
+func Count() int { return len(names) }
+
 // ByName returns the named network from the zoo, or an error listing valid
 // names. Returned networks are shared and must not be mutated.
 func ByName(name string) (*Network, error) {
@@ -60,15 +101,9 @@ func MustByName(name string) *Network {
 	return n
 }
 
-// Names returns the sorted list of zoo network names.
-func Names() []string {
-	names := make([]string, 0, len(zoo))
-	for name := range zoo {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+// Names returns the sorted list of zoo network names, a fresh copy per
+// call.
+func Names() []string { return slices.Clone(names) }
 
 // EvaluationSet returns the ten networks used in the paper's pairwise
 // evaluation (Tables 5 and 8), in the paper's row order.

@@ -18,8 +18,8 @@ func newAdmitRuntime(t *testing.T, cfg Config) *Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.standalone["VGG19"] = 10
-	r.standalone["ResNet152"] = 20
+	setStandalone(r, "VGG19", 10)
+	setStandalone(r, "ResNet152", 20)
 	return r
 }
 
@@ -150,11 +150,11 @@ func TestAdmitRejectionPaths(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newAdmitRuntime(t, tc.cfg)
-			r.pending = tc.pending
+			setPending(r, tc.pending)
 			if tc.queued != nil {
 				r.queued = tc.queued
 			}
-			got, err := r.admit(tc.req, tc.nowMs)
+			got, _, err := r.admit(tc.req, tc.nowMs)
 			if err != nil {
 				t.Fatal(err)
 			}

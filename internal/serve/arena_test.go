@@ -389,7 +389,7 @@ func TestPendingDemandSpreadMatchesEstimates(t *testing.T) {
 		t.Fatal(err)
 	}
 	fail := errors.New("characterization failed")
-	rt.prepErr["ResNet18"] = fail
+	failCharacterize(rt, "ResNet18", fail)
 	for i, n := range []string{"SqueezeNet", "ResNet18"} {
 		if _, err := rt.Offer(Request{ID: i, Tenant: "t", Network: n}); err != nil {
 			t.Fatal(err)

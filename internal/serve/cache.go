@@ -10,12 +10,12 @@ package serve
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
 	"haxconn/internal/baselines"
 	"haxconn/internal/core"
+	"haxconn/internal/nn"
 	"haxconn/internal/obs"
 	"haxconn/internal/schedule"
 	"haxconn/internal/sim"
@@ -89,13 +89,34 @@ func (c CacheConfig) scale() float64 {
 // by GossipSeed, EnsureSolved or Rewind. A reader that keeps a count of
 // what it has read (SettledSince) sees what changed without a full
 // Export; the sharded plane's gossip barriers read it that way.
+//
+// Mixes are found by zoo index, not by name: a canonical mix is its
+// networks' sorted nn.Index tuple, and a trie over those tuples numbers
+// each mix the first time it is seen. The number is the mix's slot, which
+// holds its live entry, its scoring probe and its memoized failure. The
+// dispatcher and the mix scorer hand the cache index tuples directly; the
+// []string methods resolve names first. Names and the string key live on
+// in each Entry, built once per mix, for traces, Export, gossip and
+// SolveOwner.
 type Cache struct {
-	cfg      CacheConfig
-	entries  map[string]*Entry
-	probes   map[string]*Entry
-	probeErr map[string]error
-	tracer   *obs.Tracer
-	name     string
+	cfg CacheConfig
+	// slots and kids are the mix trie. Node n stands for the tuple spelled
+	// by the path to it, and slots[n] is that tuple's mix slot. A node's
+	// children, by next index, fill one child array of nn.Count() node
+	// numbers in kids (0 = no child: node 0 is the root, nobody's child);
+	// a node gets its array with its first child, so a leaf costs none.
+	// Both slabs grow as mixes are first seen and never shrink.
+	slots []mixSlot
+	kids  []int32
+	// live and probes count the slots holding a live entry and a scoring
+	// probe.
+	live, probes int
+	// foreignErr memoizes the probe failures of mixes naming a network
+	// outside the zoo, by mix key: such a mix has no index tuple, and no
+	// characterization of it can succeed.
+	foreignErr map[string]error
+	tracer     *obs.Tracer
+	name       string
 
 	Hits     int
 	Misses   int
@@ -118,13 +139,32 @@ type Cache struct {
 	Deferred int
 	Assists  int
 
-	// wanted tracks deferred mixes (key → canonical networks) still
-	// awaiting the owner's gossiped schedule.
-	wanted map[string][]string
+	// wanted lists the deferred mixes still awaiting the owner's gossiped
+	// schedule, in the order they were deferred, each once (its slot is
+	// marked wanted).
+	wanted []wantedMix
 
 	// exportLog lists live entries in the order they became exportable,
 	// each once (see SettledSince).
 	exportLog []*Entry
+}
+
+// mixSlot is what the cache holds for one mix: the live (dispatched)
+// entry, the scoring probe and the memoized probe failure, each nil when
+// absent. kids locates the trie node's child array: it starts at
+// Cache.kids[(kids-1)*nn.Count()], and kids is 0 while the node has no
+// child. wanted marks a mix listed in Cache.wanted.
+type mixSlot struct {
+	live, probe *Entry
+	err         error
+	kids        int32
+	wanted      bool
+}
+
+// wantedMix is one deferred mix: its Want and its slot.
+type wantedMix struct {
+	Want
+	slot int32
 }
 
 // AttachTracer wires cache-internal events (probe builds, probe
@@ -177,6 +217,7 @@ type Entry struct {
 	CreatedMs float64
 
 	cache     *Cache
+	slot      int32 // the mix's slot in the cache's trie
 	lastSched *schedule.Schedule
 	evals     map[string]*schedule.Eval // Evaluate's memo, by schedule key
 	// ownEvals holds the same evaluations as evals for the entry's own
@@ -203,13 +244,56 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	if cfg.Platform == nil {
 		return nil, fmt.Errorf("serve: cache needs a platform")
 	}
-	return &Cache{
-		cfg:      cfg,
-		entries:  map[string]*Entry{},
-		probes:   map[string]*Entry{},
-		probeErr: map[string]error{},
-		wanted:   map[string][]string{},
-	}, nil
+	return &Cache{cfg: cfg}, nil
+}
+
+// errEmptyMix is the error of every cache method handed no networks.
+var errEmptyMix = fmt.Errorf("serve: empty workload mix")
+
+// slotOf returns the slot of a canonical mix, given as its sorted zoo
+// index tuple, adding the trie nodes of a mix seen the first time.
+func (c *Cache) slotOf(mix []int) int32 {
+	z := nn.Count()
+	if c.slots == nil {
+		// Room for a small cache's trie from the start: the root and a
+		// handful of mixes under a few child arrays.
+		c.slots = make([]mixSlot, 1, 8)
+		c.kids = make([]int32, 0, 4*z)
+	}
+	n := int32(0)
+	for _, i := range mix {
+		if c.slots[n].kids == 0 {
+			c.kids = append(c.kids, make([]int32, z)...)
+			c.slots[n].kids = int32(len(c.kids) / z)
+		}
+		k := int(c.slots[n].kids-1)*z + i
+		if c.kids[k] == 0 {
+			c.slots = append(c.slots, mixSlot{})
+			c.kids[k] = int32(len(c.slots) - 1)
+		}
+		n = c.kids[k]
+	}
+	return n
+}
+
+// mixBufLen sizes the stack buffers index tuples are resolved into; a
+// longer mix spills to the heap, which costs an allocation but not
+// correctness.
+const mixBufLen = 8
+
+// resolve writes the canonical index tuple of a workload mix into buf,
+// sorted. ok is false when a network is outside the zoo.
+func resolve(buf []int, networks []string) (mix []int, ok bool) {
+	mix = buf[:0]
+	for _, name := range networks {
+		i, ok := nn.Index(name)
+		if !ok {
+			return nil, false
+		}
+		mix = append(mix, i)
+	}
+	slices.Sort(mix)
+	return mix, true
 }
 
 // exportable reports whether Export marks a live entry solved: its solve
@@ -217,10 +301,26 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 // exportable: nothing clears Any or settled.
 func (c *Cache) exportable(e *Entry) bool { return e.Any != nil || e.settled || !c.cfg.Solve }
 
-// put registers e as the live entry of key.
-func (c *Cache) put(key string, e *Entry) {
-	c.entries[key] = e
+// put registers e as the live entry of its slot.
+func (c *Cache) put(e *Entry) {
+	c.slots[e.slot].live = e
+	c.live++
 	c.logExportable(e)
+}
+
+// promote removes the scoring probe of slot s, counts and traces its
+// promotion, and returns it; nil when the slot holds no probe. The caller
+// registers the probe as the live entry (put).
+func (c *Cache) promote(s int32, nowMs float64) *Entry {
+	e := c.slots[s].probe
+	if e == nil {
+		return nil
+	}
+	c.slots[s].probe = nil
+	c.probes--
+	c.Promotions++
+	c.trace(obs.Event{AtMs: nowMs, Kind: obs.KindCachePromote, Request: obs.NoRequest, Detail: e.Key})
+	return e
 }
 
 // logExportable appends a live entry to the export log the first time it
@@ -251,13 +351,14 @@ func (c *Cache) owned(key string) bool {
 
 // deferSolve records a mix whose solve belongs to another cache in the
 // ownership partition: the entry keeps serving its naive schedule and the
-// key stays wanted until the owner's gossiped schedule settles it.
-func (c *Cache) deferSolve(key string, canon []string) {
-	if _, ok := c.wanted[key]; ok {
+// mix stays wanted until the owner's gossiped schedule settles it.
+func (c *Cache) deferSolve(e *Entry) {
+	if c.slots[e.slot].wanted {
 		return
 	}
 	c.Deferred++
-	c.wanted[key] = append([]string(nil), canon...)
+	c.slots[e.slot].wanted = true
+	c.wanted = append(c.wanted, wantedMix{Want{Key: e.Key, Networks: slices.Clone(e.Networks)}, e.slot})
 }
 
 // Want is one deferred mix: Key is the cache key — the exact string the
@@ -273,19 +374,18 @@ type Want struct {
 // gossip round's report. Mixes settled since (the owner's schedule
 // arrived, or a local probe solved them) are dropped.
 func (c *Cache) Wanted() []Want {
-	keys := make([]string, 0, len(c.wanted))
-	for key := range c.wanted {
-		if e, ok := c.entries[key]; ok && (e.Any != nil || e.settled) {
-			delete(c.wanted, key)
+	keep := c.wanted[:0]
+	out := make([]Want, 0, len(c.wanted))
+	for _, w := range c.wanted {
+		if e := c.slots[w.slot].live; e != nil && (e.Any != nil || e.settled) {
+			c.slots[w.slot].wanted = false
 			continue
 		}
-		keys = append(keys, key)
+		keep = append(keep, w)
+		out = append(out, w.Want)
 	}
-	sort.Strings(keys)
-	out := make([]Want, len(keys))
-	for i, key := range keys {
-		out[i] = Want{Key: key, Networks: c.wanted[key]}
-	}
+	c.wanted = keep
+	slices.SortFunc(out, func(a, b Want) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 
@@ -298,52 +398,54 @@ func (c *Cache) Wanted() []Want {
 // gossip round exports the settled result to the shards that wanted it.
 func (c *Cache) EnsureSolved(networks []string, nowMs float64) (bool, error) {
 	if len(networks) == 0 {
-		return false, fmt.Errorf("serve: empty workload mix")
+		return false, errEmptyMix
 	}
-	key, canon := c.mixKey(networks)
-	if e, ok := c.entries[key]; ok {
+	var buf [mixBufLen]int
+	mix, ok := resolve(buf[:0], networks)
+	if !ok {
+		return false, c.foreign(networks)
+	}
+	s := c.slotOf(mix)
+	if e := c.slots[s].live; e != nil {
 		if e.Any != nil || e.settled {
 			return false, nil
 		}
 		// A deferred stub on the owner itself cannot happen (owners solve
 		// their own misses), but solve in place defensively.
 		var err error
-		e.Any, err = core.AnytimeFromProfile(c.request(canon), e.Prob, e.Profile)
+		e.Any, err = core.AnytimeFromProfile(c.request(e.Networks), e.Prob, e.Profile)
 		if err != nil {
 			return false, err
 		}
 		c.logExportable(e)
 		c.Assists++
 		c.trace(obs.Event{AtMs: nowMs, Kind: obs.KindCacheSolve, Request: obs.NoRequest,
-			Detail: key, Value: float64(e.solverNodes())})
+			Detail: e.Key, Value: float64(e.solverNodes())})
 		return true, nil
 	}
-	if e, ok := c.probes[key]; ok {
-		delete(c.probes, key)
-		c.Promotions++
-		c.trace(obs.Event{AtMs: nowMs, Kind: obs.KindCachePromote, Request: obs.NoRequest, Detail: key})
-		c.put(key, e)
+	if e := c.promote(s, nowMs); e != nil {
+		c.put(e)
 		return true, nil
 	}
-	e, err := c.build(key, canon, nowMs)
+	e, err := c.build(s, mix, nowMs)
 	if err != nil {
 		return false, err
 	}
 	if c.cfg.Solve {
-		e.Any, err = core.AnytimeFromProfile(c.request(canon), e.Prob, e.Profile)
+		e.Any, err = core.AnytimeFromProfile(c.request(e.Networks), e.Prob, e.Profile)
 		if err != nil {
 			return false, err
 		}
 		c.trace(obs.Event{AtMs: nowMs, Kind: obs.KindCacheSolve, Request: obs.NoRequest,
-			Detail: key, Value: float64(e.solverNodes())})
+			Detail: e.Key, Value: float64(e.solverNodes())})
 	}
 	c.Assists++
-	c.put(key, e)
+	c.put(e)
 	return true, nil
 }
 
 // Len returns the number of cached mixes.
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return c.live }
 
 // Platform returns the SoC the cache characterizes and solves for.
 func (c *Cache) Platform() *soc.Platform { return c.cfg.Platform }
@@ -357,63 +459,38 @@ func (c *Cache) Platform() *soc.Platform { return c.cfg.Platform }
 // run.
 func (c *Cache) Rewind() {
 	from := len(c.exportLog)
-	for _, e := range c.entries {
-		e.CreatedMs = 0
-		e.settled = true
-		e.lastSched = nil
-		c.logExportable(e)
+	for i := range c.slots {
+		if e := c.slots[i].live; e != nil {
+			e.CreatedMs = 0
+			e.settled = true
+			e.lastSched = nil
+			c.logExportable(e)
+		}
+		// Probes settle too: their speculative solves finished with the old
+		// timeline, so scoring (and promotion) in the new run deploys their
+		// best incumbent rather than replaying against a dead clock.
+		if e := c.slots[i].probe; e != nil {
+			e.CreatedMs = 0
+			e.settled = true
+			e.lastSched = nil
+		}
+		c.slots[i].wanted = false
 	}
-	// The stubs just settled were logged in map order; sort them so the
-	// log is the same run to run.
+	// The stubs just settled were logged in slot order; sort them by key,
+	// as Export orders entries.
 	slices.SortFunc(c.exportLog[from:], func(a, b *Entry) int { return strings.Compare(a.Key, b.Key) })
-	// Probes settle too: their speculative solves finished with the old
-	// timeline, so scoring (and promotion) in the new run deploys their
-	// best incumbent rather than replaying against a dead clock.
-	for _, e := range c.probes {
-		e.CreatedMs = 0
-		e.settled = true
-		e.lastSched = nil
-	}
 	c.Hits, c.Misses, c.Upgrades = 0, 0, 0
 	c.Probes, c.Promotions, c.WarmHits = 0, 0, 0
 	c.Deferred, c.Assists = 0, 0
-	c.wanted = map[string][]string{}
+	c.wanted = c.wanted[:0]
 }
 
-// mixKey canonicalizes a workload mix into a cache key and its own sorted
-// copy of the networks — what an entry keeps when a mix is built.
-func (c *Cache) mixKey(networks []string) (string, []string) {
-	canon := canonical(networks)
-	return string(c.appendMixKey(nil, canon)), canon
-}
-
-// canonical returns a sorted copy of a workload mix.
-func canonical(networks []string) []string {
-	canon := append([]string(nil), networks...)
-	slices.Sort(canon)
-	return canon
-}
-
-// keyBufLen sizes the stack buffers cache keys are built in; a longer key
-// spills to the heap, which costs an allocation but not correctness.
-const keyBufLen = 128
-
-// lookupKey appends the cache key of networks to b. A canonical (sorted)
-// mix — what the dispatcher and the mix scorer pass — is keyed in place,
-// so indexing a map with string(c.lookupKey(buf[:0], mix)) over a stack
-// buffer allocates nothing; any other order is canonicalized on a copy
-// first.
-func (c *Cache) lookupKey(b []byte, networks []string) []byte {
-	if !slices.IsSorted(networks) {
-		networks = canonical(networks)
-	}
-	return c.appendMixKey(b, networks)
-}
-
-// appendMixKey appends the key of a canonical mix to b: the networks
-// joined by "+", then "|" and the objective. Export persists this format
-// and gossip ships it.
-func (c *Cache) appendMixKey(b []byte, canon []string) []byte {
+// key returns the cache key of a canonical (sorted) list of networks: the
+// networks joined by "+", then "|" and the objective. Export persists
+// this format and gossip ships it.
+func (c *Cache) key(canon []string) string {
+	var buf [keyBufLen]byte
+	b := buf[:0]
 	for i, n := range canon {
 		if i > 0 {
 			b = append(b, '+')
@@ -421,7 +498,22 @@ func (c *Cache) appendMixKey(b []byte, canon []string) []byte {
 		b = append(b, n...)
 	}
 	b = append(b, '|')
-	return append(b, c.cfg.Objective.String()...)
+	return string(append(b, c.cfg.Objective.String()...))
+}
+
+// canonical returns a sorted copy of a workload mix.
+func canonical(networks []string) []string {
+	canon := slices.Clone(networks)
+	slices.Sort(canon)
+	return canon
+}
+
+// foreign returns the failure of a mix naming a network outside the zoo:
+// the error characterizing its canonical networks returns, exactly as a
+// build of the mix would.
+func (c *Cache) foreign(networks []string) error {
+	_, _, err := core.Prepare(c.request(canonical(networks)))
+	return err
 }
 
 // Lookup returns the entry for a workload mix, solving it on a miss. The
@@ -429,10 +521,22 @@ func (c *Cache) appendMixKey(b []byte, canon []string) []byte {
 // miss so the incumbent replay is anchored to the virtual clock.
 func (c *Cache) Lookup(networks []string, nowMs float64) (*Entry, bool, error) {
 	if len(networks) == 0 {
-		return nil, false, fmt.Errorf("serve: empty workload mix")
+		return nil, false, errEmptyMix
 	}
-	var buf [keyBufLen]byte
-	if e, ok := c.entries[string(c.lookupKey(buf[:0], networks))]; ok {
+	var buf [mixBufLen]int
+	mix, ok := resolve(buf[:0], networks)
+	if !ok {
+		c.Misses++
+		return nil, false, c.foreign(networks)
+	}
+	return c.lookup(mix, nowMs)
+}
+
+// lookup is Lookup on a canonical mix given as its sorted zoo index
+// tuple, the form the dispatcher keeps its batch in.
+func (c *Cache) lookup(mix []int, nowMs float64) (*Entry, bool, error) {
+	s := c.slotOf(mix)
+	if e := c.slots[s].live; e != nil {
 		c.Hits++
 		if e.gossiped {
 			e.gossiped = false
@@ -441,41 +545,35 @@ func (c *Cache) Lookup(networks []string, nowMs float64) (*Entry, bool, error) {
 		return e, true, nil
 	}
 	c.Misses++
-	key, canon := c.mixKey(networks)
 	// A scoring probe already characterized (and solved) this mix: promote
 	// it instead of re-preparing. The probe keeps its CreatedMs — its
 	// background solve genuinely started when the mix-forming scorer first
 	// considered the mix — so a mix probed early deploys further down its
 	// incumbent stream the moment it is finally dispatched. Speculative
 	// solving is exactly what turns scoring cost into serving value.
-	e, ok := c.probes[key]
-	if ok {
-		delete(c.probes, key)
-		c.Promotions++
-		c.trace(obs.Event{AtMs: nowMs, Kind: obs.KindCachePromote, Request: obs.NoRequest, Detail: key})
-	} else {
+	e := c.promote(s, nowMs)
+	if e == nil {
 		var err error
-		e, err = c.build(key, canon, nowMs)
-		if err != nil {
+		if e, err = c.build(s, mix, nowMs); err != nil {
 			return nil, false, err
 		}
 	}
 	if c.cfg.Solve && e.Any == nil && !e.settled {
-		if c.owned(key) {
+		if c.owned(e.Key) {
 			var err error
-			e.Any, err = core.AnytimeFromProfile(c.request(canon), e.Prob, e.Profile)
+			e.Any, err = core.AnytimeFromProfile(c.request(e.Networks), e.Prob, e.Profile)
 			if err != nil {
 				return nil, false, err
 			}
 			c.trace(obs.Event{AtMs: nowMs, Kind: obs.KindCacheSolve, Request: obs.NoRequest,
-				Detail: key, Value: float64(e.solverNodes())})
+				Detail: e.Key, Value: float64(e.solverNodes())})
 		} else {
 			// Another shard owns this mix's solve: serve naive for now and
 			// ask for the owner's schedule at the next gossip barrier.
-			c.deferSolve(key, canon)
+			c.deferSolve(e)
 		}
 	}
-	c.put(key, e)
+	c.put(e)
 	return e, false, nil
 }
 
@@ -494,47 +592,77 @@ func (c *Cache) Lookup(networks []string, nowMs float64) (*Entry, bool, error) {
 // excluded from Export.
 func (c *Cache) Probe(networks []string, nowMs float64) (*Entry, bool, error) {
 	if len(networks) == 0 {
-		return nil, false, fmt.Errorf("serve: empty workload mix")
+		return nil, false, errEmptyMix
 	}
-	var buf [keyBufLen]byte
-	if e, live, seen, err := c.probed(c.lookupKey(buf[:0], networks)); seen {
+	var buf [mixBufLen]int
+	mix, ok := resolve(buf[:0], networks)
+	if !ok {
+		return nil, false, c.probeForeign(networks)
+	}
+	return c.probe(mix, nowMs)
+}
+
+// probe is Probe on a canonical mix given as its sorted zoo index tuple.
+func (c *Cache) probe(mix []int, nowMs float64) (*Entry, bool, error) {
+	s := c.slotOf(mix)
+	if e, live, seen, err := c.probed(s); seen {
 		return e, live, err
 	}
-	key, canon := c.mixKey(networks)
-	e, err := c.build(key, canon, nowMs)
+	e, err := c.build(s, mix, nowMs)
 	if err != nil {
-		c.probeErr[key] = err
+		c.slots[s].err = err
 		return nil, false, err
 	}
 	if c.cfg.Solve {
-		if c.owned(key) {
-			e.Any, err = core.AnytimeFromProfile(c.request(canon), e.Prob, e.Profile)
+		if c.owned(e.Key) {
+			e.Any, err = core.AnytimeFromProfile(c.request(e.Networks), e.Prob, e.Profile)
 			if err != nil {
-				c.probeErr[key] = err
+				c.slots[s].err = err
 				return nil, false, err
 			}
 		} else {
-			c.deferSolve(key, canon)
+			c.deferSolve(e)
 		}
 	}
-	c.Probes++
-	c.trace(obs.Event{AtMs: nowMs, Kind: obs.KindCacheProbe, Request: obs.NoRequest,
-		Detail: key, Value: float64(e.solverNodes())})
-	c.probes[key] = e
+	c.addProbe(e, nowMs)
 	return e, false, nil
 }
 
-// probed resolves a mix key Probe has already seen: a live entry, a
+// addProbe registers a freshly built entry as its slot's scoring probe,
+// counting and tracing it.
+func (c *Cache) addProbe(e *Entry, nowMs float64) {
+	c.Probes++
+	c.trace(obs.Event{AtMs: nowMs, Kind: obs.KindCacheProbe, Request: obs.NoRequest,
+		Detail: e.Key, Value: float64(e.solverNodes())})
+	c.slots[e.slot].probe = e
+	c.probes++
+}
+
+// probeForeign is Probe on a mix naming a network outside the zoo: the
+// failure, memoized by mix key.
+func (c *Cache) probeForeign(networks []string) error {
+	key := c.key(canonical(networks))
+	if err, ok := c.foreignErr[key]; ok {
+		return err
+	}
+	err := c.foreign(networks)
+	if c.foreignErr == nil {
+		c.foreignErr = map[string]error{}
+	}
+	c.foreignErr[key] = err
+	return err
+}
+
+// probed resolves a mix slot Probe has already seen: a live entry, a
 // scoring probe or a memoized failure. seen is false for an unseen mix.
-func (c *Cache) probed(key []byte) (e *Entry, live, seen bool, err error) {
-	if e, ok := c.entries[string(key)]; ok {
-		return e, true, true, nil
-	}
-	if e, ok := c.probes[string(key)]; ok {
-		return e, false, true, nil
-	}
-	if err, ok := c.probeErr[string(key)]; ok {
-		return nil, false, true, err
+func (c *Cache) probed(s int32) (e *Entry, live, seen bool, err error) {
+	switch sl := &c.slots[s]; {
+	case sl.live != nil:
+		return sl.live, true, true, nil
+	case sl.probe != nil:
+		return sl.probe, false, true, nil
+	case sl.err != nil:
+		return nil, false, true, sl.err
 	}
 	return nil, false, false, nil
 }
@@ -552,47 +680,58 @@ func (c *Cache) probed(key []byte) (e *Entry, live, seen bool, err error) {
 func (c *Cache) ProbeAll(mixes [][]string, nowMs float64) ([]*Entry, []error) {
 	entries := make([]*Entry, len(mixes))
 	errs := make([]error, len(mixes))
-	c.probeAll(mixes, nowMs, entries, errs)
+	tuples := make([][]int, len(mixes))
+	for i, mix := range mixes {
+		if len(mix) == 0 {
+			errs[i] = errEmptyMix
+			continue
+		}
+		t, ok := resolve(nil, mix)
+		if !ok {
+			errs[i] = c.probeForeign(mix)
+			continue
+		}
+		tuples[i] = t
+	}
+	c.probeAll(tuples, nowMs, entries, errs)
 	return entries, errs
 }
 
-// probeAll is ProbeAll writing into caller-provided, zeroed result slots
-// (each len(mixes) long). Each mix is keyed once, in a stack buffer; only
-// an unseen mix allocates its key and canonical copy.
-func (c *Cache) probeAll(mixes [][]string, nowMs float64, entries []*Entry, errs []error) {
+// probeAll is ProbeAll on canonical mixes given as sorted zoo index
+// tuples, writing into caller-provided result slots (each len(mixes)
+// long). A nil mix is skipped, its slots left as the caller set them.
+// Only an unseen mix allocates: its key, its names and its build.
+func (c *Cache) probeAll(mixes [][]int, nowMs float64, entries []*Entry, errs []error) {
 	type build struct {
-		key   string
-		canon []string
-		slots []int
-		e     *Entry
-		err   error
+		slot int32
+		mix  []int
+		at   []int // the positions of mixes this build answers
+		e    *Entry
+		err  error
 	}
-	var (
-		builds []*build
-		byKey  map[string]*build
-	)
+	var builds []*build
 	for i, mix := range mixes {
-		if len(mix) == 0 {
-			errs[i] = fmt.Errorf("serve: empty workload mix")
+		if mix == nil {
 			continue
 		}
-		var buf [keyBufLen]byte
-		kb := c.lookupKey(buf[:0], mix)
-		if e, _, seen, err := c.probed(kb); seen {
+		s := c.slotOf(mix)
+		if e, _, seen, err := c.probed(s); seen {
 			entries[i], errs[i] = e, err
 			continue
 		}
 		// An unseen mix; a duplicate of an earlier one shares its build.
-		b := byKey[string(kb)]
-		if b == nil {
-			b = &build{key: string(kb), canon: canonical(mix)}
-			if byKey == nil {
-				byKey = map[string]*build{}
+		var b *build
+		for _, o := range builds {
+			if o.slot == s {
+				b = o
+				break
 			}
-			byKey[b.key] = b
+		}
+		if b == nil {
+			b = &build{slot: s, mix: mix}
 			builds = append(builds, b)
 		}
-		b.slots = append(b.slots, i)
+		b.at = append(b.at, i)
 	}
 	if len(builds) == 0 {
 		return
@@ -603,9 +742,9 @@ func (c *Cache) probeAll(mixes [][]string, nowMs float64, entries []*Entry, errs
 		//detlint:allow baregoroutine ProbeAll solve pool: serial dedupe before, wg.Wait barrier after, results committed in first-appearance order
 		go func(b *build) {
 			defer wg.Done()
-			e, err := c.build(b.key, b.canon, nowMs)
-			if err == nil && c.cfg.Solve && c.owned(b.key) {
-				e.Any, err = core.AnytimeFromProfile(c.request(b.canon), e.Prob, e.Profile)
+			e, err := c.build(b.slot, b.mix, nowMs)
+			if err == nil && c.cfg.Solve && c.owned(e.Key) {
+				e.Any, err = core.AnytimeFromProfile(c.request(e.Networks), e.Prob, e.Profile)
 			}
 			b.e, b.err = e, err
 		}(b)
@@ -615,20 +754,17 @@ func (c *Cache) probeAll(mixes [][]string, nowMs float64, entries []*Entry, errs
 		if b.err != nil {
 			// A failed solve leaves a built entry behind; like Probe, the
 			// slots get the memoized error and no entry.
-			c.probeErr[b.key] = b.err
-			for _, i := range b.slots {
+			c.slots[b.slot].err = b.err
+			for _, i := range b.at {
 				errs[i] = b.err
 			}
 			continue
 		}
-		if c.cfg.Solve && !c.owned(b.key) {
-			c.deferSolve(b.key, b.canon)
+		if c.cfg.Solve && !c.owned(b.e.Key) {
+			c.deferSolve(b.e)
 		}
-		c.Probes++
-		c.trace(obs.Event{AtMs: nowMs, Kind: obs.KindCacheProbe, Request: obs.NoRequest,
-			Detail: b.key, Value: float64(b.e.solverNodes())})
-		c.probes[b.key] = b.e
-		for _, i := range b.slots {
+		c.addProbe(b.e, nowMs)
+		for _, i := range b.at {
 			entries[i] = b.e
 		}
 	}
@@ -645,23 +781,30 @@ func (c *Cache) request(canon []string) core.Request {
 	}
 }
 
-// build characterizes a canonical mix into an unsolved entry (problem,
-// profile, naive schedule). It does not register the entry or touch the
-// effectiveness counters — Lookup, SeedFromSchedule and Import each finish
-// it their own way.
-func (c *Cache) build(key string, canon []string, nowMs float64) (*Entry, error) {
+// build characterizes the canonical mix of slot s, given as its sorted
+// zoo index tuple, into an unsolved entry (problem, profile, naive
+// schedule) carrying the mix's names and key. It reads nothing but the
+// configuration and touches no cache state — it runs on ProbeAll's pool —
+// so it neither registers the entry nor counts anything: Lookup, Probe,
+// SeedFromSchedule and Import each finish it their own way.
+func (c *Cache) build(s int32, mix []int, nowMs float64) (*Entry, error) {
+	canon := make([]string, len(mix))
+	for k, i := range mix {
+		canon[k] = nn.Name(i)
+	}
 	prob, pr, err := core.Prepare(c.request(canon))
 	if err != nil {
 		return nil, err
 	}
 	return &Entry{
-		Key:       key,
+		Key:       c.key(canon),
 		Networks:  canon,
 		Prob:      prob,
 		Profile:   pr,
 		Naive:     baselines.GPUOnly(pr),
 		CreatedMs: nowMs,
 		cache:     c,
+		slot:      s,
 		evals:     map[string]*schedule.Eval{},
 	}, nil
 }
@@ -680,11 +823,12 @@ func (e *Entry) solverNodes() int {
 // solver-effort metric.
 func (c *Cache) SolverNodes() int {
 	total := 0
-	for _, e := range c.entries {
-		total += e.solverNodes()
-	}
-	for _, e := range c.probes {
-		total += e.solverNodes()
+	for _, sl := range c.slots {
+		for _, e := range [...]*Entry{sl.live, sl.probe} {
+			if e != nil {
+				total += e.solverNodes()
+			}
+		}
 	}
 	return total
 }
@@ -698,8 +842,8 @@ func (c *Cache) FillMetrics(reg *obs.Registry) {
 		return
 	}
 	p := "cache." + c.deviceLabel() + "."
-	reg.Set(p+"entries", float64(len(c.entries)))
-	reg.Set(p+"probes_live", float64(len(c.probes)))
+	reg.Set(p+"entries", float64(c.live))
+	reg.Set(p+"probes_live", float64(c.probes))
 	reg.Set(p+"solver_nodes", float64(c.SolverNodes()))
 	reg.Set(p+"hits", float64(c.Hits))
 	reg.Set(p+"misses", float64(c.Misses))
@@ -782,6 +926,10 @@ func (e *Entry) Evaluate(s *schedule.Schedule) (*schedule.Eval, error) {
 	e.remember(s, ev)
 	return ev, nil
 }
+
+// keyBufLen sizes the stack buffers schedule keys are built in; a longer
+// key spills to the heap, which costs an allocation but not correctness.
+const keyBufLen = 128
 
 // ownEval is one identity-memo slot: one of the entry's own schedules and
 // its evaluation.

@@ -74,13 +74,12 @@ func TestSolveOwnershipDeferral(t *testing.T) {
 
 	// Gossiping the owner's schedule back settles the stub *in place* —
 	// the entry pointer already in the dispatch path upgrades.
-	donor := owner.entries[wants[0].Key].Best()
+	donor := liveEntry(owner, wants[0].Networks).Best()
 	added, err := follower.GossipSeed(wants[0].Networks, donor, 40)
 	if err != nil || !added {
 		t.Fatalf("gossip settle: added=%v err=%v", added, err)
 	}
-	key, _ := follower.mixKey(mix)
-	if follower.entries[key] != e {
+	if liveEntry(follower, mix) != e {
 		t.Fatal("gossip import replaced the deferred stub instead of upgrading it")
 	}
 	if !e.settled {

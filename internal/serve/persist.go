@@ -11,10 +11,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 
 	"haxconn/internal/core"
-	"haxconn/internal/obs"
 	"haxconn/internal/schedule"
 )
 
@@ -48,13 +49,14 @@ func (c *Cache) Export() *CacheSnapshot {
 		Objective: c.cfg.Objective.String(),
 		MaxGroups: c.cfg.MaxGroups,
 	}
-	keys := make([]string, 0, len(c.entries))
-	for k := range c.entries {
-		keys = append(keys, k)
+	live := make([]*Entry, 0, c.live)
+	for _, sl := range c.slots {
+		if sl.live != nil {
+			live = append(live, sl.live)
+		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		e := c.entries[k]
+	slices.SortFunc(live, func(a, b *Entry) int { return strings.Compare(a.Key, b.Key) })
+	for _, e := range live {
 		snap.Entries = append(snap.Entries, EntrySnapshot{
 			Networks: append([]string(nil), e.Networks...),
 			Assign:   e.Best().Clone().Assign,
@@ -90,11 +92,15 @@ func (c *Cache) Import(snap *CacheSnapshot) (int, error) {
 			// owning shard's solve never reached this snapshot.
 			continue
 		}
-		key, canon := c.mixKey(es.Networks)
-		if _, ok := c.entries[key]; ok {
+		mix, ok := resolve(nil, es.Networks)
+		if !ok {
+			return n, c.foreign(es.Networks)
+		}
+		slot := c.slotOf(mix)
+		if c.slots[slot].live != nil {
 			continue
 		}
-		e, err := c.build(key, canon, 0)
+		e, err := c.build(slot, mix, 0)
 		if err != nil {
 			return n, err
 		}
@@ -103,11 +109,11 @@ func (c *Cache) Import(snap *CacheSnapshot) (int, error) {
 			s.Assign = append(s.Assign, append([]int(nil), row...))
 		}
 		if err := s.Validate(e.Profile); err != nil {
-			return n, fmt.Errorf("serve: snapshot entry %q: %w", key, err)
+			return n, fmt.Errorf("serve: snapshot entry %q: %w", e.Key, err)
 		}
 		e.Seeded = s
 		e.settled = true
-		c.put(key, e)
+		c.put(e)
 		n++
 	}
 	return n, nil
@@ -169,8 +175,13 @@ func (c *Cache) seedSchedule(networks []string, donor *schedule.Schedule, nowMs 
 	if donor == nil {
 		return nil, false, fmt.Errorf("serve: nil donor schedule")
 	}
-	key, canon := c.mixKey(networks)
-	if e, ok := c.entries[key]; ok {
+	var buf [mixBufLen]int
+	mix, ok := resolve(buf[:0], networks)
+	if !ok {
+		return nil, false, c.foreign(networks)
+	}
+	slot := c.slotOf(mix)
+	if e := c.slots[slot].live; e != nil {
 		if !gossiped || e.Any != nil || e.settled {
 			return nil, false, nil
 		}
@@ -184,10 +195,7 @@ func (c *Cache) seedSchedule(networks []string, donor *schedule.Schedule, nowMs 
 		c.logExportable(e)
 		return e, true, nil
 	}
-	if e, ok := c.probes[key]; ok {
-		delete(c.probes, key)
-		c.Promotions++
-		c.trace(obs.Event{AtMs: nowMs, Kind: obs.KindCachePromote, Request: obs.NoRequest, Detail: key})
+	if e := c.promote(slot, nowMs); e != nil {
 		if e.Seeded == nil {
 			c.adoptDonor(e, donor)
 		}
@@ -197,10 +205,10 @@ func (c *Cache) seedSchedule(networks []string, donor *schedule.Schedule, nowMs 
 			e.settled = true
 			e.gossiped = true
 		}
-		c.put(key, e)
+		c.put(e)
 		return e, true, nil
 	}
-	e, err := c.build(key, canon, nowMs)
+	e, err := c.build(slot, mix, nowMs)
 	if err != nil {
 		return nil, false, err
 	}
@@ -210,13 +218,13 @@ func (c *Cache) seedSchedule(networks []string, donor *schedule.Schedule, nowMs 
 		// settled optimum, so adopt it (or the naive tie) without a solve.
 		e.settled = true
 	} else if c.cfg.Solve {
-		e.Any, err = core.AnytimeFromProfileSeeded(c.request(canon), e.Prob, e.Profile, e.Seeded)
+		e.Any, err = core.AnytimeFromProfileSeeded(c.request(e.Networks), e.Prob, e.Profile, e.Seeded)
 		if err != nil {
 			return nil, false, err
 		}
 	}
 	e.gossiped = gossiped
-	c.put(key, e)
+	c.put(e)
 	return e, true, nil
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -250,8 +251,7 @@ func TestSeedPromotesProbe(t *testing.T) {
 	if !added {
 		t.Fatal("gossip import of a probed mix did not register an entry")
 	}
-	key, _ := target.mixKey(mix)
-	e := target.entries[key]
+	e := liveEntry(target, mix)
 	if e != pe {
 		t.Fatal("gossip import rebuilt the entry instead of promoting the probe")
 	}
@@ -261,8 +261,8 @@ func TestSeedPromotesProbe(t *testing.T) {
 	if e.Any != pe.Any {
 		t.Error("promoted entry lost the probe's incumbent stream")
 	}
-	if len(target.probes) != 0 {
-		t.Errorf("probe not removed on promotion: %d live probes", len(target.probes))
+	if n := liveProbes(target); n != 0 {
+		t.Errorf("probe not removed on promotion: %d live probes", n)
 	}
 	if target.Promotions != 1 {
 		t.Errorf("Promotions = %d, want 1", target.Promotions)
@@ -280,7 +280,7 @@ func TestSeedPromotesProbe(t *testing.T) {
 	if added {
 		t.Error("re-gossip of a live mix reported a fresh import")
 	}
-	if target.entries[key] != e || e.CreatedMs != 0 || target.Promotions != 1 {
+	if liveEntry(target, mix) != e || e.CreatedMs != 0 || target.Promotions != 1 {
 		t.Error("re-gossip mutated the live entry")
 	}
 
@@ -326,4 +326,70 @@ func TestGossipSeedWarmHit(t *testing.T) {
 	if warm.Misses != 0 || warm.Hits != 2 {
 		t.Errorf("stats: hits=%d misses=%d, want 2/0", warm.Hits, warm.Misses)
 	}
+}
+
+// FuzzCacheImport: hostile cache files go through LoadSnapshots and each
+// snapshot is imported into a fresh Orin cache. The result is an error or
+// a count, never a panic; and after a clean import every solved mix is a
+// Lookup hit deploying the snapshot's assignment (the first one listed
+// for its mix: Import leaves a live mix untouched), one import per mix.
+func FuzzCacheImport(f *testing.F) {
+	cfg := CacheConfig{Platform: soc.Orin(), Solve: true, SolverTimeScale: 50}
+	donor, err := NewCache(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, mix := range [][]string{{"VGG19", "ResNet152"}, {"AlexNet"}, {"SqueezeNet", "SqueezeNet", "ResNet18"}} {
+		if _, err := donor.EnsureSolved(mix, 0); err != nil {
+			f.Fatal(err)
+		}
+	}
+	var file bytes.Buffer
+	if err := SaveCaches(&file, donor); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(file.Bytes())
+	f.Add([]byte(`{"caches":[{"platform":"Orin","objective":"MinLatency","max_groups":0,"entries":[` +
+		`{"networks":["VGG19","AlexNet"],"assign":[[0],[1]],"solved":true},` +
+		`{"networks":["AlexNet","VGG19"],"assign":[[1],[0]],"solved":true},` +
+		`{"networks":[],"assign":[],"solved":true},` +
+		`{"networks":["NoSuchNet"],"assign":[[0]],"solved":true}]}]}`))
+	f.Add([]byte(`{"caches":[null]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snaps, err := LoadSnapshots(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, snap := range snaps {
+			c, err := NewCache(CacheConfig{Platform: soc.Orin()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := c.Import(snap)
+			if err != nil {
+				continue
+			}
+			first := map[string][][]int{}
+			for _, es := range snap.Entries {
+				if !es.Solved {
+					continue
+				}
+				key, _ := modelKey(es.Networks)
+				if _, ok := first[key]; ok {
+					continue
+				}
+				first[key] = es.Assign
+				e, hit, err := c.Lookup(es.Networks, 0)
+				if err != nil || !hit {
+					t.Fatalf("imported mix %v: hit=%v err=%v", es.Networks, hit, err)
+				}
+				if got := e.Use(0).Assign; !slices.EqualFunc(got, es.Assign, slices.Equal[[]int]) {
+					t.Fatalf("imported mix %v deploys %v, snapshot %v", es.Networks, got, es.Assign)
+				}
+			}
+			if n != len(first) || c.Len() != n {
+				t.Fatalf("Import counted %d, cache holds %d, snapshot lists %d solved mixes", n, c.Len(), len(first))
+			}
+		}
+	})
 }

@@ -263,18 +263,24 @@ func (c Config) CacheConfig() CacheConfig {
 // start of a fresh virtual timeline; Offer/Step advance it one event at a
 // time, and Serve drives a whole trace.
 type Runtime struct {
-	cfg        Config
-	cache      *Cache
-	former     MixFormer
-	standalone map[string]float64 // per-network standalone service estimate
-	demand     map[string]float64 // per-network standalone memory-demand estimate
-	prepErr    map[string]error   // per-network characterization failure (negative cache)
-	prepares   int                // core.Prepare calls issued by the estimators
+	cfg    Config
+	cache  *Cache
+	former MixFormer
+	// est and estErr are the per-network estimate memos by zoo index: the
+	// estimates (nil until the first characterization) and the failures,
+	// the negative cache (nil until the first failure). foreignErr
+	// memoizes the failures of names outside the zoo, which admission
+	// rejects but placement may still ask about.
+	est        []netEstimate
+	estErr     []error
+	foreignErr map[string]error
+	prepares   int // core.Prepare calls issued by the estimators
 
 	// Virtual-timeline state, advanced by Offer and Step.
 	clockMs float64 // end of the last dispatched round
 	busyMs  float64 // total round time (clock advance while dispatching)
 	pending []Request
+	nets    []int     // pending[i]'s zoo index, resolved at admission
 	waited  []int     // rounds pending[i] was eligible but passed over
 	demands []float64 // pending[i]'s DemandGBps, NaN until first read (pendingDemand)
 	// queued counts each tenant's pending requests for the MaxQueue
@@ -294,7 +300,9 @@ type Runtime struct {
 	// Cache effectiveness local to this runtime: with a shared cache the
 	// cache's own counters aggregate over all devices in the group.
 	hits, misses, upgrades int
-	lastSched              map[string]*schedule.Schedule // last deployed schedule per mix key
+	// lastSched is the schedule this runtime last deployed for each cache
+	// mix slot; nil where it deployed none.
+	lastSched []*schedule.Schedule
 
 	// Observability state (see Config.Tracer/Metrics).
 	peakQueue int // high watermark of the pending queue
@@ -305,8 +313,9 @@ type Runtime struct {
 	// and entries copy what they keep), so pooling them removes the
 	// dispatcher's steady-state allocations per round.
 	candScratch    []Candidate
-	mixScratch     []string
 	batchScratch   []Request
+	batchNets      []int
+	fitMarks       []bool
 	composeScratch composeScratch
 
 	// score is the round arena every mix policy and the contention-aware
@@ -318,23 +327,27 @@ type Runtime struct {
 	scoreManyFn BatchScorerMany
 }
 
-// scoreArena is one dispatch round's arena: the eligible candidates and
-// the round start the mix scorer reads, plus an arena per element type
-// that the mix policy (FormInput carries it) and every scoring wave carve
-// their buffers from. Step resets it at the start of every round, under
-// every policy, and nothing carved from it is reused within the round, so
-// a first wave's scores stay valid while the lookahead wave runs,
-// BatchScore.EndMs lives until Form returns and the policy's selection
-// until the next round. Once the arenas have grown to a round's demand,
-// forming and scoring a batch allocate nothing.
+// netEstimate is one network's standalone estimates on a runtime: its
+// contention-free service time, NaN until the network is characterized,
+// and its memory demand.
+type netEstimate struct{ standaloneMs, demandGBps float64 }
+
+// scoreArena is one dispatch round's arena: the eligible candidates, their
+// zoo indices and the round start the mix scorer reads, plus an arena per
+// element type that the mix policy (FormInput carries it) and every
+// scoring wave carve their buffers from. Step begins it afresh every
+// round, under every policy, and nothing carved from it is reused within
+// the round, so a first wave's scores stay valid while the lookahead wave
+// runs, BatchScore.EndMs lives until Form returns and the policy's
+// selection until the next round. Once the arenas have grown to a round's
+// demand, forming and scoring a batch allocate nothing.
 type scoreArena struct {
 	cands   []Candidate
+	nets    []int // cands[i]'s zoo index, -1 outside the zoo
 	startMs float64
 
 	ints    []int
 	lists   [][]int
-	names   []string
-	mixes   [][]string
 	floats  []float64
 	scores  []BatchScore
 	oks     []bool
@@ -343,11 +356,12 @@ type scoreArena struct {
 	evals   []*schedule.Eval
 }
 
-// reset starts a round: the arenas are emptied, keeping their capacity.
-func (a *scoreArena) reset(cands []Candidate, startMs float64) {
-	a.cands, a.startMs = cands, startMs
-	a.ints, a.lists, a.names, a.mixes = a.ints[:0], a.lists[:0], a.names[:0], a.mixes[:0]
-	a.floats, a.scores, a.oks = a.floats[:0], a.scores[:0], a.oks[:0]
+// begin starts a round over cands, whose zoo indices are nets: the arenas
+// are emptied, keeping their capacity.
+func (a *scoreArena) begin(cands []Candidate, nets []int, startMs float64) {
+	a.cands, a.nets, a.startMs = cands, nets, startMs
+	a.ints, a.lists, a.floats = a.ints[:0], a.lists[:0], a.floats[:0]
+	a.scores, a.oks = a.scores[:0], a.oks[:0]
 	a.entries, a.errs, a.evals = a.entries[:0], a.errs[:0], a.evals[:0]
 }
 
@@ -425,14 +439,10 @@ func New(cfg Config) (*Runtime, error) {
 		cache.name = cfg.Name
 	}
 	rt := &Runtime{
-		cfg:        cfg,
-		cache:      cache,
-		former:     former,
-		standalone: map[string]float64{},
-		demand:     map[string]float64{},
-		prepErr:    map[string]error{},
-		lastSched:  map[string]*schedule.Schedule{},
-		tally:      newTally(cfg.SketchMetrics),
+		cfg:    cfg,
+		cache:  cache,
+		former: former,
+		tally:  newTally(cfg.SketchMetrics),
 	}
 	if cfg.MaxQueue > 0 {
 		rt.queued = map[string]int{}
@@ -533,6 +543,7 @@ func (r *Runtime) Reset() {
 	r.clockMs = 0
 	r.busyMs = 0
 	r.pending = nil
+	r.nets = nil
 	r.waited = nil
 	r.demands = nil
 	clear(r.queued)
@@ -543,7 +554,7 @@ func (r *Runtime) Reset() {
 	r.completions = nil
 	r.rounds = 0
 	r.hits, r.misses, r.upgrades = 0, 0, 0
-	r.lastSched = map[string]*schedule.Schedule{}
+	clear(r.lastSched)
 	r.peakQueue = 0
 	r.forced = 0
 	if r.cfg.SharedCache == nil {
@@ -588,20 +599,64 @@ func (r *Runtime) record(c Completion) {
 	}
 }
 
-// characterize fills the per-network estimate memos (standalone service
-// time and memory demand) with one core.Prepare, whose tables come from the
-// profiler's process-wide memo once any runtime on the same platform has
-// characterized the network. It negative-caches the failure: a network
+// estimate returns the estimates of zoo network i, characterizing it the
+// first time it is asked for. It negative-caches the failure: a network
 // whose characterization fails once is never re-prepared — the hot
 // dispatch path (demand ranking, spread probes, admission and backlog
 // estimates) must not repeat a failing prepare every round.
-func (r *Runtime) characterize(network string) error {
-	if _, ok := r.standalone[network]; ok {
-		return nil
+func (r *Runtime) estimate(i int) (netEstimate, error) {
+	if e := r.estimates()[i]; !math.IsNaN(e.standaloneMs) {
+		return e, nil
 	}
-	if err, ok := r.prepErr[network]; ok {
-		return err
+	if r.estErr != nil && r.estErr[i] != nil {
+		return netEstimate{}, r.estErr[i]
 	}
+	ms, d, err := r.characterize(nn.Name(i))
+	if err != nil {
+		if r.estErr == nil {
+			r.estErr = make([]error, nn.Count())
+		}
+		r.estErr[i] = err
+		return netEstimate{}, err
+	}
+	r.est[i] = netEstimate{ms, d}
+	return r.est[i], nil
+}
+
+// estimates returns the estimate memo, allocating it, every network
+// uncharacterized, on first use.
+func (r *Runtime) estimates() []netEstimate {
+	if r.est == nil {
+		r.est = make([]netEstimate, nn.Count())
+		for i := range r.est {
+			r.est[i].standaloneMs = math.NaN()
+		}
+	}
+	return r.est
+}
+
+// estimateOf is estimate by network name. A name outside the zoo cannot be
+// characterized; its failure is memoized by name.
+func (r *Runtime) estimateOf(network string) (netEstimate, error) {
+	if i, ok := nn.Index(network); ok {
+		return r.estimate(i)
+	}
+	err, ok := r.foreignErr[network]
+	if !ok {
+		_, _, err = r.characterize(network)
+		if r.foreignErr == nil {
+			r.foreignErr = map[string]error{}
+		}
+		r.foreignErr[network] = err
+	}
+	return netEstimate{}, err
+}
+
+// characterize computes a network's standalone estimates (service time and
+// memory demand) with one core.Prepare, whose tables come from the
+// profiler's process-wide memo once any runtime on the same platform has
+// characterized the network.
+func (r *Runtime) characterize(network string) (standaloneMs, demandGBps float64, err error) {
 	r.prepares++
 	_, pr, err := core.Prepare(core.Request{
 		Platform:  r.cfg.Platform,
@@ -609,10 +664,8 @@ func (r *Runtime) characterize(network string) error {
 		MaxGroups: r.cfg.MaxGroups,
 	})
 	if err != nil {
-		r.prepErr[network] = err
-		return err
+		return 0, 0, err
 	}
-	r.standalone[network] = schedule.MinBaseLatencyMs(pr, 0, 1)
 	var weighted, total float64
 	for g := range pr.Groups[0] {
 		best := pr.Allowed[0]
@@ -629,8 +682,7 @@ func (r *Runtime) characterize(network string) error {
 	if total > 0 {
 		d = weighted / total
 	}
-	r.demand[network] = d
-	return nil
+	return schedule.MinBaseLatencyMs(pr, 0, 1), d, nil
 }
 
 // PrepareCalls reports how many core.Prepare calls the runtime's
@@ -648,10 +700,11 @@ func (r *Runtime) PrepareCalls() int { return r.prepares }
 // successes, so a network that cannot be characterized costs one prepare,
 // ever.
 func (r *Runtime) StandaloneMs(network string) (float64, error) {
-	if err := r.characterize(network); err != nil {
+	e, err := r.estimateOf(network)
+	if err != nil {
 		return 0, err
 	}
-	return r.standalone[network], nil
+	return e.standaloneMs, nil
 }
 
 // DemandGBps estimates a network's standalone memory demand on this
@@ -662,10 +715,11 @@ func (r *Runtime) StandaloneMs(network string) (float64, error) {
 // and independent of the schedule cache so demand ranking never perturbs
 // hit accounting.
 func (r *Runtime) DemandGBps(network string) (float64, error) {
-	if err := r.characterize(network); err != nil {
+	e, err := r.estimateOf(network)
+	if err != nil {
 		return 0, err
 	}
-	return r.demand[network], nil
+	return e.demandGBps, nil
 }
 
 // scoreOne is the round's BatchScorer: the analytic contention model
@@ -684,44 +738,41 @@ func (r *Runtime) scoreOne(sel []int) (BatchScore, bool) {
 
 // scoreMany is the round's BatchScorerMany: scoreOne over a whole
 // candidate set at once. Each selection is canonicalized on the round's
-// arena (ascending queue order, then stable-sorted by network name as
-// dispatch orders the batch), the unseen mixes' characterizations and
-// speculative solves run concurrently (Cache.ProbeAll), and evaluations
+// arena (sorted by zoo index — name order — and queue order among equals,
+// as dispatch orders the batch), the unseen mixes' characterizations and
+// speculative solves run concurrently (Cache.probeAll), and evaluations
 // the entries have not memoized run on the evaluation pool
 // (evaluateAll). Scores, cache counters and the cache-probe and
 // mix-score event streams are identical to scoring each sel serially —
 // results are assembled and events emitted in sel order after the
 // concurrent work joins. Only the interleaving of the two kinds differs:
-// a wave commits its probes before it emits its scores.
+// a wave commits its probes before it emits its scores. A selection
+// naming a network outside the zoo does not score.
 func (r *Runtime) scoreMany(sels [][]int) ([]BatchScore, []bool) {
 	sc := &r.score
-	cands := sc.cands
+	nets := sc.nets
 	scores, oks := carve(&sc.scores, len(sels)), carve(&sc.oks, len(sels))
-	perms := carveRaw(&sc.lists, len(sels))
-	mixes := carveRaw(&sc.mixes, len(sels))[:0]
+	canons := carveRaw(&sc.lists, len(sels))
+	mixes := carveRaw(&sc.lists, len(sels))[:0]
 	pos := carveRaw(&sc.ints, len(sels))[:0]
 	for i, sel := range sels {
-		if len(sel) == 0 {
-			perms[i] = nil
+		canons[i] = nil
+		if len(sel) == 0 || slices.ContainsFunc(sel, func(j int) bool { return nets[j] < 0 }) {
 			continue
 		}
-		idx := carveRaw(&sc.ints, len(sel))
-		copy(idx, sel)
-		slices.Sort(idx)
-		// Canonical mix order mirrors dispatch: stable-sorted by network
-		// name, queue order among equals, so StreamEndMs maps 1:1.
-		perm := carveRaw(&sc.ints, len(sel))
-		for k := range perm {
-			perm[k] = k
+		// Canonical mix order mirrors dispatch: by zoo index, queue order
+		// among equals, so StreamEndMs maps 1:1 onto canon.
+		canon, mix := carveRaw(&sc.ints, len(sel)), carveRaw(&sc.ints, len(sel))
+		for k, j := range sel {
+			canon[k], mix[k] = j, nets[j]
 		}
-		slices.SortStableFunc(perm, func(a, b int) int {
-			return strings.Compare(cands[idx[a]].Network, cands[idx[b]].Network)
-		})
-		mix := carveRaw(&sc.names, len(sel))
-		for k, pi := range perm {
-			mix[k] = cands[idx[pi]].Network
+		for k := 1; k < len(mix); k++ {
+			for j := k; j > 0 && (mix[j] < mix[j-1] || mix[j] == mix[j-1] && canon[j] < canon[j-1]); j-- {
+				mix[j], mix[j-1] = mix[j-1], mix[j]
+				canon[j], canon[j-1] = canon[j-1], canon[j]
+			}
 		}
-		perms[i] = perm
+		canons[i] = canon
 		mixes = append(mixes, mix)
 		pos = append(pos, i)
 	}
@@ -736,11 +787,20 @@ func (r *Runtime) scoreMany(sels [][]int) ([]BatchScore, []bool) {
 		}
 		if r.cfg.Tracer != nil {
 			r.trace(obs.Event{AtMs: sc.startMs, Kind: obs.KindMixScore, Request: obs.NoRequest,
-				Detail: strings.Join(mixes[k], "+"), Value: ev.MakespanMs})
+				Detail: strings.Join(entries[k].Networks, "+"), Value: ev.MakespanMs})
 		}
-		ends := carveRaw(&sc.floats, len(perms[i]))
-		for j, pi := range perms[i] {
-			ends[pi] = ev.StreamEndMs[j]
+		// EndMs is in ascending queue order: canon[j]'s end goes to its
+		// rank in the selection.
+		canon := canons[i]
+		ends := carveRaw(&sc.floats, len(canon))
+		for j, q := range canon {
+			rank := 0
+			for l, o := range canon {
+				if o < q || o == q && l < j {
+					rank++
+				}
+			}
+			ends[rank] = ev.StreamEndMs[j]
 		}
 		scores[i], oks[i] = BatchScore{MakespanMs: ev.MakespanMs, EndMs: ends}, true
 	}
@@ -841,18 +901,20 @@ func (r *Runtime) MixFitMs(network string) (float64, error) {
 	if len(r.pending) == 0 {
 		return r.StandaloneMs(network)
 	}
-	seen := map[string]bool{}
-	names := make([]string, 0, len(r.pending))
-	for _, p := range r.pending {
-		if !seen[p.Network] {
-			seen[p.Network] = true
-			names = append(names, p.Network)
-		}
+	// Each distinct pending network once, in index (that is, name) order.
+	if r.fitMarks == nil {
+		r.fitMarks = make([]bool, nn.Count())
 	}
-	sort.Strings(names)
+	clear(r.fitMarks)
+	for _, q := range r.nets {
+		r.fitMarks[q] = true
+	}
 	best := math.Inf(1)
-	for _, q := range names {
-		ev, err := r.scoreMix([]string{network, q}, r.clockMs)
+	for q, pending := range r.fitMarks {
+		if !pending {
+			continue
+		}
+		ev, err := r.scoreMix([]string{network, nn.Name(q)}, r.clockMs)
 		if err != nil {
 			return 0, err
 		}
@@ -862,18 +924,19 @@ func (r *Runtime) MixFitMs(network string) (float64, error) {
 }
 
 // pendingDemand returns pending[i]'s demand estimate from its slot,
-// filling the slot through DemandGBps the first time it is read. A failed
-// estimate leaves the slot empty, so every read repeats the memoized error.
+// filling the slot from its network's estimates the first time it is read.
+// A failed estimate leaves the slot empty, so every read repeats the
+// memoized error.
 func (r *Runtime) pendingDemand(i int) (float64, error) {
 	if d := r.demands[i]; !math.IsNaN(d) {
 		return d, nil
 	}
-	d, err := r.DemandGBps(r.pending[i].Network)
+	e, err := r.estimate(r.nets[i])
 	if err != nil {
 		return 0, err
 	}
-	r.demands[i] = d
-	return d, nil
+	r.demands[i] = e.demandGBps
+	return e.demandGBps, nil
 }
 
 // PendingDemandSpread is the gap between the heaviest and lightest
@@ -902,12 +965,12 @@ func (r *Runtime) PendingDemandSpread() (float64, error) {
 // dispatch width.
 func (r *Runtime) BacklogMs() (float64, error) {
 	var total float64
-	for _, p := range r.pending {
-		ms, err := r.StandaloneMs(p.Network)
+	for _, i := range r.nets {
+		e, err := r.estimate(i)
 		if err != nil {
 			return 0, err
 		}
-		total += ms
+		total += e.standaloneMs
 	}
 	return total / float64(r.cfg.MaxBatch), nil
 }
@@ -920,36 +983,37 @@ const (
 	RejectSLO            = "slo-unattainable"
 )
 
-// admit decides whether to accept a request given the current backlog.
-// It returns a non-empty reason when the request is rejected. Malformed
-// requests (no tenant, a reserved tenant name, an unknown network) are
-// rejected rather than erroring, so one bad request cannot take down the
-// serving loop.
-func (r *Runtime) admit(req Request, nowMs float64) (string, error) {
+// admit decides whether to accept a request given the current backlog,
+// resolving its network to its zoo index. It returns a non-empty reason
+// when the request is rejected. Malformed requests (no tenant, a reserved
+// tenant name, an unknown network) are rejected rather than erroring, so
+// one bad request cannot take down the serving loop.
+func (r *Runtime) admit(req Request, nowMs float64) (reason string, net int, err error) {
 	if req.Tenant == "" || req.Tenant == totalName {
-		return RejectInvalidTenant, nil
+		return RejectInvalidTenant, 0, nil
 	}
-	if _, err := nn.ByName(req.Network); err != nil {
-		return RejectUnknownNetwork, nil
+	net, ok := nn.Index(req.Network)
+	if !ok {
+		return RejectUnknownNetwork, 0, nil
 	}
 	if r.cfg.MaxQueue > 0 && r.queued[req.Tenant] >= r.cfg.MaxQueue {
-		return RejectQueueFull, nil
+		return RejectQueueFull, net, nil
 	}
 	if r.cfg.AdmitSLOFactor > 0 && req.SLOMs > 0 {
 		backlog, err := r.BacklogMs()
 		if err != nil {
-			return "", err
+			return "", net, err
 		}
-		service, err := r.StandaloneMs(req.Network)
+		service, err := r.estimate(net)
 		if err != nil {
-			return "", err
+			return "", net, err
 		}
-		est := (nowMs - req.ArrivalMs) + backlog + service
+		est := (nowMs - req.ArrivalMs) + backlog + service.standaloneMs
 		if est > r.cfg.AdmitSLOFactor*req.SLOMs {
-			return RejectSLO, nil
+			return RejectSLO, net, nil
 		}
 	}
-	return "", nil
+	return "", net, nil
 }
 
 // Offer hands the runtime one arriving request. The admission controller
@@ -962,7 +1026,7 @@ func (r *Runtime) Offer(req Request) (bool, error) {
 	now := math.Max(r.clockMs, req.ArrivalMs)
 	r.trace(obs.Event{AtMs: req.ArrivalMs, Kind: obs.KindArrive,
 		Tenant: req.Tenant, Network: req.Network, Request: req.ID})
-	reason, err := r.admit(req, now)
+	reason, net, err := r.admit(req, now)
 	if err != nil {
 		return false, err
 	}
@@ -974,6 +1038,7 @@ func (r *Runtime) Offer(req Request) (bool, error) {
 		r.queued[req.Tenant]++
 	}
 	r.pending = append(r.pending, req)
+	r.nets = append(r.nets, net)
 	r.waited = append(r.waited, 0)
 	r.demands = append(r.demands, math.NaN())
 	if len(r.pending) > r.peakQueue {
@@ -1020,10 +1085,10 @@ func (r *Runtime) Step() error {
 	if _, fifo := r.former.(fifoFormer); fifo && m > r.cfg.MaxBatch {
 		m = r.cfg.MaxBatch
 	}
-	if cap(r.candScratch) < m {
-		r.candScratch = make([]Candidate, m)
-	}
-	cands := r.candScratch[:m]
+	// Grown like an append, so a queue that deepens a request at a time
+	// reallocates the view a logarithmic number of times, not every round.
+	cands := slices.Grow(r.candScratch[:0], m)[:m]
+	r.candScratch = cands
 	for i := 0; i < m; i++ {
 		cands[i] = Candidate{Request: r.pending[i], WaitedRounds: r.waited[i]}
 	}
@@ -1036,7 +1101,7 @@ func (r *Runtime) Step() error {
 			cands[i].DemandGBps = d
 		}
 	}
-	r.score.reset(cands, start)
+	r.score.begin(cands, r.nets[:m], start)
 	in := FormInput{StartMs: start, MaxBatch: r.cfg.MaxBatch, Eligible: cands, arena: &r.score}
 	if sa, ok := r.former.(scoreAware); ok && sa.ScoreAware() {
 		in.Score, in.ScoreMany = r.scoreFn, r.scoreManyFn
@@ -1061,14 +1126,15 @@ func (r *Runtime) Step() error {
 	r.trace(obs.Event{AtMs: start, Kind: obs.KindMixForm, Request: obs.NoRequest,
 		Detail: r.former.Name(), Value: float64(len(picks))})
 	n := len(picks)
-	batch := r.batchScratch[:0]
+	batch, mix := r.batchScratch[:0], r.batchNets[:0]
 	for _, i := range picks {
 		batch = append(batch, r.pending[i])
+		mix = append(mix, r.nets[i])
 	}
-	r.batchScratch = batch
+	r.batchScratch, r.batchNets = batch, mix
 	// Remove the batch from the queue (picks are in ascending queue
 	// order); every eligible request passed over ages one round.
-	keepReq, keepWait, keepDemand, pi := r.pending[:0], r.waited[:0], r.demands[:0], 0
+	keepReq, keepNet, keepWait, keepDemand, pi := r.pending[:0], r.nets[:0], r.waited[:0], r.demands[:0], 0
 	for i := range r.pending {
 		if pi < len(picks) && picks[pi] == i {
 			pi++
@@ -1079,24 +1145,26 @@ func (r *Runtime) Step() error {
 			w++
 		}
 		keepReq = append(keepReq, r.pending[i])
+		keepNet = append(keepNet, r.nets[i])
 		keepWait = append(keepWait, w)
 		keepDemand = append(keepDemand, r.demands[i])
 	}
-	r.pending, r.waited, r.demands = keepReq, keepWait, keepDemand
+	r.pending, r.nets, r.waited, r.demands = keepReq, keepNet, keepWait, keepDemand
 	if r.queued != nil {
 		for _, b := range batch {
 			r.queued[b.Tenant]--
 		}
 	}
-	// Canonical mix order: by network name, FIFO among equals, so the
-	// batch maps 1:1 onto the cached problem's items.
-	slices.SortStableFunc(batch, func(a, b Request) int { return strings.Compare(a.Network, b.Network) })
-	mix := r.mixScratch[:0]
-	for _, b := range batch {
-		mix = append(mix, b.Network)
+	// Canonical mix order: by zoo index (name order), FIFO among equals,
+	// so the batch maps 1:1 onto the cached problem's items. An insertion
+	// sort is stable, and a batch holds at most MaxBatch requests.
+	for k := 1; k < len(mix); k++ {
+		for j := k; j > 0 && mix[j] < mix[j-1]; j-- {
+			mix[j], mix[j-1] = mix[j-1], mix[j]
+			batch[j], batch[j-1] = batch[j-1], batch[j]
+		}
 	}
-	r.mixScratch = mix
-	entry, hit, err := r.cache.Lookup(mix, start)
+	entry, hit, err := r.cache.lookup(mix, start)
 	if err != nil {
 		return err
 	}
@@ -1110,11 +1178,16 @@ func (r *Runtime) Step() error {
 	s := entry.Naive
 	if r.cfg.Policy == ContentionAware {
 		s = entry.Use(start)
-		if prev, ok := r.lastSched[entry.Key]; ok && s != prev {
+		if int(entry.slot) >= len(r.lastSched) {
+			// Cover every slot the cache has numbered so far, not only this
+			// one, so the record grows rarely.
+			r.lastSched = append(r.lastSched, make([]*schedule.Schedule, len(r.cache.slots)-len(r.lastSched))...)
+		}
+		if prev := r.lastSched[entry.slot]; prev != nil && s != prev {
 			r.upgrades++
 			r.trace(obs.Event{AtMs: start, Kind: obs.KindUpgrade, Request: obs.NoRequest, Detail: entry.Key})
 		}
-		r.lastSched[entry.Key] = s
+		r.lastSched[entry.slot] = s
 	}
 	ev, err := entry.Evaluate(s)
 	if err != nil {
