@@ -19,8 +19,6 @@ func MaxPool(cfg Config) []fleet.DeviceSpec {
 	var specs []fleet.DeviceSpec
 	n := 0
 	for _, d := range cfg.Fleet.Devices {
-		// Copy the whole spec so per-spec knobs (MixPolicy) carry over to
-		// the static baseline; only Count is normalized.
 		spec := d
 		if spec.Count == 0 {
 			spec.Count = 1

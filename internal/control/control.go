@@ -61,17 +61,10 @@ type Config struct {
 	// HighWatermarkMs and LowWatermarkMs bound the autoscaling signal: the
 	// mean queued-backlog estimate per active device. Above high for
 	// HysteresisTicks consecutive ticks the pool grows; below low for the
-	// same streak it shrinks. Defaults 10 and 2.
+	// same streak it shrinks. Defaults 10 and 2. Utilization is the second
+	// signal (GrowUtilizationPct, ShrinkUtilizationPct).
 	HighWatermarkMs float64
 	LowWatermarkMs  float64
-	// GrowUtilizationPct and ShrinkUtilizationPct are the second signal:
-	// the mean fraction of the last tick the active devices spent
-	// executing rounds. Above grow-pct counts toward the grow streak even
-	// with an empty backlog; shrinking additionally requires utilization
-	// below shrink-pct, so a pool that is keeping up but running hot is
-	// not torn down mid-burst. Defaults 85 and 35.
-	GrowUtilizationPct   float64
-	ShrinkUtilizationPct float64
 	// HysteresisTicks is the consecutive-tick streak required before a
 	// scaling action (default 2); CooldownTicks is the pause after one
 	// (default 4).
@@ -89,28 +82,22 @@ type Config struct {
 	NoCacheSeeding bool
 
 	// SLOWindow is the per-tenant rolling completion window the migration
-	// manager judges (default 24); MinWindow is the fill level below which
-	// no judgment is made (default 8, or SLOWindow when that is smaller).
-	// A MinWindow above SLOWindow is rejected: the window never fills to it.
+	// manager judges (default 24). No judgment is made below a fill of
+	// MinWindow, or of the whole window when that is smaller.
 	SLOWindow int
-	MinWindow int
 	// PressureP99Factor triggers migration when a tenant's rolling p99
-	// exceeds factor x SLO (default 1.0); PressureViolationRate when its
-	// rolling violation rate exceeds the rate (default 0.5).
-	PressureP99Factor     float64
-	PressureViolationRate float64
-	// MigrationCooldownTicks is the per-tenant pause after a migration
-	// (default 4). NoMigration pins tenants to their first assignment.
-	MigrationCooldownTicks int
-	NoMigration            bool
+	// exceeds factor x SLO (default 1.0); a rolling violation rate above
+	// PressureViolationRate triggers it too. NoMigration pins tenants to
+	// their first assignment.
+	PressureP99Factor float64
+	NoMigration       bool
 
 	// AdaptiveMix lets the controller choose each device's mix-forming
 	// policy from offered-mix pressure: when the spread between the
 	// heaviest and lightest estimated memory demand in a device's pending
 	// queue exceeds MixSpreadGBps, the device switches to demand-balance;
 	// once the spread falls back below — or the device starts draining —
-	// it returns to the policy the device was configured with (the
-	// template's or its spec's override). Every switch is logged as a
+	// it returns to the template's policy. Every switch is logged as a
 	// "mix" scale event. Escalation follows the template's ScoreBeam: when
 	// Fleet.Device.ScoreBeam is positive, a spread-triggered switch goes to
 	// the contention-aware mix policy with that beam width
@@ -124,19 +111,34 @@ type Config struct {
 
 // Defaults.
 const (
-	DefaultTickMs                 = 25.0
-	DefaultHighWatermarkMs        = 10.0
-	DefaultLowWatermarkMs         = 2.0
-	DefaultGrowUtilizationPct     = 85.0
-	DefaultShrinkUtilizationPct   = 35.0
-	DefaultHysteresisTicks        = 2
-	DefaultCooldownTicks          = 4
-	DefaultSLOWindow              = 24
-	DefaultMinWindow              = 8
-	DefaultPressureP99Factor      = 1.0
-	DefaultPressureViolationRate  = 0.5
-	DefaultMigrationCooldownTicks = 4
-	DefaultMixSpreadGBps          = 10.0
+	DefaultTickMs            = 25.0
+	DefaultHighWatermarkMs   = 10.0
+	DefaultLowWatermarkMs    = 2.0
+	DefaultHysteresisTicks   = 2
+	DefaultCooldownTicks     = 4
+	DefaultSLOWindow         = 24
+	DefaultPressureP99Factor = 1.0
+	DefaultMixSpreadGBps     = 10.0
+)
+
+// Fixed thresholds.
+const (
+	// GrowUtilizationPct and ShrinkUtilizationPct bound the second
+	// autoscaling signal, the mean fraction of the last tick the active
+	// devices spent executing rounds. Above grow-pct counts toward the grow
+	// streak even with an empty backlog; shrinking also requires
+	// utilization below shrink-pct, so a pool that is keeping up but
+	// running hot is not torn down mid-burst.
+	GrowUtilizationPct   = 85.0
+	ShrinkUtilizationPct = 35.0
+	// PressureViolationRate triggers migration when a tenant's rolling
+	// violation rate exceeds it.
+	PressureViolationRate = 0.5
+	// MinWindow is the rolling-window fill below which the migration
+	// manager judges no tenant (capped at SLOWindow).
+	MinWindow = 8
+	// MigrationCooldownTicks is the per-tenant pause after a migration.
+	MigrationCooldownTicks = 4
 )
 
 // withDefaults resolves zero-valued knobs.
@@ -149,12 +151,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LowWatermarkMs <= 0 {
 		c.LowWatermarkMs = DefaultLowWatermarkMs
-	}
-	if c.GrowUtilizationPct <= 0 {
-		c.GrowUtilizationPct = DefaultGrowUtilizationPct
-	}
-	if c.ShrinkUtilizationPct <= 0 {
-		c.ShrinkUtilizationPct = DefaultShrinkUtilizationPct
 	}
 	if c.HysteresisTicks <= 0 {
 		c.HysteresisTicks = DefaultHysteresisTicks
@@ -182,17 +178,8 @@ func (c Config) withDefaults() Config {
 	if c.SLOWindow <= 0 {
 		c.SLOWindow = DefaultSLOWindow
 	}
-	if c.MinWindow <= 0 {
-		c.MinWindow = min(DefaultMinWindow, c.SLOWindow)
-	}
 	if c.PressureP99Factor <= 0 {
 		c.PressureP99Factor = DefaultPressureP99Factor
-	}
-	if c.PressureViolationRate <= 0 {
-		c.PressureViolationRate = DefaultPressureViolationRate
-	}
-	if c.MigrationCooldownTicks <= 0 {
-		c.MigrationCooldownTicks = DefaultMigrationCooldownTicks
 	}
 	if c.MixSpreadGBps <= 0 {
 		c.MixSpreadGBps = DefaultMixSpreadGBps
@@ -214,10 +201,7 @@ func (c Config) validate() error {
 		{"TickMs", c.TickMs},
 		{"HighWatermarkMs", c.HighWatermarkMs},
 		{"LowWatermarkMs", c.LowWatermarkMs},
-		{"GrowUtilizationPct", c.GrowUtilizationPct},
-		{"ShrinkUtilizationPct", c.ShrinkUtilizationPct},
 		{"PressureP99Factor", c.PressureP99Factor},
-		{"PressureViolationRate", c.PressureViolationRate},
 		{"MixSpreadGBps", c.MixSpreadGBps},
 	} {
 		if math.IsNaN(k.v) || math.IsInf(k.v, 0) {
@@ -229,9 +213,6 @@ func (c Config) validate() error {
 	}
 	if c.MinDevices > c.MaxDevices {
 		return fmt.Errorf("control: min devices %d > max devices %d", c.MinDevices, c.MaxDevices)
-	}
-	if c.MinWindow > c.SLOWindow {
-		return fmt.Errorf("control: MinWindow %d > SLOWindow %d: the rolling window never fills to it", c.MinWindow, c.SLOWindow)
 	}
 	return nil
 }
@@ -374,7 +355,6 @@ type run struct {
 	tenants map[string]*tenantWindow
 	names   []string   // the keys of tenants, sorted; grows with it
 	byDev   [][]string // bestDevice's tenants per device, reused
-	mixBase []string   // per device: the configured mix policy adaptMix restores
 
 	hiStreak, loStreak int
 	cooldown           int
@@ -484,9 +464,8 @@ func (r *run) tick(nowMs float64) error {
 // between the heaviest and lightest estimated memory demand in its
 // pending queue — and switches the device to demand-balance (or to
 // contention-aware when the template's ScoreBeam is positive) while the
-// spread exceeds the threshold, back to the device's own configured
-// policy (recorded the first time the hook sees it, so per-spec
-// overrides survive) once it subsides. A switched device that starts
+// spread exceeds the threshold, back to the template's policy, which
+// every device starts on, once it subsides. A switched device that starts
 // draining is restored immediately: pressure routing no longer applies to
 // a device receiving no placements, and leaving the adaptive policy in
 // place for the whole drain would silently outlive the signal that chose
@@ -494,16 +473,14 @@ func (r *run) tick(nowMs float64) error {
 // restore) is logged, so adaptive runs stay byte-identical rerun to
 // rerun.
 func (r *run) adaptMix(nowMs float64) error {
+	base := serve.MixPolicyName(r.cfg.Fleet.Device.MixPolicy)
 	for i, d := range r.fleet.Devices() {
-		for len(r.mixBase) <= i {
-			r.mixBase = append(r.mixBase, r.fleet.Devices()[len(r.mixBase)].MixPolicy())
-		}
 		if r.leaveMs[i] >= 0 {
 			continue
 		}
 		if r.fleet.Draining(i) {
-			if d.MixPolicy() != r.mixBase[i] {
-				if err := r.switchMix(d, r.mixBase[i], nowMs, 0); err != nil {
+			if d.MixPolicy() != base {
+				if err := r.switchMix(d, base, nowMs, 0); err != nil {
 					return err
 				}
 			}
@@ -513,13 +490,13 @@ func (r *run) adaptMix(nowMs float64) error {
 		if err != nil {
 			return err
 		}
-		want := r.mixBase[i]
+		want := base
 		if spread > r.cfg.MixSpreadGBps {
 			want = serve.MixDemandBalance
 			// A scoring budget escalates the switch to contention-aware —
 			// as does a device already configured contention-aware, which
 			// pressure must never downgrade to the scalar heuristic.
-			if r.cfg.Fleet.Device.ScoreBeam > 0 || r.mixBase[i] == serve.MixContentionAware {
+			if r.cfg.Fleet.Device.ScoreBeam > 0 || base == serve.MixContentionAware {
 				want = serve.MixContentionAware
 			}
 		}
@@ -536,7 +513,7 @@ func (r *run) adaptMix(nowMs float64) error {
 // switchMix swaps one device's mix-forming policy and logs the "mix"
 // scale event (spread is the decision signal; 0 for drain restores). A
 // contention-aware former scores with the template's beam.
-func (r *run) switchMix(d serve.Device, want string, nowMs, spread float64) error {
+func (r *run) switchMix(d *serve.Runtime, want string, nowMs, spread float64) error {
 	var m serve.MixFormer
 	if want == serve.MixContentionAware {
 		m = serve.ContentionAwareMix(r.cfg.Fleet.Device.ScoreBeam)
@@ -681,12 +658,12 @@ func (r *run) autoscale(nowMs float64) error {
 	if err != nil {
 		return err
 	}
-	tripped := p > r.cfg.HighWatermarkMs || r.lastUtilPct > r.cfg.GrowUtilizationPct
+	tripped := p > r.cfg.HighWatermarkMs || r.lastUtilPct > GrowUtilizationPct
 	switch {
 	case tripped:
 		r.hiStreak++
 		r.loStreak = 0
-	case p < r.cfg.LowWatermarkMs && r.lastUtilPct < r.cfg.ShrinkUtilizationPct:
+	case p < r.cfg.LowWatermarkMs && r.lastUtilPct < ShrinkUtilizationPct:
 		r.loStreak++
 		r.hiStreak = 0
 	default:
@@ -842,14 +819,14 @@ func (r *run) migrate(nowMs float64) {
 			w.cooldown--
 			continue
 		}
-		if w.len() < r.cfg.MinWindow || w.lastSLOMs <= 0 {
+		if w.len() < min(MinWindow, r.cfg.SLOWindow) || w.lastSLOMs <= 0 {
 			continue
 		}
 		if _, ok := r.table.Assigned(name); !ok {
 			continue
 		}
 		ratio := w.p99() / (r.cfg.PressureP99Factor * w.lastSLOMs)
-		if vr := w.violationRate() / r.cfg.PressureViolationRate; vr > ratio {
+		if vr := w.violationRate() / PressureViolationRate; vr > ratio {
 			ratio = vr
 		}
 		if ratio > 1 && ratio > worstRatio {
@@ -872,7 +849,7 @@ func (r *run) migrate(nowMs float64) {
 	})
 	r.table.assign(worst, target)
 	w.reset()
-	w.cooldown = r.cfg.MigrationCooldownTicks
+	w.cooldown = MigrationCooldownTicks
 }
 
 // bestDevice scores the placeable devices for a tenant's sustained
@@ -973,7 +950,7 @@ func (r *run) shrink(nowMs, pressureMs float64) {
 		r.table.assign(name, target)
 		if w != nil {
 			w.reset()
-			w.cooldown = r.cfg.MigrationCooldownTicks
+			w.cooldown = MigrationCooldownTicks
 		}
 	}
 }

@@ -70,10 +70,7 @@ func TestConfigValidation(t *testing.T) {
 		{"TickMs", func(c *Config, v float64) { c.TickMs = v }},
 		{"HighWatermarkMs", func(c *Config, v float64) { c.HighWatermarkMs = v }},
 		{"LowWatermarkMs", func(c *Config, v float64) { c.LowWatermarkMs = v }},
-		{"GrowUtilizationPct", func(c *Config, v float64) { c.GrowUtilizationPct = v }},
-		{"ShrinkUtilizationPct", func(c *Config, v float64) { c.ShrinkUtilizationPct = v }},
 		{"PressureP99Factor", func(c *Config, v float64) { c.PressureP99Factor = v }},
-		{"PressureViolationRate", func(c *Config, v float64) { c.PressureViolationRate = v }},
 		{"MixSpreadGBps", func(c *Config, v float64) { c.MixSpreadGBps = v }},
 	}
 	for _, f := range floats {
@@ -105,25 +102,31 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := c.Config()
-	if got.TickMs != DefaultTickMs || got.MinDevices != 1 || got.SLOWindow != DefaultSLOWindow || got.MinWindow != DefaultMinWindow {
+	if got.TickMs != DefaultTickMs || got.MinDevices != 1 || got.SLOWindow != DefaultSLOWindow {
 		t.Errorf("defaults not applied: %+v", got)
 	}
-	// A window smaller than the default fill level defaults the fill level
-	// down to it: a window of 4 must still be judged once it holds 4.
+	// A window smaller than MinWindow caps the fill level at the window: a
+	// window of 4 is judged once it holds 4, so the burst demo still
+	// migrates tenants under SLO pressure. A fill level of 8 would never
+	// be reached, and no tenant would move.
 	small := demoConfig()
 	small.SLOWindow = 4
-	if c, err := New(small); err != nil {
-		t.Errorf("SLOWindow 4 rejected: %v", err)
-	} else if got := c.Config().MinWindow; got != 4 {
-		t.Errorf("SLOWindow 4 resolved MinWindow %d, want 4", got)
+	sc, err := New(small)
+	if err != nil {
+		t.Fatalf("SLOWindow 4 rejected: %v", err)
 	}
-	// An explicit fill level the window can never reach is an error that
-	// names both fields.
-	small.MinWindow = 8
-	if _, err := New(small); err == nil {
-		t.Error("MinWindow 8 over SLOWindow 4 accepted")
-	} else if !strings.Contains(err.Error(), "MinWindow") || !strings.Contains(err.Error(), "SLOWindow") {
-		t.Errorf("error %q does not name MinWindow and SLOWindow", err)
+	sum, err := sc.Serve(burstTrace(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for _, m := range sum.Migrations {
+		if m.Reason == "slo-pressure" {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Error("SLOWindow 4: no slo-pressure migration; the window was never judged")
 	}
 }
 
@@ -430,13 +433,13 @@ func TestAdaptiveMixSwitches(t *testing.T) {
 		}
 	}
 
-	// A per-spec mix override is the device's base policy: when pressure
-	// subsides the hook must restore slo-aware, never the fleet default.
+	// The template's mix policy is every device's base policy: when
+	// pressure subsides the hook must restore slo-aware, never fifo.
 	cfg.AdaptiveMix = true
-	cfg.Fleet.Devices = []fleet.DeviceSpec{{Platform: "Orin", MixPolicy: serve.MixSLOAware}}
+	cfg.Fleet.Device.MixPolicy = serve.MixSLOAware
 	for _, e := range serveOnce().Scale {
 		if e.Action == "mix" && e.Mix != serve.MixDemandBalance && e.Mix != serve.MixSLOAware {
-			t.Errorf("mix event reverted device to %q, clobbering its slo-aware override", e.Mix)
+			t.Errorf("mix event reverted device to %q, clobbering the template's slo-aware policy", e.Mix)
 		}
 	}
 }
@@ -565,8 +568,8 @@ func TestAdaptiveMixNeverDowngradesContentionAware(t *testing.T) {
 	for _, beam := range []int{16, 0} {
 		cfg := Config{
 			Fleet: fleet.Config{
-				Devices: []fleet.DeviceSpec{{Platform: "Orin", Count: 2, MixPolicy: serve.MixContentionAware}},
-				Device:  serve.Config{ScoreBeam: beam, SolverTimeScale: 50},
+				Devices: []fleet.DeviceSpec{{Platform: "Orin", Count: 2}},
+				Device:  serve.Config{MixPolicy: serve.MixContentionAware, ScoreBeam: beam, SolverTimeScale: 50},
 			},
 			AdaptiveMix: true,
 		}.withDefaults()

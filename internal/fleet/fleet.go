@@ -4,7 +4,7 @@
 // pools of Orin, Xavier and SD865 devices are the expected shape), places
 // each arriving request on a device through a pluggable placement policy,
 // and interleaves the devices' dispatch rounds in one shared virtual
-// timeline via the serve.Device stepping interface.
+// timeline through each runtime's Offer, NextStartMs and Step.
 //
 // Devices of the same platform share one schedule cache: a workload mix
 // solved on one Orin warms every Orin in the pool, so the fleet pays each
@@ -49,10 +49,6 @@ type DeviceSpec struct {
 	Platform string
 	// Count is the number of devices of this platform (default 1).
 	Count int
-	// MixPolicy overrides the template's Config.Device.MixPolicy for these
-	// devices ("" inherits it) — a heterogeneous pool can run
-	// demand-balance on its big devices and fifo on the small ones.
-	MixPolicy string
 }
 
 // Config controls a fleet dispatcher.
@@ -63,10 +59,9 @@ type Config struct {
 	Placement Placer
 	// Device is the template every device is built from: its serving
 	// policy, objective, mix policy and knobs, and its sinks. The fleet
-	// sets Platform, Name and SharedCache per device, and a spec's
-	// MixPolicy overrides the template's; the control plane may override
-	// a device's mix policy at runtime through serve.Device.SetMix. New
-	// rejects a template that sets Platform, Name, SharedCache or Mix
+	// sets Platform, Name and SharedCache per device; the control plane
+	// may swap a device's mix policy at runtime (serve.Runtime.SetMix).
+	// New rejects a template that sets Platform, Name, SharedCache or Mix
 	// (one MixFormer instance cannot be stepped by several devices).
 	//
 	// The sinks are fleet-wide: Tracer records placement decisions plus
@@ -103,7 +98,7 @@ func checkTemplate(d serve.Config) error {
 // run) but takes no further placements or steps once removed.
 type Fleet struct {
 	cfg       Config
-	devices   []serve.Device
+	devices   []*serve.Runtime
 	placer    Placer
 	caches    map[string]*serve.Cache // platform name -> shared cache
 	platforms []string                // the keys of caches, sorted
@@ -163,7 +158,7 @@ func New(cfg Config) (*Fleet, error) {
 			return nil, fmt.Errorf("fleet: negative device count for %q", spec.Platform)
 		}
 		for i := 0; i < count; i++ {
-			if _, err := f.addDevice(spec.Platform, spec.MixPolicy); err != nil {
+			if _, err := f.AddDevice(spec.Platform); err != nil {
 				return nil, err
 			}
 		}
@@ -177,13 +172,7 @@ func New(cfg Config) (*Fleet, error) {
 // internal/control seeds transferred entries through). The device joins
 // with a fresh virtual timeline, the template's mix policy, and is
 // immediately placeable. Returns the new device.
-func (f *Fleet) AddDevice(platform string) (serve.Device, error) {
-	return f.addDevice(platform, "")
-}
-
-// addDevice is AddDevice with a per-device mix-policy override ("" uses
-// the template's).
-func (f *Fleet) addDevice(platform, mixPolicy string) (serve.Device, error) {
+func (f *Fleet) AddDevice(platform string) (*serve.Runtime, error) {
 	p, ok := soc.PlatformByName(platform)
 	if !ok {
 		return nil, fmt.Errorf("fleet: unknown platform %q", platform)
@@ -191,9 +180,6 @@ func (f *Fleet) addDevice(platform, mixPolicy string) (serve.Device, error) {
 	dc := f.cfg.Device
 	dc.Platform = p
 	dc.Name = fmt.Sprintf("%s/%d", p.Name, f.perPlatform[p.Name])
-	if mixPolicy != "" {
-		dc.MixPolicy = mixPolicy
-	}
 	if !f.cfg.PrivateCaches {
 		c, ok := f.caches[p.Name]
 		if !ok {
@@ -299,7 +285,7 @@ func (f *Fleet) placeable(i int) bool { return !f.draining[i] && !f.removed[i] }
 // but must offer, step and reset devices only through the fleet (Offer,
 // Step, Rewind): the fleet caches each device's next round start and
 // refreshes it only there.
-func (f *Fleet) Devices() []serve.Device { return f.devices }
+func (f *Fleet) Devices() []*serve.Runtime { return f.devices }
 
 // Cache returns the shared schedule cache of a platform group (nil when the
 // platform has no devices yet or the fleet runs private caches).

@@ -232,7 +232,7 @@ func TestFleetDevicesKeepNoLog(t *testing.T) {
 	var all []serve.Completion
 	seen := map[int]bool{}
 	for i, d := range f.Devices() {
-		if cs := d.(*serve.Runtime).Completions(); cs != nil {
+		if cs := d.Completions(); cs != nil {
 			t.Errorf("device %s logged %d completions", d.Name(), len(cs))
 		}
 		for _, c := range perDevice[i] {
@@ -716,7 +716,7 @@ func TestAssignedFastPathMatchesViews(t *testing.T) {
 		// through a subscriber.
 		devCompletions := make([][]serve.Completion, len(f.Devices()))
 		for i, d := range f.Devices() {
-			d.(*serve.Runtime).Subscribe(func(c serve.Completion) {
+			d.Subscribe(func(c serve.Completion) {
 				devCompletions[i] = append(devCompletions[i], c)
 			})
 		}

@@ -36,7 +36,7 @@ type DeviceView struct {
 	// estimate on this device (0 when the network is unknown).
 	StandaloneMs float64
 	// MixFitMs is the arriving network's predicted co-run cost against the
-	// device's pending queue (serve.Device.MixFitMs): the best
+	// device's pending queue (serve.Runtime.MixFitMs): the best
 	// model-predicted pair makespan, or the standalone estimate on an idle
 	// device. Populated only for mix-aware placers — it costs contention-
 	// model evaluations per arrival; 0 when the network is unknown.

@@ -108,9 +108,7 @@ func (f *Fleet) Summarize() *Summary {
 	}
 	if f.cfg.PrivateCaches {
 		for _, d := range f.devices {
-			if rc, ok := d.(interface{ Cache() *serve.Cache }); ok {
-				byPlatform[d.Platform().Name].Entries += rc.Cache().Len()
-			}
+			byPlatform[d.Platform().Name].Entries += d.Cache().Len()
 		}
 	}
 	names := make([]string, 0, len(byPlatform))

@@ -2,10 +2,7 @@
 // histogram with relative-error quantile guarantees in O(1) memory.
 package obs
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // DefaultSketchAccuracy is the relative-error bound of NewSketch: a
 // reported q-quantile is within ±0.5% of the exact one.
@@ -24,43 +21,39 @@ const (
 // to geometric buckets of ratio γ = (1+α)/(1-α); a quantile answer is the
 // representative value of the bucket holding the target rank, which is
 // within relative error α of the exact order statistic. Memory is
-// constant in the number of observations (~2.3k buckets at the default
-// accuracy). Insertion order does not matter, so results are
-// deterministic across runs by construction.
+// constant in the number of observations (2,305 buckets, 18 KiB).
+// Insertion order does not matter, so results are deterministic across
+// runs by construction.
 //
 // Quantile uses the same nearest-rank rule as schedule.Percentile
 // (idx = ceil(q·n) − 1), so sketch-mode percentiles converge to the exact
 // path's answers as α → 0.
 type Sketch struct {
-	gamma    float64
-	logGamma float64
-	buckets  []uint64
+	buckets []uint64
 
 	count    uint64
 	sum      float64
 	min, max float64
 }
 
-// NewSketch returns a sketch with DefaultSketchAccuracy.
-func NewSketch() *Sketch { return NewSketchAccuracy(DefaultSketchAccuracy) }
+// Every sketch shares one bucket layout. The ratio and its log are float64
+// arithmetic on a variable, evaluated at run time: a constant expression
+// would round the ratio 1 ULP higher and move the bucket edges. Bucket 0 is
+// the underflow bucket for values ≤ sketchMinMs; bucket k (k ≥ 1) covers
+// (min·γ^(k−1), min·γ^k].
+var (
+	sketchAlpha    float64 = DefaultSketchAccuracy
+	sketchGamma            = (1 + sketchAlpha) / (1 - sketchAlpha)
+	sketchLogGamma         = math.Log(sketchGamma)
+	sketchBuckets          = int(math.Ceil(math.Log(sketchMaxMs/sketchMinMs)/sketchLogGamma)) + 2
+)
 
-// NewSketchAccuracy returns a sketch with relative-error bound alpha
-// (0 < alpha < 1).
-func NewSketchAccuracy(alpha float64) *Sketch {
-	if alpha <= 0 || alpha >= 1 {
-		panic(fmt.Sprintf("obs: sketch accuracy %v outside (0,1)", alpha))
-	}
-	gamma := (1 + alpha) / (1 - alpha)
-	logGamma := math.Log(gamma)
-	// Bucket 0 is the underflow bucket for values ≤ sketchMinMs; bucket k
-	// (k ≥ 1) covers (min·γ^(k−1), min·γ^k].
-	n := int(math.Ceil(math.Log(sketchMaxMs/sketchMinMs)/logGamma)) + 1
+// NewSketch returns an empty sketch with DefaultSketchAccuracy.
+func NewSketch() *Sketch {
 	return &Sketch{
-		gamma:    gamma,
-		logGamma: logGamma,
-		buckets:  make([]uint64, n+1),
-		min:      math.Inf(1),
-		max:      math.Inf(-1),
+		buckets: make([]uint64, sketchBuckets),
+		min:     math.Inf(1),
+		max:     math.Inf(-1),
 	}
 }
 
@@ -83,13 +76,8 @@ func (s *Sketch) Add(v float64) {
 // Merge adds o's observations to s: bucket counts, count and sum add, and
 // min and max combine, so s then answers every quantile exactly as one
 // sketch fed both streams would (DDSketch's mergeability). Only the sum
-// depends on the merge order: it adds o's total in one step. A sketch of
-// a different accuracy has other bucket bounds and is rejected, leaving s
-// unchanged.
-func (s *Sketch) Merge(o *Sketch) error {
-	if o.gamma != s.gamma || len(o.buckets) != len(s.buckets) {
-		return fmt.Errorf("obs: cannot merge a sketch of ratio %v into one of ratio %v", o.gamma, s.gamma)
-	}
+// depends on the merge order: it adds o's total in one step.
+func (s *Sketch) Merge(o *Sketch) {
 	for k, c := range o.buckets {
 		s.buckets[k] += c
 	}
@@ -102,14 +90,13 @@ func (s *Sketch) Merge(o *Sketch) error {
 	if o.max > s.max {
 		s.max = o.max
 	}
-	return nil
 }
 
 func (s *Sketch) bucketIndex(v float64) int {
 	if v <= sketchMinMs {
 		return 0
 	}
-	k := int(math.Ceil(math.Log(v/sketchMinMs) / s.logGamma))
+	k := int(math.Ceil(math.Log(v/sketchMinMs) / sketchLogGamma))
 	if k < 1 {
 		k = 1
 	}
@@ -126,7 +113,7 @@ func (s *Sketch) bucketValue(k int) float64 {
 		return sketchMinMs
 	}
 	// Midpoint of (min·γ^(k−1), min·γ^k] is min·γ^(k−1)·2γ/(γ+1).
-	return sketchMinMs * math.Pow(s.gamma, float64(k-1)) * 2 * s.gamma / (s.gamma + 1)
+	return sketchMinMs * math.Pow(sketchGamma, float64(k-1)) * 2 * sketchGamma / (sketchGamma + 1)
 }
 
 // Count returns the number of observations.

@@ -175,19 +175,17 @@ func TestSketchEdgeCases(t *testing.T) {
 		t.Errorf("overflow clamp: q99 = %v, want 5e8", got)
 	}
 
-	// Invalid accuracy panics.
-	defer func() {
-		if recover() == nil {
-			t.Error("NewSketchAccuracy(0) did not panic")
-		}
-	}()
-	NewSketchAccuracy(0)
+	// The bucket ratio is (1+α)/(1−α) rounded in float64 arithmetic; the
+	// constant expression rounds to the next float up (…a1), which moves
+	// bucket edges and sketch-mode percentiles.
+	if got := math.Float64bits(sketchGamma); got != 0x3ff0292a73c765a0 {
+		t.Errorf("bucket ratio bits %#x, want 0x3ff0292a73c765a0", got)
+	}
 }
 
 // TestSketchMerge: sketches fed the parts of a stream merge into one that
 // answers every quantile, the count, min and max exactly as a sketch fed
-// the whole stream; the sum agrees to rounding. Merging a sketch of
-// another accuracy is rejected and leaves the target unchanged.
+// the whole stream; the sum agrees to rounding.
 func TestSketchMerge(t *testing.T) {
 	for name, vals := range testDistributions(3000) {
 		whole := NewSketch()
@@ -200,9 +198,7 @@ func TestSketchMerge(t *testing.T) {
 			for _, v := range vals[cut[0]:cut[1]] {
 				part.Add(v)
 			}
-			if err := merged.Merge(part); err != nil {
-				t.Fatal(err)
-			}
+			merged.Merge(part)
 		}
 		for _, q := range []float64{0, 0.01, 0.5, 0.95, 0.99, 1} {
 			if got, want := merged.Quantile(q), whole.Quantile(q); math.Float64bits(got) != math.Float64bits(want) {
@@ -216,15 +212,5 @@ func TestSketchMerge(t *testing.T) {
 		if relErr(merged.Sum(), whole.Sum()) > 1e-12 {
 			t.Errorf("%s: merged sum %v, whole %v", name, merged.Sum(), whole.Sum())
 		}
-	}
-	s := NewSketch()
-	s.Add(3)
-	coarse := NewSketchAccuracy(0.05)
-	coarse.Add(7)
-	if err := s.Merge(coarse); err == nil {
-		t.Fatal("merging a sketch of another accuracy succeeded")
-	}
-	if s.Count() != 1 || s.Max() != 3 {
-		t.Errorf("a rejected merge changed the sketch: count %d, max %v", s.Count(), s.Max())
 	}
 }

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -240,4 +243,102 @@ func TestServeRejectsNonFiniteTimes(t *testing.T) {
 	if err := (Trace{{ID: 0, Tenant: "alice", Network: "VGG19", ArrivalMs: 3}}).Validate(); err != nil {
 		t.Errorf("finite trace rejected: %v", err)
 	}
+}
+
+// FuzzServeTrace: hostile traces through Runtime.Serve on a naive Orin
+// runtime, so that no input triggers a solve. The fuzz bytes decode to a
+// mode byte and up to 24 requests of 18 bytes each: arbitrary float64 bits
+// for the arrival and the SLO, an ID that repeats, a tenant that may be ""
+// or "TOTAL" and a network that may be outside the zoo. The mode picks the
+// mix policy and switches on MaxQueue, AdmitSLOFactor and AdaptiveMaxWait.
+// Serve errs only on an empty trace or one Trace.Validate rejects.
+// Otherwise every request ends exactly once: the completions are the
+// trace's requests, as many as Total.Offered, the served and the rejected
+// add up to them, and every served request runs arrival <= start <= end.
+func FuzzServeTrace(f *testing.F) {
+	record := func(arrival, slo float64, id, sel byte) []byte {
+		b := binary.LittleEndian.AppendUint64(nil, math.Float64bits(arrival))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(slo))
+		return append(b, id, sel)
+	}
+	seed := func(mode byte, recs ...[]byte) []byte {
+		return slices.Concat(append([][]byte{{mode}}, recs...)...)
+	}
+	f.Add([]byte{})
+	f.Add(seed(0, record(0, 10, 0, 0), record(1, 10, 1, 5), record(1, 0, 1, 10)))
+	f.Add(seed(0x73, record(3, 5, 0, 0), record(0, 5, 0, 1), record(2, -4, 2, 14), record(2, 1e-300, 3, 6)))
+	f.Add(seed(0x12, record(math.NaN(), 10, 0, 0)))
+	f.Add(seed(0x11, record(0, 10, 0, 0), record(0, 10, 0, 4), record(0, 10, 1, 8), record(0, 10, 1, 0)))
+	f.Add(seed(0x61, record(-1e300, 10, 0, 0), record(1e300, 10, 1, 1), record(0, math.MaxFloat64, 2, 4)))
+	tenants := []string{"a", "b", "", totalName}
+	networks := []string{"SqueezeNet", "ResNet18", "AlexNet", "NoSuchNet"}
+	policies := MixPolicies()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var mode byte
+		if len(data) > 0 {
+			mode, data = data[0], data[1:]
+		}
+		var tr Trace
+		for len(data) >= 18 && len(tr) < 24 {
+			tr = append(tr, Request{
+				ID:        int(data[16] % 8),
+				Tenant:    tenants[data[17]%4],
+				Network:   networks[data[17]/4%4],
+				ArrivalMs: math.Float64frombits(binary.LittleEndian.Uint64(data)),
+				SLOMs:     math.Float64frombits(binary.LittleEndian.Uint64(data[8:])),
+			})
+			data = data[18:]
+		}
+		cfg := Config{Platform: soc.Orin(), Policy: NaiveGPUOnly, MixPolicy: policies[int(mode)%len(policies)]}
+		if mode&0x10 != 0 {
+			cfg.MaxQueue = 2
+		}
+		if mode&0x20 != 0 {
+			cfg.AdmitSLOFactor = 1
+		}
+		if mode&0x40 != 0 {
+			cfg.AdaptiveMaxWait = true
+		}
+		rt, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := rt.Serve(tr)
+		if invalid := len(tr) == 0 || tr.Validate() != nil; invalid || err != nil {
+			if invalid != (err != nil) {
+				t.Fatalf("Serve error %v on a trace whose validity is %v", err, !invalid)
+			}
+			return
+		}
+		cs := rt.Completions()
+		if len(cs) != len(tr) || sum.Total.Offered != len(tr) {
+			t.Fatalf("%d requests, %d completions, %d offered", len(tr), len(cs), sum.Total.Offered)
+		}
+		if sum.Total.Completed+sum.Total.Rejected != len(tr) {
+			t.Fatalf("%d served + %d rejected of %d requests", sum.Total.Completed, sum.Total.Rejected, len(tr))
+		}
+		key := func(q Request) string {
+			return fmt.Sprintf("%d/%q/%s/%x/%x", q.ID, q.Tenant, q.Network, math.Float64bits(q.ArrivalMs), math.Float64bits(q.SLOMs))
+		}
+		var want, got []string
+		served := 0
+		for i, c := range cs {
+			want, got = append(want, key(tr[i])), append(got, key(c.Request))
+			if c.Rejected {
+				continue
+			}
+			served++
+			if !(c.ArrivalMs <= c.StartMs && c.StartMs <= c.EndMs) {
+				t.Fatalf("request %d served out of order: arrival %g, start %g, end %g", c.ID, c.ArrivalMs, c.StartMs, c.EndMs)
+			}
+		}
+		slices.Sort(want)
+		slices.Sort(got)
+		if !slices.Equal(want, got) {
+			t.Fatalf("completions %v are not the trace's requests %v", got, want)
+		}
+		if served != sum.Total.Completed {
+			t.Fatalf("%d served completions, summary counts %d", served, sum.Total.Completed)
+		}
+	})
 }

@@ -36,8 +36,6 @@ type CacheConfig struct {
 	// at solver.NodesPerMs: an incumbent found after N nodes deploys
 	// N/NodesPerMs scaled milliseconds after the miss.
 	SolverTimeScale float64
-	// MaxGroups caps layer groups per network.
-	MaxGroups int
 	// SolveOwner, when set, partitions the background-solving work across
 	// cooperating caches (the sharded control plane's deterministic solve
 	// ownership): a miss or probe on a mix this cache does not own is
@@ -57,11 +55,10 @@ type solveKnobs struct {
 	Objective       schedule.Objective
 	Solve           bool
 	SolverTimeScale float64
-	MaxGroups       int
 }
 
 func (c CacheConfig) solving() solveKnobs {
-	return solveKnobs{c.Platform.Name, c.Objective, c.Solve, c.SolverTimeScale, c.MaxGroups}
+	return solveKnobs{c.Platform.Name, c.Objective, c.Solve, c.SolverTimeScale}
 }
 
 func (c CacheConfig) scale() float64 {
@@ -82,7 +79,9 @@ func (c CacheConfig) scale() float64 {
 // dispatched, Lookup promotes the probe — characterization and solve
 // progress included — so scoring work is never repeated. A mix whose
 // characterization fails is negative-cached: the failure is returned on
-// every re-probe without repeating the prepare.
+// every re-probe without repeating the prepare. A mix naming a network
+// outside the zoo fails at the name's index lookup, before any of that:
+// it is never characterized and takes no slot.
 //
 // The cache also logs each live entry once, when it becomes exportable
 // (the entries Export marks solved): inserted solved, or settled in place
@@ -111,12 +110,8 @@ type Cache struct {
 	// live and probes count the slots holding a live entry and a scoring
 	// probe.
 	live, probes int
-	// foreignErr memoizes the probe failures of mixes naming a network
-	// outside the zoo, by mix key: such a mix has no index tuple, and no
-	// characterization of it can succeed.
-	foreignErr map[string]error
-	tracer     *obs.Tracer
-	name       string
+	tracer       *obs.Tracer
+	name         string
 
 	Hits     int
 	Misses   int
@@ -250,6 +245,13 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 // errEmptyMix is the error of every cache method handed no networks.
 var errEmptyMix = fmt.Errorf("serve: empty workload mix")
 
+// errUnknownNetwork is the error of every runtime estimate and cache method
+// handed a network outside the zoo, returned at the name's index lookup.
+// Admission rejects a request for one, so only placement signals,
+// snapshots and gossip can name one; placement asks every device about
+// every arrival, and one shared error costs it nothing.
+var errUnknownNetwork = fmt.Errorf("serve: unknown network")
+
 // slotOf returns the slot of a canonical mix, given as its sorted zoo
 // index tuple, adding the trie nodes of a mix seen the first time.
 func (c *Cache) slotOf(mix []int) int32 {
@@ -282,18 +284,21 @@ func (c *Cache) slotOf(mix []int) int32 {
 const mixBufLen = 8
 
 // resolve writes the canonical index tuple of a workload mix into buf,
-// sorted. ok is false when a network is outside the zoo.
-func resolve(buf []int, networks []string) (mix []int, ok bool) {
-	mix = buf[:0]
+// sorted. It fails on an empty mix and on a network outside the zoo.
+func resolve(buf []int, networks []string) ([]int, error) {
+	if len(networks) == 0 {
+		return nil, errEmptyMix
+	}
+	mix := buf[:0]
 	for _, name := range networks {
 		i, ok := nn.Index(name)
 		if !ok {
-			return nil, false
+			return nil, errUnknownNetwork
 		}
 		mix = append(mix, i)
 	}
 	slices.Sort(mix)
-	return mix, true
+	return mix, nil
 }
 
 // exportable reports whether Export marks a live entry solved: its solve
@@ -397,13 +402,10 @@ func (c *Cache) Wanted() []Want {
 // boolean reports whether a solve (or promotion) actually ran. The next
 // gossip round exports the settled result to the shards that wanted it.
 func (c *Cache) EnsureSolved(networks []string, nowMs float64) (bool, error) {
-	if len(networks) == 0 {
-		return false, errEmptyMix
-	}
 	var buf [mixBufLen]int
-	mix, ok := resolve(buf[:0], networks)
-	if !ok {
-		return false, c.foreign(networks)
+	mix, err := resolve(buf[:0], networks)
+	if err != nil {
+		return false, err
 	}
 	s := c.slotOf(mix)
 	if e := c.slots[s].live; e != nil {
@@ -412,7 +414,6 @@ func (c *Cache) EnsureSolved(networks []string, nowMs float64) (bool, error) {
 		}
 		// A deferred stub on the owner itself cannot happen (owners solve
 		// their own misses), but solve in place defensively.
-		var err error
 		e.Any, err = core.AnytimeFromProfile(c.request(e.Networks), e.Prob, e.Profile)
 		if err != nil {
 			return false, err
@@ -501,33 +502,17 @@ func (c *Cache) key(canon []string) string {
 	return string(append(b, c.cfg.Objective.String()...))
 }
 
-// canonical returns a sorted copy of a workload mix.
-func canonical(networks []string) []string {
-	canon := slices.Clone(networks)
-	slices.Sort(canon)
-	return canon
-}
-
-// foreign returns the failure of a mix naming a network outside the zoo:
-// the error characterizing its canonical networks returns, exactly as a
-// build of the mix would.
-func (c *Cache) foreign(networks []string) error {
-	_, _, err := core.Prepare(c.request(canonical(networks)))
-	return err
-}
-
 // Lookup returns the entry for a workload mix, solving it on a miss. The
 // boolean reports whether the mix was already cached. nowMs timestamps a
 // miss so the incumbent replay is anchored to the virtual clock.
 func (c *Cache) Lookup(networks []string, nowMs float64) (*Entry, bool, error) {
-	if len(networks) == 0 {
-		return nil, false, errEmptyMix
-	}
 	var buf [mixBufLen]int
-	mix, ok := resolve(buf[:0], networks)
-	if !ok {
-		c.Misses++
-		return nil, false, c.foreign(networks)
+	mix, err := resolve(buf[:0], networks)
+	if err != nil {
+		if err != errEmptyMix {
+			c.Misses++ // a name outside the zoo is a miss
+		}
+		return nil, false, err
 	}
 	return c.lookup(mix, nowMs)
 }
@@ -588,16 +573,14 @@ func (c *Cache) lookup(mix []int, nowMs float64) (*Entry, bool, error) {
 // solving of the candidate mixes the policy is weighing. Failures are
 // memoized like successes — Probe sits on the per-round scoring and
 // per-arrival placement paths, which must never repeat a failing
-// characterization. Probes never count as hits or misses and are
-// excluded from Export.
+// characterization. A mix naming a network outside the zoo needs no memo:
+// it fails at the name's lookup, characterizing nothing. Probes never
+// count as hits or misses and are excluded from Export.
 func (c *Cache) Probe(networks []string, nowMs float64) (*Entry, bool, error) {
-	if len(networks) == 0 {
-		return nil, false, errEmptyMix
-	}
 	var buf [mixBufLen]int
-	mix, ok := resolve(buf[:0], networks)
-	if !ok {
-		return nil, false, c.probeForeign(networks)
+	mix, err := resolve(buf[:0], networks)
+	if err != nil {
+		return nil, false, err
 	}
 	return c.probe(mix, nowMs)
 }
@@ -638,21 +621,6 @@ func (c *Cache) addProbe(e *Entry, nowMs float64) {
 	c.probes++
 }
 
-// probeForeign is Probe on a mix naming a network outside the zoo: the
-// failure, memoized by mix key.
-func (c *Cache) probeForeign(networks []string) error {
-	key := c.key(canonical(networks))
-	if err, ok := c.foreignErr[key]; ok {
-		return err
-	}
-	err := c.foreign(networks)
-	if c.foreignErr == nil {
-		c.foreignErr = map[string]error{}
-	}
-	c.foreignErr[key] = err
-	return err
-}
-
 // probed resolves a mix slot Probe has already seen: a live entry, a
 // scoring probe or a memoized failure. seen is false for an unseen mix.
 func (c *Cache) probed(s int32) (e *Entry, live, seen bool, err error) {
@@ -675,23 +643,14 @@ func (c *Cache) probed(s int32) (e *Entry, live, seen bool, err error) {
 // in first-appearance order afterwards, so counters, trace events, map
 // contents and every returned entry match a serial Probe loop exactly:
 // concurrency changes wall-clock only, never a summary byte. Results
-// align with mixes; each slot carries either an entry or the same
-// (memoized) error Probe would return.
+// align with mixes; each slot carries either an entry or the error Probe
+// would return.
 func (c *Cache) ProbeAll(mixes [][]string, nowMs float64) ([]*Entry, []error) {
 	entries := make([]*Entry, len(mixes))
 	errs := make([]error, len(mixes))
 	tuples := make([][]int, len(mixes))
 	for i, mix := range mixes {
-		if len(mix) == 0 {
-			errs[i] = errEmptyMix
-			continue
-		}
-		t, ok := resolve(nil, mix)
-		if !ok {
-			errs[i] = c.probeForeign(mix)
-			continue
-		}
-		tuples[i] = t
+		tuples[i], errs[i] = resolve(nil, mix)
 	}
 	c.probeAll(tuples, nowMs, entries, errs)
 	return entries, errs
@@ -773,12 +732,7 @@ func (c *Cache) probeAll(mixes [][]int, nowMs float64, entries []*Entry, errs []
 // request is the core request resolving a canonical mix on this cache's
 // platform and objective.
 func (c *Cache) request(canon []string) core.Request {
-	return core.Request{
-		Platform:  c.cfg.Platform,
-		Networks:  canon,
-		Objective: c.cfg.Objective,
-		MaxGroups: c.cfg.MaxGroups,
-	}
+	return core.Request{Platform: c.cfg.Platform, Networks: canon, Objective: c.cfg.Objective}
 }
 
 // build characterizes the canonical mix of slot s, given as its sorted

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -419,23 +420,44 @@ func TestContentionAwareMaxWait(t *testing.T) {
 // negative-cached — re-probing it through DemandGBps, StandaloneMs or
 // PendingDemandSpread must never repeat the failing characterization.
 // Before the fix, every call re-prepared and the dispatch loop paid the
-// failure once per round.
+// failure once per round. A name outside the zoo is never characterized
+// at all: it fails at its index lookup, costing no prepare and no probe.
 func TestPrepareFailureNegativeCache(t *testing.T) {
 	rt, err := New(Config{Platform: soc.Orin(), Policy: NaiveGPUOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.DemandGBps("NoSuchNet"); err == nil {
-		t.Fatal("unknown network characterized without error")
+	unknown := func(what string, estimate func(string) (float64, error)) {
+		t.Helper()
+		if _, err := estimate("NoSuchNet"); !errors.Is(err, errUnknownNetwork) {
+			t.Fatalf("%s of an unknown network: error %v, want errUnknownNetwork", what, err)
+		}
 	}
-	if _, err := rt.DemandGBps("NoSuchNet"); err == nil {
-		t.Fatal("memoized failure lost its error")
+	unknown("DemandGBps", rt.DemandGBps)
+	unknown("repeated DemandGBps", rt.DemandGBps)
+	unknown("StandaloneMs", rt.StandaloneMs)
+	unknown("MixFitMs on an idle device", rt.MixFitMs)
+	setPending(rt, []Request{{ID: 0, Tenant: "t", Network: "VGG19"}})
+	unknown("MixFitMs against a pending queue", rt.MixFitMs)
+	setPending(rt, nil)
+	if got := rt.PrepareCalls(); got != 0 {
+		t.Errorf("unknown network prepared %d times, want 0", got)
 	}
-	if _, err := rt.StandaloneMs("NoSuchNet"); err == nil {
-		t.Fatal("StandaloneMs ignored the memoized failure")
+	if c := rt.Cache(); c.Probes != 0 || len(c.slots) != 0 {
+		t.Errorf("unknown network probed: %d probes, %d trie slots, want none", c.Probes, len(c.slots))
 	}
-	if got := rt.PrepareCalls(); got != 1 {
-		t.Errorf("failing network prepared %d times, want 1 (negative cache)", got)
+	// A zoo network whose characterization failed is negative-cached: every
+	// estimator returns the memoized failure without a prepare.
+	boom := errors.New("characterization failed")
+	failCharacterize(rt, "VGG19", boom)
+	if _, err := rt.DemandGBps("VGG19"); !errors.Is(err, boom) {
+		t.Errorf("DemandGBps of a failed network: %v, want the memoized failure", err)
+	}
+	if _, err := rt.StandaloneMs("VGG19"); !errors.Is(err, boom) {
+		t.Errorf("StandaloneMs of a failed network: %v, want the memoized failure", err)
+	}
+	if got := rt.PrepareCalls(); got != 0 {
+		t.Errorf("memoized failure re-prepared %d times, want 0", got)
 	}
 	// The success path shares one characterization across both estimators.
 	if _, err := rt.DemandGBps("SqueezeNet"); err != nil {
@@ -447,8 +469,8 @@ func TestPrepareFailureNegativeCache(t *testing.T) {
 	if _, err := rt.DemandGBps("SqueezeNet"); err != nil {
 		t.Fatal(err)
 	}
-	if got := rt.PrepareCalls(); got != 2 {
-		t.Errorf("%d prepares after one failing and one good network, want 2", got)
+	if got := rt.PrepareCalls(); got != 1 {
+		t.Errorf("%d prepares after an unknown, a failed and one good network, want 1", got)
 	}
 }
 

@@ -34,6 +34,8 @@ type EntrySnapshot struct {
 
 // CacheSnapshot is a persisted schedule cache: the configuration that keys
 // its entries plus the solved assignments, sorted by mix for stable diffs.
+// MaxGroups is the layer-group cap the assignments were characterized
+// under; 0 stands for nn.DefaultMaxGroups, the only cap serving runs on.
 type CacheSnapshot struct {
 	Platform  string          `json:"platform"`
 	Objective string          `json:"objective"`
@@ -47,7 +49,6 @@ func (c *Cache) Export() *CacheSnapshot {
 	snap := &CacheSnapshot{
 		Platform:  c.cfg.Platform.Name,
 		Objective: c.cfg.Objective.String(),
-		MaxGroups: c.cfg.MaxGroups,
 	}
 	live := make([]*Entry, 0, c.live)
 	for _, sl := range c.slots {
@@ -70,8 +71,11 @@ func (c *Cache) Export() *CacheSnapshot {
 // re-characterized on this platform and registered as a settled entry
 // deploying the snapshotted schedule, so serving it is a cache hit that
 // skips both the solve and the upgrade replay. Entries already present are
-// left untouched. The snapshot's platform, objective and group cap must
-// match the cache's. Returns the number of entries restored.
+// left untouched; a scoring probe of the mix is dropped, since the
+// snapshot's assignment replaces whatever the probe's speculative solve
+// would deploy. The snapshot's platform and objective must match the
+// cache's, and its group cap must be 0 (the default). Returns the number of
+// entries restored.
 func (c *Cache) Import(snap *CacheSnapshot) (int, error) {
 	if snap == nil {
 		return 0, fmt.Errorf("serve: nil cache snapshot")
@@ -82,8 +86,8 @@ func (c *Cache) Import(snap *CacheSnapshot) (int, error) {
 	if snap.Objective != c.cfg.Objective.String() {
 		return 0, fmt.Errorf("serve: snapshot objective %s != cache objective %s", snap.Objective, c.cfg.Objective)
 	}
-	if snap.MaxGroups != c.cfg.MaxGroups {
-		return 0, fmt.Errorf("serve: snapshot max groups %d != cache %d", snap.MaxGroups, c.cfg.MaxGroups)
+	if snap.MaxGroups != 0 {
+		return 0, fmt.Errorf("serve: snapshot max groups %d != cache 0 (the default)", snap.MaxGroups)
 	}
 	n := 0
 	for _, es := range snap.Entries {
@@ -92,9 +96,9 @@ func (c *Cache) Import(snap *CacheSnapshot) (int, error) {
 			// owning shard's solve never reached this snapshot.
 			continue
 		}
-		mix, ok := resolve(nil, es.Networks)
-		if !ok {
-			return n, c.foreign(es.Networks)
+		mix, err := resolve(nil, es.Networks)
+		if err != nil {
+			return n, fmt.Errorf("serve: snapshot entry %q: %w", es.Networks, err)
 		}
 		slot := c.slotOf(mix)
 		if c.slots[slot].live != nil {
@@ -113,6 +117,10 @@ func (c *Cache) Import(snap *CacheSnapshot) (int, error) {
 		}
 		e.Seeded = s
 		e.settled = true
+		if c.slots[slot].probe != nil {
+			c.slots[slot].probe = nil
+			c.probes--
+		}
 		c.put(e)
 		n++
 	}
@@ -176,9 +184,9 @@ func (c *Cache) seedSchedule(networks []string, donor *schedule.Schedule, nowMs 
 		return nil, false, fmt.Errorf("serve: nil donor schedule")
 	}
 	var buf [mixBufLen]int
-	mix, ok := resolve(buf[:0], networks)
-	if !ok {
-		return nil, false, c.foreign(networks)
+	mix, err := resolve(buf[:0], networks)
+	if err != nil {
+		return nil, false, err
 	}
 	slot := c.slotOf(mix)
 	if e := c.slots[slot].live; e != nil {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"haxconn/internal/obs"
 	"haxconn/internal/schedule"
 	"haxconn/internal/soc"
 )
@@ -291,6 +292,59 @@ func TestSeedPromotesProbe(t *testing.T) {
 	}
 	if target.WarmHits != 0 {
 		t.Errorf("promoted probe counted as warm hit (WarmHits=%d)", target.WarmHits)
+	}
+}
+
+// TestImportDropsProbe: importing a solved snapshot entry for a mix the
+// cache has only probed installs the snapshot's assignment and drops the
+// probe, whose speculative solve the snapshot replaces. No probe stays
+// live, the probe's solver nodes stop counting, nothing is promoted (a
+// promoted probe would keep its solver run and deploy its incumbents),
+// and a Lookup hit deploys the snapshot's assignment.
+func TestImportDropsProbe(t *testing.T) {
+	mix := []string{"AlexNet", "SqueezeNet"}
+	cfg := CacheConfig{Platform: soc.Orin(), Solve: true, SolverTimeScale: 50}
+	donor, err := NewCache(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := donor.EnsureSolved(mix, 0); err != nil {
+		t.Fatal(err)
+	}
+	snap := donor.Export()
+	target, err := NewCache(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := target.Probe(mix, 0); err != nil {
+		t.Fatal(err)
+	}
+	if target.SolverNodes() == 0 {
+		t.Fatal("the probe ran no speculative solve")
+	}
+	promotions := target.Promotions
+	n, err := target.Import(snap)
+	if err != nil || n != 1 {
+		t.Fatalf("Import: %d entries, %v; want 1", n, err)
+	}
+	reg := obs.NewRegistry()
+	target.FillMetrics(reg)
+	if got := reg.Get("cache.Orin.probes_live"); got != 0 || liveProbes(target) != 0 {
+		t.Errorf("probes_live %g, %d probes in the trie after the import; want 0", got, liveProbes(target))
+	}
+	if got := target.SolverNodes(); got != 0 {
+		t.Errorf("SolverNodes %d after the import; the dropped probe's solve still counts", got)
+	}
+	if target.Promotions != promotions || target.Len() != 1 {
+		t.Errorf("Promotions %d -> %d, Len %d; want the import alone", promotions, target.Promotions, target.Len())
+	}
+	e, hit, err := target.Lookup(mix, 1e6)
+	if err != nil || !hit {
+		t.Fatalf("Lookup after the import: hit=%v err=%v", hit, err)
+	}
+	want := snap.Entries[0].Assign
+	if got := e.Use(1e6).Assign; !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+		t.Errorf("imported mix deploys %v, snapshot %v", got, want)
 	}
 }
 

@@ -15,9 +15,10 @@ import (
 )
 
 // serialScore is the contention-aware scorer as it ran one selection at a
-// time, before bulk scoring: canonicalize the selection, score its mix
-// through scoreMix, emit the mix-score event, map the per-stream ends
-// back to queue order. It is the oracle the bulk scorer must reproduce.
+// time, before bulk scoring: canonicalize the selection, probe its mix
+// and evaluate the schedule the runtime would deploy for it, emit the
+// mix-score event, map the per-stream ends back to queue order. It is the
+// oracle the bulk scorer must reproduce.
 func serialScore(r *Runtime, cands []Candidate, startMs float64, sel []int) (BatchScore, bool) {
 	if len(sel) == 0 {
 		return BatchScore{}, false
@@ -35,7 +36,11 @@ func serialScore(r *Runtime, cands []Candidate, startMs float64, sel []int) (Bat
 	for k, pi := range perm {
 		mix[k] = cands[idx[pi]].Network
 	}
-	ev, err := r.scoreMix(mix, startMs)
+	entry, _, err := r.cache.Probe(mix, startMs)
+	if err != nil {
+		return BatchScore{}, false
+	}
+	ev, err := entry.Evaluate(r.deployable(entry, startMs))
 	if err != nil {
 		return BatchScore{}, false
 	}

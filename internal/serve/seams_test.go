@@ -41,8 +41,8 @@ func setPending(r *Runtime, reqs []Request) {
 // liveEntry returns the cache's live entry for a mix, nil when it holds
 // none. It walks the mix trie without adding to it.
 func liveEntry(c *Cache, networks []string) *Entry {
-	mix, ok := resolve(nil, networks)
-	if !ok || len(c.slots) == 0 {
+	mix, err := resolve(nil, networks)
+	if err != nil || len(c.slots) == 0 {
 		return nil
 	}
 	n := int32(0)

@@ -33,8 +33,8 @@
 // admission controller), NextStartMs reports when its next dispatch round
 // can begin, and Step executes exactly one round on the simulator. Serve is
 // the single-device driver over those primitives; internal/fleet drives
-// many runtimes through the same Device interface, interleaving their
-// rounds in a shared virtual timeline.
+// many runtimes through the same primitives, interleaving their rounds in
+// a shared virtual timeline.
 package serve
 
 import (
@@ -175,8 +175,6 @@ type Config struct {
 	// upgrade dynamics at Z3-like solve times can be studied. 1, zero or a
 	// negative value means unscaled.
 	SolverTimeScale float64
-	// MaxGroups caps layer groups per network (0 = nn.DefaultMaxGroups).
-	MaxGroups int
 	// SharedCache, when set, is used instead of a private schedule cache:
 	// a fleet shares one cache among all devices of the same platform, so
 	// a mix solved on one Orin warms every Orin. Its configuration must
@@ -254,7 +252,6 @@ func (c Config) CacheConfig() CacheConfig {
 		Objective:       c.Objective,
 		Solve:           c.Policy == ContentionAware,
 		SolverTimeScale: c.SolverTimeScale,
-		MaxGroups:       c.MaxGroups,
 	}
 }
 
@@ -268,13 +265,10 @@ type Runtime struct {
 	former MixFormer
 	// est and estErr are the per-network estimate memos by zoo index: the
 	// estimates (nil until the first characterization) and the failures,
-	// the negative cache (nil until the first failure). foreignErr
-	// memoizes the failures of names outside the zoo, which admission
-	// rejects but placement may still ask about.
-	est        []netEstimate
-	estErr     []error
-	foreignErr map[string]error
-	prepares   int // core.Prepare calls issued by the estimators
+	// the negative cache (nil until the first failure).
+	est      []netEstimate
+	estErr   []error
+	prepares int // core.Prepare calls issued by the estimators
 
 	// Virtual-timeline state, advanced by Offer and Step.
 	clockMs float64 // end of the last dispatched round
@@ -635,21 +629,14 @@ func (r *Runtime) estimates() []netEstimate {
 	return r.est
 }
 
-// estimateOf is estimate by network name. A name outside the zoo cannot be
-// characterized; its failure is memoized by name.
+// estimateOf is estimate by network name. A name outside the zoo fails at
+// its index lookup (errUnknownNetwork): nothing is characterized for it.
 func (r *Runtime) estimateOf(network string) (netEstimate, error) {
-	if i, ok := nn.Index(network); ok {
-		return r.estimate(i)
-	}
-	err, ok := r.foreignErr[network]
+	i, ok := nn.Index(network)
 	if !ok {
-		_, _, err = r.characterize(network)
-		if r.foreignErr == nil {
-			r.foreignErr = map[string]error{}
-		}
-		r.foreignErr[network] = err
+		return netEstimate{}, errUnknownNetwork
 	}
-	return netEstimate{}, err
+	return r.estimate(i)
 }
 
 // characterize computes a network's standalone estimates (service time and
@@ -658,11 +645,7 @@ func (r *Runtime) estimateOf(network string) (netEstimate, error) {
 // characterized the network.
 func (r *Runtime) characterize(network string) (standaloneMs, demandGBps float64, err error) {
 	r.prepares++
-	_, pr, err := core.Prepare(core.Request{
-		Platform:  r.cfg.Platform,
-		Networks:  []string{network},
-		MaxGroups: r.cfg.MaxGroups,
-	})
+	_, pr, err := core.Prepare(core.Request{Platform: r.cfg.Platform, Networks: []string{network}})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -698,7 +681,7 @@ func (r *Runtime) PrepareCalls() int { return r.prepares }
 // going through the schedule cache: admission needs no solve, and must not
 // perturb the cache's hit/upgrade accounting. Failures are memoized like
 // successes, so a network that cannot be characterized costs one prepare,
-// ever.
+// ever; a name outside the zoo costs none.
 func (r *Runtime) StandaloneMs(network string) (float64, error) {
 	e, err := r.estimateOf(network)
 	if err != nil {
@@ -865,7 +848,9 @@ func (r *Runtime) evaluateAll(entries []*Entry, evs []*schedule.Eval, atMs float
 
 // deployable is the schedule this runtime would deploy for the entry at
 // atMs: the entry's current incumbent under the contention-aware policy,
-// the naive schedule under the naive one.
+// the naive schedule under the naive one. Batch scoring and fleet
+// placement (MixFitMs) both rank by its evaluation, so any change to
+// schedule choice belongs here.
 func (r *Runtime) deployable(e *Entry, atMs float64) *schedule.Schedule {
 	if r.cfg.Policy == ContentionAware {
 		return e.Deployable(atMs)
@@ -873,33 +858,24 @@ func (r *Runtime) deployable(e *Entry, atMs float64) *schedule.Schedule {
 	return e.Naive
 }
 
-// scoreMix is the one scoring primitive both mix-aware layers share: the
-// ground-truth evaluation of the schedule this runtime would deploy for
-// the canonical mix at virtual time atMs — the cache entry's current
-// incumbent under the contention-aware policy, the naive schedule under
-// the naive one — via a probe, so unseen mixes are characterized (and
-// speculatively solved) without touching hit/miss accounting. Batch
-// scoring and fleet placement must rank with the same signal, so any
-// change to schedule choice belongs here.
-func (r *Runtime) scoreMix(mix []string, atMs float64) (*schedule.Eval, error) {
-	entry, _, err := r.cache.Probe(mix, atMs)
-	if err != nil {
-		return nil, err
-	}
-	return entry.Evaluate(r.deployable(entry, atMs))
-}
-
 // MixFitMs predicts how well a network would co-run with this device's
 // pending work: the minimum model-predicted makespan of pairing the
 // arrival with any distinct pending network, scored exactly as the
-// contention-aware mix policy scores candidate batches (warm schedules
-// for dispatched mixes, memoized naive probes for unseen ones). With
-// nothing pending it degrades to the standalone estimate — an idle device
-// offers the contention-free co-run. The fleet's mix-aware placer steers
-// by it, extending mix-awareness above the device boundary.
+// contention-aware mix policy scores candidate batches — the ground-truth
+// evaluation of the schedule this runtime would deploy for the pair now
+// (deployable), through a probe, so an unseen pair is characterized and
+// speculatively solved without touching hit/miss accounting. With nothing
+// pending it degrades to the standalone estimate — an idle device offers
+// the contention-free co-run. The fleet's mix-aware placer steers by it,
+// extending mix-awareness above the device boundary.
 func (r *Runtime) MixFitMs(network string) (float64, error) {
+	i, ok := nn.Index(network)
+	if !ok {
+		return 0, errUnknownNetwork
+	}
 	if len(r.pending) == 0 {
-		return r.StandaloneMs(network)
+		e, err := r.estimate(i)
+		return e.standaloneMs, err
 	}
 	// Each distinct pending network once, in index (that is, name) order.
 	if r.fitMarks == nil {
@@ -914,7 +890,12 @@ func (r *Runtime) MixFitMs(network string) (float64, error) {
 		if !pending {
 			continue
 		}
-		ev, err := r.scoreMix([]string{network, nn.Name(q)}, r.clockMs)
+		pair := [2]int{min(i, q), max(i, q)}
+		entry, _, err := r.cache.probe(pair[:], r.clockMs)
+		if err != nil {
+			return 0, err
+		}
+		ev, err := entry.Evaluate(r.deployable(entry, r.clockMs))
 		if err != nil {
 			return 0, err
 		}

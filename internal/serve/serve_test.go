@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -183,7 +184,7 @@ func TestGenerateBoundsArrivals(t *testing.T) {
 // TestNewValidation: New names the field behind every rejected value — a
 // negative count, beam or factor, or a non-finite float — and rejects a
 // shared cache whose configuration differs from the one the runtime's
-// configuration derives, in any of the five derived knobs.
+// configuration derives, in any of the four derived knobs.
 func TestNewValidation(t *testing.T) {
 	base := Config{Platform: soc.Orin(), SolverTimeScale: 50}
 	with := func(edit func(*Config)) Config {
@@ -239,7 +240,6 @@ func TestNewValidation(t *testing.T) {
 		{"objective", func(cc *CacheConfig) { cc.Objective = schedule.MaxThroughput }},
 		{"solve mode", func(cc *CacheConfig) { cc.Solve = false }},
 		{"solver time scale", func(cc *CacheConfig) { cc.SolverTimeScale = 1 }},
-		{"group cap", func(cc *CacheConfig) { cc.MaxGroups = 6 }},
 	} {
 		if _, err := New(with(func(c *Config) { c.SharedCache = shared(tc.edit) })); err == nil {
 			t.Errorf("shared cache with a different %s accepted", tc.knob)
@@ -379,18 +379,18 @@ func TestCacheProbeAccounting(t *testing.T) {
 		t.Errorf("probe of a dispatched mix: live=%v err=%v, want true, nil", live, err)
 	}
 
-	// A failing characterization is negative-cached: the memoized error
-	// comes back on every re-probe instead of a repeated prepare.
-	_, _, err1 := cache.Probe([]string{"VGG19", "NoSuchNet"}, 40)
-	if err1 == nil {
-		t.Fatal("unknown network probed without error")
+	// A mix naming a network outside the zoo fails at the name's lookup on
+	// every probe: it is never characterized, never becomes a probe and
+	// takes no trie slot.
+	probes, slots := cache.Probes, len(cache.slots)
+	for _, mix := range [][]string{{"VGG19", "NoSuchNet"}, {"NoSuchNet", "VGG19"}} {
+		if _, _, err := cache.Probe(mix, 40); !errors.Is(err, errUnknownNetwork) {
+			t.Fatalf("probe of %v: error %v, want errUnknownNetwork", mix, err)
+		}
 	}
-	_, _, err2 := cache.Probe([]string{"NoSuchNet", "VGG19"}, 41)
-	if err2 == nil {
-		t.Fatal("re-probe of a failing mix lost its error")
-	}
-	if err1 != err2 {
-		t.Errorf("failing probe not memoized: %v vs %v", err1, err2)
+	if cache.Probes != probes || liveProbes(cache) != 0 || len(cache.slots) != slots {
+		t.Errorf("unknown network probed: probes %d -> %d, live probes %d, trie slots %d -> %d",
+			probes, cache.Probes, liveProbes(cache), slots, len(cache.slots))
 	}
 }
 

@@ -332,7 +332,7 @@ func expandPool(specs []fleet.DeviceSpec) []fleet.DeviceSpec {
 			n = 1
 		}
 		for i := 0; i < n; i++ {
-			units = append(units, fleet.DeviceSpec{Platform: ds.Platform, Count: 1, MixPolicy: ds.MixPolicy})
+			units = append(units, fleet.DeviceSpec{Platform: ds.Platform, Count: 1})
 		}
 	}
 	return units
